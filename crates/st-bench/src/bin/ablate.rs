@@ -48,7 +48,7 @@ fn run() -> Result<(), String> {
 
     // ---- 1. beam width sweep on one trained model ----
     eprintln!("[ablate] training the shared model...");
-    let model = train_deepst(&ds, &train, None, &cfg, true);
+    let model = train_deepst(&ds, &train, None, &cfg, true).map_err(|e| e.to_string())?;
     let mut rows = Vec::new();
     let mut beam_json = Vec::new();
     for width in [1usize, 2, 4, 8, 16] {
@@ -108,7 +108,9 @@ fn run() -> Result<(), String> {
         };
         let mut trainer = st_core::Trainer::new(model, tc);
         let mut rng = st_tensor::init::rng(cfg.seed);
-        trainer.fit(&train, None, &mut rng);
+        trainer
+            .fit(&train[..], None, &mut rng)
+            .map_err(|e| e.to_string())?;
         let predictor = DeepStPredictor::new(trainer.model);
         let mut sums = MetricSums::default();
         for &i in split.test.iter().take(take) {

@@ -9,7 +9,7 @@ fn main() {
     let mut json = serde_json::Map::new();
     for city in City::ALL {
         eprintln!("[fig7] running {}", city.name());
-        let out = run_prediction_suite(city, &scale);
+        let out = run_prediction_suite(city, &scale).expect("suite training failed");
         let mut headers: Vec<String> = vec!["bucket (km)".into()];
         headers.extend(out.results.iter().map(|r| r.name.clone()));
         let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();

@@ -25,7 +25,7 @@ fn main() {
             ..SuiteConfig::default()
         };
         let (_, wall) = st_obs::timed("bench/fig8_train", || {
-            train_deepst(&ds, &all_train[..n], None, &cfg, true)
+            train_deepst(&ds, &all_train[..n], None, &cfg, true).expect("DeepST training failed")
         });
         let elapsed = wall / 2.0;
         eprintln!("[fig8] {n} trips: {elapsed:.1}s/epoch");

@@ -51,7 +51,7 @@ fn run() -> Result<(), String> {
             }
         }
         eprintln!("[run_all] ===== {} =====", city.name());
-        let out = run_prediction_suite(city, &scale);
+        let out = run_prediction_suite(city, &scale).map_err(|e| e.to_string())?;
         let ds = &out.dataset;
         let split = &out.split;
 
@@ -164,7 +164,7 @@ fn run() -> Result<(), String> {
             deepst_epochs: scale.epochs,
             ..SuiteConfig::default()
         };
-        let model = train_deepst(ds, &train, None, &cfg, true);
+        let model = train_deepst(ds, &train, None, &cfg, true).map_err(|e| e.to_string())?;
         let ttime = TravelTimeModel::fit(
             &ds.net,
             split
@@ -242,7 +242,8 @@ fn run() -> Result<(), String> {
                     k_proxies: k,
                     ..SuiteConfig::default()
                 };
-                let m = train_deepst(ds, &train, Some(&val), &cfg, true);
+                let m =
+                    train_deepst(ds, &train, Some(&val), &cfg, true).map_err(|e| e.to_string())?;
                 let methods: Vec<Box<dyn st_baselines::Predictor>> =
                     vec![Box::new(st_baselines::DeepStPredictor::new(m))];
                 let summary =
@@ -271,7 +272,7 @@ fn run() -> Result<(), String> {
                     ..SuiteConfig::default()
                 };
                 let (_, elapsed) = st_obs::timed("bench/fig8_train", || {
-                    train_deepst(ds, &train[..n], None, &cfg, true)
+                    train_deepst(ds, &train[..n], None, &cfg, true).expect("DeepST training failed")
                 });
                 labels.push(format!("{n} trips"));
                 secs.push(elapsed / 2.0);

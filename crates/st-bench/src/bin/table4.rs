@@ -14,7 +14,7 @@ fn main() {
             scale.trips,
             scale.epochs
         );
-        let out = run_prediction_suite(city, &scale);
+        let out = run_prediction_suite(city, &scale).expect("suite training failed");
         let mut rows = Vec::new();
         for r in &out.results {
             rows.push(vec![

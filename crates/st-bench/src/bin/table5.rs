@@ -22,7 +22,7 @@ fn main() {
             deepst_epochs: scale.epochs,
             ..SuiteConfig::default()
         };
-        let model = train_deepst(&ds, &train, None, &cfg, true);
+        let model = train_deepst(&ds, &train, None, &cfg, true).expect("DeepST training failed");
         let ttime = TravelTimeModel::fit(
             &ds.net,
             split

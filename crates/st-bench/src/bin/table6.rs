@@ -29,7 +29,8 @@ fn main() {
             k_proxies: k,
             ..SuiteConfig::default()
         };
-        let model = train_deepst(&ds, &train, Some(&val), &cfg, true);
+        let model =
+            train_deepst(&ds, &train, Some(&val), &cfg, true).expect("DeepST training failed");
         let methods: Vec<Box<dyn Predictor>> = vec![Box::new(DeepStPredictor::new(model))];
         let summary = evaluate_methods(&ds, &methods, &split.test, &buckets, scale.max_eval);
         let res = &summary.results[0];

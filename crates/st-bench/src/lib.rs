@@ -18,6 +18,7 @@
 //! Every bin prints a human-readable table/figure and writes JSON under
 //! `results/`.
 
+use st_core::TrainError;
 use st_eval::{
     build_examples, evaluate_methods, quantile_buckets, train_all_methods, MethodResult,
     SuiteConfig,
@@ -149,8 +150,9 @@ pub fn make_dataset(city: City, scale: &Scale) -> Dataset {
 }
 
 /// Run the full most-likely-route-prediction suite for one city:
-/// generate → split → train all six methods → evaluate.
-pub fn run_prediction_suite(city: City, scale: &Scale) -> SuiteOutput {
+/// generate → split → train all six methods → evaluate. Fails when DeepST
+/// training does.
+pub fn run_prediction_suite(city: City, scale: &Scale) -> Result<SuiteOutput, TrainError> {
     let dataset = make_dataset(city, scale);
     let split = dataset.default_split();
     let train = build_examples(&dataset, &split.train);
@@ -166,9 +168,10 @@ pub fn run_prediction_suite(city: City, scale: &Scale) -> SuiteOutput {
     let (methods, train_secs) = st_obs::timed("bench/train_all_methods", || {
         train_all_methods(&dataset, &train, val_opt, &cfg)
     });
+    let methods = methods?;
     let buckets = quantile_buckets(&dataset, &split.test, 8);
     let summary = evaluate_methods(&dataset, &methods, &split.test, &buckets, scale.max_eval);
-    SuiteOutput {
+    Ok(SuiteOutput {
         dataset,
         split,
         results: summary.results,
@@ -176,7 +179,7 @@ pub fn run_prediction_suite(city: City, scale: &Scale) -> SuiteOutput {
         train_secs,
         evaluated: summary.evaluated,
         bucket_dropped: summary.bucket_dropped,
-    }
+    })
 }
 
 /// Host/toolchain metadata embedded in every `BENCH_*.json` report, so a

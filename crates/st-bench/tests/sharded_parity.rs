@@ -102,7 +102,10 @@ fn trained(w: &World, block_rows: usize) -> (Trainer, Vec<u32>) {
     let model = DeepSt::new(cfg, SEED);
     let mut trainer = Trainer::new(model, train_config());
     let mut rng = StdRng::seed_from_u64(33);
-    let history = trainer.fit(&w.train, Some(&w.val), &mut rng);
+    let history = trainer
+        .fit(&w.train[..], Some(&w.val), &mut rng)
+        .expect("clean run")
+        .epochs;
     let mut loss_bits = Vec::new();
     for e in &history {
         loss_bits.push(e.train_loss.to_bits());
@@ -188,8 +191,9 @@ fn sharded_stream_checkpoint_resume_is_bit_identical() {
     let mut straight = Trainer::new(DeepSt::new(cfg.clone(), SEED), train_config());
     let mut rng = StdRng::seed_from_u64(33);
     let full = straight
-        .fit_stream(batches(w.train.clone()), None, &mut rng)
-        .unwrap();
+        .fit(batches(w.train.clone()), None, &mut rng)
+        .unwrap()
+        .epochs;
 
     // Interrupted: one epoch, checkpoint, then resume with a *different*
     // RNG seed — the checkpoint must carry the training RNG state.
@@ -199,8 +203,9 @@ fn sharded_stream_checkpoint_resume_is_bit_identical() {
     let mut first = Trainer::new(DeepSt::new(cfg.clone(), SEED), tc1);
     let mut rng1 = StdRng::seed_from_u64(33);
     let part = first
-        .fit_stream(batches(w.train.clone()), None, &mut rng1)
-        .unwrap();
+        .fit(batches(w.train.clone()), None, &mut rng1)
+        .unwrap()
+        .epochs;
     assert_eq!(part.len(), 1);
     assert_eq!(part[0].train_loss.to_bits(), full[0].train_loss.to_bits());
 
@@ -209,8 +214,9 @@ fn sharded_stream_checkpoint_resume_is_bit_identical() {
     let mut resumed = Trainer::new(DeepSt::new(cfg, SEED + 999), tc2);
     let mut rng2 = StdRng::seed_from_u64(4242);
     let rest = resumed
-        .fit_stream(batches(w.train.clone()), None, &mut rng2)
-        .unwrap();
+        .fit(batches(w.train.clone()), None, &mut rng2)
+        .unwrap()
+        .epochs;
 
     assert_eq!(rest.len(), 1, "resume should run exactly the missing epoch");
     assert_eq!(rest[0].epoch, 1);

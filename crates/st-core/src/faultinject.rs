@@ -6,9 +6,9 @@
 //! armed by wrapping the plan in a [`FaultInjector`]. Each fault fires
 //! exactly once: the injector removes a coordinate when it fires, so a
 //! rolled-back epoch replays cleanly and a recovery path can be asserted to
-//! actually recover. The harness is config-gated: production code paths take
-//! `Option<&FaultInjector>` and `None` (the default everywhere) makes every
-//! check a no-op.
+//! actually recover. Tests arm an injector on a trainer with the hidden
+//! `Trainer::inject_faults` hook; an unarmed trainer (the default
+//! everywhere) makes every check a no-op.
 //!
 //! Storage-side faults (truncated checkpoints, bit flips, interrupted
 //! writes) are plain file-mangling helpers intended for tests.

@@ -12,8 +12,9 @@
 //! - [`config::DeepStConfig`] — hyper-parameters (paper values scaled for CPU).
 //! - [`model::DeepSt`] — parameters and forward components.
 //! - [`data::Example`] — the observable view of a trip `(r, x, C)`.
-//! - [`train::Trainer`] — Algorithm 1 (minibatch ELBO maximization, Adam),
-//!   plus the fault-tolerant loop ([`train::Trainer::fit_ft`]).
+//! - [`train::Trainer`] — Algorithm 1 (minibatch ELBO maximization, Adam):
+//!   one fault-tolerant loop, [`train::Trainer::fit`], over any
+//!   [`train::BatchSource`] (in-memory examples or a per-epoch stream).
 //! - [`checkpoint`] — crash-safe training checkpoints (save/resume).
 //! - [`faultinject`] — deterministic fault injection for tests.
 //! - [`predict`] — Algorithm 2 (route generation) and likelihood scoring.
@@ -43,5 +44,5 @@ pub use livetraffic::{
 pub use model::{DeepSt, EmbMemory};
 pub use predict::{InferPrecision, InferSession, MultiTripSession, TripContext};
 pub use train::{
-    ElboStats, EpochStats, TrainConfig, TrainError, TrainEvent, TrainHistory, Trainer,
+    BatchSource, ElboStats, EpochStats, TrainConfig, TrainError, TrainEvent, TrainHistory, Trainer,
 };

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use st_nn::BnBatchStats;
 use st_tensor::{Array, Binder, Param, Tape};
@@ -125,14 +125,15 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Run shard `index` with panic containment. Safe to unwind through: the
-/// worker only ever takes `RwLock` *read* guards on model parameters (read
-/// guards do not poison) and all tape/binder state is local to the call.
+/// Run shard `index` against `rng` with panic containment. Safe to unwind
+/// through: the worker only ever takes `RwLock` *read* guards on model
+/// parameters (read guards do not poison) and all tape/binder state is
+/// local to the call.
 fn run_shard_contained<'p>(
     model: &'p DeepSt,
     tape: &Tape,
     shard: &[&Example],
-    seed: u64,
+    rng: &mut StdRng,
     index: usize,
     faults: Option<ShardFaultCtx<'_>>,
 ) -> Result<ShardOutput<'p>, String> {
@@ -146,10 +147,76 @@ fn run_shard_contained<'p>(
                 );
             }
         }
-        let mut rng = StdRng::seed_from_u64(seed);
-        run_shard_with_rng(model, tape, shard, &mut rng)
+        run_shard_with_rng(model, tape, shard, rng)
     }))
     .map_err(panic_message)
+}
+
+/// Retry shard `index`, whose first attempt panicked with `message`,
+/// serially on the calling thread with no injection (a fired fault is
+/// consumed; a deterministic real panic will simply fail again and be
+/// reported). A recovered output joins `outputs`; the failure is recorded
+/// either way.
+fn retry_shard<'p>(
+    index: usize,
+    message: String,
+    retry: impl FnOnce() -> Result<ShardOutput<'p>, String>,
+    outputs: &mut Vec<ShardOutput<'p>>,
+    failures: &mut Vec<ShardFailure>,
+) {
+    let failure = match retry() {
+        Ok(out) => {
+            outputs.push(out);
+            ShardFailure {
+                shard: index,
+                message,
+                recovered: true,
+            }
+        }
+        Err(retry_message) => ShardFailure {
+            shard: index,
+            message: format!("{message}; serial retry failed: {retry_message}"),
+            recovered: false,
+        },
+    };
+    failures.push(failure);
+}
+
+/// Compute one minibatch's gradients: the shard step of the trainer.
+///
+/// A minibatch that fits in one shard (the default) runs inline and draws
+/// its noise straight from `rng`, exactly like the classic serial trainer,
+/// so existing seeded runs stay reproducible. A panic there leaves `rng`
+/// partially consumed, so the retry restarts from a snapshot of it and a
+/// recovered run stays bit-identical with an unfailed one. A larger
+/// minibatch draws one seed per shard from `rng`, in shard order, and goes
+/// through [`run_shards`].
+pub(crate) fn run_minibatch<'p>(
+    model: &'p DeepSt,
+    batch: &[&Example],
+    shard_size: usize,
+    num_threads: usize,
+    rng: &mut StdRng,
+    tape: &Tape,
+    faults: Option<ShardFaultCtx<'_>>,
+) -> (Vec<ShardOutput<'p>>, Vec<ShardFailure>) {
+    if batch.len() > shard_size {
+        let seeds: Vec<u64> = (0..batch.len().div_ceil(shard_size))
+            .map(|_| rng.gen::<u64>())
+            .collect();
+        return run_shards(model, batch, shard_size, num_threads, &seeds, tape, faults);
+    }
+    let snapshot = rng.clone();
+    match run_shard_contained(model, tape, batch, rng, 0, faults) {
+        Ok(out) => (vec![out], Vec::new()),
+        Err(message) => {
+            let (mut outputs, mut failures) = (Vec::new(), Vec::new());
+            *rng = snapshot;
+            let retry = || run_shard_contained(model, tape, batch, rng, 0, None);
+            retry_shard(0, message, retry, &mut outputs, &mut failures);
+            (outputs, failures)
+        }
+    }
 }
 
 /// Compute gradients for `batch`, split into shards of `shard_size`, using
@@ -195,15 +262,12 @@ pub fn run_shards<'p>(
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let workers = num_threads.min(shards.len()).min(cores);
+    let seeded = |i: usize, faults: Option<ShardFaultCtx<'_>>| {
+        let mut rng = StdRng::seed_from_u64(seeds[i]);
+        run_shard_contained(model, inline_tape, shards[i], &mut rng, i, faults)
+    };
     let slots: Vec<Result<ShardOutput<'p>, String>> = if workers <= 1 {
-        shards
-            .iter()
-            .zip(seeds)
-            .enumerate()
-            .map(|(i, (shard, &seed))| {
-                run_shard_contained(model, inline_tape, shard, seed, i, faults)
-            })
-            .collect()
+        (0..shards.len()).map(|i| seeded(i, faults)).collect()
     } else {
         run_shards_on(model, &shards, seeds, workers, faults)
     };
@@ -213,25 +277,9 @@ pub fn run_shards<'p>(
     for (i, slot) in slots.into_iter().enumerate() {
         match slot {
             Ok(out) => outputs.push(out),
+            // Same seed, so a recovered shard is bit-identical.
             Err(message) => {
-                // Serial retry on the calling thread, same seed, no
-                // injection (a fired fault is consumed; a deterministic
-                // real panic will simply fail again and be reported).
-                match run_shard_contained(model, inline_tape, shards[i], seeds[i], i, None) {
-                    Ok(out) => {
-                        outputs.push(out);
-                        failures.push(ShardFailure {
-                            shard: i,
-                            message,
-                            recovered: true,
-                        });
-                    }
-                    Err(retry_message) => failures.push(ShardFailure {
-                        shard: i,
-                        message: format!("{message}; serial retry failed: {retry_message}"),
-                        recovered: false,
-                    }),
-                }
+                retry_shard(i, message, || seeded(i, None), &mut outputs, &mut failures)
             }
         }
     }
@@ -264,7 +312,8 @@ pub(crate) fn run_shards_on<'p>(
                     if i >= shards.len() {
                         break;
                     }
-                    let out = run_shard_contained(model, &tape, shards[i], seeds[i], i, faults);
+                    let mut rng = StdRng::seed_from_u64(seeds[i]);
+                    let out = run_shard_contained(model, &tape, shards[i], &mut rng, i, faults);
                     *results[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
                 }
             });

@@ -1,17 +1,18 @@
-//! ELBO computation (Eq. 7) and the training loop (Algorithm 1), plus the
-//! fault-tolerant variant ([`Trainer::fit_ft`]): crash-safe
+//! ELBO computation (Eq. 7) and the training loop (Algorithm 1):
+//! [`Trainer::fit`] over a [`BatchSource`], with crash-safe
 //! checkpoint/resume, divergence detection with rollback + LR backoff, and
 //! worker-failure containment (see DESIGN.md §8).
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::ops::ControlFlow;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::Rng;
 
 use st_nn::{analyze_module_graph, BnBatchStats, CheckpointError, Module};
 use st_tensor::optim::{clip_grad_norm_grouped, Adam, AdamState, Optimizer};
@@ -21,7 +22,7 @@ use crate::checkpoint::{self, ResumePoint};
 use crate::data::Example;
 use crate::faultinject::FaultInjector;
 use crate::model::DeepSt;
-use crate::parallel::{panic_message, ShardFailure, ShardFaultCtx};
+use crate::parallel::ShardFaultCtx;
 
 /// Scalar summary of one ELBO evaluation.
 #[derive(Debug, Clone, Copy, Default)]
@@ -215,7 +216,7 @@ impl DeepSt {
     /// The pass is side-effect free: it draws noise from a private seeded
     /// RNG and routes batch-norm statistics into a throwaway sink, so
     /// neither the caller's RNG stream nor the model's running buffers move
-    /// — [`Trainer::fit_ft`]'s bit-identical resume guarantee is preserved
+    /// — [`Trainer::fit`]'s bit-identical resume guarantee is preserved
     /// when analysis runs before epoch 0.
     pub fn analyze_graph(&self, batch: &[&Example]) -> Vec<Diagnostic> {
         assert!(
@@ -260,7 +261,9 @@ pub struct EpochStats {
     pub seconds: f64,
 }
 
-/// Training-loop configuration.
+/// Training-loop configuration. Every field applies to [`Trainer::fit`]
+/// whatever its [`BatchSource`]; the single-epoch drivers use the
+/// minibatch settings only (batch, shard, threads, learning rate, clip).
 #[derive(Debug, Clone)]
 pub struct TrainConfig {
     /// Number of epochs (paper: 15).
@@ -286,13 +289,13 @@ pub struct TrainConfig {
     /// of noisier per-shard batch-norm statistics (each shard normalizes
     /// with its own batch moments).
     pub shard_size: usize,
-    /// Where [`Trainer::fit_ft`] writes training checkpoints. `None` (the
+    /// Where [`Trainer::fit`] writes training checkpoints. `None` (the
     /// default) disables checkpointing.
     pub checkpoint_path: Option<PathBuf>,
     /// Write a checkpoint every this many completed epochs (and always at
     /// the final/early-stopped epoch). Values < 1 are treated as 1.
     pub checkpoint_every: usize,
-    /// Resume [`Trainer::fit_ft`] from this checkpoint if the file exists;
+    /// Resume [`Trainer::fit`] from this checkpoint if the file exists;
     /// a missing file starts fresh, a corrupt one is an error.
     pub resume_from: Option<PathBuf>,
     /// Rolling window of recent batch losses used by the divergence
@@ -302,7 +305,7 @@ pub struct TrainConfig {
     /// counts as divergence.
     pub divergence_factor: f32,
     /// Maximum divergence rollbacks across the whole run before
-    /// [`Trainer::fit_ft`] gives up with [`TrainError::RollbackLimit`].
+    /// [`Trainer::fit`] gives up with [`TrainError::RollbackLimit`].
     pub max_rollbacks: u32,
     /// Learning-rate multiplier applied on each rollback.
     pub lr_backoff: f32,
@@ -329,7 +332,7 @@ impl Default for TrainConfig {
     }
 }
 
-/// A structured occurrence during a fault-tolerant run, recorded in
+/// A structured occurrence during a [`Trainer::fit`] run, recorded in
 /// [`TrainHistory::events`] in the order it happened.
 #[derive(Debug, Clone)]
 pub enum TrainEvent {
@@ -486,7 +489,7 @@ fn obs_epoch_stats(epoch: usize, train_loss: f32, val_loss: Option<f32>, seconds
     );
 }
 
-/// Fatal failure of a fault-tolerant run.
+/// Fatal failure of a [`Trainer::fit`] run.
 #[derive(Debug)]
 pub enum TrainError {
     /// Checkpoint save/load failed.
@@ -533,16 +536,97 @@ impl From<CheckpointError> for TrainError {
     }
 }
 
-/// Outcome of a fault-tolerant run: per-epoch stats plus every structured
+/// Outcome of a training run: per-epoch stats plus every structured
 /// fault/recovery event.
 #[derive(Debug, Default)]
 pub struct TrainHistory {
-    /// Per-epoch statistics (same as [`Trainer::fit`]'s return).
+    /// Per-epoch statistics, one per completed epoch.
     pub epochs: Vec<EpochStats>,
     /// Structured fault/recovery events in occurrence order.
     pub events: Vec<TrainEvent>,
     /// Epoch the run resumed from, if it resumed.
     pub resumed_from: Option<usize>,
+}
+
+/// Where [`Trainer::fit`] draws each epoch's minibatches from:
+///
+/// - `&[Example]`: shuffled with the run's RNG every epoch, then chunked by
+///   [`TrainConfig::batch_size`];
+/// - a per-epoch closure `(epoch, &mut StdRng) -> impl IntoIterator<Item =
+///   Vec<Example>>`, typically re-opening the shard files of an on-disk
+///   trip store. It may draw its shuffle from the RNG it is handed; empty
+///   minibatches are passed over.
+///
+/// A source must replay: a divergence rollback or a resume calls it again
+/// for the same epoch with the RNG restored, and it must then yield the
+/// same minibatches.
+pub trait BatchSource {
+    /// The examples the pre-train lint inspects, drawn from a copy of
+    /// `rng` so that the run's RNG stream does not move.
+    fn lint_sample(&mut self, rng: &StdRng) -> Cow<'_, [Example]>;
+
+    /// Hand epoch `epoch`'s minibatches to `step` in training order,
+    /// lending it `rng` after the source's own draws. Stops early when
+    /// `step` breaks.
+    fn for_each_batch(
+        &mut self,
+        epoch: usize,
+        batch_size: usize,
+        rng: &mut StdRng,
+        step: &mut dyn FnMut(&[&Example], &mut StdRng) -> ControlFlow<()>,
+    );
+}
+
+impl BatchSource for &[Example] {
+    fn lint_sample(&mut self, _rng: &StdRng) -> Cow<'_, [Example]> {
+        Cow::Borrowed(*self)
+    }
+
+    fn for_each_batch(
+        &mut self,
+        _epoch: usize,
+        batch_size: usize,
+        rng: &mut StdRng,
+        step: &mut dyn FnMut(&[&Example], &mut StdRng) -> ControlFlow<()>,
+    ) {
+        let examples: &[Example] = self;
+        let mut order: Vec<usize> = (0..examples.len()).collect();
+        order.shuffle(rng);
+        for chunk in order.chunks(batch_size) {
+            let refs: Vec<&Example> = chunk.iter().map(|&i| &examples[i]).collect();
+            if step(&refs, rng).is_break() {
+                return;
+            }
+        }
+    }
+}
+
+impl<F, I> BatchSource for F
+where
+    F: FnMut(usize, &mut StdRng) -> I,
+    I: IntoIterator<Item = Vec<Example>>,
+{
+    fn lint_sample(&mut self, rng: &StdRng) -> Cow<'_, [Example]> {
+        let first = self(0, &mut rng.clone())
+            .into_iter()
+            .find(|batch| !batch.is_empty());
+        Cow::Owned(first.unwrap_or_default())
+    }
+
+    fn for_each_batch(
+        &mut self,
+        epoch: usize,
+        _batch_size: usize,
+        rng: &mut StdRng,
+        step: &mut dyn FnMut(&[&Example], &mut StdRng) -> ControlFlow<()>,
+    ) {
+        for batch in self(epoch, rng).into_iter().filter(|b| !b.is_empty()) {
+            let refs: Vec<&Example> = batch.iter().collect();
+            if step(&refs, rng).is_break() {
+                return;
+            }
+        }
+    }
 }
 
 /// Trains a [`DeepSt`] model (Algorithm 1 of the paper).
@@ -552,11 +636,12 @@ pub struct Trainer {
     /// High-water mark of any worker's tape arena seen so far, in bytes.
     pub peak_tape_bytes: usize,
     /// Findings from the pre-training graph analysis (run once before epoch
-    /// 0 by [`Trainer::fit`] / [`Trainer::fit_ft`]); empty until then, and
-    /// empty afterwards when the graph is clean.
+    /// 0 by [`Trainer::fit`]); empty until then, and empty afterwards when
+    /// the graph is clean.
     pub lint_report: Vec<Diagnostic>,
     opt: Adam,
     cfg: TrainConfig,
+    faults: Option<Arc<FaultInjector>>,
 }
 
 impl Trainer {
@@ -569,23 +654,36 @@ impl Trainer {
             lint_report: Vec::new(),
             opt,
             cfg,
+            faults: None,
         }
+    }
+
+    /// Arm the fault-injection harness (tests only) at [`Trainer::fit`]'s
+    /// `(epoch, batch[, shard])` coordinates; the single-epoch drivers
+    /// never consult it.
+    #[doc(hidden)]
+    pub fn inject_faults(&mut self, injector: Arc<FaultInjector>) {
+        self.faults = Some(injector);
     }
 
     /// Run the static graph analyzer over the training graph the model will
     /// build for the first minibatch, storing the findings in
     /// [`Trainer::lint_report`] (and returning a copy). Called once before
-    /// epoch 0 by [`Trainer::fit`] / [`Trainer::fit_ft`]; side-effect free
-    /// (see [`DeepSt::analyze_graph`]).
+    /// epoch 0 by [`Trainer::fit`] on its source's lint sample (nothing to
+    /// lint when that is empty); side-effect free (see
+    /// [`DeepSt::analyze_graph`]).
     fn pre_train_lint(&mut self, train: &[Example]) -> Vec<Diagnostic> {
+        if train.is_empty() {
+            return Vec::new();
+        }
         let n = self.cfg.batch_size.min(train.len()).max(1);
         let refs: Vec<&Example> = train.iter().take(n).collect();
         self.lint_report = self.model.analyze_graph(&refs);
         // Output-space coverage: Example slots come from
         // `net.neighbor_slot`, so a slot at or past `max_neighbors` is a
         // training target the slot head cannot represent — the loss
-        // silently mis-attributes it. One scan over the full training set
-        // (cheap: a max over pre-extracted usizes).
+        // silently mis-attributes it. One scan over the whole sample — the
+        // full set for an in-memory source (cheap: a max over usizes).
         let max_slot = train
             .iter()
             .flat_map(|e| e.slots.iter().copied())
@@ -606,366 +704,83 @@ impl Trainer {
         self.lint_report.clone()
     }
 
-    /// One pass over the training data. Returns the mean loss per trip.
+    /// One pass over the training data, shuffled with `rng` and chunked by
+    /// [`TrainConfig::batch_size`]. Returns the mean loss per trip, or NaN
+    /// when no minibatch was stepped.
     ///
-    /// Each minibatch is split into [`TrainConfig::shard_size`] shards whose
-    /// gradients are computed by up to [`TrainConfig::num_threads`] workers
-    /// ([`crate::parallel::run_shards`]); the reduction, batch-norm updates
-    /// and optimizer step all happen here in fixed shard order, so the
-    /// trained parameters do not depend on the thread count.
+    /// Shards run on up to [`TrainConfig::num_threads`] workers and are
+    /// reduced in shard order, so the result does not depend on the thread
+    /// count (see [`crate::parallel`]). A minibatch with an unrecoverable
+    /// shard failure, a non-finite loss or a non-finite gradient norm is
+    /// skipped without a step and counted in
+    /// `train.batch.skipped.{shard_failure,nonfinite_loss,nonfinite_grad}`.
     pub fn train_epoch(&mut self, examples: &[Example], rng: &mut StdRng) -> f32 {
         assert!(!examples.is_empty(), "empty training set");
-        let _sp = st_obs::span("train/epoch");
-        let g_loss = st_obs::gauge("train.batch_loss");
-        let g_norm = st_obs::gauge("train.grad_norm");
-        let shard_size = self.cfg.shard_size.max(1);
-        let mut order: Vec<usize> = (0..examples.len()).collect();
-        order.shuffle(rng);
-        let mut total = 0.0f64;
-        let mut count = 0usize;
-        let serial_tape = Tape::new();
-        for chunk in order.chunks(self.cfg.batch_size) {
-            let _sb = st_obs::span("train/batch");
-            let refs: Vec<&Example> = chunk.iter().map(|&i| &examples[i]).collect();
-            let num_shards = refs.len().div_ceil(shard_size);
-            let outputs = if num_shards == 1 {
-                // One shard per minibatch (the default): draw noise straight
-                // from the epoch RNG, exactly like the classic serial
-                // trainer, so existing seeded runs stay reproducible.
-                vec![crate::parallel::run_shard_with_rng(
-                    &self.model,
-                    &serial_tape,
-                    &refs,
-                    rng,
-                )]
-            } else {
-                // One seed per shard, drawn in shard order from the main
-                // RNG — the noise each shard sees is a function of its
-                // position, not of which worker thread picks it up.
-                let seeds: Vec<u64> = (0..num_shards).map(|_| rng.gen::<u64>()).collect();
-                let (outputs, failures) = crate::parallel::run_shards(
-                    &self.model,
-                    &refs,
-                    shard_size,
-                    self.cfg.num_threads,
-                    &seeds,
-                    &serial_tape,
-                    None,
-                );
-                if failures.iter().any(|f| !f.recovered) {
-                    // Legacy path: treat an unrecoverable shard like a
-                    // pathological minibatch and skip it. `fit_ft` turns
-                    // this into a structured divergence event instead.
-                    continue;
-                }
-                outputs
-            };
-            if outputs.iter().any(|o| !o.loss.is_finite()) {
-                // Skip a pathological minibatch rather than poisoning
-                // parameters. Nothing has been accumulated yet.
-                continue;
-            }
-            let n = refs.len() as f32;
-            for out in &outputs {
-                // Shard losses are means over n_s examples; the minibatch
-                // gradient is the n_s/n-weighted sum of shard gradients.
-                let w = out.count as f32 / n;
-                for (p, g) in &out.grads {
-                    p.accumulate_grad_scaled(w, g);
-                }
-                if !out.bn_updates.is_empty() {
-                    // Empty when the traffic pathway is disabled (DeepST-C).
-                    self.model.apply_bn_stats(&out.bn_updates);
-                }
-                total += out.loss as f64 * out.count as f64;
-                self.peak_tape_bytes = self.peak_tape_bytes.max(out.peak_tape_bytes);
-            }
-            let params = self.model.params();
-            let grad_norm = clip_grad_norm_grouped(&self.model.param_groups(), self.cfg.grad_clip);
-            g_norm.set(grad_norm as f64);
-            g_loss.set(
-                outputs
-                    .iter()
-                    .map(|o| o.loss as f64 * o.count as f64)
-                    .sum::<f64>()
-                    / n as f64,
-            );
-            self.opt.step(&params);
-            count += refs.len();
-        }
-        (total / count.max(1) as f64) as f32
+        let mut source = examples;
+        self.run_epoch(&mut source, rng, None)
     }
 
-    /// Full training run with optional validation-based early stopping.
-    /// Returns the per-epoch history.
-    pub fn fit(
-        &mut self,
-        train: &[Example],
-        val: Option<&[Example]>,
-        rng: &mut StdRng,
-    ) -> Vec<EpochStats> {
-        let _sp = st_obs::span("train/fit");
-        let mut history = Vec::new();
-        let mut best_val = f32::INFINITY;
-        let mut bad_epochs = 0usize;
-        for diagnostic in self.pre_train_lint(train) {
-            obs_train_event(&TrainEvent::LintWarning { diagnostic });
-        }
-        for epoch in 0..self.cfg.epochs {
-            let t0 = Instant::now();
-            let train_loss = self.train_epoch(train, rng);
-            let val_loss = val.map(|v| self.model.evaluate_loss(v, self.cfg.batch_size, rng));
-            let seconds = t0.elapsed().as_secs_f64();
-            obs_epoch_stats(epoch, train_loss, val_loss, seconds);
-            history.push(EpochStats {
-                epoch,
-                train_loss,
-                val_loss,
-                seconds,
-            });
-            if let Some(vl) = val_loss {
-                if vl < best_val - 1e-4 {
-                    best_val = vl;
-                    bad_epochs = 0;
-                } else {
-                    bad_epochs += 1;
-                    if let Some(p) = self.cfg.patience {
-                        if bad_epochs >= p {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        history
-    }
-
-    /// One pass over a stream of pre-assembled minibatches. Returns the
-    /// mean loss per example.
-    ///
-    /// The disk-streamed twin of [`Trainer::train_epoch`]: batches arrive
-    /// from an iterator (typically shard files of an on-disk trip store)
-    /// instead of a materialized `&[Example]`, so peak memory holds one
-    /// minibatch, not the epoch. Batch composition and order are the
-    /// stream's responsibility — shuffle shards before iterating; every
-    /// yielded batch then goes through the exact shard/clip/step pipeline
-    /// of the in-memory trainer, so a stream that replays the in-memory
-    /// epoch's batches in the same order trains bit-identically.
+    /// [`Trainer::train_epoch`] over a stream of pre-assembled minibatches,
+    /// typically the shard files of an on-disk trip store, so peak memory
+    /// holds one minibatch, not the epoch. Batch composition and order are
+    /// the stream's; each batch goes through the same minibatch body, so a
+    /// stream that replays the in-memory epoch's batches trains
+    /// bit-identically.
     pub fn train_epoch_stream<I>(&mut self, batches: I, rng: &mut StdRng) -> f32
     where
         I: IntoIterator<Item = Vec<Example>>,
     {
-        let _sp = st_obs::span("train/epoch");
-        let g_loss = st_obs::gauge("train.batch_loss");
-        let g_norm = st_obs::gauge("train.grad_norm");
-        let shard_size = self.cfg.shard_size.max(1);
-        let mut total = 0.0f64;
-        let mut count = 0usize;
-        let serial_tape = Tape::new();
-        for batch in batches {
-            if batch.is_empty() {
-                continue;
-            }
-            let _sb = st_obs::span("train/batch");
-            let refs: Vec<&Example> = batch.iter().collect();
-            let num_shards = refs.len().div_ceil(shard_size);
-            let outputs = if num_shards == 1 {
-                vec![crate::parallel::run_shard_with_rng(
-                    &self.model,
-                    &serial_tape,
-                    &refs,
-                    rng,
-                )]
-            } else {
-                let seeds: Vec<u64> = (0..num_shards).map(|_| rng.gen::<u64>()).collect();
-                let (outputs, failures) = crate::parallel::run_shards(
-                    &self.model,
-                    &refs,
-                    shard_size,
-                    self.cfg.num_threads,
-                    &seeds,
-                    &serial_tape,
-                    None,
-                );
-                if failures.iter().any(|f| !f.recovered) {
-                    continue;
-                }
-                outputs
-            };
-            if outputs.iter().any(|o| !o.loss.is_finite()) {
-                continue;
-            }
-            let n = refs.len() as f32;
-            for out in &outputs {
-                let w = out.count as f32 / n;
-                for (p, g) in &out.grads {
-                    p.accumulate_grad_scaled(w, g);
-                }
-                if !out.bn_updates.is_empty() {
-                    self.model.apply_bn_stats(&out.bn_updates);
-                }
-                total += out.loss as f64 * out.count as f64;
-                self.peak_tape_bytes = self.peak_tape_bytes.max(out.peak_tape_bytes);
-            }
-            let params = self.model.params();
-            let grad_norm = clip_grad_norm_grouped(&self.model.param_groups(), self.cfg.grad_clip);
-            g_norm.set(grad_norm as f64);
-            g_loss.set(
-                outputs
-                    .iter()
-                    .map(|o| o.loss as f64 * o.count as f64)
-                    .sum::<f64>()
-                    / n as f64,
-            );
-            self.opt.step(&params);
-            count += refs.len();
-        }
-        assert!(count > 0, "empty training stream");
-        (total / count as f64) as f32
+        let mut batches = Some(batches);
+        let mut source = |_: usize, _: &mut StdRng| batches.take().into_iter().flatten();
+        self.run_epoch(&mut source, rng, None)
     }
 
-    /// Full training run over disk-streamed batches, with checkpoint and
-    /// resume.
+    /// Train for [`TrainConfig::epochs`] epochs of `source` (Algorithm 1),
+    /// stopping early on `val` when given (see DESIGN.md §8):
     ///
-    /// `batches(epoch, rng)` is called once per epoch and must return that
-    /// epoch's minibatch stream (re-opening shard files each time); the
-    /// `rng` handle lets the factory draw its shuffle decisions from the
-    /// run's RNG stream so resume replays them. Checkpointing follows
-    /// [`Trainer::fit_ft`]: with [`TrainConfig::checkpoint_path`] set, a
-    /// full training checkpoint is written every
-    /// [`TrainConfig::checkpoint_every`] epochs, and
-    /// [`TrainConfig::resume_from`] continues from one bit-identically.
-    /// Divergence rollback is not provided here — streamed runs are
-    /// expected to rely on checkpoints instead.
-    pub fn fit_stream<F, I>(
-        &mut self,
-        mut batches: F,
-        val: Option<&[Example]>,
-        rng: &mut StdRng,
-    ) -> Result<Vec<EpochStats>, TrainError>
-    where
-        F: FnMut(usize, &mut StdRng) -> I,
-        I: IntoIterator<Item = Vec<Example>>,
-    {
-        let _sp = st_obs::span("train/fit_stream");
-        let mut history = Vec::new();
-        let mut best_val = f32::INFINITY;
-        let mut bad_epochs = 0usize;
-        let mut epoch = 0usize;
-        if let Some(path) = self.cfg.resume_from.clone() {
-            if path.exists() {
-                let rp = checkpoint::load_training(&path, &self.model, &mut self.opt, rng)?;
-                epoch = rp.epoch;
-                bad_epochs = rp.bad_epochs;
-                best_val = rp.best_val;
-            }
-        }
-        while epoch < self.cfg.epochs {
-            let t0 = Instant::now();
-            let train_loss = self.train_epoch_stream(batches(epoch, rng), rng);
-            let val_loss = val.map(|v| self.model.evaluate_loss(v, self.cfg.batch_size, rng));
-            let seconds = t0.elapsed().as_secs_f64();
-            obs_epoch_stats(epoch, train_loss, val_loss, seconds);
-            history.push(EpochStats {
-                epoch,
-                train_loss,
-                val_loss,
-                seconds,
-            });
-            let mut stop = false;
-            if let Some(vl) = val_loss {
-                if vl < best_val - 1e-4 {
-                    best_val = vl;
-                    bad_epochs = 0;
-                } else {
-                    bad_epochs += 1;
-                    if let Some(p) = self.cfg.patience {
-                        if bad_epochs >= p {
-                            stop = true;
-                        }
-                    }
-                }
-            }
-            epoch += 1;
-            if let Some(path) = self.cfg.checkpoint_path.clone() {
-                let every = self.cfg.checkpoint_every.max(1);
-                if epoch.is_multiple_of(every) || epoch == self.cfg.epochs || stop {
-                    let rp = ResumePoint {
-                        epoch,
-                        step: self.opt.steps(),
-                        rollbacks: 0,
-                        bad_epochs,
-                        best_val,
-                    };
-                    checkpoint::save_training(&path, &self.model, &self.opt, rng, &rp)?;
-                }
-            }
-            if stop {
-                break;
-            }
-        }
-        Ok(history)
-    }
-
-    /// Fault-tolerant training run (see DESIGN.md §8).
-    ///
-    /// Like [`Trainer::fit`], plus:
-    ///
-    /// - **Checkpoint/resume**: with [`TrainConfig::checkpoint_path`] set, a
-    ///   complete training checkpoint (params, BN buffers, Adam state, RNG
-    ///   state, progress counters) is written atomically every
-    ///   [`TrainConfig::checkpoint_every`] epochs; with
-    ///   [`TrainConfig::resume_from`] pointing at such a file, the run
-    ///   continues from it **bit-identically**: `fit_ft` over N epochs equals
-    ///   `fit_ft` over k epochs + resume + N−k epochs, parameter for
-    ///   parameter, bit for bit.
-    /// - **Divergence rollback**: a non-finite batch loss, non-finite global
-    ///   gradient norm, loss spike above
+    /// - before epoch 0 the graph analyzer runs on the source's lint sample
+    ///   ([`Trainer::lint_report`], [`TrainEvent::LintWarning`]);
+    /// - with [`TrainConfig::checkpoint_path`] a complete training checkpoint
+    ///   is written atomically every [`TrainConfig::checkpoint_every`]
+    ///   epochs, and [`TrainConfig::resume_from`] continues from one
+    ///   **bit-identically**: N epochs equal k epochs, a resume and N−k
+    ///   more, parameter for parameter;
+    /// - a non-finite batch loss or gradient norm, a loss above
     ///   [`TrainConfig::divergence_factor`] × the rolling-window median, or
-    ///   unrecoverable worker failure aborts the epoch; the trainer restores
-    ///   the last good state (taken at the previous epoch boundary), scales
-    ///   the learning rate by [`TrainConfig::lr_backoff`], and retries, at
-    ///   most [`TrainConfig::max_rollbacks`] times per run.
-    /// - **Worker containment**: shard-worker panics are caught and retried
-    ///   serially with the shard's own seed (bit-identical on success);
-    ///   every fault and recovery is a [`TrainEvent`] in the returned
-    ///   [`TrainHistory`].
+    ///   an unrecoverable worker failure aborts the epoch before its step;
+    ///   the trainer restores the state of the last epoch boundary, scales
+    ///   the learning rate by [`TrainConfig::lr_backoff`] and retries, at
+    ///   most [`TrainConfig::max_rollbacks`] times per run;
+    /// - a panicked shard worker is retried serially with the shard's own
+    ///   seed (bit-identical on success).
     ///
-    /// `injector` arms the deterministic fault-injection harness (tests
-    /// only); pass `None` in production.
-    pub fn fit_ft(
+    /// Every fault and recovery is a [`TrainEvent`] in the returned
+    /// [`TrainHistory`].
+    pub fn fit(
         &mut self,
-        train: &[Example],
+        mut source: impl BatchSource,
         val: Option<&[Example]>,
         rng: &mut StdRng,
-        injector: Option<&FaultInjector>,
     ) -> Result<TrainHistory, TrainError> {
-        let _sp = st_obs::span("train/fit_ft");
+        let _sp = st_obs::span("train/fit");
         let mut history = TrainHistory::default();
-        let mut best_val = f32::INFINITY;
-        let mut bad_epochs = 0usize;
-        let mut rollbacks = 0u32;
-        let mut epoch = 0usize;
-
-        for diagnostic in self.pre_train_lint(train) {
+        for diagnostic in self.pre_train_lint(&source.lint_sample(rng)) {
             push_event(&mut history.events, TrainEvent::LintWarning { diagnostic });
         }
 
+        let mut progress = ResumePoint {
+            epoch: 0,
+            step: 0,
+            rollbacks: 0,
+            bad_epochs: 0,
+            best_val: f32::INFINITY,
+        };
         if let Some(path) = self.cfg.resume_from.clone() {
             if path.exists() {
-                let rp = checkpoint::load_training(&path, &self.model, &mut self.opt, rng)?;
-                epoch = rp.epoch;
-                rollbacks = rp.rollbacks;
-                bad_epochs = rp.bad_epochs;
-                best_val = rp.best_val;
-                history.resumed_from = Some(rp.epoch);
-                push_event(
-                    &mut history.events,
-                    TrainEvent::Resumed {
-                        epoch: rp.epoch,
-                        step: rp.step,
-                    },
-                );
+                progress = checkpoint::load_training(&path, &self.model, &mut self.opt, rng)?;
+                history.resumed_from = Some(progress.epoch);
+                let (epoch, step) = (progress.epoch, progress.step);
+                push_event(&mut history.events, TrainEvent::Resumed { epoch, step });
             }
         }
 
@@ -973,29 +788,33 @@ impl Trainer {
         // boundaries so a rolled-back epoch replays the exact RNG stream the
         // failed attempt saw (minus any one-shot injected faults).
         let mut good = self.snapshot_state(rng);
-        while epoch < self.cfg.epochs {
+        while progress.epoch < self.cfg.epochs {
+            let epoch = progress.epoch;
             let t0 = Instant::now();
-            match self.train_epoch_ft(train, rng, epoch, injector, &mut history.events) {
-                EpochOutcome::Crashed { batch } => {
-                    return Err(TrainError::Crashed { epoch, batch });
-                }
-                EpochOutcome::Diverged {
-                    batch,
-                    reason,
-                    loss,
-                } => {
-                    push_event(
-                        &mut history.events,
-                        TrainEvent::Divergence {
+            let mut guard = Guard {
+                epoch,
+                window: VecDeque::new(),
+                events: &mut history.events,
+                halted: None,
+            };
+            let train_loss = self.run_epoch(&mut source, rng, Some(&mut guard));
+            match guard.halted {
+                None => {}
+                Some((batch, Halt::Crashed)) => return Err(TrainError::Crashed { epoch, batch }),
+                Some((batch, Halt::Rejected { reason, loss, .. })) => {
+                    let ev = TrainEvent::Divergence {
+                        epoch,
+                        batch,
+                        reason,
+                        loss,
+                    };
+                    push_event(&mut history.events, ev);
+                    progress.rollbacks += 1;
+                    if progress.rollbacks > self.cfg.max_rollbacks {
+                        return Err(TrainError::RollbackLimit {
                             epoch,
-                            batch,
-                            reason,
-                            loss,
-                        },
-                    );
-                    rollbacks += 1;
-                    if rollbacks > self.cfg.max_rollbacks {
-                        return Err(TrainError::RollbackLimit { epoch, rollbacks });
+                            rollbacks: progress.rollbacks,
+                        });
                     }
                     // Read the LR *before* restoring: repeated rollbacks must
                     // compound the backoff, not re-derive it from the
@@ -1007,246 +826,205 @@ impl Trainer {
                         &mut history.events,
                         TrainEvent::RolledBack {
                             epoch,
-                            rollbacks,
+                            rollbacks: progress.rollbacks,
                             new_lr,
                         },
                     );
-                    // Retry the same epoch.
+                    continue; // Retry the same epoch.
                 }
-                EpochOutcome::Completed { mean_loss } => {
-                    let val_loss =
-                        val.map(|v| self.model.evaluate_loss(v, self.cfg.batch_size, rng));
-                    let seconds = t0.elapsed().as_secs_f64();
-                    obs_epoch_stats(epoch, mean_loss, val_loss, seconds);
-                    history.epochs.push(EpochStats {
-                        epoch,
-                        train_loss: mean_loss,
-                        val_loss,
-                        seconds,
-                    });
-                    let mut stop = false;
-                    if let Some(vl) = val_loss {
-                        if vl < best_val - 1e-4 {
-                            best_val = vl;
-                            bad_epochs = 0;
-                        } else {
-                            bad_epochs += 1;
-                            if let Some(p) = self.cfg.patience {
-                                if bad_epochs >= p {
-                                    stop = true;
-                                }
-                            }
-                        }
-                    }
-                    epoch += 1;
-                    good = self.snapshot_state(rng);
-                    if let Some(path) = self.cfg.checkpoint_path.clone() {
-                        let every = self.cfg.checkpoint_every.max(1);
-                        if epoch.is_multiple_of(every) || epoch == self.cfg.epochs || stop {
-                            let rp = ResumePoint {
-                                epoch,
-                                step: self.opt.steps(),
-                                rollbacks,
-                                bad_epochs,
-                                best_val,
-                            };
-                            checkpoint::save_training(&path, &self.model, &self.opt, rng, &rp)?;
-                            push_event(
-                                &mut history.events,
-                                TrainEvent::Checkpointed { epoch, path },
-                            );
-                        }
-                    }
-                    if stop {
-                        break;
-                    }
+            }
+
+            let val_loss = val.map(|v| self.model.evaluate_loss(v, self.cfg.batch_size, rng));
+            let seconds = t0.elapsed().as_secs_f64();
+            obs_epoch_stats(epoch, train_loss, val_loss, seconds);
+            history.epochs.push(EpochStats {
+                epoch,
+                train_loss,
+                val_loss,
+                seconds,
+            });
+            let mut stop = false;
+            if let Some(vl) = val_loss {
+                if vl < progress.best_val - 1e-4 {
+                    progress.best_val = vl;
+                    progress.bad_epochs = 0;
+                } else {
+                    progress.bad_epochs += 1;
+                    stop = self.cfg.patience.is_some_and(|p| progress.bad_epochs >= p);
                 }
+            }
+            progress.epoch += 1;
+            good = self.snapshot_state(rng);
+            let every = self.cfg.checkpoint_every.max(1);
+            let due = progress.epoch.is_multiple_of(every) || progress.epoch == self.cfg.epochs;
+            if let Some(path) = self.cfg.checkpoint_path.clone().filter(|_| due || stop) {
+                progress.step = self.opt.steps();
+                checkpoint::save_training(&path, &self.model, &self.opt, rng, &progress)?;
+                let ev = TrainEvent::Checkpointed {
+                    epoch: progress.epoch,
+                    path,
+                };
+                push_event(&mut history.events, ev);
+            }
+            if stop {
+                break;
             }
         }
         Ok(history)
     }
 
-    /// One fault-tolerant epoch: contained shard execution, structured
-    /// events, divergence detection. Aborts (without an optimizer step for
-    /// the offending batch) as soon as divergence is detected.
-    fn train_epoch_ft(
+    /// One epoch of `source` through [`Trainer::train_batch`]; returns the
+    /// mean loss per stepped example (NaN when none was). With `guard`
+    /// ([`Trainer::fit`]) the first minibatch not stepped ends the epoch,
+    /// recorded in [`Guard::halted`]; without, it is counted and skipped.
+    fn run_epoch<S: BatchSource + ?Sized>(
         &mut self,
-        examples: &[Example],
+        source: &mut S,
         rng: &mut StdRng,
-        epoch: usize,
-        injector: Option<&FaultInjector>,
-        events: &mut Vec<TrainEvent>,
-    ) -> EpochOutcome {
-        assert!(!examples.is_empty(), "empty training set");
+        mut guard: Option<&mut Guard<'_>>,
+    ) -> f32 {
         let _sp = st_obs::span("train/epoch");
-        let g_loss = st_obs::gauge("train.batch_loss");
-        let g_norm = st_obs::gauge("train.grad_norm");
-        let shard_size = self.cfg.shard_size.max(1);
-        let mut order: Vec<usize> = (0..examples.len()).collect();
-        order.shuffle(rng);
-        let mut total = 0.0f64;
-        let mut count = 0usize;
-        let serial_tape = Tape::new();
-        let window_cap = self.cfg.divergence_window.max(1);
-        let mut window: VecDeque<f32> = VecDeque::with_capacity(window_cap);
-        for (batch_idx, chunk) in order.chunks(self.cfg.batch_size).enumerate() {
-            let _sb = st_obs::span("train/batch");
-            if injector.is_some_and(|inj| inj.take_crash(epoch, batch_idx)) {
-                return EpochOutcome::Crashed { batch: batch_idx };
-            }
-            let refs: Vec<&Example> = chunk.iter().map(|&i| &examples[i]).collect();
-            let num_shards = refs.len().div_ceil(shard_size);
-            let faults = injector.map(|injector| ShardFaultCtx {
-                injector,
-                epoch,
-                batch: batch_idx,
-            });
-            let (outputs, failures) = if num_shards == 1 {
-                // Single-shard path: draw noise straight from the epoch RNG
-                // like the classic trainer. Containment here must snapshot
-                // the RNG first — a panic mid-shard leaves it partially
-                // consumed, and the retry needs the original stream to stay
-                // bit-identical with an unfailed run.
-                let model = &self.model;
-                let contained = |rng: &mut StdRng, fire: bool| {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        if fire {
-                            // st-lint: allow(panic-in-lib) — deliberate injected fault
-                            panic!(
-                                "injected worker panic (epoch {epoch}, batch {batch_idx}, shard 0)"
-                            );
-                        }
-                        crate::parallel::run_shard_with_rng(model, &serial_tape, &refs, rng)
-                    }))
-                    .map_err(panic_message)
-                };
-                let snap = rng.state();
-                let fire = faults.is_some_and(|f| f.injector.take_panic(epoch, batch_idx, 0));
-                match contained(rng, fire) {
-                    Ok(out) => (vec![out], Vec::new()),
-                    Err(message) => {
-                        *rng = StdRng::from_state(snap);
-                        match contained(rng, false) {
-                            Ok(out) => (
-                                vec![out],
-                                vec![ShardFailure {
-                                    shard: 0,
-                                    message,
-                                    recovered: true,
-                                }],
-                            ),
-                            Err(retry_message) => (
-                                Vec::new(),
-                                vec![ShardFailure {
-                                    shard: 0,
-                                    message: format!(
-                                        "{message}; serial retry failed: {retry_message}"
-                                    ),
-                                    recovered: false,
-                                }],
-                            ),
-                        }
-                    }
-                }
-            } else {
-                let seeds: Vec<u64> = (0..num_shards).map(|_| rng.gen::<u64>()).collect();
-                crate::parallel::run_shards(
-                    &self.model,
-                    &refs,
-                    shard_size,
-                    self.cfg.num_threads,
-                    &seeds,
-                    &serial_tape,
-                    faults,
-                )
+        let mut acc = EpochAcc {
+            tape: Tape::new(),
+            g_loss: st_obs::gauge("train.batch_loss"),
+            g_norm: st_obs::gauge("train.grad_norm"),
+            total: 0.0,
+            count: 0,
+        };
+        let epoch = guard.as_ref().map_or(0, |g| g.epoch);
+        let mut batch = 0usize;
+        source.for_each_batch(epoch, self.cfg.batch_size, rng, &mut |refs, rng| {
+            let at = batch;
+            batch += 1;
+            let Err(halt) = self.train_batch(refs, rng, &mut acc, at, guard.as_deref_mut()) else {
+                return ControlFlow::Continue(());
             };
-            for f in &failures {
-                push_event(
-                    events,
-                    TrainEvent::ShardFailure {
-                        epoch,
-                        batch: batch_idx,
-                        shard: f.shard,
-                        recovered: f.recovered,
-                        message: f.message.clone(),
-                    },
-                );
+            match guard.as_deref_mut() {
+                Some(g) => {
+                    g.halted = Some((at, halt));
+                    ControlFlow::Break(())
+                }
+                None => {
+                    if let Halt::Rejected { key, reason, .. } = halt {
+                        let counter = format!("train.batch.skipped.{key}");
+                        st_obs::counter(&counter).inc();
+                        st_obs::warn_once(&counter, &format!("minibatch skipped: {reason}"));
+                    }
+                    ControlFlow::Continue(())
+                }
             }
-            if failures.iter().any(|f| !f.recovered) {
-                return EpochOutcome::Diverged {
-                    batch: batch_idx,
-                    reason: "unrecoverable worker failure".to_string(),
-                    loss: f32::NAN,
-                };
-            }
+        });
+        (acc.total / acc.count as f64) as f32
+    }
 
-            let n = refs.len() as f32;
-            let mut batch_loss = outputs.iter().map(|o| o.loss * o.count as f32).sum::<f32>() / n;
-            if injector.is_some_and(|inj| inj.take_nan_loss(epoch, batch_idx)) {
-                batch_loss = f32::NAN;
+    /// The minibatch body of Algorithm 1: the shards (with panic
+    /// containment), the divergence checks, the reduce, the clip (with its
+    /// non-finite guard) and the Adam step. On `Err` the parameters,
+    /// batch-norm buffers and optimizer are as they were. `guard` is
+    /// [`Trainer::fit`]'s: it arms fault injection at `(epoch, at)` and the
+    /// loss-spike check.
+    fn train_batch(
+        &mut self,
+        refs: &[&Example],
+        rng: &mut StdRng,
+        acc: &mut EpochAcc,
+        at: usize,
+        mut guard: Option<&mut Guard<'_>>,
+    ) -> Result<(), Halt> {
+        let _sb = st_obs::span("train/batch");
+        let epoch = guard.as_ref().map_or(0, |g| g.epoch);
+        let injector = self.faults.as_deref().filter(|_| guard.is_some());
+        let faults = injector.map(|injector| ShardFaultCtx {
+            injector,
+            epoch,
+            batch: at,
+        });
+        if faults.is_some_and(|f| f.injector.take_crash(epoch, at)) {
+            return Err(Halt::Crashed);
+        }
+        let (outputs, failures) = crate::parallel::run_minibatch(
+            &self.model,
+            refs,
+            self.cfg.shard_size.max(1),
+            self.cfg.num_threads,
+            rng,
+            &acc.tape,
+            faults,
+        );
+        for f in &failures {
+            let ev = TrainEvent::ShardFailure {
+                epoch,
+                batch: at,
+                shard: f.shard,
+                recovered: f.recovered,
+                message: f.message.clone(),
+            };
+            match guard.as_deref_mut() {
+                Some(g) => push_event(g.events, ev),
+                None => obs_train_event(&ev),
             }
-            if !batch_loss.is_finite() || outputs.iter().any(|o| !o.loss.is_finite()) {
-                return EpochOutcome::Diverged {
-                    batch: batch_idx,
-                    reason: "non-finite batch loss".to_string(),
-                    loss: batch_loss,
-                };
-            }
-            if window.len() == window_cap {
-                let mut sorted: Vec<f32> = window.iter().copied().collect();
-                sorted.sort_by(f32::total_cmp);
-                let median = sorted[sorted.len() / 2];
-                let threshold = self.cfg.divergence_factor * median.abs().max(1e-3);
-                if batch_loss > threshold {
-                    return EpochOutcome::Diverged {
-                        batch: batch_idx,
-                        reason: format!(
-                            "loss spike: {batch_loss} > {} × rolling median {median}",
-                            self.cfg.divergence_factor
-                        ),
-                        loss: batch_loss,
-                    };
-                }
-            }
+        }
+        if failures.iter().any(|f| !f.recovered) {
+            return rejected("shard_failure", "unrecoverable worker failure", f32::NAN);
+        }
 
-            for out in &outputs {
-                let w = out.count as f32 / n;
-                for (p, g) in &out.grads {
-                    p.accumulate_grad_scaled(w, g);
-                }
-                if !out.bn_updates.is_empty() {
-                    self.model.apply_bn_stats(&out.bn_updates);
-                }
-                total += out.loss as f64 * out.count as f64;
-                self.peak_tape_bytes = self.peak_tape_bytes.max(out.peak_tape_bytes);
-            }
-            let params = self.model.params();
-            let grad_norm = clip_grad_norm_grouped(&self.model.param_groups(), self.cfg.grad_clip);
-            g_norm.set(grad_norm as f64);
-            g_loss.set(batch_loss as f64);
-            if !grad_norm.is_finite() {
-                // `clip_grad_norm` cannot scale a non-finite norm down; the
-                // step would poison every parameter. Drop the gradients and
-                // let the rollback path handle it.
-                for p in &params {
-                    p.zero_grad();
-                }
-                return EpochOutcome::Diverged {
-                    batch: batch_idx,
-                    reason: format!("non-finite gradient norm {grad_norm}"),
-                    loss: batch_loss,
-                };
-            }
-            self.opt.step(&params);
-            if window.len() == window_cap {
-                window.pop_front();
-            }
-            window.push_back(batch_loss);
-            count += refs.len();
+        let n = refs.len() as f32;
+        let mut loss = outputs.iter().map(|o| o.loss * o.count as f32).sum::<f32>() / n;
+        if faults.is_some_and(|f| f.injector.take_nan_loss(epoch, at)) {
+            loss = f32::NAN;
         }
-        EpochOutcome::Completed {
-            mean_loss: (total / count.max(1) as f64) as f32,
+        if !loss.is_finite() {
+            return rejected("nonfinite_loss", "non-finite batch loss", loss);
         }
+        let window = self.cfg.divergence_window.max(1);
+        if let Some(g) = guard.as_deref().filter(|g| g.window.len() == window) {
+            let mut sorted: Vec<f32> = g.window.iter().copied().collect();
+            sorted.sort_by(f32::total_cmp);
+            let (median, factor) = (sorted[window / 2], self.cfg.divergence_factor);
+            if loss > factor * median.abs().max(1e-3) {
+                let reason = format!("loss spike: {loss} > {factor} × rolling median {median}");
+                return rejected("loss_spike", reason, loss);
+            }
+        }
+
+        for out in &outputs {
+            // Shard losses are means over n_s examples; the minibatch
+            // gradient is the n_s/n-weighted sum of shard gradients.
+            let w = out.count as f32 / n;
+            for (p, g) in &out.grads {
+                p.accumulate_grad_scaled(w, g);
+            }
+            self.peak_tape_bytes = self.peak_tape_bytes.max(out.peak_tape_bytes);
+        }
+        let params = self.model.params();
+        let norm = clip_grad_norm_grouped(&self.model.param_groups(), self.cfg.grad_clip);
+        if !norm.is_finite() {
+            // `clip_grad_norm` cannot scale a non-finite norm down; the
+            // step would poison every parameter with a gradient.
+            for p in &params {
+                p.zero_grad();
+            }
+            let reason = format!("non-finite gradient norm {norm}");
+            return rejected("nonfinite_grad", reason, loss);
+        }
+        for out in &outputs {
+            if !out.bn_updates.is_empty() {
+                // Empty when the traffic pathway is disabled (DeepST-C).
+                self.model.apply_bn_stats(&out.bn_updates);
+            }
+            acc.total += out.loss as f64 * out.count as f64;
+        }
+        acc.count += refs.len();
+        acc.g_norm.set(norm as f64);
+        acc.g_loss.set(loss as f64);
+        self.opt.step(&params);
+        if let Some(g) = guard {
+            if g.window.len() == window {
+                g.window.pop_front();
+            }
+            g.window.push_back(loss);
+        }
+        Ok(())
     }
 
     /// Capture everything a rollback must restore: parameter values, BN
@@ -1261,20 +1039,14 @@ impl Trainer {
     }
 
     /// Restore a [`GoodState`] snapshot taken from this very trainer —
-    /// mismatches are impossible, hence the expects.
+    /// mismatches are impossible, hence the expect.
     fn restore_state(&mut self, s: &GoodState, rng: &mut StdRng) {
-        self.model
-            .load_state(&s.params)
-            // st-lint: allow(panic-in-lib) — snapshot taken from this model
-            .expect("snapshot matches own model");
-        self.model
-            .load_buffers(&s.buffers)
-            // st-lint: allow(panic-in-lib) — snapshot taken from this model
-            .expect("snapshot matches own model");
-        self.opt
-            .import_state(s.opt.clone())
-            // st-lint: allow(panic-in-lib) — snapshot taken from this optimizer
-            .expect("snapshot matches own optimizer");
+        let restored = (self.model.load_state(&s.params))
+            .and_then(|()| self.model.load_buffers(&s.buffers))
+            .map_err(|e| e.to_string())
+            .and_then(|()| self.opt.import_state(s.opt.clone()));
+        // st-lint: allow(panic-in-lib) — snapshot taken from this trainer
+        restored.expect("rollback snapshot matches its own trainer");
         *rng = StdRng::from_state(s.rng);
     }
 }
@@ -1287,22 +1059,50 @@ struct GoodState {
     rng: [u64; 4],
 }
 
-/// Result of one fault-tolerant epoch.
-enum EpochOutcome {
-    /// Epoch ran to completion.
-    Completed {
-        /// Mean training loss per trip.
-        mean_loss: f32,
-    },
-    /// Divergence detected; the epoch was aborted before the offending
-    /// optimizer step.
-    Diverged {
-        batch: usize,
+/// Per-epoch state of the minibatch body.
+struct EpochAcc {
+    /// Tape for shards run on the calling thread, reused across minibatches.
+    tape: Tape,
+    g_loss: st_obs::Gauge,
+    /// Set only for a minibatch that was stepped.
+    g_norm: st_obs::Gauge,
+    /// Loss summed over the stepped examples, in shard order.
+    total: f64,
+    /// Stepped examples.
+    count: usize,
+}
+
+/// What [`Trainer::fit`] adds to the minibatch body: fault coordinates,
+/// the loss-spike window and the event log.
+struct Guard<'a> {
+    epoch: usize,
+    /// The last [`TrainConfig::divergence_window`] stepped batch losses.
+    window: VecDeque<f32>,
+    events: &'a mut Vec<TrainEvent>,
+    /// The minibatch that ended the epoch early, and why.
+    halted: Option<(usize, Halt)>,
+}
+
+/// Why the minibatch body did not step.
+enum Halt {
+    /// The fault injector simulated a process kill.
+    Crashed,
+    /// A check rejected the minibatch. `key` names its
+    /// `train.batch.skipped.*` counter; `loss` is the offending batch loss
+    /// (NaN when none was computed).
+    Rejected {
+        key: &'static str,
         reason: String,
         loss: f32,
     },
-    /// The fault injector simulated a process kill.
-    Crashed { batch: usize },
+}
+
+fn rejected(key: &'static str, reason: impl Into<String>, loss: f32) -> Result<(), Halt> {
+    Err(Halt::Rejected {
+        key,
+        reason: reason.into(),
+        loss,
+    })
 }
 
 #[cfg(test)]
@@ -1347,6 +1147,31 @@ mod tests {
         }
         let _ = &mut rng;
         (net, out)
+    }
+
+    /// Every parameter and buffer as raw bits.
+    fn state_bits(model: &DeepSt) -> Vec<u32> {
+        model
+            .state()
+            .into_iter()
+            .chain(model.buffers())
+            .flat_map(|(_, arr)| arr.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+            .collect()
+    }
+
+    /// How many parameter and buffer values differ from `before`.
+    fn moved(before: &[u32], model: &DeepSt) -> usize {
+        let after = state_bits(model);
+        before.iter().zip(&after).filter(|(a, b)| a != b).count()
+    }
+
+    fn serial_config(batch_size: usize) -> TrainConfig {
+        TrainConfig {
+            batch_size,
+            shard_size: batch_size,
+            num_threads: 1,
+            ..TrainConfig::default()
+        }
     }
 
     #[test]
@@ -1407,7 +1232,10 @@ mod tests {
         };
         let mut trainer = Trainer::new(model, tc);
         let mut rng = init::rng(3);
-        let hist = trainer.fit(&examples[..30], Some(&examples[30..]), &mut rng);
+        let hist = trainer
+            .fit(&examples[..30], Some(&examples[30..]), &mut rng)
+            .expect("clean run")
+            .epochs;
         assert!(!hist.is_empty() && hist.len() <= 4);
         for h in &hist {
             assert!(h.train_loss.is_finite());
@@ -1653,7 +1481,9 @@ mod tests {
         };
         let mut trainer = Trainer::new(DeepSt::new(cfg, 5), tc);
         let mut rng = init::rng(6);
-        trainer.fit(&examples, None, &mut rng);
+        trainer
+            .fit(&examples[..], None, &mut rng)
+            .expect("clean run");
         assert!(
             trainer.lint_report.is_empty(),
             "shipped model should lint clean: {:?}",
@@ -1661,10 +1491,10 @@ mod tests {
         );
     }
 
-    /// `fit_ft` surfaces pre-training analyzer findings as
+    /// `fit` surfaces pre-training analyzer findings as
     /// [`TrainEvent::LintWarning`] (none for the clean shipped model).
     #[test]
-    fn fit_ft_emits_no_lint_events_for_clean_model() {
+    fn fit_emits_no_lint_events_for_clean_model() {
         let (net, examples) = toy_examples(8, 15);
         let cfg =
             DeepStConfig::new(net.num_segments(), net.max_out_degree(), 8, 8).without_traffic();
@@ -1676,10 +1506,77 @@ mod tests {
         };
         let mut trainer = Trainer::new(DeepSt::new(cfg, 5), tc);
         let mut rng = init::rng(6);
-        let history = trainer.fit_ft(&examples, None, &mut rng, None).unwrap();
+        let history = trainer.fit(&examples[..], None, &mut rng).unwrap();
         assert!(!history
             .events
             .iter()
             .any(|e| matches!(e, TrainEvent::LintWarning { .. })));
+    }
+
+    /// The single-epoch drivers count every minibatch they cannot step,
+    /// and an epoch that stepped nothing reports NaN — not a perfect 0.0
+    /// loss, and not a panic — and leaves the model untouched.
+    #[test]
+    fn skipped_minibatches_are_counted_and_an_all_skipped_epoch_is_nan() {
+        let (net, mut examples) = toy_examples(16, 16);
+        for e in &mut examples {
+            // Plants a non-finite loss in every minibatch.
+            e.dest = [f32::NAN, f32::NAN];
+        }
+        let cfg = DeepStConfig::new(net.num_segments(), net.max_out_degree(), 8, 8);
+        let mut trainer = Trainer::new(DeepSt::new(cfg, 6), serial_config(8));
+        let before = state_bits(&trainer.model);
+        let skipped = st_obs::counter("train.batch.skipped.nonfinite_loss");
+        let base = skipped.get();
+        let mut rng = init::rng(7);
+
+        let loss = trainer.train_epoch(&examples, &mut rng);
+        assert!(loss.is_nan(), "all-skipped epoch reported loss {loss}");
+        assert_eq!(skipped.get() - base, 2);
+        let stream = examples.chunks(8).map(<[Example]>::to_vec);
+        let loss = trainer.train_epoch_stream(stream, &mut rng);
+        assert!(loss.is_nan(), "all-skipped stream reported loss {loss}");
+        assert_eq!(skipped.get() - base, 4);
+        assert_eq!(
+            moved(&before, &trainer.model),
+            0,
+            "a skipped minibatch moved the model"
+        );
+    }
+
+    /// A NaN gradient norm must not reach Adam: the clip cannot scale it
+    /// down (`NaN > max_norm` is false), so a step would write NaN into the
+    /// parameter. The driver skips the minibatch, zeroes the gradients and
+    /// counts it instead.
+    #[test]
+    fn nonfinite_grad_norm_skips_the_step() {
+        let (net, examples) = toy_examples(8, 17);
+        let cfg = DeepStConfig::new(net.num_segments(), net.max_out_degree(), 8, 8);
+        let mut trainer = Trainer::new(DeepSt::new(cfg, 8), serial_config(8));
+        let before = state_bits(&trainer.model);
+        {
+            let planted = trainer.model.params()[0];
+            let shape = planted.value().shape().to_vec();
+            planted.accumulate_grad(&Array::full(&shape, f32::NAN));
+        }
+        let skipped = st_obs::counter("train.batch.skipped.nonfinite_grad");
+        let base = skipped.get();
+        let mut rng = init::rng(9);
+
+        let loss = trainer.train_epoch_stream(std::iter::once(examples), &mut rng);
+        assert_eq!(
+            moved(&before, &trainer.model),
+            0,
+            "a non-finite gradient norm reached the optimizer step"
+        );
+        assert!(loss.is_nan(), "skipped minibatch reported loss {loss}");
+        assert_eq!(skipped.get() - base, 1);
+        for p in trainer.model.params() {
+            assert!(
+                p.grad().data().iter().all(|g| g.to_bits() == 0),
+                "gradient of {} not zeroed",
+                p.name()
+            );
+        }
     }
 }

@@ -11,11 +11,14 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 
 use st_core::faultinject::{flip_byte, interrupted_write, truncate_file};
 use st_core::train::Trainer;
 use st_core::{
     DeepSt, DeepStConfig, Example, FaultInjector, FaultPlan, TrainConfig, TrainError, TrainEvent,
+    TrainHistory,
 };
 use st_nn::Module;
 use st_roadnet::{grid_city, GridConfig, RoadNetwork};
@@ -59,10 +62,12 @@ fn toy_model(net: &RoadNetwork, seed: u64) -> DeepSt {
     DeepSt::new(cfg, seed)
 }
 
+const BATCH: usize = 16;
+
 fn base_config() -> TrainConfig {
     TrainConfig {
         epochs: 3,
-        batch_size: 16,
+        batch_size: BATCH,
         lr: 5e-3,
         patience: None,
         num_threads: 1,
@@ -80,6 +85,29 @@ fn state_bits(model: &DeepSt) -> Vec<(String, Vec<u32>)> {
         .chain(model.buffers())
         .map(|(name, arr)| (name, arr.data().iter().map(|v| v.to_bits()).collect()))
         .collect()
+}
+
+/// `fit` over the in-memory examples, or over the same minibatches as a
+/// per-epoch stream that draws its shuffle from the run's RNG, the way a
+/// disk-backed source would.
+fn fit_from(
+    trainer: &mut Trainer,
+    examples: &[Example],
+    streamed: bool,
+    rng: &mut StdRng,
+) -> Result<TrainHistory, TrainError> {
+    if !streamed {
+        return trainer.fit(examples, None, rng);
+    }
+    let stream = |_epoch: usize, rng: &mut StdRng| {
+        let mut order: Vec<usize> = (0..examples.len()).collect();
+        order.shuffle(rng);
+        order
+            .chunks(BATCH)
+            .map(|chunk| chunk.iter().map(|&i| examples[i].clone()).collect())
+            .collect::<Vec<Vec<Example>>>()
+    };
+    trainer.fit(stream, None, rng)
 }
 
 fn tmp_path(tag: &str) -> PathBuf {
@@ -106,7 +134,7 @@ fn resume_after_injected_crash_is_bit_identical() {
     let mut reference = Trainer::new(toy_model(&net, 7), base_config());
     let mut rng = init::rng(11);
     reference
-        .fit_ft(&examples, None, &mut rng, None)
+        .fit(&examples[..], None, &mut rng)
         .expect("reference run failed");
 
     // Victim: same seed, checkpoint every epoch, killed in epoch 1 batch 1.
@@ -115,14 +143,15 @@ fn resume_after_injected_crash_is_bit_identical() {
         checkpoint_every: 1,
         ..base_config()
     };
-    let injector = FaultInjector::new(FaultPlan {
+    let injector = Arc::new(FaultInjector::new(FaultPlan {
         crash_at: Some((1, 1)),
         ..FaultPlan::default()
-    });
+    }));
     let mut victim = Trainer::new(toy_model(&net, 7), cfg.clone());
+    victim.inject_faults(Arc::clone(&injector));
     let mut rng = init::rng(11);
     let err = victim
-        .fit_ft(&examples, None, &mut rng, Some(&injector))
+        .fit(&examples[..], None, &mut rng)
         .expect_err("injected crash did not surface");
     assert!(
         matches!(err, TrainError::Crashed { epoch: 1, batch: 1 }),
@@ -140,7 +169,7 @@ fn resume_after_injected_crash_is_bit_identical() {
     let mut survivor = Trainer::new(toy_model(&net, 999), cfg);
     let mut rng = init::rng(999);
     let hist = survivor
-        .fit_ft(&examples, None, &mut rng, None)
+        .fit(&examples[..], None, &mut rng)
         .expect("resumed run failed");
     assert_eq!(hist.resumed_from, Some(1));
     assert!(matches!(
@@ -158,18 +187,25 @@ fn resume_after_injected_crash_is_bit_identical() {
 
 /// An injected NaN loss trips the divergence detector; the trainer rolls
 /// back to the last good state, halves the learning rate, and the retried
-/// epoch (fault is fire-once) converges to a finite loss.
+/// epoch (fault is fire-once) converges to a finite loss — from memory and
+/// from a stream alike.
 #[test]
 fn nan_divergence_rolls_back_and_recovers() {
+    for streamed in [false, true] {
+        nan_divergence_rolls_back_and_recovers_from(streamed);
+    }
+}
+
+fn nan_divergence_rolls_back_and_recovers_from(streamed: bool) {
     let (net, examples) = toy_examples(40);
-    let injector = FaultInjector::new(FaultPlan {
+    let injector = Arc::new(FaultInjector::new(FaultPlan {
         nan_loss_at: vec![(1, 0)],
         ..FaultPlan::default()
-    });
+    }));
     let mut trainer = Trainer::new(toy_model(&net, 3), base_config());
+    trainer.inject_faults(Arc::clone(&injector));
     let mut rng = init::rng(5);
-    let hist = trainer
-        .fit_ft(&examples, None, &mut rng, Some(&injector))
+    let hist = fit_from(&mut trainer, &examples, streamed, &mut rng)
         .expect("rollback should recover, not abort");
 
     let diverged = hist.events.iter().any(|e| {
@@ -206,18 +242,19 @@ fn nan_divergence_rolls_back_and_recovers() {
 fn rollback_limit_aborts_with_error() {
     let (net, examples) = toy_examples(40);
     // 40 examples / batch 16 → 3 batches; one fresh NaN per attempt.
-    let injector = FaultInjector::new(FaultPlan {
+    let injector = Arc::new(FaultInjector::new(FaultPlan {
         nan_loss_at: vec![(0, 0), (0, 1), (0, 2)],
         ..FaultPlan::default()
-    });
+    }));
     let cfg = TrainConfig {
         max_rollbacks: 2,
         ..base_config()
     };
     let mut trainer = Trainer::new(toy_model(&net, 3), cfg);
+    trainer.inject_faults(injector);
     let mut rng = init::rng(5);
     let err = trainer
-        .fit_ft(&examples, None, &mut rng, Some(&injector))
+        .fit(&examples[..], None, &mut rng)
         .expect_err("persistent divergence should abort");
     assert!(
         matches!(
@@ -245,17 +282,18 @@ fn worker_panic_is_contained_and_bit_identical() {
     let mut reference = Trainer::new(toy_model(&net, 9), cfg.clone());
     let mut rng = init::rng(13);
     reference
-        .fit_ft(&examples, None, &mut rng, None)
+        .fit(&examples[..], None, &mut rng)
         .expect("reference run failed");
 
-    let injector = FaultInjector::new(FaultPlan {
+    let injector = Arc::new(FaultInjector::new(FaultPlan {
         panic_at: vec![(0, 0, 1), (2, 1, 0)],
         ..FaultPlan::default()
-    });
+    }));
     let mut faulty = Trainer::new(toy_model(&net, 9), cfg);
+    faulty.inject_faults(injector);
     let mut rng = init::rng(13);
     let hist = faulty
-        .fit_ft(&examples, None, &mut rng, Some(&injector))
+        .fit(&examples[..], None, &mut rng)
         .expect("contained panics should not abort the run");
 
     let recoveries: Vec<_> = hist
@@ -299,7 +337,7 @@ fn corrupt_checkpoint_is_an_error_not_a_panic() {
     let mut trainer = Trainer::new(toy_model(&net, 1), cfg.clone());
     let mut rng = init::rng(2);
     trainer
-        .fit_ft(&examples, None, &mut rng, None)
+        .fit(&examples[..], None, &mut rng)
         .expect("seed run failed");
     let len = std::fs::metadata(&path).expect("stat checkpoint").len();
 
@@ -315,7 +353,7 @@ fn corrupt_checkpoint_is_an_error_not_a_panic() {
         let mut resumed = Trainer::new(toy_model(&net, 1), resume_cfg.clone());
         let mut rng = init::rng(2);
         let err = resumed
-            .fit_ft(&examples, None, &mut rng, None)
+            .fit(&examples[..], None, &mut rng)
             .expect_err("corrupt checkpoint accepted");
         assert!(
             matches!(err, TrainError::Checkpoint(_)),
@@ -325,7 +363,7 @@ fn corrupt_checkpoint_is_an_error_not_a_panic() {
         let mut fresh = Trainer::new(toy_model(&net, 1), cfg.clone());
         let mut rng = init::rng(2);
         fresh
-            .fit_ft(&examples, None, &mut rng, None)
+            .fit(&examples[..], None, &mut rng)
             .expect("re-seed run failed");
     }
     cleanup(&path);
@@ -349,18 +387,19 @@ fn stray_tmp_from_interrupted_write_starts_fresh() {
     let mut trainer = Trainer::new(toy_model(&net, 4), cfg);
     let mut rng = init::rng(6);
     let hist = trainer
-        .fit_ft(&examples, None, &mut rng, None)
+        .fit(&examples[..], None, &mut rng)
         .expect("fresh start after interrupted write failed");
     assert_eq!(hist.resumed_from, None);
     cleanup(&path);
 }
 
 /// train(N) ≡ train(k) + save + load + train(N−k), bit for bit, for random
-/// split points and for both serial and multi-threaded configurations.
-fn resume_split_matches(k: usize, num_threads: usize, shard_size: usize) {
+/// split points, for both serial and multi-threaded configurations, and
+/// from memory and from a stream.
+fn resume_split_matches(k: usize, num_threads: usize, shard_size: usize, streamed: bool) {
     const N: usize = 3;
     let (net, examples) = toy_examples(32);
-    let path = tmp_path(&format!("split_{k}_{num_threads}_{shard_size}"));
+    let path = tmp_path(&format!("split_{k}_{num_threads}_{shard_size}_{streamed}"));
     cleanup(&path);
     let cfg = TrainConfig {
         epochs: N,
@@ -371,8 +410,7 @@ fn resume_split_matches(k: usize, num_threads: usize, shard_size: usize) {
 
     let mut full = Trainer::new(toy_model(&net, 21), cfg.clone());
     let mut rng = init::rng(17);
-    full.fit_ft(&examples, None, &mut rng, None)
-        .expect("full run failed");
+    fit_from(&mut full, &examples, streamed, &mut rng).expect("full run failed");
 
     let mut first = Trainer::new(
         toy_model(&net, 21),
@@ -383,9 +421,7 @@ fn resume_split_matches(k: usize, num_threads: usize, shard_size: usize) {
         },
     );
     let mut rng = init::rng(17);
-    first
-        .fit_ft(&examples, None, &mut rng, None)
-        .expect("first half failed");
+    fit_from(&mut first, &examples, streamed, &mut rng).expect("first half failed");
 
     let mut second = Trainer::new(
         toy_model(&net, 777),
@@ -395,9 +431,7 @@ fn resume_split_matches(k: usize, num_threads: usize, shard_size: usize) {
         },
     );
     let mut rng = init::rng(777);
-    let hist = second
-        .fit_ft(&examples, None, &mut rng, None)
-        .expect("second half failed");
+    let hist = fit_from(&mut second, &examples, streamed, &mut rng).expect("second half failed");
     assert_eq!(hist.resumed_from, Some(k));
     assert_eq!(hist.epochs.len(), N - k);
 
@@ -418,6 +452,8 @@ proptest! {
         threaded in 0usize..2,
     ) {
         let (num_threads, shard_size) = if threaded == 1 { (3, 8) } else { (1, 16) };
-        resume_split_matches(k, num_threads, shard_size);
+        for streamed in [false, true] {
+            resume_split_matches(k, num_threads, shard_size, streamed);
+        }
     }
 }

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use st_baselines::{DeepStPredictor, Mmi, PredictQuery, Predictor, RnnBaseline, RnnConfig, Wsp};
-use st_core::{DeepSt, DeepStConfig, Example, TrainConfig, Trainer};
+use st_core::{DeepSt, DeepStConfig, Example, TrainConfig, TrainError, Trainer};
 use st_roadnet::Route;
 use st_sim::Dataset;
 
@@ -93,7 +93,7 @@ pub fn train_deepst(
     val: Option<&[Example]>,
     cfg: &SuiteConfig,
     use_traffic: bool,
-) -> DeepSt {
+) -> Result<DeepSt, TrainError> {
     let mut mcfg = deepst_config(ds, cfg.k_proxies);
     mcfg.use_traffic = use_traffic;
     let model = DeepSt::new(mcfg, cfg.seed);
@@ -112,8 +112,8 @@ pub fn train_deepst(
         st_obs::warn_once("deepst.truncated-output-space", &diag.to_string());
     }
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xDEE9);
-    trainer.fit(train, val, &mut rng);
-    trainer.model
+    trainer.fit(train, val, &mut rng)?;
+    Ok(trainer.model)
 }
 
 /// Train every method of Table IV and return them in the paper's column
@@ -127,7 +127,7 @@ pub fn train_all_methods(
     train: &[Example],
     val: Option<&[Example]>,
     cfg: &SuiteConfig,
-) -> Vec<Box<dyn Predictor>> {
+) -> Result<Vec<Box<dyn Predictor>>, TrainError> {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xBA5E);
     let rnn_cfg = RnnConfig {
         epochs: cfg.rnn_epochs,
@@ -136,8 +136,8 @@ pub fn train_all_methods(
         ..RnnConfig::new(ds.net.num_segments(), ds.net.max_out_degree())
     };
 
-    let deepst = train_deepst(ds, train, val, cfg, true);
-    let deepst_c = train_deepst(ds, train, val, cfg, false);
+    let deepst = train_deepst(ds, train, val, cfg, true)?;
+    let deepst_c = train_deepst(ds, train, val, cfg, false)?;
     let mut cssrnn = RnnBaseline::cssrnn(rnn_cfg.clone(), cfg.seed);
     cssrnn.fit(train, &mut rng);
     let mut rnn = RnnBaseline::vanilla(rnn_cfg, cfg.seed);
@@ -155,14 +155,14 @@ pub fn train_all_methods(
             .map(|&i| (&ds.trips[i].route, ds.trips[i].duration())),
     );
 
-    vec![
+    Ok(vec![
         Box::new(DeepStPredictor::new(deepst)),
         Box::new(DeepStPredictor::new(deepst_c)),
         Box::new(cssrnn),
         Box::new(rnn),
         Box::new(mmi),
         Box::new(wsp),
-    ]
+    ])
 }
 
 /// Per-method evaluation result (overall + per-distance-bucket).
@@ -328,7 +328,7 @@ mod tests {
             max_eval: Some(12),
             ..SuiteConfig::default()
         };
-        let methods = train_all_methods(&ds, &train, None, &cfg);
+        let methods = train_all_methods(&ds, &train, None, &cfg).expect("suite training");
         assert_eq!(methods.len(), 6);
         let names: Vec<&str> = methods.iter().map(|m| m.name()).collect();
         assert_eq!(names, ["DeepST", "DeepST-C", "CSSRNN", "RNN", "MMI", "WSP"]);
@@ -441,7 +441,7 @@ mod teacher_forced_tests {
         };
         let untrained = st_core::DeepSt::new(deepst_config(&ds, cfg.k_proxies), 21);
         let before = teacher_forced_accuracy(&ds, &untrained, &test, 40);
-        let trained = train_deepst(&ds, &train, None, &cfg, true);
+        let trained = train_deepst(&ds, &train, None, &cfg, true).expect("DeepST training");
         let after = teacher_forced_accuracy(&ds, &trained, &test, 40);
         assert!(
             after > before + 0.05,

@@ -22,7 +22,7 @@ fn main() {
         seed: 31,
         ..SuiteConfig::default()
     };
-    let model = train_deepst(&dataset, &train, None, &cfg, true);
+    let model = train_deepst(&dataset, &train, None, &cfg, true).expect("DeepST training failed");
 
     // Pick a frequently traveled origin/destination pair from the data.
     let trip = split

@@ -32,7 +32,8 @@ fn main() {
         seed: 42,
         ..SuiteConfig::default()
     };
-    let model = train_deepst(&dataset, &train, Some(&val), &cfg, true);
+    let model =
+        train_deepst(&dataset, &train, Some(&val), &cfg, true).expect("DeepST training failed");
     let predictor = DeepStPredictor::new(model);
 
     // 4. Predict the most likely route for a few held-out trips.

@@ -20,7 +20,7 @@ fn main() {
         seed: 23,
         ..SuiteConfig::default()
     };
-    let model = train_deepst(&dataset, &train, None, &cfg, true);
+    let model = train_deepst(&dataset, &train, None, &cfg, true).expect("DeepST training failed");
 
     // Fit the STRS components from the training trips.
     let ttime = TravelTimeModel::fit(

@@ -25,7 +25,7 @@ fn main() {
         seed: 11,
         ..SuiteConfig::default()
     };
-    let model = train_deepst(&dataset, &train, None, &cfg, true);
+    let model = train_deepst(&dataset, &train, None, &cfg, true).expect("DeepST training failed");
 
     // A dispatch request: origin segment + rough destination coordinate.
     let trip = &dataset.trips[split.test[0]];

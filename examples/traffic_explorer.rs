@@ -56,7 +56,7 @@ fn main() {
         seed: 5,
         ..SuiteConfig::default()
     };
-    let model = train_deepst(&dataset, &train, None, &cfg, true);
+    let model = train_deepst(&dataset, &train, None, &cfg, true).expect("DeepST training failed");
     let c1 = model.encode_traffic(dataset.traffic_tensor(slots[0]));
     let c2 = model.encode_traffic(dataset.traffic_tensor(slots[1]));
     let diff = c1.max_abs_diff(&c2);

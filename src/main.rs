@@ -173,7 +173,10 @@ fn cmd_train(opts: &HashMap<String, String>) -> Result<(), String> {
     let mut trainer = Trainer::new(model, tc);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let val_opt = (!val.is_empty()).then_some(val.as_slice());
-    for e in trainer.fit(&train, val_opt, &mut rng) {
+    let history = trainer
+        .fit(&train[..], val_opt, &mut rng)
+        .map_err(|e| format!("training failed: {e}"))?;
+    for e in history.epochs {
         eprintln!(
             "  epoch {:>2}: train loss {:.3}{} ({:.1}s)",
             e.epoch,

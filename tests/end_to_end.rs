@@ -31,7 +31,7 @@ fn deepst_trains_and_predicts_valid_routes() {
         seed: 1,
         ..SuiteConfig::default()
     };
-    let model = train_deepst(&ds, &train, None, &cfg, true);
+    let model = train_deepst(&ds, &train, None, &cfg, true).expect("DeepST training failed");
     let predictor = DeepStPredictor::new(model);
     for &i in split.test.iter().take(15) {
         let q = make_query(&ds, i);
@@ -55,7 +55,7 @@ fn deepst_beats_destination_blind_markov() {
         seed: 2,
         ..SuiteConfig::default()
     };
-    let model = train_deepst(&ds, &train, None, &cfg, true);
+    let model = train_deepst(&ds, &train, None, &cfg, true).expect("DeepST training failed");
     let deepst = DeepStPredictor::new(model);
     let routes: Vec<_> = train.iter().map(|e| e.route.clone()).collect();
     let mmi = Mmi::fit(&ds.net, routes.iter());
@@ -133,7 +133,7 @@ fn deepst_c_trains_without_traffic_tensors() {
         seed: 5,
         ..SuiteConfig::default()
     };
-    let model = train_deepst(&ds, &train, None, &cfg, false);
+    let model = train_deepst(&ds, &train, None, &cfg, false).expect("DeepST training failed");
     assert!(!model.cfg.use_traffic);
     let predictor = DeepStPredictor::new(model);
     assert_eq!(predictor.name(), "DeepST-C");

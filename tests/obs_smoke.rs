@@ -23,7 +23,7 @@ fn traced_pipeline_emits_valid_balanced_jsonl() {
         seed: 99,
         ..SuiteConfig::default()
     };
-    let model = train_deepst(&ds, &train, None, &cfg, true);
+    let model = train_deepst(&ds, &train, None, &cfg, true).expect("DeepST training failed");
 
     // ---- predict (route spans + termination counters) ----
     let trip = &ds.trips[split.test[0]];

@@ -67,7 +67,7 @@ fn strs_plus_uses_deepst_scores() {
         seed: 17,
         ..SuiteConfig::default()
     };
-    let model = train_deepst(&ds, &train, None, &cfg, true);
+    let model = train_deepst(&ds, &train, None, &cfg, true).expect("DeepST training failed");
     let deep = DeepStSpatial::new(&model);
     let rcfg = RecoveryConfig::default();
     let strs = Recovery::new(&ds.net, &ttime, &markov, rcfg.clone());

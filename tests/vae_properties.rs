@@ -83,7 +83,10 @@ fn training_improves_validation_elbo() {
         ..TrainConfig::default()
     };
     let mut trainer = Trainer::new(model, tc);
-    let hist = trainer.fit(&train, None, &mut rng);
+    let hist = trainer
+        .fit(&train[..], None, &mut rng)
+        .expect("clean run")
+        .epochs;
     assert!(!hist.is_empty());
     let after = trainer.model.evaluate_loss(&val, 32, &mut rng);
     assert!(
@@ -105,7 +108,7 @@ fn destination_proxies_cover_hotspots() {
         seed: 4,
         ..SuiteConfig::default()
     };
-    let model = train_deepst(&ds, &train, None, &cfg, true);
+    let model = train_deepst(&ds, &train, None, &cfg, true).expect("DeepST training failed");
     // extract proxy means from state
     use deepst::nn::Module;
     let state = model.state();
@@ -143,7 +146,7 @@ fn gumbel_temperature_sharpens_assignments() {
         seed: 5,
         ..SuiteConfig::default()
     };
-    let model = train_deepst(&ds, &train, None, &cfg, true);
+    let model = train_deepst(&ds, &train, None, &cfg, true).expect("DeepST training failed");
     let (pi, fx) = model.encode_dest([0.3, 0.7]);
     let sum: f32 = pi.data().iter().sum();
     assert!((sum - 1.0).abs() < 1e-4);
