@@ -233,7 +233,8 @@ impl BeamSearch {
     /// the beam, exactly as in the clone-and-step formulation). The caller
     /// must gather state rows `rows`, run one batched step on `tokens`, and
     /// hand the resulting log-probs to [`BeamSearch::apply_step`]. Returns
-    /// `None` when the search is over (length cap, dead ends, or prune).
+    /// `None` when the search is over (length cap, dead ends, or no prefix
+    /// left that can beat the best complete route).
     pub fn plan_step(&mut self, net: &RoadNetwork) -> Option<(&[SegmentId], &[usize])> {
         if self.finished || self.remaining == 0 {
             self.finished = true;
@@ -261,7 +262,7 @@ impl BeamSearch {
     /// and completions, keep the best `beam_width` live prefixes, and return
     /// the surviving parent rows (indices into the *stepped* rows) for the
     /// caller to gather its state by. `None` means the search concluded at
-    /// this depth (no expansions, or the −12 nat prune fired).
+    /// this depth: no expansion scores above the best complete route.
     pub fn apply_step(&mut self, net: &RoadNetwork, logp: &[f64]) -> Option<&[usize]> {
         let width = self.width;
         let mut expansions: Vec<Expansion> = Vec::new();
@@ -351,21 +352,23 @@ impl BeamSearch {
             route.push(next);
             self.best_complete = Some((route, best_score));
         }
-        if expansions.is_empty() {
-            self.finished = true;
-            return None;
-        }
         // keep the best `beam_width` live prefixes (stable sort: ties keep
         // expansion order, matching the clone-and-step decoder)
         expansions.sort_by(|a, b| b.logp.total_cmp(&a.logp));
         expansions.truncate(self.beam_width);
-        // prune: if even the best live prefix cannot beat the best complete
-        // candidate (its logp already below), stop early.
+        // Exact bound: every score increment is ≤ 0 (`lp_trans ≤ 0`,
+        // `ln f_s ≤ ln 0.95`, `ln (1 − f_s) < 0`) and f64 rounding is
+        // monotone, so a prefix at or below the best complete score can
+        // never grow into a strictly better completion. Dropping it after
+        // the truncate leaves the surviving live prefixes, their order and
+        // `best_complete` exactly as if it had been kept; only the model
+        // steps it would have taken go. NaN rows stay, as before.
         if let Some((_, best)) = &self.best_complete {
-            if expansions[0].logp < *best - 12.0 {
-                self.finished = true;
-                return None;
-            }
+            expansions.retain(|e| e.logp > *best || e.logp.is_nan());
+        }
+        if expansions.is_empty() {
+            self.finished = true;
+            return None;
         }
         // survivors: the caller gathers their parents' post-step state rows;
         // we materialize only the surviving routes.
@@ -406,11 +409,12 @@ impl BeamSearch {
 
 /// Decode the most likely complete route from `start` toward `dest`.
 ///
-/// Keeps `beam_width` live prefixes; whenever a prefix is extended, a
-/// completed candidate (prefix + stop) is also scored. Returns the best
-/// complete candidate found, falling back to the best live prefix at the
-/// length cap. All live prefixes advance through one batched
-/// [`StepDecoder::step`] per depth.
+/// Keeps up to `beam_width` live prefixes; whenever a prefix is extended, a
+/// completed candidate (prefix + stop) is also scored, and a prefix that
+/// scores no better than the best complete candidate is dropped, since no
+/// extension of it can win. Returns the best complete candidate found,
+/// falling back to the best live prefix at the length cap. All live
+/// prefixes advance through one batched [`StepDecoder::step`] per depth.
 pub fn beam_decode<M: StepDecoder>(
     net: &RoadNetwork,
     model: &mut M,
@@ -612,9 +616,11 @@ mod tests {
         assert_eq!(route[0], 0);
     }
 
-    /// Greedy decoding that mirrors `beam_decode`'s semantics exactly
-    /// (per-step renormalization, completion candidates scored for *every*
-    /// successor, the −12 nat prune): the oracle for `beam_width = 1`.
+    /// Greedy decoding with `beam_decode`'s scoring (per-step
+    /// renormalization, completion candidates scored for *every* successor)
+    /// but the older, looser stopping rule — stop once the live prefix falls
+    /// 12 nats below the best completion: the oracle for `beam_width = 1`,
+    /// and a check that the exact bound changes no route.
     fn greedy_reference<M: StepDecoder>(
         net: &RoadNetwork,
         model: &mut M,
@@ -877,7 +883,16 @@ mod tests {
     /// cap or the end of the request.
     #[test]
     fn cancelled_decode_returns_within_one_step() {
-        let net = grid_city(&GridConfig::small_test(), 3);
+        // 8×8 so the uncancelled decode needs well over 3 steps: on the 4×4
+        // test grid the search is over after 3.
+        let net = grid_city(
+            &GridConfig {
+                nx: 8,
+                ny: 8,
+                ..GridConfig::small_test()
+            },
+            3,
+        );
         let dest = net.midpoint(net.num_segments() - 1);
         // Uncancelled baseline: how many steps does the full decode take?
         let mut free = CancelDuringStep {
@@ -910,6 +925,36 @@ mod tests {
         assert!(net.is_valid_route(&cancelled.partial));
         assert_eq!(cancelled.partial[0], 0);
         assert!(!cancelled.to_string().is_empty());
+    }
+
+    /// The exact bound ends the search as soon as no live prefix can beat
+    /// the best complete route. On a one-way chain whose destination is the
+    /// end of its second segment, the first step scores the completion
+    /// `[s0, s1]` at `ln 0.95` and the only live prefix at `ln 0.05`, so
+    /// nothing is left to step; the 12-nat rule used to walk the whole chain.
+    #[test]
+    fn exact_bound_stops_once_no_prefix_can_win() {
+        let mut net = RoadNetwork::new();
+        let vs: Vec<_> = (0..=12)
+            .map(|i| net.add_vertex(Point::new(100.0 * i as f64, 0.0)))
+            .collect();
+        let segs: Vec<SegmentId> = vs
+            .windows(2)
+            .map(|w| net.add_segment(w[0], w[1], 10.0))
+            .collect();
+        net.freeze();
+        let dest = Point::new(200.0, 0.0);
+        let mut model = CancelDuringStep {
+            inner: TowardTarget::new(&net, dest),
+            steps: 0,
+            cancel_on: usize::MAX,
+            token: CancelToken::new(),
+        };
+        let token = model.token.clone();
+        let route = beam_decode_from(&net, &mut model, &[segs[0]], &dest, 4, 60, &token)
+            .expect("live token");
+        assert_eq!(route, vec![segs[0], segs[1]]);
+        assert_eq!(model.steps, 1, "search stepped past a decided route");
     }
 
     /// A pre-cancelled token stops the decode before any model step.

@@ -1,10 +1,13 @@
 //! Validates the beam decoder against exhaustive enumeration: on small
 //! graphs, a sufficiently wide beam must find the globally most likely
-//! complete route under the full generative probability.
+//! complete route under the full generative probability. A second property
+//! checks that the decoder's pruning is exact: it returns the route of a
+//! beam that never stops early.
 
 use proptest::prelude::*;
 
-use st_baselines::{beam_decode, StepDecoder};
+use st_baselines::{beam_decode, beam_decode_closed, StepDecoder};
+use st_core::CancelToken;
 use st_roadnet::{grid_city, GridConfig, Point, RoadNetwork, Route, SegmentId};
 
 /// A deterministic toy scorer whose slot log-probs depend on the current
@@ -104,6 +107,109 @@ fn exhaustive_best(
         }
     }
     best
+}
+
+/// The same beam search with no early exit: dead prefixes keep stepping
+/// until the length cap or a dead end. Closed segments are masked and the
+/// distribution renormalized over the open successors, falling back to the
+/// unmasked one when every successor is closed, as in the decoder.
+fn beam_without_early_exit(
+    net: &RoadNetwork,
+    model: &ToyScorer,
+    start: SegmentId,
+    dest: &Point,
+    beam_width: usize,
+    max_len: usize,
+    closed: &[SegmentId],
+) -> Route {
+    let mut live: Vec<(Route, f64)> = vec![(vec![start], 0.0)];
+    let mut best: Option<(Route, f64)> = None;
+    for _ in 1..max_len {
+        let mut expansions: Vec<(Route, f64)> = Vec::new();
+        for (route, logp) in &live {
+            let cur = *route.last().unwrap();
+            let nexts = net.next_segments(cur);
+            let nexts = &nexts[..nexts.len().min(model.width)];
+            let is_closed = |n: &SegmentId| closed.contains(n);
+            let mask = nexts.iter().any(is_closed) && !nexts.iter().all(is_closed);
+            let open: Vec<usize> = (0..nexts.len())
+                .filter(|&j| !(mask && is_closed(&nexts[j])))
+                .collect();
+            let m = open
+                .iter()
+                .map(|&j| model.lp(cur, j))
+                .fold(f64::NEG_INFINITY, f64::max);
+            let lse = m + open
+                .iter()
+                .map(|&j| (model.lp(cur, j) - m).exp())
+                .sum::<f64>()
+                .ln();
+            for &j in &open {
+                let lp_trans = model.lp(cur, j) - lse;
+                let ps = p_stop(net, nexts[j], dest);
+                let mut next = route.clone();
+                next.push(nexts[j]);
+                let complete = logp + lp_trans + ps.ln();
+                if best.as_ref().is_none_or(|(_, s)| complete > *s) {
+                    best = Some((next.clone(), complete));
+                }
+                expansions.push((next, logp + lp_trans + (1.0 - ps).ln()));
+            }
+        }
+        if expansions.is_empty() {
+            break;
+        }
+        expansions.sort_by(|a, b| b.1.total_cmp(&a.1));
+        expansions.truncate(beam_width);
+        live = expansions;
+    }
+    best.map(|(r, _)| r)
+        .unwrap_or_else(|| live.swap_remove(0).0)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The exact bound prunes nothing that matters: for every beam width
+    /// from 1 to 8, the decoder (with and without a random closed set)
+    /// returns exactly the route of the same search run with no early exit,
+    /// over horizons long enough that most of its steps fall in the tail.
+    #[test]
+    fn pruned_beam_matches_beam_without_early_exit(
+        salt in 0u64..1000,
+        start in 0usize..1000,
+        dest_seg in 0usize..1000,
+        grid_seed in 0u64..4,
+        closed in collection::vec(0usize..1000, 0..6),
+    ) {
+        let cfg = GridConfig { nx: 6, ny: 6, ..GridConfig::small_test() };
+        let net = grid_city(&cfg, grid_seed);
+        let n = net.num_segments();
+        let (start, dest) = (start % n, net.midpoint(dest_seg % n));
+        let closed: Vec<SegmentId> = closed.iter().map(|&c| c % n).collect();
+        let mut model = ToyScorer { salt, width: net.max_out_degree() };
+        let never = CancelToken::new();
+        let max_len = 30;
+        for width in 1..=8 {
+            let want = beam_without_early_exit(&net, &model, start, &dest, width, max_len, &[]);
+            let got = beam_decode(&net, &mut model, start, &dest, width, max_len);
+            prop_assert_eq!(&got, &want, "open roads, beam {}", width);
+            let want =
+                beam_without_early_exit(&net, &model, start, &dest, width, max_len, &closed);
+            let got = beam_decode_closed(
+                &net,
+                &mut model,
+                &[start],
+                &dest,
+                width,
+                max_len,
+                &closed,
+                &never,
+            )
+            .expect("live token");
+            prop_assert_eq!(&got, &want, "closed {:?}, beam {}", closed, width);
+        }
+    }
 }
 
 proptest! {

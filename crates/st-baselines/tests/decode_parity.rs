@@ -8,8 +8,13 @@
 //! rests on; the per-op and per-layer bitwise parity tests (st-tensor,
 //! st-nn, st-core) explain *why* it holds.
 
-use st_baselines::{beam_decode, DeepStDecoder, PredictQuery, StepDecoder, TERM_SCALE_M};
-use st_core::{DeepSt, DeepStConfig};
+use std::sync::Arc;
+
+use rand::{rngs::StdRng, SeedableRng};
+use st_baselines::{
+    beam_decode, beam_decode_from, DeepStDecoder, PredictQuery, StepDecoder, TERM_SCALE_M,
+};
+use st_core::{CancelToken, DeepSt, DeepStConfig, Example, TrainConfig, Trainer};
 use st_roadnet::{Point, RoadNetwork, Route, SegmentId};
 use st_sim::{CityPreset, Dataset};
 
@@ -20,13 +25,16 @@ fn p_stop(net: &RoadNetwork, seg: SegmentId, dest: &Point) -> f64 {
     (-d * d).exp().clamp(1e-12, 0.95)
 }
 
-/// The pre-refactor beam decoder, verbatim: every live prefix carries its
-/// own cloned recurrent state and steps in isolation through `step`.
+/// The pre-refactor beam decoder, verbatim, including its stopping rule
+/// (stop once the best live prefix falls 12 nats below the best complete
+/// route): every live prefix carries its own cloned recurrent state and
+/// steps in isolation through `step`. `init` is the state after `prefix`
+/// minus its last segment; a one-segment prefix is a fresh query.
 fn reference_beam<S: Clone>(
     net: &RoadNetwork,
     init: S,
     step: impl Fn(&S, SegmentId) -> (S, Vec<f64>),
-    start: SegmentId,
+    prefix: &[SegmentId],
     dest: &Point,
     beam_width: usize,
     max_len: usize,
@@ -37,12 +45,12 @@ fn reference_beam<S: Clone>(
         logp: f64,
     }
     let mut live = vec![Item {
-        route: vec![start],
+        route: prefix.to_vec(),
         state: init,
         logp: 0.0,
     }];
     let mut best_complete: Option<(Route, f64)> = None;
-    for _ in 1..max_len {
+    for _ in prefix.len()..max_len {
         let mut expansions: Vec<Item<S>> = Vec::new();
         for item in &live {
             let cur = *item.route.last().unwrap();
@@ -92,6 +100,38 @@ fn reference_beam<S: Clone>(
     }
 }
 
+/// Counts the rows a decoder steps, to show where the exact bound saves work.
+struct RowCount<M> {
+    inner: M,
+    rows: usize,
+}
+
+impl<M: StepDecoder> StepDecoder for RowCount<M> {
+    type State = M::State;
+    fn width(&self) -> usize {
+        self.inner.width()
+    }
+    fn init_state(&mut self, n: usize) -> M::State {
+        self.inner.init_state(n)
+    }
+    fn step(
+        &mut self,
+        net: &RoadNetwork,
+        tokens: &[SegmentId],
+        state: &mut M::State,
+        logp: &mut Vec<f64>,
+    ) {
+        self.rows += tokens.len();
+        self.inner.step(net, tokens, state, logp);
+    }
+    fn gather(&mut self, state: &M::State, rows: &[usize]) -> M::State {
+        self.inner.gather(state, rows)
+    }
+    fn recycle(&mut self, state: M::State) {
+        self.inner.recycle(state);
+    }
+}
+
 /// A handful of pinned test queries over the Rivertown world.
 fn queries(ds: &Dataset, n: usize) -> Vec<usize> {
     (0..ds.trips.len())
@@ -128,7 +168,7 @@ fn deepst_batched_beam_matches_clone_and_step_taped_beam() {
                     &ds.net,
                     model.initial_state(),
                     |state, seg| model.step_state_taped(state, seg, &ctx),
-                    trip.origin_segment(),
+                    &[trip.origin_segment()],
                     &trip.dest_coord,
                     width,
                     model.cfg.max_route_len,
@@ -151,6 +191,105 @@ fn deepst_batched_beam_matches_clone_and_step_taped_beam() {
     }
 }
 
+/// A trained model decodes routes several times longer than untrained
+/// weights do (about 12 segments here against 3.6), so most of the rows
+/// the reference's 12-nat rule steps fall in the tail that the decoder's
+/// exact bound prunes. The routes must still agree, for fresh queries and
+/// 4-segment continuations.
+#[test]
+fn trained_deepst_beam_matches_taped_beam_on_fresh_and_continued_queries() {
+    let ds = Dataset::generate(&CityPreset::rivertown(), 2000, 7);
+    let examples: Vec<Example> = ds
+        .trips
+        .iter()
+        .filter_map(|trip| {
+            let slot = ds.slot_of(trip.start_time);
+            Example::new(
+                &ds.net,
+                trip.route.clone(),
+                ds.unit_coord(&trip.dest_coord),
+                Arc::new(ds.traffic_tensor(slot).to_vec()),
+                slot,
+            )
+        })
+        .collect();
+    let cfg = DeepStConfig::new(
+        ds.net.num_segments(),
+        ds.net.max_out_degree(),
+        ds.grid.height,
+        ds.grid.width,
+    );
+    let tc = TrainConfig {
+        epochs: 2,
+        batch_size: 64,
+        shard_size: 16,
+        patience: None,
+        ..TrainConfig::default()
+    };
+    let mut trainer = Trainer::new(DeepSt::new(cfg, 7), tc);
+    trainer
+        .fit(&examples[..], None, &mut StdRng::seed_from_u64(7))
+        .expect("clean training run");
+    let model = &trainer.model;
+    let max_len = model.cfg.max_route_len;
+    let never = CancelToken::new();
+    let (reference_rows, mut pruned_rows) = (std::cell::Cell::new(0usize), 0usize);
+    for (qi, &t) in queries(&ds, 8).iter().enumerate() {
+        let trip = &ds.trips[t];
+        let slot = ds.slot_of(trip.start_time);
+        let c = model.encode_traffic(ds.traffic_tensor(slot));
+        let ctx = model.encode_context(ds.unit_coord(&trip.dest_coord), Some(c));
+        for prefix_len in [1usize, 4] {
+            if trip.route.len() <= prefix_len {
+                continue;
+            }
+            let prefix = &trip.route[..prefix_len];
+            let mut init = model.initial_state();
+            for &seg in &prefix[..prefix_len - 1] {
+                init = model.step_state_taped(&init, seg, &ctx).0;
+            }
+            for width in [1usize, 4, 8] {
+                let want = reference_beam(
+                    &ds.net,
+                    init.clone(),
+                    |state, seg| {
+                        reference_rows.set(reference_rows.get() + 1);
+                        model.step_state_taped(state, seg, &ctx)
+                    },
+                    prefix,
+                    &trip.dest_coord,
+                    width,
+                    max_len,
+                );
+                let mut dec = RowCount {
+                    inner: DeepStDecoder::new(model, &ctx),
+                    rows: 0,
+                };
+                let got = beam_decode_from(
+                    &ds.net,
+                    &mut dec,
+                    prefix,
+                    &trip.dest_coord,
+                    width,
+                    max_len,
+                    &never,
+                )
+                .expect("live token");
+                assert_eq!(
+                    got, want,
+                    "route diverged (query {qi}, prefix {prefix_len}, beam {width})"
+                );
+                pruned_rows += dec.rows;
+            }
+        }
+    }
+    let reference_rows = reference_rows.get();
+    assert!(
+        2 * pruned_rows < reference_rows,
+        "the exact bound stepped {pruned_rows} rows, the 12-nat rule {reference_rows}"
+    );
+}
+
 #[test]
 fn cssrnn_batched_beam_matches_clone_and_step_taped_beam() {
     use st_baselines::{RnnBaseline, RnnConfig};
@@ -166,7 +305,7 @@ fn cssrnn_batched_beam_matches_clone_and_step_taped_beam() {
                 &ds.net,
                 model.initial_state(),
                 |state, seg| model.step_state_taped(state, seg, dest_seg),
-                trip.origin_segment(),
+                &[trip.origin_segment()],
                 &trip.dest_coord,
                 width,
                 max_len,

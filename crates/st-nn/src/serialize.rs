@@ -707,6 +707,44 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// Loading is linear in the checkpoint size: a v2 checkpoint of several
+    /// megabytes (one long hex string per tensor) saves and loads in well
+    /// under the bound. A parser that re-validates the rest of the input for
+    /// every string character needs minutes for this file.
+    #[test]
+    fn multi_megabyte_checkpoint_saves_and_loads_quickly() {
+        let dir = tmp_dir("big");
+        let path = dir.join("big.json");
+        let big = |seed| {
+            let mut rng = init::rng(seed);
+            Mlp::new(
+                "big",
+                &[512, 1024, 64],
+                Activation::Tanh,
+                Activation::Identity,
+                &mut rng,
+            )
+        };
+        let m1 = big(11);
+        let t0 = std::time::Instant::now();
+        save_v2(&path, &checkpoint_v2(&m1, None, None)).unwrap();
+        let loaded = load_v2(&path).unwrap();
+        let elapsed = t0.elapsed();
+        let bytes = std::fs::metadata(&path).unwrap().len();
+        assert!(bytes >= 4 << 20, "checkpoint is only {bytes} bytes");
+        let m2 = big(12);
+        restore_v2(&m2, &loaded).unwrap();
+        for (p1, p2) in m1.params().iter().zip(m2.params()) {
+            let bits = |arr: &Array| arr.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&p1.value()), bits(&p2.value()), "{}", p1.name());
+        }
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "save + load of a {bytes}-byte checkpoint took {elapsed:?}"
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
     #[test]
     fn v2_flipped_byte_fails_checksum() {
         let dir = tmp_dir("flip");

@@ -268,10 +268,8 @@ impl Optimizer for Adam {
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         for ((p, m), v) in params.iter().zip(&mut self.m).zip(&mut self.v) {
-            let g = p.grad().clone();
-            let g_zero = g.is_empty();
             if m.is_empty() {
-                if g_zero {
+                if p.grad().is_empty() {
                     continue; // still cold: exact zero update, keep it so
                 }
                 *m = Array::zeros_like(&p.value());
@@ -279,19 +277,26 @@ impl Optimizer for Adam {
             }
             // Once a parameter has history, every step must run (the
             // moments decay) even when this step's gradient is zero —
-            // exactly as the dense layout would.
-            let n = m.len();
-            for i in 0..n {
-                let gi = if g_zero { 0.0 } else { g.data()[i] };
-                let mi = &mut m.data_mut()[i];
-                *mi = self.beta1 * *mi + (1.0 - self.beta1) * gi;
-                let vi = &mut v.data_mut()[i];
-                *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
-                let m_hat = *mi / bc1;
-                let v_hat = *vi / bc2;
-                let delta = -self.lr * m_hat / (v_hat.sqrt() + self.eps);
-                p.value_mut().data_mut()[i] += delta;
+            // exactly as the dense layout would. Moments update under the
+            // gradient read guard, values under one value write guard
+            // afterwards; the two guards are never held together.
+            {
+                let grad = p.grad();
+                let g = (!grad.is_empty()).then(|| grad.data());
+                for (i, (mi, vi)) in m.data_mut().iter_mut().zip(v.data_mut()).enumerate() {
+                    let gi = g.map_or(0.0, |g| g[i]);
+                    *mi = self.beta1 * *mi + (1.0 - self.beta1) * gi;
+                    *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
+                }
             }
+            let mut value = p.value_mut();
+            for ((x, &mi), &vi) in value.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
+                let m_hat = mi / bc1;
+                let v_hat = vi / bc2;
+                let delta = -self.lr * m_hat / (v_hat.sqrt() + self.eps);
+                *x += delta;
+            }
+            drop(value);
             p.zero_grad();
         }
     }
