@@ -2,7 +2,9 @@
 
 use std::cell::{Cell, RefCell};
 
-use st_core::livetraffic::{ApplyOutcome, TrafficCache, TrafficEvent, VersionedTraffic};
+use st_core::livetraffic::{
+    ApplyOutcome, CacheCounts, TrafficCache, TrafficEvent, VersionedTraffic,
+};
 use st_core::{DeepSt, InferPrecision, InferSession, TripContext};
 use st_roadnet::{RoadNetwork, Route, SegmentId};
 use st_tensor::Array;
@@ -80,6 +82,13 @@ impl DeepStPredictor {
     /// Number of traffic-slot encodings currently cached.
     pub fn traffic_cache_len(&self) -> usize {
         self.traffic_cache.borrow().len()
+    }
+
+    /// Hits, misses and invalidations of this predictor's traffic cache
+    /// (the process-wide `predict.traffic_cache.*` counters sum every
+    /// cache's).
+    pub fn traffic_cache_counts(&self) -> CacheCounts {
+        self.traffic_cache.borrow().counts()
     }
 
     /// The live-feed version of `slot` (0 if the feed has never revised it).
@@ -247,6 +256,9 @@ mod tests {
         }
     }
 
+    /// Cache counts are read from the predictor's own cache: other tests
+    /// in this binary move the process-wide `predict.traffic_cache.*`
+    /// counters concurrently.
     #[test]
     fn wrapper_predicts_and_caches() {
         let net = grid_city(&GridConfig::small_test(), 1);
@@ -256,18 +268,13 @@ mod tests {
         assert_eq!(wrapper.name(), "DeepST");
         let tensor = vec![0.1f32; 64];
         let q = query(&net, &tensor, 3);
-        let hits = st_obs::counter("predict.traffic_cache.hit").get();
-        let misses = st_obs::counter("predict.traffic_cache.miss").get();
         let r1 = wrapper.predict(&net, &q);
         assert!(net.is_valid_route(&r1));
         assert_eq!(wrapper.traffic_cache_len(), 1);
-        assert_eq!(
-            st_obs::counter("predict.traffic_cache.miss").get(),
-            misses + 1
-        );
+        assert_eq!(wrapper.traffic_cache_counts().misses, 1);
         let _ = wrapper.predict(&net, &q);
         assert_eq!(wrapper.traffic_cache_len(), 1, "cache not reused");
-        assert_eq!(st_obs::counter("predict.traffic_cache.hit").get(), hits + 1);
+        assert_eq!(wrapper.traffic_cache_counts().hits, 1);
     }
 
     #[test]
@@ -283,16 +290,16 @@ mod tests {
         assert_eq!(wrapper.traffic_cache_len(), 2, "cache exceeded its cap");
         // Slot 0 was least recently used and must have been evicted:
         // touching it again is a miss, while slot 2 is still a hit.
-        let misses = st_obs::counter("predict.traffic_cache.miss").get();
+        let misses = wrapper.traffic_cache_counts().misses;
         let _ = wrapper.predict(&net, &query(&net, &tensor, 2));
         assert_eq!(
-            st_obs::counter("predict.traffic_cache.miss").get(),
+            wrapper.traffic_cache_counts().misses,
             misses,
             "recently used slot should still be cached"
         );
         let _ = wrapper.predict(&net, &query(&net, &tensor, 0));
         assert_eq!(
-            st_obs::counter("predict.traffic_cache.miss").get(),
+            wrapper.traffic_cache_counts().misses,
             misses + 1,
             "least recently used slot should have been evicted"
         );
@@ -319,9 +326,7 @@ mod tests {
         let _ = wrapper.predict(&net, &query(&net, &tensor, 4));
         assert_eq!(wrapper.traffic_cache_len(), 2);
 
-        let hits = st_obs::counter("predict.traffic_cache.hit").get();
-        let misses = st_obs::counter("predict.traffic_cache.miss").get();
-        let invalidations = st_obs::counter("predict.traffic_cache.invalidate").get();
+        let before = wrapper.traffic_cache_counts();
 
         // a live update to slot 3 evicts slot 3's encoding eagerly...
         let out = wrapper.ingest(&feed_event(1, 3, vec![0.9f32; 64]));
@@ -329,22 +334,19 @@ mod tests {
         assert_eq!(wrapper.traffic_version(3), 1);
         assert_eq!(wrapper.traffic_cache_len(), 1, "eviction was not eager");
         assert_eq!(
-            st_obs::counter("predict.traffic_cache.invalidate").get(),
-            invalidations + 1
+            wrapper.traffic_cache_counts().invalidations,
+            before.invalidations + 1
         );
 
         // ...so slot 3 re-encodes (miss at the new version) while slot 4 is
         // untouched and still hits: targeted, not a flush.
         let _ = wrapper.predict(&net, &query(&net, &tensor, 3));
-        assert_eq!(
-            st_obs::counter("predict.traffic_cache.miss").get(),
-            misses + 1
-        );
+        assert_eq!(wrapper.traffic_cache_counts().misses, before.misses + 1);
         let _ = wrapper.predict(&net, &query(&net, &tensor, 4));
-        assert_eq!(st_obs::counter("predict.traffic_cache.hit").get(), hits + 1);
+        assert_eq!(wrapper.traffic_cache_counts().hits, before.hits + 1);
         // steady state: slot 3 at version 1 now hits again
         let _ = wrapper.predict(&net, &query(&net, &tensor, 3));
-        assert_eq!(st_obs::counter("predict.traffic_cache.hit").get(), hits + 2);
+        assert_eq!(wrapper.traffic_cache_counts().hits, before.hits + 2);
     }
 
     #[test]

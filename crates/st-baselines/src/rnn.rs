@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
 use st_core::Example;
-use st_nn::{Embedding, Gru, Module, PackedGru};
+use st_nn::{Embedding, Gru, Module, PackedGru, RunningRows};
 use st_roadnet::{RoadNetwork, Route, SegmentId};
 use st_tensor::optim::{clip_grad_norm_grouped, Adam, Optimizer};
 use st_tensor::{infer, init, ops, Binder, Param, ScratchArena, Tape, TapeFreeScope, Var};
@@ -152,43 +152,38 @@ impl RnnBaseline {
         logits
     }
 
-    /// Cross-entropy loss (mean per transition) of a minibatch.
+    /// Cross-entropy loss (mean per transition) of a minibatch, over packed
+    /// sequences: step `i` runs only the routes with a transition left at
+    /// `i` ([`RunningRows`]), bit-identical to stepping every route to the
+    /// longest one and masking the finished rows (see DESIGN.md §7).
     fn batch_loss<'t, 'p>(&'p self, binder: &Binder<'t, 'p>, batch: &[&Example]) -> Var<'t> {
         let n = batch.len();
         let max_len = batch.iter().map(|e| e.route.len()).max().unwrap_or(1);
-        // An (impossible) empty route pads with segment 0, like masked slots.
-        let dest_segs: Vec<SegmentId> = batch
-            .iter()
-            .map(|e| e.route.last().copied().unwrap_or(0))
-            .collect();
         let mut state = self.gru.zero_state(binder, n);
+        let mut running = RunningRows::all(n);
         let mut total: Option<Var<'t>> = None;
         let mut transitions = 0usize;
         for i in 0..max_len - 1 {
-            let mut tokens = Vec::with_capacity(n);
-            let mut targets = Vec::with_capacity(n);
-            let mut mask = Vec::with_capacity(n);
-            for e in batch {
-                if i + 1 < e.route.len() {
-                    tokens.push(e.route[i]);
-                    targets.push(e.slots[i]);
-                    mask.push(1.0);
-                    transitions += 1;
-                } else {
-                    tokens.push(0);
-                    targets.push(0);
-                    mask.push(0.0);
-                }
+            if let Some(keep) = running.retain(|r| i + 1 < batch[r].route.len()) {
+                self.gru.gather_state(&mut state, &keep);
             }
+            let rows = running.rows();
+            let tokens: Vec<SegmentId> = rows.iter().map(|&r| batch[r].route[i]).collect();
+            let targets: Vec<usize> = rows.iter().map(|&r| batch[r].slots[i]).collect();
+            // A running route has a transition left, so it has a last segment.
+            let dest_segs: Vec<SegmentId> = rows
+                .iter()
+                .map(|&r| batch[r].route.last().copied().unwrap_or(0))
+                .collect();
+            transitions += rows.len();
             let inp = self.emb.forward(binder, &tokens);
             let hid = self.gru.step(binder, inp, &mut state);
             let logits = self.logits(binder, hid, &dest_segs);
             let logp = ops::log_softmax_rows(logits);
-            let picked = ops::pick_per_row(logp, &targets);
-            let masked = ops::sum_all(ops::mask_rows(ops::reshape(picked, &[n, 1]), &mask));
+            let step_ll = ops::sum_all(ops::pick_per_row(logp, &targets));
             total = Some(match total {
-                Some(acc) => ops::add(acc, masked),
-                None => masked,
+                Some(acc) => ops::add(acc, step_ll),
+                None => step_ll,
             });
         }
         // A batch of length-1 routes has no transitions; its loss is 0.
@@ -645,5 +640,178 @@ mod tests {
             "missed ln hazard: {diags:?}"
         );
         assert_eq!(diags.len(), 3, "unexpected extra findings: {diags:?}");
+    }
+
+    /// The loss loop before packing, kept verbatim as the exactness oracle
+    /// of [`RnnBaseline::batch_loss`]: every route steps until the longest
+    /// one ends, padded with token 0, and the finished rows are masked out.
+    fn padded_batch_loss<'t, 'p>(
+        model: &'p RnnBaseline,
+        binder: &Binder<'t, 'p>,
+        batch: &[&Example],
+    ) -> Var<'t> {
+        let n = batch.len();
+        let max_len = batch.iter().map(|e| e.route.len()).max().unwrap_or(1);
+        // An (impossible) empty route pads with segment 0, like masked slots.
+        let dest_segs: Vec<SegmentId> = batch
+            .iter()
+            .map(|e| e.route.last().copied().unwrap_or(0))
+            .collect();
+        let mut state = model.gru.zero_state(binder, n);
+        let mut total: Option<Var<'t>> = None;
+        let mut transitions = 0usize;
+        for i in 0..max_len - 1 {
+            let mut tokens = Vec::with_capacity(n);
+            let mut targets = Vec::with_capacity(n);
+            let mut mask = Vec::with_capacity(n);
+            for e in batch {
+                if i + 1 < e.route.len() {
+                    tokens.push(e.route[i]);
+                    targets.push(e.slots[i]);
+                    mask.push(1.0);
+                    transitions += 1;
+                } else {
+                    tokens.push(0);
+                    targets.push(0);
+                    mask.push(0.0);
+                }
+            }
+            let inp = model.emb.forward(binder, &tokens);
+            let hid = model.gru.step(binder, inp, &mut state);
+            let logits = model.logits(binder, hid, &dest_segs);
+            let logp = ops::log_softmax_rows(logits);
+            let picked = ops::pick_per_row(logp, &targets);
+            let masked = ops::sum_all(ops::mask_rows(ops::reshape(picked, &[n, 1]), &mask));
+            total = Some(match total {
+                Some(acc) => ops::add(acc, masked),
+                None => masked,
+            });
+        }
+        // A batch of length-1 routes has no transitions; its loss is 0.
+        let total = total.unwrap_or_else(|| binder.input(Array::zeros(&[1])));
+        ops::scale(total, -1.0 / transitions.max(1) as f32)
+    }
+
+    /// Loss bits and every bound parameter's gradient bits of one pass.
+    fn loss_pass(
+        model: &RnnBaseline,
+        batch: &[Example],
+        packed: bool,
+    ) -> (u32, Vec<(String, Vec<u32>)>) {
+        let refs: Vec<&Example> = batch.iter().collect();
+        let tape = Tape::new();
+        let binder = Binder::new(&tape);
+        let loss = if packed {
+            model.batch_loss(&binder, &refs)
+        } else {
+            padded_batch_loss(model, &binder, &refs)
+        };
+        let grads = tape.backward(loss);
+        let params = (binder.collect_grads(&grads).iter())
+            .map(|(p, g)| {
+                let bits = g.data().iter().map(|v| v.to_bits()).collect();
+                (p.name().to_string(), bits)
+            })
+            .collect();
+        (loss.scalar_value().to_bits(), params)
+    }
+
+    /// Packed ≡ padded for the RNN / CSSRNN loss, bit for bit: the loss and
+    /// every parameter gradient; a parameter only the padded pass binds
+    /// must have an all-zero gradient there.
+    fn assert_packed_loss_matches_padded(lens: &[usize], cssrnn: bool, seed: u64) {
+        use rand::Rng;
+        let cfg = RnnConfig {
+            emb_dim: 12,
+            hidden: 20,
+            dest_dim: 10,
+            ..RnnConfig::new(24, 5)
+        };
+        let model = if cssrnn {
+            RnnBaseline::cssrnn(cfg, seed)
+        } else {
+            RnnBaseline::vanilla(cfg, seed)
+        };
+        let mut rng = init::rng(seed ^ 0x5eed);
+        // The loss reads only the ids, so routes need not be adjacent.
+        let batch: Vec<Example> = lens
+            .iter()
+            .map(|&len| Example {
+                route: (0..len).map(|_| rng.gen_range(0..24)).collect(),
+                slots: (0..len.saturating_sub(1))
+                    .map(|_| rng.gen_range(0..5))
+                    .collect(),
+                dest: [0.5, 0.5],
+                traffic: Arc::new(Vec::new()),
+                slot_id: 0,
+            })
+            .collect();
+        let (packed_loss, packed) = loss_pass(&model, &batch, true);
+        let (padded_loss, padded) = loss_pass(&model, &batch, false);
+        let case = format!("lens {lens:?}, cssrnn {cssrnn}, seed {seed}");
+        assert_eq!(packed_loss, padded_loss, "loss bits differ: {case}");
+        for (name, _) in &packed {
+            assert!(
+                padded.iter().any(|(p, _)| p == name),
+                "packed pass binds {name}, padded does not: {case}"
+            );
+        }
+        for (name, reference) in &padded {
+            match packed.iter().find(|(p, _)| p == name) {
+                Some((_, g)) => assert_eq!(g, reference, "{name} gradient bits differ: {case}"),
+                None => assert!(
+                    reference.iter().all(|&b| b == 0),
+                    "{name} is bound only by the padded pass but has a nonzero gradient: {case}"
+                ),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Random shards of 1–16 routes of 1–60 segments (independent,
+        /// equal, one long among short, or 1–2 segments), RNN and CSSRNN.
+        #[test]
+        fn packed_rnn_loss_matches_padded_oracle(
+            seed in 0u64..1_000_000,
+            n in 1usize..=16,
+            max_len in 1usize..=60,
+            shape in 0usize..4,
+            cssrnn in 0usize..2,
+        ) {
+            use rand::Rng;
+            let mut rng = init::rng(seed);
+            let lens: Vec<usize> = (0..n)
+                .map(|r| match shape {
+                    0 => rng.gen_range(1..=max_len),
+                    1 => max_len,
+                    2 if r == n / 2 => max_len,
+                    2 => rng.gen_range(1..=3),
+                    _ => rng.gen_range(1..=2),
+                })
+                .collect();
+            assert_packed_loss_matches_padded(&lens, cssrnn == 1, seed);
+        }
+    }
+
+    /// One row, equal lengths, length-1 routes, no transition at all, and
+    /// rows ending in every order, for both baselines.
+    #[test]
+    fn packed_rnn_loss_matches_padded_oracle_on_edge_shapes() {
+        let shapes: [&[usize]; 7] = [
+            &[60],
+            &[5, 5, 5],
+            &[1],
+            &[1, 1],
+            &[1, 9, 4],
+            &[9, 4, 1],
+            &[3, 1, 5, 1, 2, 60, 1],
+        ];
+        for (i, lens) in shapes.iter().enumerate() {
+            for cssrnn in [false, true] {
+                assert_packed_loss_matches_padded(lens, cssrnn, i as u64);
+            }
+        }
     }
 }

@@ -32,8 +32,7 @@
 //! loop) also accelerate the unpacked `infer::matmul` it calls, so the
 //! live generic baseline no longer represents PR 5 performance. Live
 //! ratios are reported alongside. The report also records host/toolchain
-//! metadata and the `predict.step_tape_peak_bytes` gauge (which must stay
-//! 0 on every tape-free path). Writes `BENCH_decode.json`.
+//! metadata. Writes `BENCH_decode.json`.
 //!
 //! Usage: `cargo run --release -p st-bench --bin bench_decode [-- --quick|--full]`
 
@@ -294,7 +293,6 @@ fn main() {
     let speedup_vs_pr5_taped = fused_qps / PR5_TAPED_QPS;
     let speedup_vs_taped = taped_secs / fused_secs;
     let speedup_vs_generic = generic_secs / fused_secs;
-    let tape_peak = st_obs::gauge("predict.step_tape_peak_bytes").get();
     println!(
         "  fused vs PR5 batched: {speedup_vs_pr5_batched:.2}x \
          (target >= {TARGET_SPEEDUP:.1}x; {speedup_vs_pr5_taped:.2}x vs PR5 taped)"
@@ -302,7 +300,6 @@ fn main() {
     println!(
         "  fused vs live generic: {speedup_vs_generic:.2}x, vs live taped: {speedup_vs_taped:.2}x"
     );
-    println!("  predict.step_tape_peak_bytes: {tape_peak}");
 
     let out = json!({
         "city": city.name(),
@@ -335,7 +332,6 @@ fn main() {
         "target_speedup": TARGET_SPEEDUP,
         "target_met": speedup_vs_pr5_batched >= TARGET_SPEEDUP,
         "routes_identical": true,
-        "step_tape_peak_bytes": tape_peak,
     });
     let path = results_dir().join("BENCH_decode.json");
     write_json_atomic(&path, &out).expect("write BENCH_decode.json");

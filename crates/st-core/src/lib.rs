@@ -39,7 +39,7 @@ pub use faultinject::{
     FaultInjector, FaultPlan, FeedFaultPlan, ServeFaultInjector, ServeFaultPlan,
 };
 pub use livetraffic::{
-    ApplyOutcome, TrafficCache, TrafficEvent, TrafficEventKind, VersionedTraffic,
+    ApplyOutcome, CacheCounts, TrafficCache, TrafficEvent, TrafficEventKind, VersionedTraffic,
 };
 pub use model::{DeepSt, EmbMemory};
 pub use predict::{InferPrecision, InferSession, MultiTripSession, TripContext};

@@ -245,11 +245,28 @@ struct CacheEntry {
 /// Invalidation is **targeted**: a version mismatch evicts exactly the
 /// changed slot's entry (counted as `predict.traffic_cache.invalidate`);
 /// other slots' encodings are untouched — never a full flush.
+///
+/// Every hit, miss and invalidation is counted twice: in the process-wide
+/// `predict.traffic_cache.{hit,miss,invalidate}` counters that serving and
+/// benchmarks read, and in this cache's own [`TrafficCache::counts`],
+/// which no other cache moves.
 #[derive(Debug)]
 pub struct TrafficCache {
     cap: usize,
     tick: u64,
     entries: BTreeMap<usize, CacheEntry>,
+    counts: CacheCounts,
+}
+
+/// Lookups and invalidations of one [`TrafficCache`] since it was built.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheCounts {
+    /// Lookups served from the cache.
+    pub hits: u64,
+    /// Lookups that encoded (absent or stale entry).
+    pub misses: u64,
+    /// Stale entries evicted, at lookup or eagerly on ingest.
+    pub invalidations: u64,
 }
 
 impl TrafficCache {
@@ -260,7 +277,13 @@ impl TrafficCache {
             cap,
             tick: 0,
             entries: BTreeMap::new(),
+            counts: CacheCounts::default(),
         }
+    }
+
+    /// This cache's hits, misses and invalidations so far.
+    pub fn counts(&self) -> CacheCounts {
+        self.counts
     }
 
     /// Number of cached encodings.
@@ -291,15 +314,18 @@ impl TrafficCache {
         if let Some(e) = self.entries.get_mut(&slot) {
             if e.version == version {
                 st_obs::counter("predict.traffic_cache.hit").inc();
+                self.counts.hits += 1;
                 e.used = self.tick;
                 return e.enc.clone();
             }
             // Stale: the slot's tensor changed under us. Evict exactly this
             // entry and fall through to a fresh encode.
             st_obs::counter("predict.traffic_cache.invalidate").inc();
+            self.counts.invalidations += 1;
             self.entries.remove(&slot);
         }
         st_obs::counter("predict.traffic_cache.miss").inc();
+        self.counts.misses += 1;
         let enc = encode();
         if self.entries.len() >= self.cap {
             self.evict_lru();
@@ -322,6 +348,7 @@ impl TrafficCache {
         let stale = self.entries.get(&slot).is_some_and(|e| e.version < version);
         if stale {
             st_obs::counter("predict.traffic_cache.invalidate").inc();
+            self.counts.invalidations += 1;
             self.entries.remove(&slot);
         }
         stale
@@ -421,24 +448,26 @@ mod tests {
         assert_eq!(vt.closed_segments(), vec![42]);
     }
 
+    /// Counts are asserted on the cache itself: other tests in this binary
+    /// move the process-wide `predict.traffic_cache.*` counters.
     #[test]
     fn cache_hits_at_matching_version_and_invalidates_on_bump() {
         let mut cache = TrafficCache::new(8);
-        let h0 = st_obs::counter("predict.traffic_cache.hit").get();
-        let m0 = st_obs::counter("predict.traffic_cache.miss").get();
-        let i0 = st_obs::counter("predict.traffic_cache.invalidate").get();
         let a = cache.get_or_encode(3, 0, || enc(1.0));
-        assert_eq!(st_obs::counter("predict.traffic_cache.miss").get(), m0 + 1);
+        assert_eq!(cache.counts().misses, 1);
         let b = cache.get_or_encode(3, 0, || unreachable!("must hit"));
         assert_eq!(a.data(), b.data());
-        assert_eq!(st_obs::counter("predict.traffic_cache.hit").get(), h0 + 1);
+        assert_eq!(cache.counts().hits, 1);
         // Version bump: targeted invalidation + re-encode.
         let c = cache.get_or_encode(3, 1, || enc(2.0));
         assert_eq!(
-            st_obs::counter("predict.traffic_cache.invalidate").get(),
-            i0 + 1
+            cache.counts(),
+            CacheCounts {
+                hits: 1,
+                misses: 2,
+                invalidations: 1
+            }
         );
-        assert_eq!(st_obs::counter("predict.traffic_cache.miss").get(), m0 + 2);
         assert!(a.data() != c.data());
         assert_eq!(cache.len(), 1);
     }
@@ -453,16 +482,17 @@ mod tests {
         // Only slot 2 changed.
         assert!(cache.invalidate_stale(2, 5));
         assert_eq!(cache.len(), 3, "exactly one entry evicted");
+        assert_eq!(cache.counts().invalidations, 1);
         // Unchanged slots still hit.
-        let h0 = st_obs::counter("predict.traffic_cache.hit").get();
         for slot in [0usize, 1, 3] {
             let _ = cache.get_or_encode(slot, 0, || unreachable!("must hit"));
         }
-        assert_eq!(st_obs::counter("predict.traffic_cache.hit").get(), h0 + 3);
+        assert_eq!(cache.counts().hits, 3);
         // Re-invalidation of an absent / up-to-date entry is a no-op.
         assert!(!cache.invalidate_stale(2, 5));
         let _ = cache.get_or_encode(2, 5, || enc(9.0));
         assert!(!cache.invalidate_stale(2, 5));
+        assert_eq!(cache.counts().invalidations, 1);
     }
 
     #[test]

@@ -654,10 +654,6 @@ impl<'m> InferSession<'m> {
         logp.clear();
         logp.extend(logits.data().iter().map(|&v| f64::from(v)));
         self.arena.recycle(logits);
-        // The tape-free runtime allocates no tape at all; pinning the gauge
-        // at 0 keeps the old per-step-tape telemetry readable (it used to
-        // report one taped step's high-water mark).
-        st_obs::gauge("predict.step_tape_peak_bytes").max(0.0);
     }
 
     /// The pre-packing batched step: identical semantics to
@@ -699,7 +695,6 @@ impl<'m> InferSession<'m> {
         logp.clear();
         logp.extend(logits.data().iter().map(|&v| f64::from(v)));
         self.arena.recycle(logits);
-        st_obs::gauge("predict.step_tape_peak_bytes").max(0.0);
     }
 
     /// The numeric precision this session decodes at.
@@ -869,7 +864,6 @@ impl<'m> MultiTripSession<'m> {
         logp.clear();
         logp.extend(logits.data().iter().map(|&v| f64::from(v)));
         self.arena.recycle(logits);
-        st_obs::gauge("predict.step_tape_peak_bytes").max(0.0);
     }
 
     /// New packed state whose row `i` is `state`'s row `rows[i]` when
@@ -1028,9 +1022,6 @@ mod tests {
             created,
             "decoding allocated an autodiff tape"
         );
-        // The per-step tape high-water gauge is pinned at 0 on this path
-        // (it used to report one taped step's peak bytes).
-        assert_eq!(st_obs::gauge("predict.step_tape_peak_bytes").get(), 0.0);
     }
 
     /// The tape-free step must reproduce the pre-refactor taped step

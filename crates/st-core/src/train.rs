@@ -14,7 +14,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
-use st_nn::{analyze_module_graph, BnBatchStats, CheckpointError, Module};
+use st_nn::{analyze_module_graph, BnBatchStats, CheckpointError, Module, RunningRows};
 use st_tensor::optim::{clip_grad_norm_grouped, Adam, AdamState, Optimizer};
 use st_tensor::{init, ops, Array, Binder, Diagnostic, Tape, Var};
 
@@ -154,39 +154,7 @@ impl DeepSt {
         };
 
         // ---------- route pathway (§IV-A, §IV-B) ----------
-        let max_len = batch.iter().map(|e| e.route.len()).max().unwrap_or(1);
-        let mut state = self.gru.zero_state(binder, n);
-        let mut route_ll: Option<Var<'t>> = None;
-        let mut transitions = 0usize;
-        for i in 0..max_len - 1 {
-            let mut tokens = Vec::with_capacity(n);
-            let mut targets = Vec::with_capacity(n);
-            let mut mask = Vec::with_capacity(n);
-            for e in batch {
-                if i + 1 < e.route.len() {
-                    tokens.push(e.route[i]);
-                    targets.push(e.slots[i]);
-                    mask.push(1.0);
-                    transitions += 1;
-                } else {
-                    tokens.push(0);
-                    targets.push(0);
-                    mask.push(0.0);
-                }
-            }
-            let inp = self.emb.forward(binder, &tokens);
-            let hid = self.gru.step(binder, inp, &mut state);
-            let logits = self.slot_logits(binder, hid, fx, c);
-            let logp = ops::log_softmax_rows(logits);
-            let picked = ops::pick_per_row(logp, &targets);
-            let masked = ops::sum_all(ops::mask_rows(ops::reshape(picked, &[n, 1]), &mask));
-            route_ll = Some(match route_ll {
-                Some(acc) => ops::add(acc, masked),
-                None => masked,
-            });
-        }
-        // A batch of length-1 routes has no transitions; its route term is 0.
-        let route_ll = route_ll.unwrap_or_else(|| binder.input(Array::zeros(&[1])));
+        let (route_ll, transitions) = self.route_log_likelihood(binder, batch, fx, c);
 
         // ---------- ELBO (Eq. 7) ----------
         // ELBO = route_ll + dest_ll − KL_c − 2·KL_π ; loss = −ELBO / n.
@@ -206,6 +174,55 @@ impl DeepSt {
             transitions,
         };
         (loss, stats)
+    }
+
+    /// Route log-likelihood `Σ log P(r_{i+1} | r_{1:i}, x, c)` of `batch`
+    /// and its number of transitions, over packed sequences: step `i` runs
+    /// the embedding lookup, GRU step and slot head only on the routes with
+    /// a transition left at `i`, dropping the others from the GRU state,
+    /// `fx` and `c` first ([`RunningRows`]).
+    ///
+    /// The value and every gradient are bit-identical to stepping every
+    /// route to the longest one and masking the finished rows (DESIGN.md
+    /// §7): each step's per-row arithmetic is independent of the other
+    /// rows, and a masked row only adds `±0` terms to the reductions over
+    /// rows. Rows are never reordered, which would change those sums.
+    fn route_log_likelihood<'t, 'p>(
+        &'p self,
+        binder: &Binder<'t, 'p>,
+        batch: &[&Example],
+        mut fx: Var<'t>,
+        mut c: Option<Var<'t>>,
+    ) -> (Var<'t>, usize) {
+        let n = batch.len();
+        let max_len = batch.iter().map(|e| e.route.len()).max().unwrap_or(1);
+        let mut state = self.gru.zero_state(binder, n);
+        let mut running = RunningRows::all(n);
+        let mut route_ll: Option<Var<'t>> = None;
+        let mut transitions = 0usize;
+        for i in 0..max_len - 1 {
+            if let Some(keep) = running.retain(|r| i + 1 < batch[r].route.len()) {
+                self.gru.gather_state(&mut state, &keep);
+                fx = ops::gather_rows(fx, &keep);
+                c = c.map(|c| ops::gather_rows(c, &keep));
+            }
+            let rows = running.rows();
+            let tokens: Vec<usize> = rows.iter().map(|&r| batch[r].route[i]).collect();
+            let targets: Vec<usize> = rows.iter().map(|&r| batch[r].slots[i]).collect();
+            transitions += rows.len();
+            let inp = self.emb.forward(binder, &tokens);
+            let hid = self.gru.step(binder, inp, &mut state);
+            let logits = self.slot_logits(binder, hid, fx, c);
+            let logp = ops::log_softmax_rows(logits);
+            let step_ll = ops::sum_all(ops::pick_per_row(logp, &targets));
+            route_ll = Some(match route_ll {
+                Some(acc) => ops::add(acc, step_ll),
+                None => step_ll,
+            });
+        }
+        // A batch of length-1 routes has no transitions; its route term is 0.
+        let route_ll = route_ll.unwrap_or_else(|| binder.input(Array::zeros(&[1])));
+        (route_ll, transitions)
     }
 
     /// Statically analyze the training graph this model builds for `batch`:
@@ -1578,5 +1595,266 @@ mod tests {
                 p.name()
             );
         }
+    }
+
+    /// The route pathway before packing, kept verbatim as the exactness
+    /// oracle of [`DeepSt::route_log_likelihood`]: every route steps until
+    /// the longest one ends, padded with token 0, and the finished rows
+    /// are masked out of the sum.
+    fn padded_route_log_likelihood<'t, 'p>(
+        model: &'p DeepSt,
+        binder: &Binder<'t, 'p>,
+        batch: &[&Example],
+        fx: Var<'t>,
+        c: Option<Var<'t>>,
+    ) -> (Var<'t>, usize) {
+        let n = batch.len();
+        let max_len = batch.iter().map(|e| e.route.len()).max().unwrap_or(1);
+        let mut state = model.gru.zero_state(binder, n);
+        let mut route_ll: Option<Var<'t>> = None;
+        let mut transitions = 0usize;
+        for i in 0..max_len - 1 {
+            let mut tokens = Vec::with_capacity(n);
+            let mut targets = Vec::with_capacity(n);
+            let mut mask = Vec::with_capacity(n);
+            for e in batch {
+                if i + 1 < e.route.len() {
+                    tokens.push(e.route[i]);
+                    targets.push(e.slots[i]);
+                    mask.push(1.0);
+                    transitions += 1;
+                } else {
+                    tokens.push(0);
+                    targets.push(0);
+                    mask.push(0.0);
+                }
+            }
+            let inp = model.emb.forward(binder, &tokens);
+            let hid = model.gru.step(binder, inp, &mut state);
+            let logits = model.slot_logits(binder, hid, fx, c);
+            let logp = ops::log_softmax_rows(logits);
+            let picked = ops::pick_per_row(logp, &targets);
+            let masked = ops::sum_all(ops::mask_rows(ops::reshape(picked, &[n, 1]), &mask));
+            route_ll = Some(match route_ll {
+                Some(acc) => ops::add(acc, masked),
+                None => masked,
+            });
+        }
+        // A batch of length-1 routes has no transitions; its route term is 0.
+        let route_ll = route_ll.unwrap_or_else(|| binder.input(Array::zeros(&[1])));
+        (route_ll, transitions)
+    }
+
+    /// A small DeepST (or DeepST-C) for the packing oracle; `block_rows`
+    /// below the vocabulary shards the embedding.
+    fn oracle_model(traffic: bool, block_rows: usize, seed: u64) -> DeepSt {
+        let mut cfg = DeepStConfig::new(24, 5, 8, 8).with_emb_block_rows(block_rows);
+        cfg.emb_dim = 12;
+        cfg.hidden = 20;
+        cfg.n_x = 10;
+        cfg.c_dim = 6;
+        if !traffic {
+            cfg = cfg.without_traffic();
+        }
+        DeepSt::new(cfg, seed)
+    }
+
+    /// Routes of the given lengths with random segment ids from
+    /// `first_segment..` and random slots (the route pathway reads only the
+    /// ids, so they need not be adjacent).
+    fn oracle_batch(
+        model: &DeepSt,
+        lens: &[usize],
+        first_segment: usize,
+        rng: &mut StdRng,
+    ) -> Vec<Example> {
+        use rand::Rng;
+        let (vocab, slots) = (model.cfg.n_segments, model.cfg.max_neighbors);
+        lens.iter()
+            .map(|&len| Example {
+                route: (0..len)
+                    .map(|_| rng.gen_range(first_segment..vocab))
+                    .collect(),
+                slots: (0..len.saturating_sub(1))
+                    .map(|_| rng.gen_range(0..slots))
+                    .collect(),
+                dest: [0.5, 0.5],
+                traffic: Arc::new(Vec::new()),
+                slot_id: 0,
+            })
+            .collect()
+    }
+
+    /// One route-pathway pass, packed or padded, with `fx` and `c` fed as
+    /// leaf inputs; the loss is scaled like the ELBO's route term.
+    struct RoutePass {
+        value: u32,
+        transitions: usize,
+        params: Vec<(String, Vec<u32>)>,
+        fx: Vec<u32>,
+        c: Option<Vec<u32>>,
+        peak_bytes: usize,
+    }
+
+    fn bits(a: &Array) -> Vec<u32> {
+        a.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn route_pass(
+        model: &DeepSt,
+        batch: &[Example],
+        fx: &Array,
+        c: Option<&Array>,
+        packed: bool,
+    ) -> RoutePass {
+        let refs: Vec<&Example> = batch.iter().collect();
+        let tape = Tape::new();
+        let binder = Binder::new(&tape);
+        let fx_var = binder.input(fx.clone());
+        let c_var = c.map(|c| binder.input(c.clone()));
+        let (ll, transitions) = if packed {
+            model.route_log_likelihood(&binder, &refs, fx_var, c_var)
+        } else {
+            padded_route_log_likelihood(model, &binder, &refs, fx_var, c_var)
+        };
+        let loss = ops::scale(ll, -1.0 / refs.len() as f32);
+        let grads = tape.backward(loss);
+        let leaf_grad = |v: Var<'_>| grads.get(v).map(bits).unwrap_or_default();
+        RoutePass {
+            value: loss.scalar_value().to_bits(),
+            transitions,
+            params: (binder.collect_grads(&grads).iter())
+                .map(|(p, g)| (p.name().to_string(), bits(g)))
+                .collect(),
+            fx: leaf_grad(fx_var),
+            c: c_var.map(leaf_grad),
+            peak_bytes: tape.peak_bytes(),
+        }
+    }
+
+    /// Packed ≡ padded, bit for bit: loss value, transition count, the
+    /// gradient of every parameter and of the `fx` / `c` inputs. A
+    /// parameter only the padded pass binds (an embedding block read only
+    /// by padding token 0) must have an all-zero gradient there; returns
+    /// how many there were.
+    fn assert_packed_matches_padded(
+        lens: &[usize],
+        traffic: bool,
+        blocked: bool,
+        first_segment: usize,
+        seed: u64,
+    ) -> usize {
+        let model = oracle_model(traffic, if blocked { 4 } else { 4096 }, seed);
+        let mut rng = init::rng(seed ^ 0x5eed);
+        let batch = oracle_batch(&model, lens, first_segment, &mut rng);
+        let n = lens.len();
+        let fx = init::randn(&[n, model.cfg.n_x], 1.0, &mut rng);
+        let c = traffic.then(|| init::randn(&[n, model.cfg.c_dim], 1.0, &mut rng));
+        let packed = route_pass(&model, &batch, &fx, c.as_ref(), true);
+        let padded = route_pass(&model, &batch, &fx, c.as_ref(), false);
+        let case = format!("lens {lens:?}, traffic {traffic}, blocked {blocked}, seed {seed}");
+        assert_eq!(packed.value, padded.value, "loss bits differ: {case}");
+        assert_eq!(packed.transitions, padded.transitions, "{case}");
+        assert_eq!(packed.fx, padded.fx, "fx gradient bits differ: {case}");
+        assert_eq!(packed.c, padded.c, "c gradient bits differ: {case}");
+        for (name, _) in &packed.params {
+            assert!(
+                padded.params.iter().any(|(p, _)| p == name),
+                "packed pass binds {name}, padded does not: {case}"
+            );
+        }
+        let mut padded_only = 0;
+        for (name, reference) in &padded.params {
+            match packed.params.iter().find(|(p, _)| p == name) {
+                Some((_, g)) => assert_eq!(g, reference, "{name} gradient bits differ: {case}"),
+                None => {
+                    assert!(
+                        reference.iter().all(|&b| b == 0),
+                        "{name} is bound only by the padded pass but has a nonzero gradient: \
+                         {case}"
+                    );
+                    padded_only += 1;
+                }
+            }
+        }
+        padded_only
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Random shards of 1–16 routes of 1–60 segments: independent
+        /// lengths, all equal, one long route among short ones, or only
+        /// 1–2 segments; DeepST and DeepST-C, dense and blocked embeddings.
+        #[test]
+        fn packed_route_pass_matches_padded_oracle(
+            seed in 0u64..1_000_000,
+            n in 1usize..=16,
+            max_len in 1usize..=60,
+            shape in 0usize..4,
+            traffic in 0usize..2,
+            blocked in 0usize..2,
+        ) {
+            use rand::Rng;
+            let mut rng = init::rng(seed);
+            let lens: Vec<usize> = (0..n)
+                .map(|r| match shape {
+                    0 => rng.gen_range(1..=max_len),
+                    1 => max_len,
+                    2 if r == n / 2 => max_len,
+                    2 => rng.gen_range(1..=3),
+                    _ => rng.gen_range(1..=2),
+                })
+                .collect();
+            assert_packed_matches_padded(&lens, traffic == 1, blocked == 1, 0, seed);
+        }
+    }
+
+    /// The edge shapes, each for all four model variants: one row, equal
+    /// lengths, length-1 routes (alone, first, last and among others), a
+    /// batch with no transition at all, and rows ending in every order.
+    /// Routes that avoid embedding block 0 leave it bound by the padded
+    /// pass alone, through padding token 0.
+    #[test]
+    fn packed_route_pass_matches_padded_oracle_on_edge_shapes() {
+        let shapes: [&[usize]; 9] = [
+            &[60],
+            &[2],
+            &[7, 7, 7, 7, 7],
+            &[1],
+            &[1, 1, 1],
+            &[1, 9, 4],
+            &[9, 4, 1],
+            &[3, 1, 5, 1, 2, 60, 1],
+            &[2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17],
+        ];
+        for (i, lens) in shapes.iter().enumerate() {
+            for (traffic, blocked) in [(true, false), (true, true), (false, false), (false, true)] {
+                assert_packed_matches_padded(lens, traffic, blocked, 0, i as u64);
+            }
+        }
+        for traffic in [true, false] {
+            let padded_only = assert_packed_matches_padded(&[2, 9, 5], traffic, true, 4, 11);
+            assert_eq!(padded_only, 1, "embedding block 0 should be padded-only");
+        }
+    }
+
+    /// One long route among short ones: the padded pass holds every row's
+    /// activations to the last step, the packed pass only the long one's.
+    #[test]
+    fn packed_route_pass_peaks_below_padded_on_one_long_route() {
+        let model = oracle_model(true, 4096, 3);
+        let mut rng = init::rng(4);
+        let mut lens = vec![3usize; 15];
+        lens.push(60);
+        let batch = oracle_batch(&model, &lens, 0, &mut rng);
+        let fx = init::randn(&[lens.len(), model.cfg.n_x], 1.0, &mut rng);
+        let c = init::randn(&[lens.len(), model.cfg.c_dim], 1.0, &mut rng);
+        let packed = route_pass(&model, &batch, &fx, Some(&c), true).peak_bytes;
+        let padded = route_pass(&model, &batch, &fx, Some(&c), false).peak_bytes;
+        assert!(
+            packed < padded,
+            "packed peak {packed} B is not below padded {padded} B"
+        );
     }
 }

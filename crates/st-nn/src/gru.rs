@@ -212,6 +212,16 @@ impl Gru {
         inp
     }
 
+    /// Keep only the state rows at `keep` (positions in the current batch),
+    /// in that order, on every layer — the packed training loop's drop of
+    /// finished sequences (see [`RunningRows`]).
+    pub fn gather_state<'t>(&self, state: &mut [Var<'t>], keep: &[usize]) {
+        assert_eq!(state.len(), self.cells.len(), "state/layer count mismatch");
+        for h in state {
+            *h = ops::gather_rows(*h, keep);
+        }
+    }
+
     /// Fresh zero state for `n` batched sequences, drawn from `arena`:
     /// one `[n, hidden]` array per layer.
     pub fn infer_zero_state(&self, arena: &mut ScratchArena, n: usize) -> Vec<Array> {
@@ -242,6 +252,48 @@ impl Gru {
 impl Module for Gru {
     fn params(&self) -> Vec<&Param> {
         self.cells.iter().flat_map(|c| c.params()).collect()
+    }
+}
+
+/// The sequences of a training batch that are still running, for a
+/// recurrent loss loop that steps only them (packed sequences).
+///
+/// Before each step the loop calls [`RunningRows::retain`] and, when a
+/// sequence has ended, gathers the returned positions out of every per-row
+/// tensor it carries ([`Gru::gather_state`], `ops::gather_rows`). Rows keep
+/// their batch order, so each step sees the padded batch's rows with the
+/// finished ones removed: per-row results are unchanged, and reductions
+/// over rows lose only the finished rows' zero-gradient terms.
+#[derive(Debug, Clone)]
+pub struct RunningRows {
+    rows: Vec<usize>,
+}
+
+impl RunningRows {
+    /// All `n` rows of a batch, running.
+    pub fn all(n: usize) -> Self {
+        Self {
+            rows: (0..n).collect(),
+        }
+    }
+
+    /// Batch indices of the running rows, in batch order.
+    pub fn rows(&self) -> &[usize] {
+        &self.rows
+    }
+
+    /// Stop every row whose batch index fails `running`. Returns the
+    /// positions (in the previous running set) of the rows that remain,
+    /// or `None` when no row stopped.
+    pub fn retain(&mut self, mut running: impl FnMut(usize) -> bool) -> Option<Vec<usize>> {
+        let keep: Vec<usize> = (0..self.rows.len())
+            .filter(|&p| running(self.rows[p]))
+            .collect();
+        if keep.len() == self.rows.len() {
+            return None;
+        }
+        self.rows = keep.iter().map(|&p| self.rows[p]).collect();
+        Some(keep)
     }
 }
 
@@ -522,5 +574,28 @@ mod tests {
         }
         assert!(last < 0.1, "GRU failed to learn first-token recall: {last}");
         let _ = Activation::Identity;
+    }
+
+    #[test]
+    fn running_rows_keep_batch_order_and_report_positions() {
+        let lens = [3usize, 1, 4, 2, 4];
+        let mut running = RunningRows::all(lens.len());
+        let mut kept = Vec::new();
+        for i in 0..3 {
+            kept.push(running.retain(|r| i + 1 < lens[r]));
+            assert!(running.rows().iter().all(|&r| i + 1 < lens[r]));
+        }
+        // Step 0 drops row 1 (position 1), step 1 drops row 3 (now at
+        // position 2), step 2 drops row 0 (position 0).
+        assert_eq!(
+            kept,
+            [
+                Some(vec![0, 2, 3, 4]),
+                Some(vec![0, 1, 3]),
+                Some(vec![1, 2])
+            ]
+        );
+        assert_eq!(running.rows(), &[2, 4]);
+        assert_eq!(running.retain(|_| true), None);
     }
 }

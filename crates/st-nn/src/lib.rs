@@ -26,7 +26,7 @@ pub mod serialize;
 pub use analyze::{analyze_module_graph, analyze_module_graph_with};
 pub use conv::{BatchNorm2d, BnBatchStats, ConvBlock, TrafficCnn};
 pub use embedding::Embedding;
-pub use gru::{Gru, GruCell, PackedGru, PackedGruCell};
+pub use gru::{Gru, GruCell, PackedGru, PackedGruCell, RunningRows};
 pub use linear::{Linear, Mlp, PackedMlp};
 pub use module::{Activation, Module};
 pub use serialize::{

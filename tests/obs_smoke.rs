@@ -75,7 +75,25 @@ fn traced_pipeline_emits_valid_balanced_jsonl() {
         .collect();
     assert!(metric_names.contains(&"train.batch_loss"));
     assert!(metric_names.contains(&"train.grad_norm"));
-    assert!(metric_names.contains(&"predict.step_tape_peak_bytes"));
+
+    // Every beam decode ends complete or in the fallback, and counts it.
+    let beam_outcomes: u64 = trace
+        .metrics
+        .iter()
+        .filter_map(|m| match m {
+            obs::MetricSnapshot::Counter { name, value }
+                if name == "decode.beam.complete" || name == "decode.beam.fallback" =>
+            {
+                Some(*value)
+            }
+            _ => None,
+        })
+        .sum();
+    assert!(
+        beam_outcomes >= summary.evaluated as u64,
+        "{beam_outcomes} beam outcomes counted for {} evaluated trips",
+        summary.evaluated
+    );
 
     // ---- write, read back, validate against the schema ----
     let path = std::env::temp_dir().join(format!("st_obs_smoke_{}.jsonl", std::process::id()));
