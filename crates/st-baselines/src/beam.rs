@@ -424,7 +424,7 @@ pub fn beam_decode<M: StepDecoder>(
     max_len: usize,
 ) -> Route {
     let never = CancelToken::new();
-    match beam_decode_from(net, model, &[start], dest, beam_width, max_len, &never) {
+    match beam_decode_closed(net, model, &[start], dest, beam_width, max_len, &[], &never) {
         Ok(route) => route,
         // Unreachable: the token above is never cancelled and has no
         // deadline, but the partial route is still the best answer.
@@ -433,35 +433,23 @@ pub fn beam_decode<M: StepDecoder>(
 }
 
 /// [`beam_decode`] generalized to a traveled `prefix` (continuation
-/// queries) and a cooperative [`CancelToken`], the serving deadline hook.
+/// queries), road closures and a cooperative [`CancelToken`], the serving
+/// deadline hook.
 ///
 /// The recurrent state is warmed on `prefix[..len-1]` (the last prefix
 /// segment is consumed by the first search step, exactly like
-/// `DeepSt::predict_continuation`); with a one-segment prefix this is
-/// [`beam_decode`] itself. The token is polled once per model step — during
-/// warm-up and at every search depth — so a cancellation or deadline fires
-/// within one step instead of waiting for the decode to run to its length
-/// cap. On cancellation the best route known so far comes back in
+/// `DeepSt::predict_continuation`); with a one-segment prefix, no closures
+/// and a live token this is [`beam_decode`] itself. Every segment in
+/// `closed` (typically
+/// [`st_core::livetraffic::VersionedTraffic::closed_segments`] at decode
+/// time) is masked to −∞ transition log-prob, so decoded routes detour
+/// around closures — see [`BeamSearch::set_closed_segments`] for the
+/// renormalization and boxed-in fallback semantics; an empty `closed` masks
+/// nothing. The token is polled once per model step — during warm-up and at
+/// every search depth — so a cancellation or deadline fires within one step
+/// instead of waiting for the decode to run to its length cap. On
+/// cancellation the best route known so far comes back in
 /// [`DecodeCancelled::partial`].
-#[allow(clippy::too_many_arguments)]
-pub fn beam_decode_from<M: StepDecoder>(
-    net: &RoadNetwork,
-    model: &mut M,
-    prefix: &[SegmentId],
-    dest: &Point,
-    beam_width: usize,
-    max_len: usize,
-    cancel: &CancelToken,
-) -> Result<Route, DecodeCancelled> {
-    beam_decode_closed(net, model, prefix, dest, beam_width, max_len, &[], cancel)
-}
-
-/// [`beam_decode_from`] under road closures: every segment in `closed`
-/// (typically [`st_core::livetraffic::VersionedTraffic::closed_segments`]
-/// at decode time) is masked to −∞ transition log-prob, so decoded routes
-/// detour around closures — see [`BeamSearch::set_closed_segments`] for the
-/// renormalization and boxed-in fallback semantics. An empty `closed` is
-/// bit-identical to [`beam_decode_from`].
 #[allow(clippy::too_many_arguments)]
 pub fn beam_decode_closed<M: StepDecoder>(
     net: &RoadNetwork,
@@ -902,7 +890,7 @@ mod tests {
             token: CancelToken::new(),
         };
         let free_token = free.token.clone();
-        let full = beam_decode_from(&net, &mut free, &[0], &dest, 4, 60, &free_token);
+        let full = beam_decode_closed(&net, &mut free, &[0], &dest, 4, 60, &[], &free_token);
         assert!(full.is_ok());
         let full_steps = free.steps;
         assert!(full_steps > 3, "route too short to test mid-decode cancel");
@@ -916,7 +904,7 @@ mod tests {
             token: CancelToken::new(),
         };
         let token = model.token.clone();
-        let out = beam_decode_from(&net, &mut model, &[0], &dest, 4, 60, &token);
+        let out = beam_decode_closed(&net, &mut model, &[0], &dest, 4, 60, &[], &token);
         let cancelled = match out {
             Err(c) => c,
             Ok(_) => panic!("cancelled decode returned Ok"),
@@ -951,7 +939,7 @@ mod tests {
             token: CancelToken::new(),
         };
         let token = model.token.clone();
-        let route = beam_decode_from(&net, &mut model, &[segs[0]], &dest, 4, 60, &token)
+        let route = beam_decode_closed(&net, &mut model, &[segs[0]], &dest, 4, 60, &[], &token)
             .expect("live token");
         assert_eq!(route, vec![segs[0], segs[1]]);
         assert_eq!(model.steps, 1, "search stepped past a decided route");
@@ -970,13 +958,13 @@ mod tests {
         };
         model.token.cancel();
         let token = model.token.clone();
-        let out = beam_decode_from(&net, &mut model, &[0], &dest, 4, 60, &token);
+        let out = beam_decode_closed(&net, &mut model, &[0], &dest, 4, 60, &[], &token);
         assert!(out.is_err());
         assert_eq!(model.steps, 0);
     }
 
-    /// With a one-segment prefix and a live token, `beam_decode_from` *is*
-    /// `beam_decode`.
+    /// With a one-segment prefix, no closures and a live token,
+    /// `beam_decode_closed` *is* `beam_decode`.
     #[test]
     fn decode_from_single_segment_prefix_matches_beam_decode() {
         let net = grid_city(&GridConfig::small_test(), 3);
@@ -985,8 +973,8 @@ mod tests {
             let mut model = TowardTarget::new(&net, dest);
             let plain = beam_decode(&net, &mut model, 0, &dest, 4, 60);
             let token = CancelToken::new();
-            let via_from = beam_decode_from(&net, &mut model, &[0], &dest, 4, 60, &token);
-            assert_eq!(via_from.ok().as_ref(), Some(&plain), "target {target}");
+            let via_closed = beam_decode_closed(&net, &mut model, &[0], &dest, 4, 60, &[], &token);
+            assert_eq!(via_closed.ok().as_ref(), Some(&plain), "target {target}");
         }
     }
 
@@ -1002,8 +990,8 @@ mod tests {
         }
         let mut model = TowardTarget::new(&net, dest);
         let token = CancelToken::new();
-        let route =
-            beam_decode_from(&net, &mut model, &prefix, &dest, 4, 60, &token).expect("live token");
+        let route = beam_decode_closed(&net, &mut model, &prefix, &dest, 4, 60, &[], &token)
+            .expect("live token");
         assert!(route.len() >= prefix.len());
         assert_eq!(&route[..prefix.len()], prefix.as_slice());
         assert!(net.is_valid_route(&route));

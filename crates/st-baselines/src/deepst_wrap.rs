@@ -130,15 +130,16 @@ impl DeepStPredictor {
 }
 
 /// [`StepDecoder`] view of a DeepST model for one trip: a tape-free
-/// [`InferSession`] with the recurrent state packed as `[rows, hidden]`
-/// matrices, so one beam step over all candidates is one batched GEMM.
+/// [`InferSession`] with the trip registered and the recurrent state packed
+/// as `[rows, hidden]` matrices, so one beam step over all candidates is one
+/// batched GEMM.
 pub struct DeepStDecoder<'m> {
     sess: InferSession<'m>,
-    width: usize,
-    /// When set, steps go through the pre-packing
-    /// [`InferSession::step_into_generic`] baseline instead of the fused
-    /// kernels — the decode benchmark's reference path.
-    generic: bool,
+    /// The decoded trip's id in `sess`.
+    trip: usize,
+    /// Per-row trip ids for `step_into` (every row is `trip`), kept across
+    /// steps so a step allocates nothing.
+    rows: Vec<usize>,
 }
 
 impl<'m> DeepStDecoder<'m> {
@@ -149,33 +150,18 @@ impl<'m> DeepStDecoder<'m> {
 
     /// Open a decoder with an explicit numeric precision for the hot loop.
     pub fn with_precision(model: &'m DeepSt, ctx: &TripContext, precision: InferPrecision) -> Self {
-        Self {
-            width: model.cfg.max_neighbors,
-            sess: model.infer_session_with(ctx, precision),
-            generic: false,
-        }
+        Self::from_session(model.infer_session(precision), ctx)
     }
 
-    /// Test hook: wrap an explicitly-constructed session (e.g. the coarse
-    /// int8 session behind the planted-regression accuracy test).
+    /// Test hook: decode `ctx` on an explicitly-constructed session (e.g.
+    /// the coarse int8 session behind the planted-regression accuracy test).
     #[doc(hidden)]
-    pub fn from_session(sess: InferSession<'m>) -> Self {
+    pub fn from_session(mut sess: InferSession<'m>, ctx: &TripContext) -> Self {
+        let trip = sess.add_trip(ctx);
         Self {
-            width: sess.model().cfg.max_neighbors,
             sess,
-            generic: false,
-        }
-    }
-
-    /// Open a decoder that steps through the unpacked per-call-GEMM
-    /// baseline. Bit-identical routes to [`DeepStDecoder::new`]; kept so the
-    /// decode benchmark measures the fused kernels against a live
-    /// implementation.
-    pub fn new_generic(model: &'m DeepSt, ctx: &TripContext) -> Self {
-        Self {
-            width: model.cfg.max_neighbors,
-            sess: model.infer_session(ctx),
-            generic: true,
+            trip,
+            rows: Vec::new(),
         }
     }
 }
@@ -184,7 +170,7 @@ impl StepDecoder for DeepStDecoder<'_> {
     type State = Vec<Array>;
 
     fn width(&self) -> usize {
-        self.width
+        self.sess.model().cfg.max_neighbors
     }
 
     fn init_state(&mut self, n: usize) -> Vec<Array> {
@@ -198,11 +184,9 @@ impl StepDecoder for DeepStDecoder<'_> {
         state: &mut Vec<Array>,
         logp: &mut Vec<f64>,
     ) {
-        if self.generic {
-            self.sess.step_into_generic(tokens, state, logp);
-        } else {
-            self.sess.step_into(tokens, state, logp);
-        }
+        self.rows.clear();
+        self.rows.resize(tokens.len(), self.trip);
+        self.sess.step_into(tokens, &self.rows, state, logp);
     }
 
     fn gather(&mut self, state: &Vec<Array>, rows: &[usize]) -> Vec<Array> {

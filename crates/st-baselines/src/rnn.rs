@@ -370,17 +370,10 @@ impl StepDecoder for RnnDecoder<'_> {
     }
 
     fn gather(&mut self, state: &Vec<Array>, rows: &[usize]) -> Vec<Array> {
-        let mut out = Vec::with_capacity(state.len());
-        for layer in state {
-            let cols = layer.shape()[1];
-            // Every row is overwritten below, so skip the zero fill.
-            let mut sel = self.arena.alloc_uninit(&[rows.len(), cols]);
-            for (r, &src) in rows.iter().enumerate() {
-                sel.row_mut(r).copy_from_slice(layer.row(src));
-            }
-            out.push(sel);
-        }
-        out
+        state
+            .iter()
+            .map(|layer| infer::gather_rows(&mut self.arena, layer, rows))
+            .collect()
     }
 
     fn recycle(&mut self, state: Vec<Array>) {

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use rand::{rngs::StdRng, SeedableRng};
 use st_baselines::{
-    beam_decode, beam_decode_from, DeepStDecoder, PredictQuery, StepDecoder, TERM_SCALE_M,
+    beam_decode, beam_decode_closed, DeepStDecoder, PredictQuery, StepDecoder, TERM_SCALE_M,
 };
 use st_core::{CancelToken, DeepSt, DeepStConfig, Example, TrainConfig, Trainer};
 use st_roadnet::{Point, RoadNetwork, Route, SegmentId};
@@ -265,13 +265,14 @@ fn trained_deepst_beam_matches_taped_beam_on_fresh_and_continued_queries() {
                     inner: DeepStDecoder::new(model, &ctx),
                     rows: 0,
                 };
-                let got = beam_decode_from(
+                let got = beam_decode_closed(
                     &ds.net,
                     &mut dec,
                     prefix,
                     &trip.dest_coord,
                     width,
                     max_len,
+                    &[],
                     &never,
                 )
                 .expect("live token");

@@ -1,23 +1,21 @@
 //! Decode-throughput benchmark for the tape-free inference runtime.
 //!
-//! Beam-decodes the same Rivertown queries four ways with the same DeepST
+//! Beam-decodes the same Rivertown queries three ways with the same DeepST
 //! weights:
 //!
 //! 1. **taped clone-and-step** — the pre-refactor decoder: every live beam
 //!    prefix owns a cloned recurrent state and advances through
 //!    [`DeepSt::step_state_taped`], which records each forward step on a
 //!    throwaway autodiff tape;
-//! 2. **generic batched** — the first tape-free runtime: packed `[beam,
-//!    hidden]` state, but every step re-packs each weight matrix inside the
-//!    GEMM and runs unfused activations ([`DeepStDecoder::new_generic`]);
-//! 3. **fused f32** — the packed-kernel path ([`DeepStDecoder::new`]):
-//!    weights packed once per session, the GRU step collapsed into two
-//!    prepacked `[beam, 3·hidden]` GEMMs with a fused SIMD gate epilogue;
-//! 4. **int8** — fused kernels with the embedding table and slot head
+//! 2. **fused f32** — the packed-kernel path ([`DeepStDecoder::new`]):
+//!    packed `[beam, hidden]` state, weights packed once per session, the
+//!    GRU step collapsed into two prepacked `[beam, 3·hidden]` GEMMs with a
+//!    fused SIMD gate epilogue;
+//! 3. **int8** — fused kernels with the embedding table and slot head
 //!    quantized to int8 (per-channel scales, f32 accumulation).
 //!
-//! Paths 1–3 must produce identical routes (asserted per query — this
-//! doubles as a large-scale parity check). Path 4 is gated statistically:
+//! Paths 1 and 2 must produce identical routes (asserted per query — this
+//! doubles as a large-scale parity check). Path 3 is gated statistically:
 //! top-1 route match rate against the f32 oracle must reach
 //! [`INT8_MATCH_GATE`] (Jaccard overlap is also recorded).
 //!
@@ -27,12 +25,8 @@
 //!
 //! The headline speedup is measured against **PR 5's recorded batched
 //! baseline** (committed `BENCH_decode.json`, same query set and host
-//! class), not against the live generic run: the GEMM micro-kernel
-//! improvements that ship with the packed path (wider tiles, zipped inner
-//! loop) also accelerate the unpacked `infer::matmul` it calls, so the
-//! live generic baseline no longer represents PR 5 performance. Live
-//! ratios are reported alongside. The report also records host/toolchain
-//! metadata. Writes `BENCH_decode.json`.
+//! class); the live ratio to the taped path is reported alongside. The
+//! report also records host/toolchain metadata. Writes `BENCH_decode.json`.
 //!
 //! Usage: `cargo run --release -p st-bench --bin bench_decode [-- --quick|--full]`
 
@@ -66,6 +60,9 @@ const PR5_TAPED_QPS: f64 = 81.68;
 
 /// Minimum top-1 route match rate of the int8 path against the f32 oracle.
 const INT8_MATCH_GATE: f64 = 0.98;
+
+/// One query: start segment, destination and encoded trip context.
+type Query = (SegmentId, Point, TripContext);
 
 fn p_stop(net: &RoadNetwork, seg: SegmentId, dest: &Point) -> f64 {
     let proj = net.project_onto(dest, seg);
@@ -165,7 +162,7 @@ fn main() {
         .min(split.test.len());
     // Precompute per-query contexts once: context encoding (traffic CNN +
     // destination proxies) is shared by both decoders and not under test.
-    let queries: Vec<(SegmentId, Point, TripContext)> = split
+    let queries: Vec<Query> = split
         .test
         .iter()
         .take(take)
@@ -183,7 +180,6 @@ fn main() {
     if let Some((start, dest, ctx)) = queries.first() {
         for mut dec in [
             DeepStDecoder::new(&model, ctx),
-            DeepStDecoder::new_generic(&model, ctx),
             DeepStDecoder::with_precision(&model, ctx, InferPrecision::Int8),
         ] {
             let _ = beam_decode(&ds.net, &mut dec, *start, dest, BEAM_WIDTH, 16);
@@ -191,90 +187,49 @@ fn main() {
         let _ = taped_beam(&ds.net, &model, ctx, *start, dest, BEAM_WIDTH, 16);
     }
 
-    // One timed sweep over the query set through one of the tape-free paths.
-    #[derive(Clone, Copy)]
-    enum Mode {
-        Generic,
-        Fused,
-        Int8,
-    }
-    let run = |mode: Mode| -> (Vec<Route>, f64) {
+    // Timed sweeps over the query set through one path; the fastest counts.
+    let sweep = |decode: &dyn Fn(&Query) -> Route| -> (Vec<Route>, f64) {
         let mut best = f64::INFINITY;
         let mut routes = Vec::new();
         for _ in 0..SWEEPS {
             let t0 = Instant::now();
-            routes = queries
-                .iter()
-                .map(|(start, dest, ctx)| {
-                    let mut dec = match mode {
-                        Mode::Generic => DeepStDecoder::new_generic(&model, ctx),
-                        Mode::Fused => DeepStDecoder::new(&model, ctx),
-                        Mode::Int8 => {
-                            DeepStDecoder::with_precision(&model, ctx, InferPrecision::Int8)
-                        }
-                    };
-                    beam_decode(
-                        &ds.net,
-                        &mut dec,
-                        *start,
-                        dest,
-                        BEAM_WIDTH,
-                        model.cfg.max_route_len,
-                    )
-                })
-                .collect();
+            routes = queries.iter().map(decode).collect();
             best = best.min(t0.elapsed().as_secs_f64());
         }
         (routes, best)
     };
+    let max_len = model.cfg.max_route_len;
+    let tape_free = |precision: InferPrecision| {
+        sweep(&|(start, dest, ctx): &Query| {
+            let mut dec = DeepStDecoder::with_precision(&model, ctx, precision);
+            beam_decode(&ds.net, &mut dec, *start, dest, BEAM_WIDTH, max_len)
+        })
+    };
 
-    let mut taped_secs = f64::INFINITY;
-    let mut taped_routes: Vec<Route> = Vec::new();
-    for _ in 0..SWEEPS {
-        let t0 = Instant::now();
-        taped_routes = queries
-            .iter()
-            .map(|(start, dest, ctx)| {
-                taped_beam(
-                    &ds.net,
-                    &model,
-                    ctx,
-                    *start,
-                    dest,
-                    BEAM_WIDTH,
-                    model.cfg.max_route_len,
-                )
-            })
-            .collect();
-        taped_secs = taped_secs.min(t0.elapsed().as_secs_f64());
-    }
+    let (taped_routes, taped_secs) = sweep(&|(start, dest, ctx): &Query| {
+        taped_beam(&ds.net, &model, ctx, *start, dest, BEAM_WIDTH, max_len)
+    });
     let taped_qps = queries.len() as f64 / taped_secs;
     println!("  taped clone-and-step: {taped_qps:7.2} decodes/sec ({taped_secs:.2}s)");
 
-    let (generic_routes, generic_secs) = run(Mode::Generic);
-    let generic_qps = queries.len() as f64 / generic_secs;
-    println!("  generic batched:      {generic_qps:7.2} decodes/sec ({generic_secs:.2}s)");
-
-    let (fused_routes, fused_secs) = run(Mode::Fused);
+    let (fused_routes, fused_secs) = tape_free(InferPrecision::F32);
     let fused_qps = queries.len() as f64 / fused_secs;
     println!("  fused/packed f32:     {fused_qps:7.2} decodes/sec ({fused_secs:.2}s)");
 
-    let (int8_routes, int8_secs) = run(Mode::Int8);
+    let (int8_routes, int8_secs) = tape_free(InferPrecision::Int8);
     let int8_qps = queries.len() as f64 / int8_secs;
     println!("  int8 quantized:       {int8_qps:7.2} decodes/sec ({int8_secs:.2}s)");
 
-    // f32 paths must agree bit-for-bit, hence route-for-route.
-    for (name, routes) in [("generic", &generic_routes), ("fused", &fused_routes)] {
-        let mismatches = taped_routes
-            .iter()
-            .zip(routes)
-            .filter(|(a, b)| a != b)
-            .count();
-        assert_eq!(
-            mismatches, 0,
-            "{name} decode diverged from the taped baseline on {mismatches} queries"
-        );
-    }
+    // The f32 paths must agree bit-for-bit, hence route-for-route.
+    let mismatches = taped_routes
+        .iter()
+        .zip(&fused_routes)
+        .filter(|(a, b)| a != b)
+        .count();
+    assert_eq!(
+        mismatches, 0,
+        "fused decode diverged from the taped baseline on {mismatches} queries"
+    );
     println!("  parity: all {} f32 routes identical", queries.len());
 
     // The int8 path is gated statistically against the f32 oracle.
@@ -292,14 +247,11 @@ fn main() {
     let speedup_vs_pr5_batched = fused_qps / PR5_BATCHED_QPS;
     let speedup_vs_pr5_taped = fused_qps / PR5_TAPED_QPS;
     let speedup_vs_taped = taped_secs / fused_secs;
-    let speedup_vs_generic = generic_secs / fused_secs;
     println!(
         "  fused vs PR5 batched: {speedup_vs_pr5_batched:.2}x \
          (target >= {TARGET_SPEEDUP:.1}x; {speedup_vs_pr5_taped:.2}x vs PR5 taped)"
     );
-    println!(
-        "  fused vs live generic: {speedup_vs_generic:.2}x, vs live taped: {speedup_vs_taped:.2}x"
-    );
+    println!("  fused vs live taped: {speedup_vs_taped:.2}x");
 
     let out = json!({
         "city": city.name(),
@@ -309,7 +261,6 @@ fn main() {
         "sweeps": SWEEPS,
         "host": host_meta(),
         "taped": { "decodes_per_sec": taped_qps, "secs": taped_secs },
-        "batched": { "decodes_per_sec": generic_qps, "secs": generic_secs },
         "fused": { "decodes_per_sec": fused_qps, "secs": fused_secs },
         "int8": {
             "decodes_per_sec": int8_qps,
@@ -328,7 +279,6 @@ fn main() {
         "speedup": speedup_vs_pr5_batched,
         "speedup_vs_pr5_taped": speedup_vs_pr5_taped,
         "speedup_vs_taped": speedup_vs_taped,
-        "speedup_vs_generic": speedup_vs_generic,
         "target_speedup": TARGET_SPEEDUP,
         "target_met": speedup_vs_pr5_batched >= TARGET_SPEEDUP,
         "routes_identical": true,

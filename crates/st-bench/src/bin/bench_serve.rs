@@ -20,7 +20,7 @@
 //! as **hung**, and any hung request fails the benchmark.
 //!
 //! A sample of completed nominal responses is re-decoded serially
-//! (one-at-a-time `beam_decode_from` oracle at the response's effective
+//! (one-at-a-time `beam_decode_closed` oracle at the response's effective
 //! beam width); any bitwise route mismatch fails the benchmark — the
 //! continuous-batching parity guarantee, checked end-to-end through the
 //! server.
@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 
 use serde_json::json;
 
-use st_baselines::{beam_decode_from, DeepStDecoder};
+use st_baselines::{beam_decode_closed, DeepStDecoder};
 use st_bench::{host_meta, make_dataset, results_dir, City, Scale};
 use st_core::faultinject::{ServeFaultInjector, ServeFaultPlan};
 use st_core::{CancelToken, DeepSt};
@@ -102,13 +102,14 @@ fn serial_oracle(
     let c = req.traffic.as_ref().map(|t| model.encode_traffic(t));
     let ctx = model.encode_context(req.dest_norm, c);
     let mut dec = DeepStDecoder::new(model, &ctx);
-    match beam_decode_from(
+    match beam_decode_closed(
         net,
         &mut dec,
         &req.prefix,
         &req.dest_coord,
         beam_width,
         model.cfg.max_route_len,
+        &[],
         &CancelToken::new(),
     ) {
         Ok(route) => route,

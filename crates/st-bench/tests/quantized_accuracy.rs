@@ -91,7 +91,7 @@ fn int8_decode_meets_statistical_gate_and_planted_regression_fails_it() {
     // If this ever passes the gate, the harness has lost its power to
     // detect real quantization regressions — tighten the query set.
     let coarse = decode_all(&w, |ctx| {
-        DeepStDecoder::from_session(w.model.infer_session_int8_coarse(ctx, PLANTED_LEVELS))
+        DeepStDecoder::from_session(w.model.infer_session_int8_coarse(PLANTED_LEVELS), ctx)
     });
     let coarse_rate = accuracy::route_match_rate(&oracle, &coarse);
     assert!(

@@ -163,8 +163,10 @@ impl DeepSt {
 
     /// Per-trip slot-head projections for the tape-free decode path:
     /// `fx·β` and (with traffic) `c·γ`, each `[1, max_neighbors]`. They are
-    /// constant across a trip's steps, so [`crate::predict::InferSession`]
-    /// computes them once and each step only runs the `h·α` GEMM.
+    /// constant across a trip's steps, so
+    /// [`crate::predict::InferSession::add_trip`] computes them once per
+    /// registered trip, and each step runs only the `h·α` GEMM before adding
+    /// every row's own trip projections.
     pub(crate) fn trip_projections(
         &self,
         arena: &mut ScratchArena,

@@ -95,10 +95,8 @@ impl DeepSt {
         rng: Option<&mut StdRng>,
     ) -> Route {
         let _sp = st_obs::span("predict/route");
-        let mut sess = self.infer_session(ctx);
-        let mut state = sess.zero_state(1);
         let mut route = vec![start];
-        self.generate_from(net, &mut route, &mut sess, &mut state, dest_m, rng);
+        self.generate_from(net, &mut route, ctx, dest_m, rng);
         route
     }
 
@@ -207,30 +205,18 @@ impl DeepSt {
     ) -> Route {
         let _sp = st_obs::span("predict/continuation");
         assert!(net.is_valid_route(prefix), "prefix is not a valid route");
-        let Some((_, warmup)) = prefix.split_last() else {
-            // the paper's queries always carry at least T.r1
-            return Vec::new();
-        };
-        // Warm up: consume all but the last prefix segment (the last one is
-        // consumed by the generation loop's first step). The warm-up shares
-        // the generation loop's session and log-prob buffer, so the whole
-        // continuation allocates one arena total.
-        let mut sess = self.infer_session(ctx);
-        let mut state = sess.zero_state(1);
-        let mut logps = Vec::new();
-        for &seg in warmup {
-            sess.step_into(&[seg], &mut state, &mut logps);
-        }
         let mut route = prefix.to_vec();
-        self.generate_from(net, &mut route, &mut sess, &mut state, dest_m, rng);
+        self.generate_from(net, &mut route, ctx, dest_m, rng);
         route
     }
 
     /// Shared generation loop for [`DeepSt::predict_route`] and
-    /// [`DeepSt::predict_continuation`]: extend `route` from its last
-    /// segment and `state` until termination fires, a dead end is hit, or
-    /// `cfg.max_route_len` is reached. Each exit cause bumps one of the
-    /// `decode.term.{stop,dead_end,len_cap}` counters.
+    /// [`DeepSt::predict_continuation`]: warm the GRU up on all but the last
+    /// segment of `route` (the traveled prefix; the last segment is consumed
+    /// by the first generation step), then extend `route` until termination
+    /// fires, a dead end is hit, or `cfg.max_route_len` is reached. Each exit
+    /// cause bumps one of the `decode.term.{stop,dead_end,len_cap}` counters.
+    /// Warm-up and generation share one session, state and log-prob buffer.
     ///
     /// Truncation behaviour: the slot head is `cfg.max_neighbors` wide, so
     /// at an intersection with a larger out-degree only the first
@@ -242,23 +228,31 @@ impl DeepSt {
         &self,
         net: &RoadNetwork,
         route: &mut Route,
-        sess: &mut InferSession<'_>,
-        state: &mut [Array],
+        ctx: &TripContext,
         dest_m: &Point,
         mut rng: Option<&mut StdRng>,
     ) {
-        let Some(&last) = route.last() else { return };
-        let mut cur = last;
+        let Some((&last, warmup)) = route.split_last() else {
+            // the paper's queries always carry at least T.r1
+            return;
+        };
+        let mut sess = self.infer_session(InferPrecision::F32);
+        let trip = sess.add_trip(ctx);
+        let mut state = sess.zero_state(1);
         // One log-prob buffer for the whole route: `step_into` refills it
         // in place, so the loop allocates nothing per step.
         let mut logps: Vec<f64> = Vec::new();
+        for &seg in warmup {
+            sess.step_into(&[seg], &[trip], &mut state, &mut logps);
+        }
+        let mut cur = last;
         while route.len() < self.cfg.max_route_len {
             let nexts = net.next_segments(cur);
             if nexts.is_empty() {
                 st_obs::counter("decode.term.dead_end").inc();
                 return;
             }
-            sess.step_into(&[cur], state, &mut logps);
+            sess.step_into(&[cur], &[trip], &mut state, &mut logps);
             if nexts.len() > logps.len() {
                 self.note_truncation(nexts.len(), logps.len());
             }
@@ -323,10 +317,11 @@ impl DeepSt {
     /// GRU given `state` (one `[1, hidden]` array per layer) and return the
     /// new state plus the log-probabilities over the adjacent slots.
     ///
-    /// Convenience wrapper over a one-shot [`InferSession`] — it re-derives
-    /// the per-trip projections and allocates a fresh arena on every call.
-    /// Loops that step many times (decoders, evaluators) should open one
-    /// session with [`DeepSt::infer_session`] and use
+    /// Convenience wrapper over a one-shot [`InferSession`] — it re-packs
+    /// the weights, re-derives the trip projections and allocates a fresh
+    /// arena on every call. Loops that step many times (decoders,
+    /// evaluators) should open one session with [`DeepSt::infer_session`],
+    /// register the trip with [`InferSession::add_trip`] and use
     /// [`InferSession::step_into`] with a reused log-prob buffer instead.
     pub fn step_state(
         &self,
@@ -334,10 +329,11 @@ impl DeepSt {
         token: SegmentId,
         ctx: &TripContext,
     ) -> (Vec<Array>, Vec<f64>) {
-        let mut sess = self.infer_session(ctx);
+        let mut sess = self.infer_session(InferPrecision::F32);
+        let trip = sess.add_trip(ctx);
         let mut new_state = state.to_vec();
         let mut lp = Vec::new();
-        sess.step_into(&[token], &mut new_state, &mut lp);
+        sess.step_into(&[token], &[trip], &mut new_state, &mut lp);
         (new_state, lp)
     }
 
@@ -373,57 +369,35 @@ impl DeepSt {
             .collect()
     }
 
-    /// Open a tape-free decoding session for one trip: precomputes the
-    /// constant slot-head projections (`fx·β`, `c·γ`), packs the recurrent
-    /// weights once for the session, and owns the scratch arena every
-    /// subsequent step allocates from. Full-precision
-    /// ([`InferPrecision::F32`]) kernels.
-    pub fn infer_session(&self, ctx: &TripContext) -> InferSession<'_> {
-        self.infer_session_with(ctx, InferPrecision::F32)
-    }
-
-    /// [`DeepSt::infer_session`] with an explicit numeric precision for the
-    /// decode hot loop. Weight packing/quantization happens here, once per
+    /// Open a tape-free decoding session. Weight packing (or, under
+    /// [`InferPrecision::Int8`], quantization) happens here, once per
     /// session — the per-step path never touches `Param::value()` weights.
-    pub fn infer_session_with(
-        &self,
-        ctx: &TripContext,
-        precision: InferPrecision,
-    ) -> InferSession<'_> {
-        assert_eq!(
-            ctx.c.is_some(),
-            self.cfg.use_traffic,
-            "trip context must match cfg.use_traffic"
-        );
+    /// Trips join with [`InferSession::add_trip`] and leave with
+    /// [`InferSession::remove_trip`]; a single-trip decode registers one.
+    pub fn infer_session(&self, precision: InferPrecision) -> InferSession<'_> {
         let _scope = TapeFreeScope::enter();
-        let mut arena = ScratchArena::new();
-        let (fx_beta, c_gamma) = self.trip_projections(&mut arena, ctx);
+        let (head, emb_q) = match precision {
+            InferPrecision::F32 => (
+                HeadKernel::Packed(infer::PackedWeights::pack(&self.alpha.value())),
+                None,
+            ),
+            InferPrecision::Int8 => (
+                HeadKernel::Quantized(infer::QuantizedMatrix::quantize(&self.alpha.value())),
+                Some(self.emb.quantize()),
+            ),
+        };
         InferSession {
             model: self,
-            arena,
-            fx_beta,
-            c_gamma,
-            kernels: StepKernels::new(self, precision),
-        }
-    }
-
-    /// Open a tape-free decoding session shared by *many* trips at once:
-    /// the serving runtime behind cross-request continuous batching. Weight
-    /// packing and the per-token gate memo happen once for the session;
-    /// per-trip slot-head projections are registered with
-    /// [`MultiTripSession::add_trip`] and freed with
-    /// [`MultiTripSession::remove_trip`] as requests join and leave the
-    /// step batch. Full-precision ([`InferPrecision::F32`]) kernels — row
-    /// `i` of a batched multi-trip step is bit-identical to stepping the
-    /// same row alone in that trip's own [`InferSession`].
-    pub fn multi_trip_session(&self) -> MultiTripSession<'_> {
-        let _scope = TapeFreeScope::enter();
-        MultiTripSession {
-            model: self,
             arena: ScratchArena::new(),
-            kernels: StepKernels::new(self, InferPrecision::F32),
+            packed_gru: PackedGru::pack(&self.gru),
+            head,
+            emb_q,
+            precision,
+            gx0_slot: vec![usize::MAX; self.emb.vocab()],
+            gx0_cache: Vec::new(),
             trips: Vec::new(),
             free: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -433,9 +407,9 @@ impl DeepSt {
     /// route-match harness can prove it *fails* a planted regression — it is
     /// not a production knob.
     #[doc(hidden)]
-    pub fn infer_session_int8_coarse(&self, ctx: &TripContext, levels: i32) -> InferSession<'_> {
-        let mut sess = self.infer_session_with(ctx, InferPrecision::Int8);
-        sess.kernels.head = HeadKernel::Quantized(infer::QuantizedMatrix::quantize_with_levels(
+    pub fn infer_session_int8_coarse(&self, levels: i32) -> InferSession<'_> {
+        let mut sess = self.infer_session(InferPrecision::Int8);
+        sess.head = HeadKernel::Quantized(infer::QuantizedMatrix::quantize_with_levels(
             &self.alpha.value(),
             levels,
         ));
@@ -468,42 +442,33 @@ impl DeepSt {
     }
 }
 
-/// A reusable tape-free decoding session for one trip.
+/// The tape-free decoding session: the batched inference runtime behind
+/// [`DeepSt::predict_route`], [`DeepSt::predict_continuation`], the beam
+/// decoder and cross-request continuous batching in `st-serve`.
 ///
-/// This is the batched inference runtime behind [`DeepSt::predict_route`],
-/// [`DeepSt::predict_continuation`] and the beam decoder: the recurrent
-/// state is packed as one `[n, hidden]` matrix per GRU layer, so one
-/// [`InferSession::step_into`] call advances *all* `n` beam candidates with
-/// a single batched GEMM per weight matrix. The per-trip projections `fx·β`
-/// and `c·γ` are computed once at session start; each step only runs the
-/// `h·α` product. All intermediates come from a [`ScratchArena`], so a
-/// steady-state decode loop performs no heap allocation, and every step
-/// runs inside a [`TapeFreeScope`] (debug builds assert that no autodiff
-/// tape is ever created on this path).
+/// The recurrent state is packed as one `[n, hidden]` matrix per GRU layer,
+/// so one [`InferSession::step_into`] call advances *all* `n` rows — beam
+/// candidates of one trip, or of many concurrent trips — with one batched
+/// GEMM per weight matrix. Weights are packed once at session open, and the
+/// bottom layer's per-token gate rows are memoized for the session's life.
+/// Each trip's constant slot-head projections `fx·β` and `c·γ` are computed
+/// once by [`InferSession::add_trip`]; a step runs only the `h·α` product
+/// and adds each row's own trip bias. All intermediates come from a
+/// [`ScratchArena`] and the per-layer state vectors are reused, so a warmed
+/// decode loop performs no heap allocation, and every step runs inside a
+/// [`TapeFreeScope`] (debug builds assert that no autodiff tape is ever
+/// created on this path).
 ///
-/// Row `i` of a batched step is bit-identical to stepping row `i` alone —
-/// the GEMM kernel accumulates each output row independently in the same
-/// order — which is what makes batched beam decoding produce exactly the
-/// same routes as the clone-and-step formulation.
+/// Row `i` of a batched step is bit-identical to stepping row `i` alone
+/// with its own trip registered in a session of its own — the GEMM kernel
+/// accumulates each output row independently in the same order — which is
+/// what makes batched beam decoding produce exactly the same routes as the
+/// clone-and-step formulation, and batched serving the same routes as
+/// serial decoding.
 pub struct InferSession<'m> {
     model: &'m DeepSt,
     arena: ScratchArena,
-    /// `fx·β`, shape `[1, max_neighbors]`.
-    fx_beta: Array,
-    /// `c·γ`, shape `[1, max_neighbors]`; `None` for DeepST-C.
-    c_gamma: Option<Array>,
-    /// The trip-independent packed/quantized step kernels + token memo.
-    kernels: StepKernels,
-}
-
-/// The trip-*independent* half of a decoding session: packed recurrent
-/// weights, the slot-head kernel, the optional int8 embedding table and the
-/// per-token `emb·Wx` gate memo. [`InferSession`] (one trip) and
-/// [`MultiTripSession`] (many trips, continuous batching) both drive their
-/// steps through one `StepKernels`, so the arithmetic of a step — and
-/// therefore its bit pattern — cannot diverge between the two.
-struct StepKernels {
-    /// GRU weights packed once at session start for the fused step kernel.
+    /// GRU weights packed once at session open for the fused step kernel.
     packed_gru: PackedGru,
     /// The slot head `α`, packed (f32) or quantized (int8) per `precision`.
     head: HeadKernel,
@@ -516,75 +481,20 @@ struct StepKernels {
     /// `gx0_cache` (`usize::MAX` = not yet computed); rows are `3·hidden` wide.
     gx0_slot: Vec<usize>,
     gx0_cache: Vec<f32>,
+    /// Slot map of registered trips; `None` slots are free.
+    trips: Vec<Option<TripSlot>>,
+    free: Vec<usize>,
+    /// Emptied per-layer vectors of recycled states, refilled by the next
+    /// gather or zero state so a warmed loop allocates none.
+    spare: Vec<Vec<Array>>,
 }
 
-impl StepKernels {
-    fn new(model: &DeepSt, precision: InferPrecision) -> Self {
-        let packed_gru = PackedGru::pack(&model.gru);
-        let (head, emb_q) = match precision {
-            InferPrecision::F32 => (
-                HeadKernel::Packed(infer::PackedWeights::pack(&model.alpha.value())),
-                None,
-            ),
-            InferPrecision::Int8 => (
-                HeadKernel::Quantized(infer::QuantizedMatrix::quantize(&model.alpha.value())),
-                Some(model.emb.quantize()),
-            ),
-        };
-        Self {
-            packed_gru,
-            head,
-            emb_q,
-            precision,
-            gx0_slot: vec![usize::MAX; model.emb.vocab()],
-            gx0_cache: Vec::new(),
-        }
-    }
-
-    /// One batched recurrent step to *raw* slot logits: per-token gate memo,
-    /// fused GRU update of `state` in place, head projection of the top
-    /// layer. Applies no per-trip bias and no softmax — callers layer those
-    /// on per their trip layout. Returns `None` only for an empty state.
-    fn step_logits(
-        &mut self,
-        model: &DeepSt,
-        arena: &mut ScratchArena,
-        tokens: &[SegmentId],
-        state: &mut [Array],
-    ) -> Option<Array> {
-        let n = tokens.len();
-        // Bottom-layer gate rows `emb(token)·Wx` come from the per-token
-        // memo; a miss computes the row batch-of-one (bit-identical to any
-        // batched row — the GEMM accumulates rows independently) and caches
-        // it for the rest of the session.
-        let g = 3 * self.packed_gru.hidden();
-        let mut gx0 = arena.alloc_uninit(&[n, g]);
-        for (i, &tok) in tokens.iter().enumerate() {
-            let mut slot = self.gx0_slot[tok];
-            if slot == usize::MAX {
-                let x1 = match &self.emb_q {
-                    Some(table) => infer::gather_rows_quantized(arena, table, &[tok]),
-                    None => model.emb.infer(arena, &[tok]),
-                };
-                let g1 = self.packed_gru.gate_x0(arena, &x1);
-                slot = self.gx0_cache.len() / g;
-                self.gx0_cache.extend_from_slice(g1.data());
-                self.gx0_slot[tok] = slot;
-                arena.recycle(g1);
-                arena.recycle(x1);
-            }
-            let row = &self.gx0_cache[slot * g..(slot + 1) * g];
-            gx0.data_mut()[i * g..(i + 1) * g].copy_from_slice(row);
-        }
-        self.packed_gru
-            .infer_step_fused_pregx(arena, &mut gx0, state);
-        arena.recycle(gx0);
-        let h = state.last()?;
-        Some(match &self.head {
-            HeadKernel::Packed(alpha) => infer::matmul_packed(arena, h, alpha),
-            HeadKernel::Quantized(alpha) => infer::matmul_quantized(arena, h, alpha),
-        })
-    }
+/// Per-trip slot-head projections registered with an [`InferSession`].
+struct TripSlot {
+    /// `fx·β`, shape `[1, max_neighbors]`.
+    fx_beta: Array,
+    /// `c·γ`, shape `[1, max_neighbors]`; `None` for DeepST-C.
+    c_gamma: Option<Array>,
 }
 
 /// Numeric precision of an [`InferSession`]'s decode hot loop.
@@ -618,156 +528,14 @@ impl<'m> InferSession<'m> {
         self.model
     }
 
-    /// Packed zero state for `n` rows: one zeroed `[n, hidden]` per layer.
-    pub fn zero_state(&mut self, n: usize) -> Vec<Array> {
-        self.model.gru.infer_zero_state(&mut self.arena, n)
-    }
-
-    /// Advance all rows one step: feed `tokens[i]` into state row `i`,
-    /// update `state` in place and refill `logp` with the
-    /// `tokens.len() × max_neighbors` row-major slot log-probabilities.
-    ///
-    /// `logp` is a caller-provided buffer precisely so per-step decode loops
-    /// allocate nothing: it is cleared and refilled, never reallocated once
-    /// its capacity has grown to one step's size.
-    pub fn step_into(&mut self, tokens: &[SegmentId], state: &mut [Array], logp: &mut Vec<f64>) {
-        let _scope = TapeFreeScope::enter();
-        let n = tokens.len();
-        assert!(n > 0, "step_into needs at least one token");
-        assert!(
-            !state.is_empty() && state[0].shape()[0] == n,
-            "state rows must match tokens"
-        );
-        let Some(mut logits) = self
-            .kernels
-            .step_logits(self.model, &mut self.arena, tokens, state)
-        else {
-            return;
-        };
-        // Same per-element association as the taped head:
-        // (h·α + fx·β) then (+ c·γ).
-        infer::add_bias_rows(&mut logits, self.fx_beta.data());
-        if let Some(cg) = &self.c_gamma {
-            infer::add_bias_rows(&mut logits, cg.data());
-        }
-        infer::log_softmax_rows_mut(&mut logits);
-        logp.clear();
-        logp.extend(logits.data().iter().map(|&v| f64::from(v)));
-        self.arena.recycle(logits);
-    }
-
-    /// The pre-packing batched step: identical semantics to
-    /// [`InferSession::step_into`] at [`InferPrecision::F32`] (bit-identical
-    /// output, asserted in tests), but re-packs every weight matrix on every
-    /// call. Kept as the decode-bench baseline so the fused-kernel speedup is
-    /// measured against a live implementation, not a recorded number.
-    pub fn step_into_generic(
-        &mut self,
-        tokens: &[SegmentId],
-        state: &mut [Array],
-        logp: &mut Vec<f64>,
-    ) {
-        let _scope = TapeFreeScope::enter();
-        let n = tokens.len();
-        assert!(n > 0, "step_into needs at least one token");
-        assert!(
-            !state.is_empty() && state[0].shape()[0] == n,
-            "state rows must match tokens"
-        );
-        let x = self.model.emb.infer(&mut self.arena, tokens);
-        self.model.gru.infer_step(&mut self.arena, &x, state);
-        self.arena.recycle(x);
-        let Some(h) = state.last() else { return };
-        // st-lint: allow unpacked-gemm-in-infer — this *is* the unpacked
-        // baseline the packed path is benchmarked against.
-        let mut logits = infer::matmul(&mut self.arena, h, &self.model.alpha.value());
-        for r in 0..n {
-            for (o, &b) in logits.row_mut(r).iter_mut().zip(self.fx_beta.data()) {
-                *o += b;
-            }
-            if let Some(cg) = &self.c_gamma {
-                for (o, &g) in logits.row_mut(r).iter_mut().zip(cg.data()) {
-                    *o += g;
-                }
-            }
-        }
-        infer::log_softmax_rows_mut(&mut logits);
-        logp.clear();
-        logp.extend(logits.data().iter().map(|&v| f64::from(v)));
-        self.arena.recycle(logits);
-    }
-
     /// The numeric precision this session decodes at.
     pub fn precision(&self) -> InferPrecision {
-        self.kernels.precision
-    }
-
-    /// New packed state whose row `i` is `state`'s row `rows[i]` — the beam
-    /// decoder's survivor selection. Rows may repeat (one parent expanding
-    /// into several survivors) or be dropped.
-    pub fn gather_state(&mut self, state: &[Array], rows: &[usize]) -> Vec<Array> {
-        state
-            .iter()
-            .map(|layer| {
-                let cols = layer.shape()[1];
-                // Every row is overwritten below, so skip the zero fill.
-                let mut out = self.arena.alloc_uninit(&[rows.len(), cols]);
-                for (r, &src) in rows.iter().enumerate() {
-                    out.row_mut(r).copy_from_slice(layer.row(src));
-                }
-                out
-            })
-            .collect()
-    }
-
-    /// Return a packed state's buffers to the session's arena pool.
-    pub fn recycle_state(&mut self, state: Vec<Array>) {
-        for a in state {
-            self.arena.recycle(a);
-        }
-    }
-}
-
-/// Per-trip slot-head projections registered with a [`MultiTripSession`].
-struct TripSlot {
-    /// `fx·β`, shape `[1, max_neighbors]`.
-    fx_beta: Array,
-    /// `c·γ`, shape `[1, max_neighbors]`; `None` for DeepST-C.
-    c_gamma: Option<Array>,
-}
-
-/// A tape-free decoding session shared by many concurrent trips — the
-/// substrate for cross-request continuous batching in `st-serve`.
-///
-/// Where [`InferSession`] fixes one trip's context at construction, a
-/// `MultiTripSession` keeps a slot map of per-trip projections (`fx·β`,
-/// `c·γ`) and takes a per-row trip assignment on every step, so rows
-/// belonging to *different* requests advance through one packed GEMM per
-/// weight matrix. The GRU recurrence and head projection are trip-independent
-/// (shared [`StepKernels`], including the per-token gate memo, which
-/// therefore warms across requests); only the final slot-head bias is
-/// per-trip, applied per row with exactly the elementwise order of
-/// [`InferSession::step_into`]. Row `i` of a multi-trip step is bit-identical
-/// to stepping row `i` alone in its own trip's session — the invariant the
-/// `batching_parity` tests in `st-serve` pin end to end.
-pub struct MultiTripSession<'m> {
-    model: &'m DeepSt,
-    arena: ScratchArena,
-    kernels: StepKernels,
-    /// Slot map of registered trips; `None` slots are free.
-    trips: Vec<Option<TripSlot>>,
-    free: Vec<usize>,
-}
-
-impl<'m> MultiTripSession<'m> {
-    /// The model this session decodes with.
-    pub fn model(&self) -> &'m DeepSt {
-        self.model
+        self.precision
     }
 
     /// Register one trip's context; returns the trip id used in
-    /// [`MultiTripSession::step_into`] row assignments. Slots of removed
-    /// trips are reused.
+    /// [`InferSession::step_into`] row assignments. Slots of removed trips
+    /// are reused.
     pub fn add_trip(&mut self, ctx: &TripContext) -> usize {
         assert_eq!(
             ctx.c.is_some(),
@@ -776,22 +544,22 @@ impl<'m> MultiTripSession<'m> {
         );
         let _scope = TapeFreeScope::enter();
         let (fx_beta, c_gamma) = self.model.trip_projections(&mut self.arena, ctx);
-        let slot = TripSlot { fx_beta, c_gamma };
+        let slot = Some(TripSlot { fx_beta, c_gamma });
         match self.free.pop() {
             Some(i) => {
-                self.trips[i] = Some(slot);
+                self.trips[i] = slot;
                 i
             }
             None => {
-                self.trips.push(Some(slot));
+                self.trips.push(slot);
                 self.trips.len() - 1
             }
         }
     }
 
-    /// Unregister a trip (its request finished); the slot is recycled.
-    /// The id must come from [`MultiTripSession::add_trip`] and not have
-    /// been removed already.
+    /// Unregister a trip (its decode finished); the slot is recycled. The
+    /// id must come from [`InferSession::add_trip`] and not have been
+    /// removed already.
     pub fn remove_trip(&mut self, trip: usize) {
         let slot = self.trips[trip].take();
         assert!(slot.is_some(), "trip {trip} is not registered");
@@ -811,7 +579,10 @@ impl<'m> MultiTripSession<'m> {
 
     /// Packed zero state for `n` rows: one zeroed `[n, hidden]` per layer.
     pub fn zero_state(&mut self, n: usize) -> Vec<Array> {
-        self.model.gru.infer_zero_state(&mut self.arena, n)
+        let mut out = self.spare.pop().unwrap_or_default();
+        let hidden = self.packed_gru.hidden();
+        out.extend((0..self.packed_gru.layers()).map(|_| self.arena.alloc(&[n, hidden])));
+        out
     }
 
     /// Advance all rows one step: feed `tokens[i]` into state row `i`,
@@ -819,6 +590,10 @@ impl<'m> MultiTripSession<'m> {
     /// and refill `logp` with the `tokens.len() × max_neighbors` row-major
     /// slot log-probabilities. Rows of different trips may interleave
     /// freely; each row's bias comes from its own trip's projections.
+    ///
+    /// `logp` is a caller-provided buffer precisely so per-step decode loops
+    /// allocate nothing: it is cleared and refilled, never reallocated once
+    /// its capacity has grown to one step's size.
     pub fn step_into(
         &mut self,
         tokens: &[SegmentId],
@@ -834,16 +609,40 @@ impl<'m> MultiTripSession<'m> {
             !state.is_empty() && state[0].shape()[0] == n,
             "state rows must match tokens"
         );
-        let Some(mut logits) = self
-            .kernels
-            .step_logits(self.model, &mut self.arena, tokens, state)
-        else {
-            return;
+        let arena = &mut self.arena;
+        // Bottom-layer gate rows `emb(token)·Wx` come from the per-token
+        // memo; a miss computes the row batch-of-one (bit-identical to any
+        // batched row — the GEMM accumulates rows independently) and caches
+        // it for the rest of the session.
+        let g = 3 * self.packed_gru.hidden();
+        let mut gx0 = arena.alloc_uninit(&[n, g]);
+        for (i, &tok) in tokens.iter().enumerate() {
+            let mut slot = self.gx0_slot[tok];
+            if slot == usize::MAX {
+                let x1 = match &self.emb_q {
+                    Some(table) => infer::gather_rows_quantized(arena, table, &[tok]),
+                    None => self.model.emb.infer(arena, &[tok]),
+                };
+                let g1 = self.packed_gru.gate_x0(arena, &x1);
+                slot = self.gx0_cache.len() / g;
+                self.gx0_cache.extend_from_slice(g1.data());
+                self.gx0_slot[tok] = slot;
+                arena.recycle(g1);
+                arena.recycle(x1);
+            }
+            let row = &self.gx0_cache[slot * g..(slot + 1) * g];
+            gx0.data_mut()[i * g..(i + 1) * g].copy_from_slice(row);
+        }
+        self.packed_gru
+            .infer_step_fused_pregx(arena, &mut gx0, state);
+        arena.recycle(gx0);
+        let Some(h) = state.last() else { return };
+        let mut logits = match &self.head {
+            HeadKernel::Packed(alpha) => infer::matmul_packed(arena, h, alpha),
+            HeadKernel::Quantized(alpha) => infer::matmul_quantized(arena, h, alpha),
         };
-        // Per-row biases in the same per-element association as the
-        // single-trip path: (h·α + fx·β) then (+ c·γ). A plain elementwise
-        // `+=` over one row is exactly what `infer::add_bias_rows` performs
-        // on that row, so the bits match `InferSession::step_into`.
+        // Per-row trip biases in the taped head's per-element association:
+        // (h·α + fx·β) then (+ c·γ).
         for (r, &trip) in trips.iter().enumerate() {
             let slot = self.trips[trip].as_ref();
             assert!(
@@ -863,7 +662,20 @@ impl<'m> MultiTripSession<'m> {
         infer::log_softmax_rows_mut(&mut logits);
         logp.clear();
         logp.extend(logits.data().iter().map(|&v| f64::from(v)));
-        self.arena.recycle(logits);
+        arena.recycle(logits);
+    }
+
+    /// New packed state whose row `i` is `state`'s row `rows[i]` — the beam
+    /// decoder's survivor selection. Rows may repeat (one parent expanding
+    /// into several survivors) or be dropped.
+    pub fn gather_state(&mut self, state: &[Array], rows: &[usize]) -> Vec<Array> {
+        let mut out = self.spare.pop().unwrap_or_default();
+        out.extend(
+            state
+                .iter()
+                .map(|layer| infer::gather_rows(&mut self.arena, layer, rows)),
+        );
+        out
     }
 
     /// New packed state whose row `i` is `state`'s row `rows[i]` when
@@ -880,28 +692,28 @@ impl<'m> MultiTripSession<'m> {
             );
             return self.zero_state(rows.len());
         }
-        state
-            .iter()
-            .map(|layer| {
-                let cols = layer.shape()[1];
-                // Every row is overwritten below, so skip the zero fill.
-                let mut out = self.arena.alloc_uninit(&[rows.len(), cols]);
-                for (r, &src) in rows.iter().enumerate() {
-                    match src {
-                        Some(src) => out.row_mut(r).copy_from_slice(layer.row(src)),
-                        None => out.row_mut(r).fill(0.0),
-                    }
+        let mut out = self.spare.pop().unwrap_or_default();
+        for layer in state {
+            // Every row is overwritten below, so skip the zero fill.
+            let mut g = self.arena.alloc_uninit(&[rows.len(), layer.shape()[1]]);
+            for (r, &src) in rows.iter().enumerate() {
+                match src {
+                    Some(src) => g.row_mut(r).copy_from_slice(layer.row(src)),
+                    None => g.row_mut(r).fill(0.0),
                 }
-                out
-            })
-            .collect()
+            }
+            out.push(g);
+        }
+        out
     }
 
-    /// Return a packed state's buffers to the session's arena pool.
-    pub fn recycle_state(&mut self, state: Vec<Array>) {
-        for a in state {
+    /// Return a packed state's arrays to the session's arena and keep its
+    /// emptied vector for the next gather.
+    pub fn recycle_state(&mut self, mut state: Vec<Array>) {
+        for a in state.drain(..) {
             self.arena.recycle(a);
         }
+        self.spare.push(state);
     }
 }
 
@@ -1052,30 +864,41 @@ mod tests {
         }
     }
 
-    /// The fused packed step (the default `step_into`) and the retained
-    /// generic step must agree bit-for-bit at f32 precision: log-probs (f64)
-    /// and every state element (f32), over a multi-step batched rollout.
+    /// Each row of a batched fused step (the `step_into` kernels: packed
+    /// GRU, gate memo, packed head) must match the taped step of that row
+    /// alone bit-for-bit: log-probs (f64) and every state element (f32),
+    /// over a multi-step 3-row rollout.
     #[test]
-    fn fused_step_matches_generic_step_bitwise() {
+    fn fused_step_matches_taped_step_bitwise() {
         let (net, model) = setup();
         let c = model.encode_traffic(&vec![0.25; 64]);
         let ctx = model.encode_context([0.3, 0.8], Some(c));
-        let mut fused = model.infer_session(&ctx);
-        let mut generic = model.infer_session(&ctx);
+        let mut fused = model.infer_session(InferPrecision::F32);
+        let trip = fused.add_trip(&ctx);
         let mut state_f = fused.zero_state(3);
-        let mut state_g = generic.zero_state(3);
+        let mut taped: Vec<Vec<Array>> = (0..3).map(|_| model.initial_state()).collect();
         let mut tokens: Vec<usize> = vec![0, 3, 7];
-        let (mut lp_f, mut lp_g) = (Vec::new(), Vec::new());
+        let mut lp_f = Vec::new();
+        let a = model.cfg.max_neighbors;
         for step in 0..6 {
-            fused.step_into(&tokens, &mut state_f, &mut lp_f);
-            generic.step_into_generic(&tokens, &mut state_g, &mut lp_g);
-            let fb: Vec<u64> = lp_f.iter().map(|v| v.to_bits()).collect();
-            let gb: Vec<u64> = lp_g.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(fb, gb, "log-prob mismatch at step {step}");
-            for (layer, (a, b)) in state_f.iter().zip(&state_g).enumerate() {
-                let ab: Vec<u32> = a.data().iter().map(|v| v.to_bits()).collect();
-                let bb: Vec<u32> = b.data().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(ab, bb, "state mismatch at step {step} layer {layer}");
+            fused.step_into(&tokens, &[trip; 3], &mut state_f, &mut lp_f);
+            for (r, row_state) in taped.iter_mut().enumerate() {
+                let (nt, lt) = model.step_state_taped(row_state, tokens[r], &ctx);
+                let fb: Vec<u64> = lp_f[r * a..(r + 1) * a]
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                let tb: Vec<u64> = lt.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(fb, tb, "row {r} log-prob mismatch at step {step}");
+                for (layer, (f, t)) in state_f.iter().zip(&nt).enumerate() {
+                    let fb: Vec<u32> = f.row(r).iter().map(|v| v.to_bits()).collect();
+                    let tb: Vec<u32> = t.data().iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(
+                        fb, tb,
+                        "row {r} state mismatch at step {step} layer {layer}"
+                    );
+                }
+                *row_state = nt;
             }
             tokens = tokens.iter().map(|&t| net.next_segments(t)[0]).collect();
         }
@@ -1089,11 +912,12 @@ mod tests {
         let (net, model) = setup();
         let c = model.encode_traffic(&vec![0.15; 64]);
         let ctx = model.encode_context([0.7, 0.4], Some(c));
-        let mut f32s = model.infer_session(&ctx);
-        let mut q = model.infer_session_with(&ctx, InferPrecision::Int8);
-        let mut q2 = model.infer_session_with(&ctx, InferPrecision::Int8);
+        let mut f32s = model.infer_session(InferPrecision::F32);
+        let mut q = model.infer_session(InferPrecision::Int8);
+        let mut q2 = model.infer_session(InferPrecision::Int8);
         assert_eq!(q.precision(), InferPrecision::Int8);
         assert_eq!(f32s.precision(), InferPrecision::F32);
+        let (tf, tq, tq2) = (f32s.add_trip(&ctx), q.add_trip(&ctx), q2.add_trip(&ctx));
         let a = model.cfg.max_neighbors;
         let mut sf = f32s.zero_state(2);
         let mut sq = q.zero_state(2);
@@ -1101,9 +925,9 @@ mod tests {
         let mut tokens: Vec<usize> = vec![1, 5];
         let (mut lf, mut lq, mut lq2) = (Vec::new(), Vec::new(), Vec::new());
         for step in 0..6 {
-            f32s.step_into(&tokens, &mut sf, &mut lf);
-            q.step_into(&tokens, &mut sq, &mut lq);
-            q2.step_into(&tokens, &mut sq2, &mut lq2);
+            f32s.step_into(&tokens, &[tf; 2], &mut sf, &mut lf);
+            q.step_into(&tokens, &[tq; 2], &mut sq, &mut lq);
+            q2.step_into(&tokens, &[tq2; 2], &mut sq2, &mut lq2);
             assert_eq!(lq, lq2, "int8 decode must be deterministic");
             for (row, chunk) in lq.chunks(a).enumerate() {
                 let sum: f64 = chunk.iter().map(|&v| v.exp()).sum();
@@ -1138,25 +962,27 @@ mod tests {
         let tokens1: Vec<usize> = tokens0.iter().map(|&t| net.next_segments(t)[0]).collect();
         let n = tokens0.len();
 
-        let mut sess = model.infer_session(&ctx);
+        let mut sess = model.infer_session(InferPrecision::F32);
+        let trip = sess.add_trip(&ctx);
+        let trips = vec![trip; n];
         let mut batched = sess.zero_state(n);
         let mut lp_b = Vec::new();
-        sess.step_into(&tokens0, &mut batched, &mut lp_b);
+        sess.step_into(&tokens0, &trips, &mut batched, &mut lp_b);
         let mut lp_b2 = Vec::new();
-        sess.step_into(&tokens1, &mut batched, &mut lp_b2);
+        sess.step_into(&tokens1, &trips, &mut batched, &mut lp_b2);
 
         let a = model.cfg.max_neighbors;
         for r in 0..n {
             let mut single = sess.zero_state(1);
             let mut lp_s = Vec::new();
-            sess.step_into(&tokens0[r..=r], &mut single, &mut lp_s);
+            sess.step_into(&tokens0[r..=r], &[trip], &mut single, &mut lp_s);
             let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
             assert_eq!(
                 bits(&lp_b[r * a..(r + 1) * a]),
                 bits(&lp_s),
                 "row {r} step 0"
             );
-            sess.step_into(&tokens1[r..=r], &mut single, &mut lp_s);
+            sess.step_into(&tokens1[r..=r], &[trip], &mut single, &mut lp_s);
             assert_eq!(
                 bits(&lp_b2[r * a..(r + 1) * a]),
                 bits(&lp_s),
@@ -1172,8 +998,8 @@ mod tests {
     }
 
     /// Interleaved rows of a multi-trip batched step must be bit-identical
-    /// to stepping each row alone in its own trip's [`InferSession`] — the
-    /// invariant cross-request continuous batching stands on. Uses two
+    /// to stepping each row alone in a session holding only its own trip —
+    /// the invariant cross-request continuous batching stands on. Uses two
     /// different trip contexts and chains steps so state differences would
     /// compound and surface.
     #[test]
@@ -1184,7 +1010,7 @@ mod tests {
         let ctx_a = model.encode_context([0.2, 0.8], Some(ca));
         let ctx_b = model.encode_context([0.9, 0.3], Some(cb));
 
-        let mut multi = model.multi_trip_session();
+        let mut multi = model.infer_session(InferPrecision::F32);
         let ta = multi.add_trip(&ctx_a);
         let tb = multi.add_trip(&ctx_b);
         assert_eq!(multi.active_trips(), 2);
@@ -1194,8 +1020,9 @@ mod tests {
         let mut state = multi.zero_state(4);
         let mut lp = Vec::new();
 
-        let mut sess_a = model.infer_session(&ctx_a);
-        let mut sess_b = model.infer_session(&ctx_b);
+        let mut sess_a = model.infer_session(InferPrecision::F32);
+        let mut sess_b = model.infer_session(InferPrecision::F32);
+        let (sa, sb) = (sess_a.add_trip(&ctx_a), sess_b.add_trip(&ctx_b));
         let mut singles: Vec<(usize, Vec<Array>)> = (0..4)
             .map(|r| {
                 if trips[r] == ta {
@@ -1211,12 +1038,12 @@ mod tests {
         for step in 0..5 {
             multi.step_into(&tokens, &trips, &mut state, &mut lp);
             for (r, single) in singles.iter_mut() {
-                let sess = if trips[*r] == ta {
-                    &mut sess_a
+                let (sess, own) = if trips[*r] == ta {
+                    (&mut sess_a, sa)
                 } else {
-                    &mut sess_b
+                    (&mut sess_b, sb)
                 };
-                sess.step_into(&tokens[*r..=*r], single, &mut lp_s);
+                sess.step_into(&tokens[*r..=*r], &[own], single, &mut lp_s);
                 let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
                 assert_eq!(
                     bits(&lp[*r * a..(*r + 1) * a]),
@@ -1241,7 +1068,7 @@ mod tests {
         let (_, model) = setup();
         let c = model.encode_traffic(&vec![0.2; 64]);
         let ctx = model.encode_context([0.5, 0.5], Some(c));
-        let mut multi = model.multi_trip_session();
+        let mut multi = model.infer_session(InferPrecision::F32);
         let t0 = multi.add_trip(&ctx);
         let t1 = multi.add_trip(&ctx);
         multi.remove_trip(t0);
@@ -1270,7 +1097,7 @@ mod tests {
         let (_, model) = setup();
         let c = model.encode_traffic(&vec![0.2; 64]);
         let ctx = model.encode_context([0.5, 0.5], Some(c));
-        let mut multi = model.multi_trip_session();
+        let mut multi = model.infer_session(InferPrecision::F32);
         let t = multi.add_trip(&ctx);
         multi.remove_trip(t);
         multi.remove_trip(t);
@@ -1282,10 +1109,11 @@ mod tests {
         let (_, model) = setup();
         let c = model.encode_traffic(&vec![0.2; 64]);
         let ctx = model.encode_context([0.5, 0.5], Some(c));
-        let mut sess = model.infer_session(&ctx);
+        let mut sess = model.infer_session(InferPrecision::F32);
+        let trip = sess.add_trip(&ctx);
         let mut state = sess.zero_state(3);
         let mut lp = Vec::new();
-        sess.step_into(&[0, 1, 2], &mut state, &mut lp);
+        sess.step_into(&[0, 1, 2], &[trip; 3], &mut state, &mut lp);
         let picked = sess.gather_state(&state, &[2, 0, 2, 1]);
         for (layer, src) in picked.iter().zip(&state) {
             assert_eq!(layer.shape(), &[4, model.cfg.hidden]);

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use st_baselines::{DeepStPredictor, Mmi, PredictQuery, Predictor, RnnBaseline, RnnConfig, Wsp};
-use st_core::{DeepSt, DeepStConfig, Example, TrainConfig, TrainError, Trainer};
+use st_core::{DeepSt, DeepStConfig, Example, InferPrecision, TrainConfig, TrainError, Trainer};
 use st_roadnet::Route;
 use st_sim::Dataset;
 
@@ -390,18 +390,19 @@ pub fn teacher_forced_accuracy(
     let mut ok = 0usize;
     let mut total = 0usize;
     let mut logps: Vec<f64> = Vec::new();
+    // One tape-free session for every example: each registers its trip for
+    // the length of its rollout, and the log-prob buffer is reused.
+    let mut sess = model.infer_session(InferPrecision::F32);
     for e in examples.iter().take(max_examples) {
         let c = model
             .cfg
             .use_traffic
             .then(|| model.encode_traffic(&e.traffic));
         let ctx = model.encode_context(e.dest, c);
-        // One tape-free session per example; the state and log-prob buffers
-        // are reused across all of its steps.
-        let mut sess = model.infer_session(&ctx);
+        let trip = sess.add_trip(&ctx);
         let mut state = sess.zero_state(1);
         for (i, &slot) in e.slots.iter().enumerate() {
-            sess.step_into(&[e.route[i]], &mut state, &mut logps);
+            sess.step_into(&[e.route[i]], &[trip], &mut state, &mut logps);
             let n_valid = ds.net.next_segments(e.route[i]).len().min(logps.len());
             if n_valid < 2 {
                 continue; // forced moves carry no signal
@@ -419,6 +420,8 @@ pub fn teacher_forced_accuracy(
                 ok += 1;
             }
         }
+        sess.recycle_state(state);
+        sess.remove_trip(trip);
     }
     ok as f64 / total.max(1) as f64
 }

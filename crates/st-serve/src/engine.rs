@@ -3,7 +3,7 @@
 //!
 //! Each worker owns one [`Engine`]. The engine keeps a set of active jobs,
 //! each a resumable [`BeamSearch`] bound to a trip slot of one shared
-//! [`MultiTripSession`]. Every scheduler tick it:
+//! [`InferSession`]. Every scheduler tick it:
 //!
 //! 1. fails jobs whose deadline has passed (cooperative cancellation — the
 //!    check sits between model steps, so expiry fires within one step);
@@ -11,7 +11,7 @@
 //!    prefixes contribute one row, live beam prefixes contribute their
 //!    steppable rows — into **one** token batch;
 //! 3. gathers all jobs' recurrent-state rows into one packed state (fresh
-//!    rows zero-filled) and runs **one** `MultiTripSession::step_into`:
+//!    rows zero-filled) and runs **one** `InferSession::step_into`:
 //!    one GEMM per tick across every request, LLM-serving style;
 //! 4. hands each job its slice of the log-probs; finished jobs respond and
 //!    release their trip slot, freeing the row budget for waiting requests
@@ -33,7 +33,7 @@ use st_baselines::BeamSearch;
 use st_core::faultinject::ServeFaultInjector;
 use st_core::livetraffic::{TrafficCache, VersionedTraffic};
 use st_core::model::DeepSt;
-use st_core::predict::MultiTripSession;
+use st_core::predict::{InferPrecision, InferSession};
 use st_roadnet::{RoadNetwork, SegmentId};
 use st_tensor::Array;
 
@@ -62,14 +62,14 @@ pub(crate) struct QueuedJob {
 }
 
 /// One active decode: a resumable beam search plus its binding into the
-/// shared multi-trip session.
+/// engine's shared session.
 struct Active {
     req: RouteRequest,
     responder: Responder,
     enqueued: Instant,
     deadline_at: Instant,
     attempts: u32,
-    /// Trip slot in the engine's `MultiTripSession`.
+    /// Trip slot in the engine's `InferSession`.
     trip: usize,
     /// Live-traffic version the job's context was encoded at (0 = frozen
     /// request tensor, no feed revision). Bound at admission: in-flight
@@ -109,7 +109,7 @@ pub(crate) enum TickFault {
 pub(crate) struct Engine<'m> {
     model: &'m DeepSt,
     net: &'m RoadNetwork,
-    sess: MultiTripSession<'m>,
+    sess: InferSession<'m>,
     /// Packed recurrent state, one row per planned batch row.
     state: Vec<Array>,
     logp: Vec<f64>,
@@ -135,7 +135,7 @@ impl<'m> Engine<'m> {
         Self {
             model,
             net,
-            sess: model.multi_trip_session(),
+            sess: model.infer_session(InferPrecision::F32),
             state: Vec::new(),
             logp: Vec::new(),
             active: Vec::new(),

@@ -8,8 +8,8 @@
 //!
 //! - **Continuous batching** ([`engine`]): a scheduler coalesces the
 //!   in-flight beam-search steps of many concurrent requests into single
-//!   packed GEMMs on the shared `MultiTripSession` runtime, LLM-serving
-//!   style. Requests join and leave the batch between ticks; completed
+//!   packed GEMMs on one shared `InferSession` per worker (one trip slot
+//!   per request), LLM-serving style. Requests join and leave the batch between ticks; completed
 //!   routes are bit-identical to serial one-at-a-time decoding (pinned by
 //!   the parity tests).
 //! - **Deadlines** with cooperative cancellation between model steps.

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use st_baselines::{beam_decode_from, DeepStDecoder};
+use st_baselines::{beam_decode_closed, DeepStDecoder};
 use st_core::config::DeepStConfig;
 use st_core::model::DeepSt;
 use st_core::CancelToken;
@@ -76,13 +76,14 @@ pub fn serial_oracle(
     let c = req.traffic.as_ref().map(|t| model.encode_traffic(t));
     let ctx = model.encode_context(req.dest_norm, c);
     let mut dec = DeepStDecoder::new(model, &ctx);
-    match beam_decode_from(
+    match beam_decode_closed(
         net,
         &mut dec,
         &req.prefix,
         &req.dest_coord,
         beam_width,
         model.cfg.max_route_len,
+        &[],
         &CancelToken::new(),
     ) {
         Ok(route) => route,

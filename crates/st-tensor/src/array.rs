@@ -150,6 +150,24 @@ impl Array {
         self.data
     }
 
+    /// Capacity of the data buffer, in elements.
+    pub(crate) fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
+    /// Re-dimension in place, reusing both the shape and the data buffer:
+    /// the data is resized to `shape`'s element count, zero-filled when
+    /// `zero`, otherwise keeping whatever valid values it held (growth
+    /// zero-fills).
+    pub(crate) fn recast(&mut self, shape: &[usize], zero: bool) {
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+        if zero {
+            self.data.clear();
+        }
+        self.data.resize(shape.iter().product(), 0.0);
+    }
+
     /// The number of rows when viewed as a matrix (first dimension).
     #[inline]
     pub fn rows(&self) -> usize {

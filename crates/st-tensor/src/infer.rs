@@ -12,11 +12,12 @@
 //!
 //! # Scratch arena
 //!
-//! Output arrays are drawn from a [`ScratchArena`]: a free-list of `f32`
-//! buffers owned by the caller. A decoder allocates from the arena inside
+//! Output arrays are drawn from a [`ScratchArena`]: a free-list of whole
+//! [`Array`]s owned by the caller. A decoder allocates from the arena inside
 //! its step, recycles dead intermediates back into it, and after the first
-//! step every `alloc` is a pop from the free-list. The arena is plain data
-//! (`Send`), so one can be kept per serving thread.
+//! step every `alloc` is a pop from the free-list that reuses both the data
+//! and the shape buffer. The arena is plain data (`Send`), so one can be
+//! kept per serving thread.
 //!
 //! # Zero-tape contract
 //!
@@ -33,16 +34,17 @@
 use crate::array::Array;
 use crate::tape::Tape;
 
-/// A free-list of `f32` buffers backing inference outputs.
+/// A free-list of arrays backing inference outputs.
 ///
-/// [`ScratchArena::alloc`] pops a buffer with sufficient capacity (or
-/// allocates one the first time a size is seen) and returns it as a zeroed
-/// [`Array`]; [`ScratchArena::recycle`] returns a dead array's buffer to
-/// the list. Once a decoding loop has warmed up, its per-step allocation
-/// count is zero.
+/// [`ScratchArena::alloc`] pops a pooled array with sufficient capacity (or
+/// allocates one the first time a size is seen) and returns it re-shaped
+/// and zeroed; [`ScratchArena::recycle`] returns a dead array to the list.
+/// Pooling whole arrays reuses their shape `Vec` as well as their data, so
+/// once a decoding loop has warmed up, its per-step allocation count is
+/// zero.
 #[derive(Default)]
 pub struct ScratchArena {
-    pool: Vec<Vec<f32>>,
+    pool: Vec<Array>,
 }
 
 impl ScratchArena {
@@ -51,24 +53,10 @@ impl ScratchArena {
         Self::default()
     }
 
-    /// A zeroed array of `shape`, backed by a recycled buffer when one with
+    /// A zeroed array of `shape`, backed by a recycled array when one with
     /// enough capacity is pooled.
     pub fn alloc(&mut self, shape: &[usize]) -> Array {
-        let len: usize = shape.iter().product();
-        // Most recently recycled buffers are checked first: a decode step
-        // recycles and re-allocs the same handful of shapes, so the match
-        // is usually at the tail.
-        let hit = match self.pool.last() {
-            Some(b) if b.capacity() >= len => Some(self.pool.len() - 1),
-            _ => self.pool.iter().rposition(|b| b.capacity() >= len),
-        };
-        let mut buf = match hit {
-            Some(i) => self.pool.swap_remove(i),
-            None => Vec::with_capacity(len),
-        };
-        buf.clear();
-        buf.resize(len, 0.0);
-        Array::from_buffer(shape, buf)
+        self.take(shape, true)
     }
 
     /// Like [`ScratchArena::alloc`] but without zeroing: a recycled buffer
@@ -77,32 +65,34 @@ impl ScratchArena {
     /// gather targets, …) — the zero-fill is pure overhead there, and on
     /// the decode hot path it is measurable.
     pub fn alloc_uninit(&mut self, shape: &[usize]) -> Array {
+        self.take(shape, false)
+    }
+
+    fn take(&mut self, shape: &[usize], zero: bool) -> Array {
         let len: usize = shape.iter().product();
+        // Most recently recycled arrays are checked first: a decode step
+        // recycles and re-allocs the same handful of shapes, so the match
+        // is usually at the tail.
         let hit = match self.pool.last() {
-            Some(b) if b.capacity() >= len => Some(self.pool.len() - 1),
-            _ => self.pool.iter().rposition(|b| b.capacity() >= len),
+            Some(a) if a.capacity() >= len => Some(self.pool.len() - 1),
+            _ => self.pool.iter().rposition(|a| a.capacity() >= len),
         };
-        let mut buf = match hit {
-            Some(i) => self.pool.swap_remove(i),
-            None => Vec::with_capacity(len),
-        };
-        // Contents stay whatever the recycled buffer held (valid f32s —
-        // never uninitialized memory); only growth past the previous length
-        // zero-fills.
-        if buf.len() > len {
-            buf.truncate(len);
-        } else {
-            buf.resize(len, 0.0);
+        match hit {
+            Some(i) => {
+                let mut a = self.pool.swap_remove(i);
+                a.recast(shape, zero);
+                a
+            }
+            None => Array::zeros(shape),
         }
-        Array::from_buffer(shape, buf)
     }
 
-    /// Return `a`'s backing buffer to the free-list.
+    /// Return `a` to the free-list.
     pub fn recycle(&mut self, a: Array) {
-        self.pool.push(a.into_vec());
+        self.pool.push(a);
     }
 
-    /// Number of buffers currently pooled (for steady-state assertions).
+    /// Number of arrays currently pooled (for steady-state assertions).
     pub fn pooled(&self) -> usize {
         self.pool.len()
     }
