@@ -5,7 +5,7 @@ use std::cell::{Cell, RefCell};
 use st_core::livetraffic::{
     ApplyOutcome, CacheCounts, TrafficCache, TrafficEvent, VersionedTraffic,
 };
-use st_core::{DeepSt, InferPrecision, InferSession, TripContext};
+use st_core::{DeepSt, InferSession, TripContext};
 use st_roadnet::{RoadNetwork, Route, SegmentId};
 use st_tensor::Array;
 
@@ -36,8 +36,6 @@ pub struct DeepStPredictor {
     /// Whether the output-space lint has run for this predictor (once, on
     /// the first predict call — `max_out_degree` scans the whole network).
     linted: Cell<bool>,
-    /// Numeric precision every decode session opens with.
-    precision: InferPrecision,
 }
 
 impl DeepStPredictor {
@@ -60,18 +58,7 @@ impl DeepStPredictor {
             traffic_cache: RefCell::new(TrafficCache::new(cap)),
             live: RefCell::new(VersionedTraffic::new()),
             linted: Cell::new(false),
-            precision: InferPrecision::F32,
         }
-    }
-
-    /// Wrap a trained model decoding at the given precision.
-    /// [`InferPrecision::Int8`] trades bitwise fidelity for quantized
-    /// embedding/head kernels; its accuracy is gated statistically by the
-    /// decode benchmark.
-    pub fn with_precision(model: DeepSt, precision: InferPrecision) -> Self {
-        let mut p = Self::new(model);
-        p.precision = precision;
-        p
     }
 
     /// Access the wrapped model.
@@ -145,18 +132,7 @@ pub struct DeepStDecoder<'m> {
 impl<'m> DeepStDecoder<'m> {
     /// Open a decoder for one trip context (fused f32 kernels).
     pub fn new(model: &'m DeepSt, ctx: &TripContext) -> Self {
-        Self::with_precision(model, ctx, InferPrecision::F32)
-    }
-
-    /// Open a decoder with an explicit numeric precision for the hot loop.
-    pub fn with_precision(model: &'m DeepSt, ctx: &TripContext, precision: InferPrecision) -> Self {
-        Self::from_session(model.infer_session(precision), ctx)
-    }
-
-    /// Test hook: decode `ctx` on an explicitly-constructed session (e.g.
-    /// the coarse int8 session behind the planted-regression accuracy test).
-    #[doc(hidden)]
-    pub fn from_session(mut sess: InferSession<'m>, ctx: &TripContext) -> Self {
+        let mut sess = model.infer_session();
         let trip = sess.add_trip(ctx);
         Self {
             sess,
@@ -211,7 +187,7 @@ impl Predictor for DeepStPredictor {
         }
         let c = self.traffic_context(q);
         let ctx = self.model.encode_context(q.dest_norm, c);
-        let mut dec = DeepStDecoder::with_precision(&self.model, &ctx, self.precision);
+        let mut dec = DeepStDecoder::new(&self.model, &ctx);
         beam_decode(
             net,
             &mut dec,

@@ -15,6 +15,7 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
+use st_core::train::count_skipped_minibatch;
 use st_core::Example;
 use st_nn::{Embedding, Gru, Module, PackedGru, RunningRows};
 use st_roadnet::{RoadNetwork, Route, SegmentId};
@@ -207,6 +208,11 @@ impl RnnBaseline {
     }
 
     /// Train on examples; returns per-epoch mean losses.
+    ///
+    /// A minibatch with a non-finite loss or gradient norm is skipped
+    /// without a step and counted as `Trainer` counts it
+    /// ([`count_skipped_minibatch`]); an epoch that stepped no minibatch
+    /// reports NaN.
     pub fn fit(&mut self, examples: &[Example], rng: &mut StdRng) -> Vec<f32> {
         assert!(!examples.is_empty());
         let mut opt = Adam::new(self.cfg.lr);
@@ -223,17 +229,26 @@ impl RnnBaseline {
                 let loss = self.batch_loss(&binder, &refs);
                 let lv = loss.scalar_value();
                 if !lv.is_finite() {
+                    count_skipped_minibatch("nonfinite_loss", "non-finite batch loss");
                     continue;
                 }
                 let grads = tape.backward(loss);
                 binder.accumulate_grads(&grads);
                 let params = self.params();
-                clip_grad_norm_grouped(&self.param_groups(), 5.0);
+                let norm = clip_grad_norm_grouped(&self.param_groups(), 5.0);
+                if !norm.is_finite() {
+                    // The clip cannot scale a non-finite norm down; a step
+                    // would write NaN into every parameter.
+                    self.zero_grads();
+                    let reason = format!("non-finite gradient norm {norm}");
+                    count_skipped_minibatch("nonfinite_grad", &reason);
+                    continue;
+                }
                 opt.step(&params);
                 total += lv as f64 * refs.len() as f64;
                 count += refs.len();
             }
-            history.push((total / count.max(1) as f64) as f32);
+            history.push((total / count as f64) as f32);
         }
         history
     }
@@ -257,8 +272,7 @@ impl RnnBaseline {
 
     /// The pre-refactor taped step: records the forward pass on a throwaway
     /// tape. Kept (unused by decoding) as the parity oracle the tape-free
-    /// [`RnnDecoder`] is tested against, and as the slow side of the decode
-    /// benchmark.
+    /// [`RnnDecoder`] is tested against.
     pub fn step_state_taped(
         &self,
         state: &[Array],
@@ -551,6 +565,92 @@ mod tests {
         assert!(net.is_valid_route(&r));
         assert_eq!(r[0], 0);
         assert!(r.len() <= 150);
+    }
+
+    fn state_bits(model: &RnnBaseline) -> Vec<Vec<u32>> {
+        model
+            .state()
+            .iter()
+            .map(|(_, a)| a.data().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    /// `fit` counts every minibatch it cannot step, and an epoch that
+    /// stepped nothing reports NaN — not a perfect 0.0 loss — and leaves
+    /// the model untouched.
+    #[test]
+    fn skipped_minibatches_are_counted_and_an_all_skipped_epoch_is_nan() {
+        let net = grid_city(&GridConfig::small_test(), 8);
+        let examples = dest_dependent_examples(&net, 16);
+        let cfg = RnnConfig {
+            epochs: 1,
+            batch_size: 8,
+            ..RnnConfig::new(net.num_segments(), net.max_out_degree())
+        };
+        let mut model = RnnBaseline::cssrnn(cfg, 3);
+        // Plants a non-finite loss in every minibatch: slot 0's logit is
+        // NaN on every step.
+        model.alpha.value_mut().data_mut()[0] = f32::NAN;
+        let before = state_bits(&model);
+        let skipped = st_obs::counter("train.batch.skipped.nonfinite_loss");
+        let base = skipped.get();
+        let mut rng = init::rng(4);
+
+        let history = model.fit(&examples, &mut rng);
+        assert!(
+            history[0].is_nan(),
+            "all-skipped epoch reported loss {history:?}"
+        );
+        assert_eq!(skipped.get() - base, 2);
+        assert_eq!(
+            state_bits(&model),
+            before,
+            "a skipped minibatch moved the model"
+        );
+    }
+
+    /// A NaN gradient norm must not reach Adam: the clip cannot scale it
+    /// down (`NaN > max_norm` is false), so a step would write NaN into the
+    /// parameters. `fit` skips the minibatch, zeroes the gradients and
+    /// counts it instead.
+    #[test]
+    fn nonfinite_grad_norm_skips_the_step() {
+        let net = grid_city(&GridConfig::small_test(), 8);
+        let examples = dest_dependent_examples(&net, 8);
+        let cfg = RnnConfig {
+            epochs: 1,
+            batch_size: 8,
+            ..RnnConfig::new(net.num_segments(), net.max_out_degree())
+        };
+        let mut model = RnnBaseline::vanilla(cfg, 5);
+        {
+            let planted = model.params()[0];
+            let shape = planted.value().shape().to_vec();
+            planted.accumulate_grad(&Array::full(&shape, f32::NAN));
+        }
+        let before = state_bits(&model);
+        let skipped = st_obs::counter("train.batch.skipped.nonfinite_grad");
+        let base = skipped.get();
+        let mut rng = init::rng(6);
+
+        let history = model.fit(&examples, &mut rng);
+        assert_eq!(
+            state_bits(&model),
+            before,
+            "a non-finite gradient norm reached the optimizer step"
+        );
+        assert!(
+            history[0].is_nan(),
+            "skipped minibatch reported loss {history:?}"
+        );
+        assert_eq!(skipped.get() - base, 1);
+        for p in model.params() {
+            assert!(
+                p.grad().data().iter().all(|g| g.to_bits() == 0),
+                "gradient of {} not zeroed",
+                p.name()
+            );
+        }
     }
 
     #[test]

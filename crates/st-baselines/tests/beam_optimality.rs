@@ -2,7 +2,10 @@
 //! graphs, a sufficiently wide beam must find the globally most likely
 //! complete route under the full generative probability. A second property
 //! checks that the decoder's pruning is exact: it returns the route of a
-//! beam that never stops early.
+//! beam that never stops early, never longer than the length cap, and
+//! through a closed segment only on a counted fallback.
+
+use std::sync::Mutex;
 
 use proptest::prelude::*;
 
@@ -167,6 +170,55 @@ fn beam_without_early_exit(
         .unwrap_or_else(|| live.swap_remove(0).0)
 }
 
+/// Serializes this binary's closure decodes, so the global
+/// `decode.closed.fallback` delta read around one belongs to it alone.
+static CLOSED_DECODES: Mutex<()> = Mutex::new(());
+
+/// `beam_decode_closed` from `start`, and whether `decode.closed.fallback`
+/// rose during the call.
+fn decode_closed(
+    net: &RoadNetwork,
+    model: &mut ToyScorer,
+    start: SegmentId,
+    dest: &Point,
+    beam_width: usize,
+    max_len: usize,
+    closed: &[SegmentId],
+) -> (Route, bool) {
+    let _alone = CLOSED_DECODES.lock().unwrap_or_else(|e| e.into_inner());
+    let fallbacks = st_obs::counter("decode.closed.fallback");
+    let before = fallbacks.get();
+    let route = beam_decode_closed(
+        net,
+        model,
+        &[start],
+        dest,
+        beam_width,
+        max_len,
+        closed,
+        &CancelToken::new(),
+    )
+    .expect("live token");
+    (route, fallbacks.get() > before)
+}
+
+/// No route exceeds `max_len`, and a closed segment past the start appears
+/// only in a decode that counted a boxed-in fallback.
+fn route_invariants(route: &Route, max_len: usize, closed: &[SegmentId], fell_back: bool) {
+    prop_assert!(
+        route.len() <= max_len,
+        "{:?} exceeds max_len {}",
+        route,
+        max_len
+    );
+    prop_assert!(
+        fell_back || !route[1..].iter().any(|s| closed.contains(s)),
+        "{:?} crosses a closure in {:?} without a counted fallback",
+        route,
+        closed
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -174,6 +226,7 @@ proptest! {
     /// from 1 to 8, the decoder (with and without a random closed set)
     /// returns exactly the route of the same search run with no early exit,
     /// over horizons long enough that most of its steps fall in the tail.
+    /// Every route also keeps [`route_invariants`].
     #[test]
     fn pruned_beam_matches_beam_without_early_exit(
         salt in 0u64..1000,
@@ -188,25 +241,47 @@ proptest! {
         let (start, dest) = (start % n, net.midpoint(dest_seg % n));
         let closed: Vec<SegmentId> = closed.iter().map(|&c| c % n).collect();
         let mut model = ToyScorer { salt, width: net.max_out_degree() };
-        let never = CancelToken::new();
         let max_len = 30;
         for width in 1..=8 {
             let want = beam_without_early_exit(&net, &model, start, &dest, width, max_len, &[]);
             let got = beam_decode(&net, &mut model, start, &dest, width, max_len);
+            route_invariants(&got, max_len, &[], false);
             prop_assert_eq!(&got, &want, "open roads, beam {}", width);
             let want =
                 beam_without_early_exit(&net, &model, start, &dest, width, max_len, &closed);
-            let got = beam_decode_closed(
-                &net,
-                &mut model,
-                &[start],
-                &dest,
-                width,
-                max_len,
-                &closed,
-                &never,
-            )
-            .expect("live token");
+            let (got, fell_back) =
+                decode_closed(&net, &mut model, start, &dest, width, max_len, &closed);
+            route_invariants(&got, max_len, &closed, fell_back);
+            prop_assert_eq!(&got, &want, "closed {:?}, beam {}", closed, width);
+        }
+    }
+
+    /// The same checks where they bite. The property above reaches neither
+    /// its length cap (its routes stay far below 30 segments) nor a
+    /// boxed-in prefix (its few random closures never close every
+    /// successor). Here the cap is 2 to 6 segments, and every successor of
+    /// the start is closed, so each decode takes the fallback at its first
+    /// step.
+    #[test]
+    fn capped_boxed_in_beam_keeps_route_invariants(
+        salt in 0u64..1000,
+        start in 0usize..1000,
+        dest_seg in 0usize..1000,
+        grid_seed in 0u64..4,
+        max_len in 2usize..=6,
+    ) {
+        let cfg = GridConfig { nx: 6, ny: 6, ..GridConfig::small_test() };
+        let net = grid_city(&cfg, grid_seed);
+        let n = net.num_segments();
+        let (start, dest) = (start % n, net.midpoint(dest_seg % n));
+        let closed = net.next_segments(start).to_vec();
+        let mut model = ToyScorer { salt, width: net.max_out_degree() };
+        for width in 1..=8 {
+            let want =
+                beam_without_early_exit(&net, &model, start, &dest, width, max_len, &closed);
+            let (got, fell_back) =
+                decode_closed(&net, &mut model, start, &dest, width, max_len, &closed);
+            route_invariants(&got, max_len, &closed, fell_back);
             prop_assert_eq!(&got, &want, "closed {:?}, beam {}", closed, width);
         }
     }

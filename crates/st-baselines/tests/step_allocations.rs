@@ -13,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use st_baselines::{DeepStDecoder, StepDecoder};
-use st_core::{DeepSt, DeepStConfig, InferPrecision, TripContext};
+use st_core::{DeepSt, DeepStConfig, TripContext};
 use st_roadnet::{grid_city, GridConfig, RoadNetwork, SegmentId};
 use st_tensor::Array;
 
@@ -127,7 +127,7 @@ fn warmed_decoder_step_allocates_nothing() {
 #[test]
 fn warmed_multi_trip_step_allocates_nothing() {
     let (net, model) = world();
-    let mut sess = model.infer_session(InferPrecision::F32);
+    let mut sess = model.infer_session();
     let a = sess.add_trip(&context(&model, 0.1, [0.2, 0.8]));
     let b = sess.add_trip(&context(&model, 0.6, [0.9, 0.3]));
     let c = sess.add_trip(&context(&model, 0.4, [0.5, 0.5]));
@@ -188,7 +188,7 @@ fn warmed_gather_and_recycle_allocate_nothing() {
 
     // The serving tick's gather: surviving rows plus zero-filled admissions,
     // the old state recycled, then one packed step.
-    let mut sess = model.infer_session(InferPrecision::F32);
+    let mut sess = model.infer_session();
     let trip = sess.add_trip(&ctx);
     let mut state = sess.zero_state(2);
     let specs: [&[Option<usize>]; 2] = [&[Some(1), None, Some(0)], &[Some(2), Some(0)]];

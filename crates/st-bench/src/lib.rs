@@ -1,5 +1,6 @@
 //! `st-bench`: experiment binaries regenerating every table and figure of
-//! the paper's evaluation (§V), plus Criterion micro-benchmarks.
+//! the paper's evaluation (§V), two system benches, and Criterion
+//! micro-benchmarks.
 //!
 //! Binaries (`cargo run --release -p st-bench --bin <name> [-- --quick|--full]`):
 //!
@@ -14,9 +15,14 @@
 //! | `fig7`   | Fig. 7 — accuracy vs travel distance per method |
 //! | `fig8`   | Fig. 8 — training time vs training-set size |
 //! | `run_all`| everything above, sharing one training run per city |
+//! | `ablate` | reproduction-specific ablations |
+//! | `bench_stream` | live-feed ingest rate, feed-chaos convergence (`--chaos`), incident reaction |
+//! | `bench_scale`  | Megacity memory ceiling at 1k / 10k / 50k segments |
 //!
 //! Every bin prints a human-readable table/figure and writes JSON under
-//! `results/`.
+//! `results/`. Training, decode and serving throughput are measured by
+//! the repository benchmark in `benchmark/`, which uses [`host_meta`] and
+//! [`peak_rss_bytes`] from this crate.
 
 use st_core::TrainError;
 use st_eval::{
@@ -208,49 +214,6 @@ pub fn host_meta() -> serde_json::Value {
     })
 }
 
-/// Route-level accuracy metrics for validating reduced-precision decoding
-/// against the full-precision oracle. Quantized kernels are *not* expected
-/// to be bitwise-faithful, so the gate is statistical: the fraction of
-/// queries whose decoded route matches the oracle exactly, plus the mean
-/// Jaccard overlap of route segments for a softer view of near-misses.
-pub mod accuracy {
-    use st_roadnet::Route;
-
-    /// Fraction of query pairs whose routes match exactly (top-1 route
-    /// match rate). Panics if the slices differ in length.
-    pub fn route_match_rate(oracle: &[Route], candidate: &[Route]) -> f64 {
-        assert_eq!(oracle.len(), candidate.len(), "route sets must pair up");
-        assert!(!oracle.is_empty(), "need at least one route");
-        let hits = oracle.iter().zip(candidate).filter(|(a, b)| a == b).count();
-        hits as f64 / oracle.len() as f64
-    }
-
-    /// Mean Jaccard overlap `|A ∩ B| / |A ∪ B|` of the segment *sets* of
-    /// each route pair — 1.0 iff every pair covers exactly the same
-    /// segments. Less brittle than exact match when a near-tie reorders an
-    /// otherwise-identical detour.
-    pub fn mean_jaccard(oracle: &[Route], candidate: &[Route]) -> f64 {
-        assert_eq!(oracle.len(), candidate.len(), "route sets must pair up");
-        assert!(!oracle.is_empty(), "need at least one route");
-        let total: f64 = oracle
-            .iter()
-            .zip(candidate)
-            .map(|(a, b)| {
-                let sa: std::collections::BTreeSet<_> = a.iter().collect();
-                let sb: std::collections::BTreeSet<_> = b.iter().collect();
-                let inter = sa.intersection(&sb).count();
-                let union = sa.union(&sb).count();
-                if union == 0 {
-                    1.0
-                } else {
-                    inter as f64 / union as f64
-                }
-            })
-            .sum();
-        total / oracle.len() as f64
-    }
-}
-
 /// Peak resident-set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`). The kernel's high-water mark is monotonic for the
 /// process lifetime, so a benchmark sweeping scales must run them in
@@ -300,19 +263,6 @@ mod tests {
         assert!(m.get("rustc").and_then(|v| v.as_str()).is_some());
         assert!(m.get("arch").and_then(|v| v.as_str()).is_some());
         assert!(m.get("os").and_then(|v| v.as_str()).is_some());
-    }
-
-    #[test]
-    fn accuracy_metrics_behave() {
-        let a: Vec<Vec<usize>> = vec![vec![0, 1, 2], vec![3, 4]];
-        let same = a.clone();
-        assert_eq!(accuracy::route_match_rate(&a, &same), 1.0);
-        assert_eq!(accuracy::mean_jaccard(&a, &same), 1.0);
-        let b: Vec<Vec<usize>> = vec![vec![0, 1, 2], vec![3, 5]];
-        assert_eq!(accuracy::route_match_rate(&a, &b), 0.5);
-        // Second pair overlaps on {3} out of {3,4,5}: jaccard 1/3.
-        let j = accuracy::mean_jaccard(&a, &b);
-        assert!((j - (1.0 + 1.0 / 3.0) / 2.0).abs() < 1e-12);
     }
 
     #[test]

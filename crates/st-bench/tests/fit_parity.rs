@@ -7,10 +7,13 @@
 //!   computes.
 //! - Source parity: `fit` over `&[Example]` equals `fit` over a per-epoch
 //!   stream that replays the same shuffled minibatches.
+//! - Baseline bits: `RnnBaseline::fit` must reproduce the per-epoch loss
+//!   bits and parameter fingerprint of CSSRNN and the vanilla RNN below.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use st_baselines::{RnnBaseline, RnnConfig};
 use st_bench::{make_dataset, City, Scale};
 use st_core::{BatchSource, DeepSt, Example, TrainConfig, Trainer};
 use st_eval::{build_examples, deepst_config};
@@ -32,6 +35,10 @@ const THREADED: ([(u32, u32); 2], u64) = (
     [(0x421d_03c8, 0x41b3_1734), (0x420c_3dd4, 0x41ac_2370)],
     0xa11d_918c_e51b_bce7,
 );
+/// `RnnBaseline::fit`, default config for two epochs: pinned per-epoch
+/// loss bits and fingerprint of CSSRNN, then of the vanilla RNN.
+const CSSRNN: ([u32; 2], u64) = ([0x3fb1_6ae4, 0x3faa_652c], 0xd0e3_6fde_020d_cf06);
+const VANILLA: ([u32; 2], u64) = ([0x3fb0_2d77, 0x3faa_97c5], 0x588a_2621_90e6_b7b6);
 
 struct World {
     ds: Dataset,
@@ -50,7 +57,7 @@ fn world() -> World {
 }
 
 /// FNV-1a over the bits of every parameter and batch-norm buffer.
-fn fingerprint(model: &DeepSt) -> u64 {
+fn fingerprint(model: &impl Module) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for (_, arr) in model.state().into_iter().chain(model.buffers()) {
         for v in arr.data() {
@@ -121,6 +128,31 @@ fn fit_reproduces_pinned_bits_from_memory_and_from_a_stream() {
         assert_eq!(
             streamed, memory,
             "threads={threads} shard={shard}: streamed fit differs from in-memory fit"
+        );
+    }
+}
+
+#[test]
+fn rnn_baselines_fit_reproduces_pinned_bits() {
+    let w = world();
+    let cfg = RnnConfig {
+        epochs: 2,
+        ..RnnConfig::new(w.ds.net.num_segments(), w.ds.net.max_out_degree())
+    };
+    for (name, mut model, (losses, print)) in [
+        ("CSSRNN", RnnBaseline::cssrnn(cfg.clone(), 7), CSSRNN),
+        ("RNN", RnnBaseline::vanilla(cfg, 7), VANILLA),
+    ] {
+        let mut rng = StdRng::seed_from_u64(33);
+        let history: Vec<u32> = model
+            .fit(&w.train, &mut rng)
+            .iter()
+            .map(|l| l.to_bits())
+            .collect();
+        assert_eq!(
+            (history, fingerprint(&model)),
+            (losses.to_vec(), print),
+            "{name}: RnnBaseline::fit moved off the pinned bits"
         );
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! - the training-loss trajectory (including validation losses),
 //! - every parameter after training (embedding blocks concatenated),
-//! - greedy, beam, and int8-quantized decodes,
+//! - greedy and beam decodes,
 //! - and checkpoint save → resume, which must continue a streamed run
 //!   bit-identically even when the resuming process seeds its RNG
 //!   differently (the checkpoint carries the RNG state).
@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use st_baselines::{beam_decode, DeepStDecoder};
 use st_bench::{make_dataset, City, Scale};
-use st_core::{DeepSt, Example, InferPrecision, TrainConfig, Trainer, TripContext};
+use st_core::{DeepSt, Example, TrainConfig, Trainer, TripContext};
 use st_eval::{build_examples, deepst_config};
 use st_nn::Module;
 use st_roadnet::{Point, Route, SegmentId};
@@ -114,14 +114,14 @@ fn trained(w: &World, block_rows: usize) -> (Trainer, Vec<u32>) {
     (trainer, loss_bits)
 }
 
-fn decode_all(w: &World, model: &DeepSt, beam_width: usize, prec: InferPrecision) -> Vec<Route> {
+fn decode_all(w: &World, model: &DeepSt, beam_width: usize) -> Vec<Route> {
     w.queries
         .iter()
         .map(|&(start, dest)| {
             let slot = w.ds.slot_of(0.0);
             let c = model.encode_traffic(w.ds.traffic_tensor(slot));
             let ctx: TripContext = model.encode_context(w.ds.unit_coord(&dest), Some(c));
-            let mut dec = DeepStDecoder::with_precision(model, &ctx, prec);
+            let mut dec = DeepStDecoder::new(model, &ctx);
             beam_decode(
                 &w.ds.net,
                 &mut dec,
@@ -153,16 +153,12 @@ fn sharded_deepst_matches_dense_bit_for_bit() {
         "trained parameters diverged"
     );
 
-    // Greedy (beam=1), beam, and quantized decodes all agree.
-    for (bw, prec) in [
-        (1, InferPrecision::F32),
-        (4, InferPrecision::F32),
-        (4, InferPrecision::Int8),
-    ] {
+    // Greedy (beam=1) and beam decodes agree.
+    for bw in [1, 4] {
         assert_eq!(
-            decode_all(&w, &dense.model, bw, prec),
-            decode_all(&w, &sharded.model, bw, prec),
-            "decode diverged at beam={bw}, {prec:?}"
+            decode_all(&w, &dense.model, bw),
+            decode_all(&w, &sharded.model, bw),
+            "decode diverged at beam={bw}"
         );
     }
 }

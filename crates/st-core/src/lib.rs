@@ -42,7 +42,7 @@ pub use livetraffic::{
     ApplyOutcome, CacheCounts, TrafficCache, TrafficEvent, TrafficEventKind, VersionedTraffic,
 };
 pub use model::{DeepSt, EmbMemory};
-pub use predict::{InferPrecision, InferSession, TripContext};
+pub use predict::{InferSession, TripContext};
 pub use train::{
     BatchSource, ElboStats, EpochStats, TrainConfig, TrainError, TrainEvent, TrainHistory, Trainer,
 };

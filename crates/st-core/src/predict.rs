@@ -236,7 +236,7 @@ impl DeepSt {
             // the paper's queries always carry at least T.r1
             return;
         };
-        let mut sess = self.infer_session(InferPrecision::F32);
+        let mut sess = self.infer_session();
         let trip = sess.add_trip(ctx);
         let mut state = sess.zero_state(1);
         // One log-prob buffer for the whole route: `step_into` refills it
@@ -329,7 +329,7 @@ impl DeepSt {
         token: SegmentId,
         ctx: &TripContext,
     ) -> (Vec<Array>, Vec<f64>) {
-        let mut sess = self.infer_session(InferPrecision::F32);
+        let mut sess = self.infer_session();
         let trip = sess.add_trip(ctx);
         let mut new_state = state.to_vec();
         let mut lp = Vec::new();
@@ -339,9 +339,8 @@ impl DeepSt {
 
     /// The pre-refactor taped step: binds the inputs to a fresh autodiff
     /// tape, runs the taped forward graph and discards the tape. Kept
-    /// verbatim as the behavioural oracle for decode-parity tests and as the
-    /// "per-step-tape baseline" of the decode benchmark; production decoding
-    /// uses the tape-free [`InferSession`].
+    /// verbatim as the behavioural oracle for decode-parity tests;
+    /// production decoding uses the tape-free [`InferSession`].
     pub fn step_state_taped(
         &self,
         state: &[Array],
@@ -369,51 +368,23 @@ impl DeepSt {
             .collect()
     }
 
-    /// Open a tape-free decoding session. Weight packing (or, under
-    /// [`InferPrecision::Int8`], quantization) happens here, once per
-    /// session — the per-step path never touches `Param::value()` weights.
-    /// Trips join with [`InferSession::add_trip`] and leave with
+    /// Open a tape-free decoding session. Weight packing happens here, once
+    /// per session — the per-step path never touches `Param::value()`
+    /// weights. Trips join with [`InferSession::add_trip`] and leave with
     /// [`InferSession::remove_trip`]; a single-trip decode registers one.
-    pub fn infer_session(&self, precision: InferPrecision) -> InferSession<'_> {
+    pub fn infer_session(&self) -> InferSession<'_> {
         let _scope = TapeFreeScope::enter();
-        let (head, emb_q) = match precision {
-            InferPrecision::F32 => (
-                HeadKernel::Packed(infer::PackedWeights::pack(&self.alpha.value())),
-                None,
-            ),
-            InferPrecision::Int8 => (
-                HeadKernel::Quantized(infer::QuantizedMatrix::quantize(&self.alpha.value())),
-                Some(self.emb.quantize()),
-            ),
-        };
         InferSession {
             model: self,
             arena: ScratchArena::new(),
             packed_gru: PackedGru::pack(&self.gru),
-            head,
-            emb_q,
-            precision,
+            alpha: infer::PackedWeights::pack(&self.alpha.value()),
             gx0_slot: vec![usize::MAX; self.emb.vocab()],
             gx0_cache: Vec::new(),
             trips: Vec::new(),
             free: Vec::new(),
             spare: Vec::new(),
         }
-    }
-
-    /// Test/validation hook: an [`InferPrecision::Int8`] session whose slot
-    /// head is quantized to only `levels` magnitude levels instead of the
-    /// full 127. This deliberately degrades the quantizer so the statistical
-    /// route-match harness can prove it *fails* a planted regression — it is
-    /// not a production knob.
-    #[doc(hidden)]
-    pub fn infer_session_int8_coarse(&self, levels: i32) -> InferSession<'_> {
-        let mut sess = self.infer_session(InferPrecision::Int8);
-        sess.head = HeadKernel::Quantized(infer::QuantizedMatrix::quantize_with_levels(
-            &self.alpha.value(),
-            levels,
-        ));
-        sess
     }
 
     /// Static check for the config/network mismatch that the generation
@@ -470,11 +441,8 @@ pub struct InferSession<'m> {
     arena: ScratchArena,
     /// GRU weights packed once at session open for the fused step kernel.
     packed_gru: PackedGru,
-    /// The slot head `α`, packed (f32) or quantized (int8) per `precision`.
-    head: HeadKernel,
-    /// int8 embedding table, present only under [`InferPrecision::Int8`].
-    emb_q: Option<infer::QuantizedTable>,
-    precision: InferPrecision,
+    /// The slot head `α`, packed for the GEMM micro-kernel.
+    alpha: infer::PackedWeights,
     /// Per-token memo of the bottom GRU layer's `emb(token)·Wx` gate rows:
     /// that projection depends only on the token, and beam decoding revisits
     /// the same segments constantly. `gx0_slot[token]` indexes into
@@ -497,40 +465,10 @@ struct TripSlot {
     c_gamma: Option<Array>,
 }
 
-/// Numeric precision of an [`InferSession`]'s decode hot loop.
-///
-/// `F32` is the default and is bit-identical to the taped forward pass.
-/// `Int8` quantizes the embedding table (per-row scales) and the slot-head
-/// projection `α` (per-output-channel scales) to int8 with f32 accumulation;
-/// the GRU recurrence stays f32. Int8 output is validated *statistically*
-/// (route top-1 match rate and Jaccard overlap vs the f32 oracle), never
-/// bitwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InferPrecision {
-    /// Full-precision packed kernels, bit-identical to the taped oracle.
-    #[default]
-    F32,
-    /// int8 embeddings + output projection, f32 GRU and accumulation.
-    Int8,
-}
-
-/// How [`InferSession::step_into`] projects hidden state to slot logits.
-enum HeadKernel {
-    /// `α` pre-packed for the f32 GEMM micro-kernel.
-    Packed(infer::PackedWeights),
-    /// `α` quantized to int8 with per-output-channel scales.
-    Quantized(infer::QuantizedMatrix),
-}
-
 impl<'m> InferSession<'m> {
     /// The model this session decodes with.
     pub fn model(&self) -> &'m DeepSt {
         self.model
-    }
-
-    /// The numeric precision this session decodes at.
-    pub fn precision(&self) -> InferPrecision {
-        self.precision
     }
 
     /// Register one trip's context; returns the trip id used in
@@ -619,10 +557,7 @@ impl<'m> InferSession<'m> {
         for (i, &tok) in tokens.iter().enumerate() {
             let mut slot = self.gx0_slot[tok];
             if slot == usize::MAX {
-                let x1 = match &self.emb_q {
-                    Some(table) => infer::gather_rows_quantized(arena, table, &[tok]),
-                    None => self.model.emb.infer(arena, &[tok]),
-                };
+                let x1 = self.model.emb.infer(arena, &[tok]);
                 let g1 = self.packed_gru.gate_x0(arena, &x1);
                 slot = self.gx0_cache.len() / g;
                 self.gx0_cache.extend_from_slice(g1.data());
@@ -637,10 +572,7 @@ impl<'m> InferSession<'m> {
             .infer_step_fused_pregx(arena, &mut gx0, state);
         arena.recycle(gx0);
         let Some(h) = state.last() else { return };
-        let mut logits = match &self.head {
-            HeadKernel::Packed(alpha) => infer::matmul_packed(arena, h, alpha),
-            HeadKernel::Quantized(alpha) => infer::matmul_quantized(arena, h, alpha),
-        };
+        let mut logits = infer::matmul_packed(arena, h, &self.alpha);
         // Per-row trip biases in the taped head's per-element association:
         // (h·α + fx·β) then (+ c·γ).
         for (r, &trip) in trips.iter().enumerate() {
@@ -873,7 +805,7 @@ mod tests {
         let (net, model) = setup();
         let c = model.encode_traffic(&vec![0.25; 64]);
         let ctx = model.encode_context([0.3, 0.8], Some(c));
-        let mut fused = model.infer_session(InferPrecision::F32);
+        let mut fused = model.infer_session();
         let trip = fused.add_trip(&ctx);
         let mut state_f = fused.zero_state(3);
         let mut taped: Vec<Vec<Array>> = (0..3).map(|_| model.initial_state()).collect();
@@ -904,51 +836,6 @@ mod tests {
         }
     }
 
-    /// The int8 session must emit valid, finite log-distributions that stay
-    /// close to the f32 oracle (the hard route-level accuracy gate lives in
-    /// the decode benchmark), and must be deterministic across sessions.
-    #[test]
-    fn int8_session_tracks_f32_distributions() {
-        let (net, model) = setup();
-        let c = model.encode_traffic(&vec![0.15; 64]);
-        let ctx = model.encode_context([0.7, 0.4], Some(c));
-        let mut f32s = model.infer_session(InferPrecision::F32);
-        let mut q = model.infer_session(InferPrecision::Int8);
-        let mut q2 = model.infer_session(InferPrecision::Int8);
-        assert_eq!(q.precision(), InferPrecision::Int8);
-        assert_eq!(f32s.precision(), InferPrecision::F32);
-        let (tf, tq, tq2) = (f32s.add_trip(&ctx), q.add_trip(&ctx), q2.add_trip(&ctx));
-        let a = model.cfg.max_neighbors;
-        let mut sf = f32s.zero_state(2);
-        let mut sq = q.zero_state(2);
-        let mut sq2 = q2.zero_state(2);
-        let mut tokens: Vec<usize> = vec![1, 5];
-        let (mut lf, mut lq, mut lq2) = (Vec::new(), Vec::new(), Vec::new());
-        for step in 0..6 {
-            f32s.step_into(&tokens, &[tf; 2], &mut sf, &mut lf);
-            q.step_into(&tokens, &[tq; 2], &mut sq, &mut lq);
-            q2.step_into(&tokens, &[tq2; 2], &mut sq2, &mut lq2);
-            assert_eq!(lq, lq2, "int8 decode must be deterministic");
-            for (row, chunk) in lq.chunks(a).enumerate() {
-                let sum: f64 = chunk.iter().map(|&v| v.exp()).sum();
-                assert!(
-                    (sum - 1.0).abs() < 1e-5,
-                    "row {row} not a distribution at step {step}: {sum}"
-                );
-            }
-            let worst = lf
-                .iter()
-                .zip(&lq)
-                .map(|(x, y)| (x - y).abs())
-                .fold(0.0f64, f64::max);
-            assert!(
-                worst < 0.2,
-                "int8 log-probs drifted {worst} from f32 at step {step}"
-            );
-            tokens = tokens.iter().map(|&t| net.next_segments(t)[0]).collect();
-        }
-    }
-
     /// Row `i` of a batched session step equals stepping row `i` alone —
     /// the property that makes packed-state beam decoding bit-identical to
     /// the clone-and-step formulation.
@@ -962,7 +849,7 @@ mod tests {
         let tokens1: Vec<usize> = tokens0.iter().map(|&t| net.next_segments(t)[0]).collect();
         let n = tokens0.len();
 
-        let mut sess = model.infer_session(InferPrecision::F32);
+        let mut sess = model.infer_session();
         let trip = sess.add_trip(&ctx);
         let trips = vec![trip; n];
         let mut batched = sess.zero_state(n);
@@ -1010,7 +897,7 @@ mod tests {
         let ctx_a = model.encode_context([0.2, 0.8], Some(ca));
         let ctx_b = model.encode_context([0.9, 0.3], Some(cb));
 
-        let mut multi = model.infer_session(InferPrecision::F32);
+        let mut multi = model.infer_session();
         let ta = multi.add_trip(&ctx_a);
         let tb = multi.add_trip(&ctx_b);
         assert_eq!(multi.active_trips(), 2);
@@ -1020,8 +907,8 @@ mod tests {
         let mut state = multi.zero_state(4);
         let mut lp = Vec::new();
 
-        let mut sess_a = model.infer_session(InferPrecision::F32);
-        let mut sess_b = model.infer_session(InferPrecision::F32);
+        let mut sess_a = model.infer_session();
+        let mut sess_b = model.infer_session();
         let (sa, sb) = (sess_a.add_trip(&ctx_a), sess_b.add_trip(&ctx_b));
         let mut singles: Vec<(usize, Vec<Array>)> = (0..4)
             .map(|r| {
@@ -1068,7 +955,7 @@ mod tests {
         let (_, model) = setup();
         let c = model.encode_traffic(&vec![0.2; 64]);
         let ctx = model.encode_context([0.5, 0.5], Some(c));
-        let mut multi = model.infer_session(InferPrecision::F32);
+        let mut multi = model.infer_session();
         let t0 = multi.add_trip(&ctx);
         let t1 = multi.add_trip(&ctx);
         multi.remove_trip(t0);
@@ -1097,7 +984,7 @@ mod tests {
         let (_, model) = setup();
         let c = model.encode_traffic(&vec![0.2; 64]);
         let ctx = model.encode_context([0.5, 0.5], Some(c));
-        let mut multi = model.infer_session(InferPrecision::F32);
+        let mut multi = model.infer_session();
         let t = multi.add_trip(&ctx);
         multi.remove_trip(t);
         multi.remove_trip(t);
@@ -1109,7 +996,7 @@ mod tests {
         let (_, model) = setup();
         let c = model.encode_traffic(&vec![0.2; 64]);
         let ctx = model.encode_context([0.5, 0.5], Some(c));
-        let mut sess = model.infer_session(InferPrecision::F32);
+        let mut sess = model.infer_session();
         let trip = sess.add_trip(&ctx);
         let mut state = sess.zero_state(3);
         let mut lp = Vec::new();

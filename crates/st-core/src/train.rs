@@ -923,9 +923,7 @@ impl Trainer {
                 }
                 None => {
                     if let Halt::Rejected { key, reason, .. } = halt {
-                        let counter = format!("train.batch.skipped.{key}");
-                        st_obs::counter(&counter).inc();
-                        st_obs::warn_once(&counter, &format!("minibatch skipped: {reason}"));
+                        count_skipped_minibatch(key, &reason);
                     }
                     ControlFlow::Continue(())
                 }
@@ -1112,6 +1110,15 @@ enum Halt {
         reason: String,
         loss: f32,
     },
+}
+
+/// Count one minibatch a training loop skipped without a step in its
+/// `train.batch.skipped.{key}` counter (`nonfinite_loss`,
+/// `nonfinite_grad`, …) and warn once per process with `reason`.
+pub fn count_skipped_minibatch(key: &str, reason: &str) {
+    let counter = format!("train.batch.skipped.{key}");
+    st_obs::counter(&counter).inc();
+    st_obs::warn_once(&counter, &format!("minibatch skipped: {reason}"));
 }
 
 fn rejected(key: &'static str, reason: impl Into<String>, loss: f32) -> Result<(), Halt> {

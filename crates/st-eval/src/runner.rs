@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use st_baselines::{DeepStPredictor, Mmi, PredictQuery, Predictor, RnnBaseline, RnnConfig, Wsp};
-use st_core::{DeepSt, DeepStConfig, Example, InferPrecision, TrainConfig, TrainError, Trainer};
+use st_core::{DeepSt, DeepStConfig, Example, TrainConfig, TrainError, Trainer};
 use st_roadnet::Route;
 use st_sim::Dataset;
 
@@ -392,7 +392,7 @@ pub fn teacher_forced_accuracy(
     let mut logps: Vec<f64> = Vec::new();
     // One tape-free session for every example: each registers its trip for
     // the length of its rollout, and the log-prob buffer is reused.
-    let mut sess = model.infer_session(InferPrecision::F32);
+    let mut sess = model.infer_session();
     for e in examples.iter().take(max_examples) {
         let c = model
             .cfg

@@ -1,13 +1,13 @@
 //! Determinism rule family (v2): the static side of the bit-identity
 //! contract.
 //!
-//! The serving stack promises taped ≡ infer ≡ fused ≡ int8-dequant routes,
-//! bit-identical across thread counts, batch shapes, and scalar/AVX2
-//! builds (DESIGN.md §12). That holds only while four invariants do:
-//! no FMA contraction anywhere, Cephes-only transcendentals in numeric
-//! crates, no hash-order-dependent reductions, and no wall-clock values
-//! steering numeric paths. Each rule here polices one invariant over the
-//! parsed token stream; see [`crate::rules::Rule`] for the catalog text.
+//! The serving stack promises taped ≡ infer ≡ fused routes, bit-identical
+//! across thread counts, batch shapes, and scalar/AVX2 builds (DESIGN.md
+//! §12). That holds only while four invariants do: no FMA contraction
+//! anywhere, Cephes-only transcendentals in numeric crates, no
+//! hash-order-dependent reductions, and no wall-clock values steering
+//! numeric paths. Each rule here polices one invariant over the parsed
+//! token stream; see [`crate::rules::Rule`] for the catalog text.
 
 use crate::parser::{stmt_end, stmt_start, ParsedFile};
 use crate::rules::{is_bin_path, Finding, Rule};

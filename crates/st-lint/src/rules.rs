@@ -27,8 +27,8 @@ pub enum Rule {
     /// `infer::matmul(` on the inference path (same scope as
     /// [`Rule::TapeInInfer`]). That entry point re-packs its weight operand
     /// on every call; per-step inference code must use a pre-packed
-    /// `PackedWeights` (`infer::matmul_packed`) or the quantized kernel
-    /// instead. Deliberate unpacked baselines are waived.
+    /// `PackedWeights` (`infer::matmul_packed`) instead. Deliberate
+    /// unpacked baselines are waived.
     UnpackedGemmInInfer,
     /// `mul_add` / `_mm*_fmadd_*` anywhere in library code. The bit-identity
     /// contract (taped ≡ infer ≡ fused, scalar ≡ AVX2) holds only because no
@@ -479,7 +479,7 @@ fn unpacked_gemm_in_infer(
     let whole_file = is_infer_file(path);
     for (idx, line) in lines.iter().enumerate() {
         // `infer::matmul(` matches only the unpacked entry point — the `(`
-        // excludes `infer::matmul_packed` / `infer::matmul_quantized`.
+        // excludes `infer::matmul_packed`.
         if in_test[idx] || !line.code.contains("infer::matmul(") {
             continue;
         }
@@ -793,9 +793,8 @@ mod tests {
     }
 
     #[test]
-    fn packed_and_quantized_gemms_are_fine() {
-        let src = "fn infer_step(&self) {\n let g = infer::matmul_packed(arena, h, &w);\n \
-                   let q = infer::matmul_quantized(arena, h, &qm);\n}\n";
+    fn packed_gemm_is_fine() {
+        let src = "fn infer_step(&self) {\n let g = infer::matmul_packed(arena, h, &w);\n}\n";
         let f = lint("crates/st-core/src/predict.rs", src);
         assert!(
             !f.iter().any(|x| x.rule == Rule::UnpackedGemmInInfer),

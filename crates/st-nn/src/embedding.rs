@@ -38,8 +38,8 @@ impl Embedding {
     /// Stream id mixed into the drawn table seed. The value itself is
     /// arbitrary (any tag re-rolls every embedding init); it is pinned
     /// because the repo's seeded statistical tests — DeepST-beats-MMI,
-    /// the int8 planted-regression gate, improves-with-training, the
-    /// gridlock-reaction serve test — were validated against this roll.
+    /// improves-with-training, the gridlock-reaction serve test — were
+    /// validated against this roll.
     const TABLE_STREAM_TAG: u64 = 262;
 
     /// Gaussian-initialized embedding table (std 0.1), blocked at
@@ -145,16 +145,6 @@ impl Embedding {
         let refs: Vec<&Array> = guards.iter().map(|g| &**g).collect();
         let picks: Vec<(usize, usize)> = indices.iter().map(|&i| self.table.locate(i)).collect();
         infer::gather_rows_blocked(arena, &refs, &picks)
-    }
-
-    /// Quantize the current table to int8 with one scale per row (the
-    /// `InferPrecision::Int8` decode path). Scales are per *logical* row,
-    /// so quantizing the dense concatenation is identical to quantizing
-    /// block by block. Lookups through the result
-    /// ([`infer::gather_rows_quantized`]) dequantize on the fly and are
-    /// validated statistically, not bitwise, against the f32 path.
-    pub fn quantize(&self) -> infer::QuantizedTable {
-        infer::QuantizedTable::quantize(&self.table.to_dense())
     }
 
     fn check_indices(&self, indices: &[usize]) {

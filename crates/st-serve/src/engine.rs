@@ -33,7 +33,7 @@ use st_baselines::BeamSearch;
 use st_core::faultinject::ServeFaultInjector;
 use st_core::livetraffic::{TrafficCache, VersionedTraffic};
 use st_core::model::DeepSt;
-use st_core::predict::{InferPrecision, InferSession};
+use st_core::predict::InferSession;
 use st_roadnet::{RoadNetwork, SegmentId};
 use st_tensor::Array;
 
@@ -135,7 +135,7 @@ impl<'m> Engine<'m> {
         Self {
             model,
             net,
-            sess: model.infer_session(InferPrecision::F32),
+            sess: model.infer_session(),
             state: Vec::new(),
             logp: Vec::new(),
             active: Vec::new(),

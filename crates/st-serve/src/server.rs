@@ -172,7 +172,7 @@ impl Server {
     }
 
     /// Start a server with a deterministic chaos injector wired into every
-    /// worker's tick loop (testing and the chaos benchmark).
+    /// worker's tick loop (the chaos tests).
     pub fn with_chaos(
         model: Arc<DeepSt>,
         net: Arc<RoadNetwork>,

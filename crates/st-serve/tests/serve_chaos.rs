@@ -9,7 +9,9 @@
 //! - **no process abort**: worker panics are contained and the worker
 //!   rebuilds; requests in flight at the fault are retried and post-fault
 //!   requests succeed;
-//! - **degraded routes are still valid** routes on the graph.
+//! - **degraded routes are still valid** routes on the graph;
+//! - **faults do not change routes**: every route completed under a random
+//!   fault plan equals the serial oracle's at the reply's beam width.
 
 mod common;
 
@@ -342,16 +344,27 @@ fn random_chaos_plan_never_hangs_a_request() {
         .filter_map(|i| {
             let req =
                 common::request_between(&net, &model, (i * 7) % n_seg, (i * 11 + 3) % n_seg, None);
-            server.enqueue(req).ok()
+            server.enqueue(req.clone()).ok().map(|p| (req, p))
         })
         .collect();
     let bound = Instant::now() + HANG_BOUND;
     let mut completed = 0usize;
-    for p in pending {
+    for (req, p) in pending {
         match p.wait_until(bound) {
             None => panic!("request hung under random chaos"),
             Some(Ok(resp)) => {
                 assert!(net.is_valid_route(&resp.route));
+                // Retried, slowed and degraded replies alike decode exactly
+                // as one request alone at the width the reply reports.
+                assert_eq!(
+                    resp.route,
+                    common::serial_oracle(&net, &model, &req, resp.beam_width),
+                    "route completed under chaos differs from the serial oracle \
+                     (beam {}, {:?}, attempt {})",
+                    resp.beam_width,
+                    resp.degradation,
+                    resp.attempts
+                );
                 completed += 1;
             }
             Some(Err(

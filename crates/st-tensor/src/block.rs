@@ -145,9 +145,9 @@ impl BlockedParam {
         out.copy_from_slice(self.blocks[b].value().row(r));
     }
 
-    /// Materialize the dense `[rows, cols]` equivalent (checkpoint
-    /// migration, quantization, parity oracles) — the one deliberate
-    /// full-size allocation in the blocked API.
+    /// Materialize the dense `[rows, cols]` equivalent (the parity
+    /// oracles compare through it) — the one deliberate full-size
+    /// allocation in the blocked API.
     pub fn to_dense(&self) -> Array {
         let mut out = Array::zeros(&[self.rows, self.cols]);
         let mut row = 0;

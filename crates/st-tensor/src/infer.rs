@@ -708,200 +708,6 @@ fn gru_gates_fused_impl(h: usize, gx: &mut [f32], gh: &[f32], b: &[f32], st: &mu
     }
 }
 
-// ---------------------------------------------------------------------------
-// Quantized (int8) inference kernels
-// ---------------------------------------------------------------------------
-
-/// An int8-quantized weight matrix with per-output-channel (column) scales.
-///
-/// `w[p, j] ≈ q[p, j] · scale[j]` with `q ∈ [−levels, levels]` and
-/// `scale[j] = max_p |w[p, j]| / levels`. Products accumulate in f32
-/// ([`matmul_quantized`]). Quantized inference is **not** bit-identical to
-/// f32 — it is validated statistically by the route-identity harness.
-pub struct QuantizedMatrix {
-    k: usize,
-    n: usize,
-    q: Vec<i8>,
-    scales: Vec<f32>,
-}
-
-impl QuantizedMatrix {
-    /// Quantize a `[k, n]` weight matrix to full int8 range (±127).
-    pub fn quantize(w: &Array) -> Self {
-        Self::quantize_with_levels(w, 127)
-    }
-
-    /// Quantize with a reduced level count (e.g. 7 ≈ 3-bit) — used by the
-    /// planted-regression harness to prove the route-match threshold
-    /// actually rejects a precision regression.
-    pub fn quantize_with_levels(w: &Array, levels: i32) -> Self {
-        assert!((1..=127).contains(&levels), "levels must be in 1..=127");
-        let (k, n) = dims2(w);
-        let d = w.data();
-        let mut scales = vec![0.0f32; n];
-        for row in d.chunks_exact(n) {
-            for (s, &v) in scales.iter_mut().zip(row) {
-                *s = s.max(v.abs());
-            }
-        }
-        for s in &mut scales {
-            // Zero columns get scale 1.0 so dequantization stays exact 0.
-            *s = if *s > 0.0 { *s / levels as f32 } else { 1.0 };
-        }
-        let q = d
-            .chunks_exact(n)
-            .flat_map(|row| {
-                row.iter()
-                    .zip(&scales)
-                    .map(|(&v, &s)| (v / s).round().clamp(-(levels as f32), levels as f32) as i8)
-            })
-            .collect();
-        Self { k, n, q, scales }
-    }
-
-    /// Input width `k`.
-    pub fn in_dim(&self) -> usize {
-        self.k
-    }
-
-    /// Output width `n`.
-    pub fn out_dim(&self) -> usize {
-        self.n
-    }
-}
-
-/// `a(m×k) · Q` for an int8 matrix: f32 accumulation over dequantized-on-
-/// the-fly columns, then one per-column scale multiply.
-pub fn matmul_quantized(arena: &mut ScratchArena, a: &Array, q: &QuantizedMatrix) -> Array {
-    let (m, k) = dims2(a);
-    assert_eq!(
-        k,
-        q.k,
-        "matmul_quantized: {:?} · quantized [{}, {}]",
-        a.shape(),
-        q.k,
-        q.n
-    );
-    let mut out = arena.alloc(&[m, q.n]);
-    #[cfg(target_arch = "x86_64")]
-    if crate::dispatch::avx2_fma() {
-        // SAFETY: feature presence checked at runtime.
-        unsafe { matmul_quantized_avx2(m, k, q.n, a.data(), &q.q, &q.scales, out.data_mut()) };
-        return out;
-    }
-    matmul_quantized_impl(m, k, q.n, a.data(), &q.q, &q.scales, out.data_mut());
-    out
-}
-
-/// SAFETY: `#[target_feature]`-only unsafety — the body is the safe
-/// `matmul_quantized_impl` with AVX2+FMA codegen (the i8→f32 widening
-/// vectorizes). Callers must have verified [`crate::dispatch::avx2_fma()`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn matmul_quantized_avx2(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    q: &[i8],
-    scales: &[f32],
-    out: &mut [f32],
-) {
-    matmul_quantized_impl(m, k, n, a, q, scales, out)
-}
-
-#[inline(always)]
-fn matmul_quantized_impl(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    q: &[i8],
-    scales: &[f32],
-    out: &mut [f32],
-) {
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let o_row = &mut out[i * n..(i + 1) * n];
-        for (p, &av) in a_row.iter().enumerate() {
-            let q_row = &q[p * n..(p + 1) * n];
-            for (o, &qv) in o_row.iter_mut().zip(q_row) {
-                *o += av * qv as f32;
-            }
-        }
-        for (o, &s) in o_row.iter_mut().zip(scales) {
-            *o *= s;
-        }
-    }
-}
-
-/// An int8-quantized embedding table with per-row scales (each row is one
-/// embedding vector, so the natural quantization axis is the row).
-pub struct QuantizedTable {
-    rows: usize,
-    dim: usize,
-    q: Vec<i8>,
-    scales: Vec<f32>,
-}
-
-impl QuantizedTable {
-    /// Quantize a `[rows, dim]` table to int8 with one scale per row.
-    pub fn quantize(table: &Array) -> Self {
-        let (rows, dim) = dims2(table);
-        let d = table.data();
-        let mut scales = Vec::with_capacity(rows);
-        let mut q = Vec::with_capacity(rows * dim);
-        for row in d.chunks_exact(dim.max(1)).take(rows) {
-            let amax = row.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-            let s = if amax > 0.0 { amax / 127.0 } else { 1.0 };
-            scales.push(s);
-            q.extend(
-                row.iter()
-                    .map(|&v| (v / s).round().clamp(-127.0, 127.0) as i8),
-            );
-        }
-        Self {
-            rows,
-            dim,
-            q,
-            scales,
-        }
-    }
-
-    /// Number of table rows (the vocabulary size).
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Embedding width.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-}
-
-/// Dequantizing embedding lookup: `y[r, ·] = q[ix, ·] · scale[ix]`.
-pub fn gather_rows_quantized(
-    arena: &mut ScratchArena,
-    table: &QuantizedTable,
-    indices: &[usize],
-) -> Array {
-    let mut y = arena.alloc_uninit(&[indices.len(), table.dim]);
-    for (r, &ix) in indices.iter().enumerate() {
-        assert!(
-            ix < table.rows,
-            "gather index {ix} out of range {}",
-            table.rows
-        );
-        let s = table.scales[ix];
-        let src = &table.q[ix * table.dim..(ix + 1) * table.dim];
-        for (o, &qv) in y.row_mut(r).iter_mut().zip(src) {
-            *o = qv as f32 * s;
-        }
-    }
-    y
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1187,63 +993,6 @@ mod tests {
         let mut state = h_prev.clone();
         gru_gates_fused(h, &mut gx, &gh, bias.data(), &mut state);
         assert_eq!(state.data(), &want[..]);
-    }
-
-    #[test]
-    fn quantized_matmul_approximates_f32() {
-        let mut arena = ScratchArena::new();
-        let a = seq(&[3, 10]);
-        let w = seq(&[10, 6]);
-        let want = matmul(&mut arena, &a, &w);
-        let q = QuantizedMatrix::quantize(&w);
-        assert_eq!((q.in_dim(), q.out_dim()), (10, 6));
-        let got = matmul_quantized(&mut arena, &a, &q);
-        for (g, wv) in got.data().iter().zip(want.data()) {
-            // ±127 levels → relative error well under 1% for these ranges.
-            assert!((g - wv).abs() <= 0.01 * wv.abs().max(1.0), "{g} vs {wv}");
-        }
-    }
-
-    #[test]
-    fn coarse_quantization_is_measurably_worse() {
-        let mut arena = ScratchArena::new();
-        let a = seq(&[3, 10]);
-        let w = seq(&[10, 6]);
-        let want = matmul(&mut arena, &a, &w);
-        let err = |got: &Array| -> f32 {
-            got.data()
-                .iter()
-                .zip(want.data())
-                .map(|(g, w)| (g - w).abs())
-                .sum()
-        };
-        let fine = matmul_quantized(&mut arena, &a, &QuantizedMatrix::quantize(&w));
-        let coarse = matmul_quantized(
-            &mut arena,
-            &a,
-            &QuantizedMatrix::quantize_with_levels(&w, 3),
-        );
-        assert!(
-            err(&coarse) > 4.0 * err(&fine),
-            "coarse {} fine {}",
-            err(&coarse),
-            err(&fine)
-        );
-    }
-
-    #[test]
-    fn quantized_gather_approximates_rows() {
-        let mut arena = ScratchArena::new();
-        let table = seq(&[6, 4]);
-        let qt = QuantizedTable::quantize(&table);
-        assert_eq!((qt.rows(), qt.dim()), (6, 4));
-        let idx = [5usize, 0, 2];
-        let got = gather_rows_quantized(&mut arena, &qt, &idx);
-        for (r, &ix) in idx.iter().enumerate() {
-            for (g, w) in got.row(r).iter().zip(table.row(ix)) {
-                assert!((g - w).abs() <= w.abs() / 100.0 + 1e-6);
-            }
-        }
     }
 
     proptest! {
