@@ -10,16 +10,15 @@
 //!
 //! Both share the same recurrent backbone and output-slot head as DeepST so
 //! that Table IV differences isolate the conditioning information, not the
-//! architecture.
+//! architecture. They also train the same way: [`RnnBaseline`] is a
+//! [`TrainModel`], so `st_core::Trainer::fit` is its training loop, with
+//! DeepST's clip, sharding, checkpoints and rollback.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 
-use st_core::train::count_skipped_minibatch;
-use st_core::Example;
-use st_nn::{Embedding, Gru, Module, PackedGru, RunningRows};
+use st_core::{Example, TrainModel};
+use st_nn::{BnBatchStats, Embedding, Gru, Module, PackedGru, RunningRows};
 use st_roadnet::{RoadNetwork, Route, SegmentId};
-use st_tensor::optim::{clip_grad_norm_grouped, Adam, Optimizer};
 use st_tensor::{infer, init, ops, Binder, Param, ScratchArena, Tape, TapeFreeScope, Var};
 
 use crate::beam::{beam_decode, StepDecoder};
@@ -41,12 +40,6 @@ pub struct RnnConfig {
     pub gru_layers: usize,
     /// Destination-segment embedding size (CSSRNN only).
     pub dest_dim: usize,
-    /// Epochs / batch / learning rate.
-    pub epochs: usize,
-    /// Minibatch size.
-    pub batch_size: usize,
-    /// Adam learning rate.
-    pub lr: f32,
     /// Hard cap on generated route length.
     pub max_route_len: usize,
 }
@@ -61,9 +54,6 @@ impl RnnConfig {
             hidden: 64,
             gru_layers: 2,
             dest_dim: 32,
-            epochs: 8,
-            batch_size: 64,
-            lr: 3e-3,
             max_route_len: 150,
         }
     }
@@ -153,123 +143,6 @@ impl RnnBaseline {
         logits
     }
 
-    /// Cross-entropy loss (mean per transition) of a minibatch, over packed
-    /// sequences: step `i` runs only the routes with a transition left at
-    /// `i` ([`RunningRows`]), bit-identical to stepping every route to the
-    /// longest one and masking the finished rows (see DESIGN.md §7).
-    fn batch_loss<'t, 'p>(&'p self, binder: &Binder<'t, 'p>, batch: &[&Example]) -> Var<'t> {
-        let n = batch.len();
-        let max_len = batch.iter().map(|e| e.route.len()).max().unwrap_or(1);
-        let mut state = self.gru.zero_state(binder, n);
-        let mut running = RunningRows::all(n);
-        let mut total: Option<Var<'t>> = None;
-        let mut transitions = 0usize;
-        for i in 0..max_len - 1 {
-            if let Some(keep) = running.retain(|r| i + 1 < batch[r].route.len()) {
-                self.gru.gather_state(&mut state, &keep);
-            }
-            let rows = running.rows();
-            let tokens: Vec<SegmentId> = rows.iter().map(|&r| batch[r].route[i]).collect();
-            let targets: Vec<usize> = rows.iter().map(|&r| batch[r].slots[i]).collect();
-            // A running route has a transition left, so it has a last segment.
-            let dest_segs: Vec<SegmentId> = rows
-                .iter()
-                .map(|&r| batch[r].route.last().copied().unwrap_or(0))
-                .collect();
-            transitions += rows.len();
-            let inp = self.emb.forward(binder, &tokens);
-            let hid = self.gru.step(binder, inp, &mut state);
-            let logits = self.logits(binder, hid, &dest_segs);
-            let logp = ops::log_softmax_rows(logits);
-            let step_ll = ops::sum_all(ops::pick_per_row(logp, &targets));
-            total = Some(match total {
-                Some(acc) => ops::add(acc, step_ll),
-                None => step_ll,
-            });
-        }
-        // A batch of length-1 routes has no transitions; its loss is 0.
-        let total = total.unwrap_or_else(|| binder.input(Array::zeros(&[1])));
-        ops::scale(total, -1.0 / transitions.max(1) as f32)
-    }
-
-    /// Statically analyze the training graph this baseline builds for
-    /// `batch`: record one forward pass and run the [`st_tensor::analyze`]
-    /// passes plus the module-level never-bound-parameter check. Side-effect
-    /// free — no backward pass, no parameter updates.
-    pub fn analyze_graph(&self, batch: &[&Example]) -> Vec<st_tensor::Diagnostic> {
-        assert!(
-            !batch.is_empty(),
-            "analyze_graph needs at least one example"
-        );
-        let tape = Tape::new();
-        let binder = Binder::new(&tape);
-        let loss = self.batch_loss(&binder, batch);
-        st_nn::analyze_module_graph(&tape, &binder, loss.id(), self)
-    }
-
-    /// Train on examples; returns per-epoch mean losses.
-    ///
-    /// A minibatch with a non-finite loss or gradient norm is skipped
-    /// without a step and counted as `Trainer` counts it
-    /// ([`count_skipped_minibatch`]); an epoch that stepped no minibatch
-    /// reports NaN.
-    pub fn fit(&mut self, examples: &[Example], rng: &mut StdRng) -> Vec<f32> {
-        assert!(!examples.is_empty());
-        let mut opt = Adam::new(self.cfg.lr);
-        let mut history = Vec::with_capacity(self.cfg.epochs);
-        for _ in 0..self.cfg.epochs {
-            let mut order: Vec<usize> = (0..examples.len()).collect();
-            order.shuffle(rng);
-            let mut total = 0.0f64;
-            let mut count = 0usize;
-            for chunk in order.chunks(self.cfg.batch_size) {
-                let refs: Vec<&Example> = chunk.iter().map(|&i| &examples[i]).collect();
-                let tape = Tape::new();
-                let binder = Binder::new(&tape);
-                let loss = self.batch_loss(&binder, &refs);
-                let lv = loss.scalar_value();
-                if !lv.is_finite() {
-                    count_skipped_minibatch("nonfinite_loss", "non-finite batch loss");
-                    continue;
-                }
-                let grads = tape.backward(loss);
-                binder.accumulate_grads(&grads);
-                let params = self.params();
-                let norm = clip_grad_norm_grouped(&self.param_groups(), 5.0);
-                if !norm.is_finite() {
-                    // The clip cannot scale a non-finite norm down; a step
-                    // would write NaN into every parameter.
-                    self.zero_grads();
-                    let reason = format!("non-finite gradient norm {norm}");
-                    count_skipped_minibatch("nonfinite_grad", &reason);
-                    continue;
-                }
-                opt.step(&params);
-                total += lv as f64 * refs.len() as f64;
-                count += refs.len();
-            }
-            history.push((total / count as f64) as f32);
-        }
-        history
-    }
-
-    /// One recurrent step outside any training tape (compat shim): consume
-    /// `token`, return the new state and the slot log-probs. Stepwise loops
-    /// should open an [`RnnBaseline::decoder`] instead — this shim builds a
-    /// fresh decoder per call.
-    pub fn step_state(
-        &self,
-        state: &[Array],
-        token: SegmentId,
-        dest_seg: SegmentId,
-    ) -> (Vec<Array>, Vec<f64>) {
-        let mut dec = self.decoder(dest_seg);
-        let mut new_state = state.to_vec();
-        let mut logp = Vec::new();
-        dec.step_rows(&[token], &mut new_state, &mut logp);
-        (new_state, logp)
-    }
-
     /// The pre-refactor taped step: records the forward pass on a throwaway
     /// tape. Kept (unused by decoding) as the parity oracle the tape-free
     /// [`RnnDecoder`] is tested against.
@@ -292,7 +165,7 @@ impl RnnBaseline {
         )
     }
 
-    /// Fresh zero state for [`RnnBaseline::step_state`].
+    /// Fresh zero state for [`RnnBaseline::step_state_taped`].
     pub fn initial_state(&self) -> Vec<Array> {
         (0..self.cfg.gru_layers)
             .map(|_| Array::zeros(&[1, self.cfg.hidden]))
@@ -424,6 +297,59 @@ impl Module for RnnBaseline {
     }
 }
 
+impl TrainModel for RnnBaseline {
+    /// Cross-entropy loss (mean per transition) of a minibatch, over packed
+    /// sequences: step `i` runs only the routes with a transition left at
+    /// `i` ([`RunningRows`]), bit-identical to stepping every route to the
+    /// longest one and masking the finished rows (see DESIGN.md §7). The
+    /// loss draws no noise and has no batch norm.
+    fn loss<'t, 'p>(
+        &'p self,
+        binder: &Binder<'t, 'p>,
+        batch: &[&Example],
+        _rng: &mut StdRng,
+        _training: bool,
+        _bn_stats: Option<&mut BnBatchStats>,
+    ) -> Var<'t> {
+        let n = batch.len();
+        let max_len = batch.iter().map(|e| e.route.len()).max().unwrap_or(1);
+        let mut state = self.gru.zero_state(binder, n);
+        let mut running = RunningRows::all(n);
+        let mut total: Option<Var<'t>> = None;
+        let mut transitions = 0usize;
+        for i in 0..max_len - 1 {
+            if let Some(keep) = running.retain(|r| i + 1 < batch[r].route.len()) {
+                self.gru.gather_state(&mut state, &keep);
+            }
+            let rows = running.rows();
+            let tokens: Vec<SegmentId> = rows.iter().map(|&r| batch[r].route[i]).collect();
+            let targets: Vec<usize> = rows.iter().map(|&r| batch[r].slots[i]).collect();
+            // A running route has a transition left, so it has a last segment.
+            let dest_segs: Vec<SegmentId> = rows
+                .iter()
+                .map(|&r| batch[r].route.last().copied().unwrap_or(0))
+                .collect();
+            transitions += rows.len();
+            let inp = self.emb.forward(binder, &tokens);
+            let hid = self.gru.step(binder, inp, &mut state);
+            let logits = self.logits(binder, hid, &dest_segs);
+            let logp = ops::log_softmax_rows(logits);
+            let step_ll = ops::sum_all(ops::pick_per_row(logp, &targets));
+            total = Some(match total {
+                Some(acc) => ops::add(acc, step_ll),
+                None => step_ll,
+            });
+        }
+        // A batch of length-1 routes has no transitions; its loss is 0.
+        let total = total.unwrap_or_else(|| binder.input(Array::zeros(&[1])));
+        ops::scale(total, -1.0 / transitions.max(1) as f32)
+    }
+
+    fn slot_width(&self) -> usize {
+        self.cfg.max_neighbors
+    }
+}
+
 impl Predictor for RnnBaseline {
     fn name(&self) -> &str {
         self.name
@@ -478,8 +404,45 @@ impl Predictor for RnnBaseline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use st_core::{TrainConfig, Trainer};
     use st_roadnet::{grid_city, GridConfig};
     use std::sync::Arc;
+
+    /// A serial trainer: one shard per minibatch, one thread, Adam at
+    /// `lr`, clip 5.0, no early stopping.
+    fn trainer(
+        model: RnnBaseline,
+        epochs: usize,
+        batch_size: usize,
+        lr: f32,
+    ) -> Trainer<RnnBaseline> {
+        let cfg = TrainConfig {
+            epochs,
+            batch_size,
+            shard_size: batch_size,
+            num_threads: 1,
+            lr,
+            grad_clip: 5.0,
+            patience: None,
+            ..TrainConfig::default()
+        };
+        Trainer::new(model, cfg)
+    }
+
+    /// Per-epoch train losses of a clean `fit` run.
+    fn fit(trainer: &mut Trainer<RnnBaseline>, examples: &[Example], rng: &mut StdRng) -> Vec<f32> {
+        let history = trainer.fit(examples, None, rng).expect("clean run");
+        history.epochs.iter().map(|e| e.train_loss).collect()
+    }
+
+    /// One training loss on a throwaway RNG (the loss draws no noise).
+    fn batch_loss<'t, 'p>(
+        model: &'p RnnBaseline,
+        binder: &Binder<'t, 'p>,
+        batch: &[&Example],
+    ) -> Var<'t> {
+        model.loss(binder, batch, &mut init::rng(0), true, None)
+    }
 
     /// Examples whose next-step depends on the destination: trips to dest A
     /// always turn with slot 0, trips to dest B with slot 1.
@@ -506,16 +469,12 @@ mod tests {
     fn cssrnn_beats_vanilla_on_dest_dependent_world() {
         let net = grid_city(&GridConfig::small_test(), 8);
         let examples = dest_dependent_examples(&net, 60);
-        let cfg = RnnConfig {
-            epochs: 18,
-            lr: 5e-3,
-            ..RnnConfig::new(net.num_segments(), net.max_out_degree())
-        };
+        let cfg = RnnConfig::new(net.num_segments(), net.max_out_degree());
         let mut rng = init::rng(0);
-        let mut vanilla = RnnBaseline::vanilla(cfg.clone(), 0);
-        let v_hist = vanilla.fit(&examples, &mut rng);
-        let mut css = RnnBaseline::cssrnn(cfg, 0);
-        let c_hist = css.fit(&examples, &mut rng);
+        let mut vanilla = trainer(RnnBaseline::vanilla(cfg.clone(), 0), 18, 64, 5e-3);
+        let v_hist = fit(&mut vanilla, &examples, &mut rng);
+        let mut css = trainer(RnnBaseline::cssrnn(cfg, 0), 18, 64, 5e-3);
+        let c_hist = fit(&mut css, &examples, &mut rng);
         // CSSRNN can disambiguate by destination; vanilla cannot.
         assert!(
             c_hist.last().unwrap() < v_hist.last().unwrap(),
@@ -536,8 +495,8 @@ mod tests {
         let examples = dest_dependent_examples(&net, 40);
         let cfg = RnnConfig::new(net.num_segments(), net.max_out_degree());
         let mut rng = init::rng(1);
-        let mut model = RnnBaseline::vanilla(cfg, 1);
-        let hist = model.fit(&examples, &mut rng);
+        let mut model = trainer(RnnBaseline::vanilla(cfg, 1), 8, 64, 3e-3);
+        let hist = fit(&mut model, &examples, &mut rng);
         assert!(hist.last().unwrap() < hist.first().unwrap());
     }
 
@@ -545,13 +504,11 @@ mod tests {
     fn prediction_is_valid_route() {
         let net = grid_city(&GridConfig::small_test(), 8);
         let examples = dest_dependent_examples(&net, 20);
-        let cfg = RnnConfig {
-            epochs: 2,
-            ..RnnConfig::new(net.num_segments(), net.max_out_degree())
-        };
+        let cfg = RnnConfig::new(net.num_segments(), net.max_out_degree());
         let mut rng = init::rng(2);
-        let mut model = RnnBaseline::cssrnn(cfg, 2);
-        model.fit(&examples, &mut rng);
+        let mut trainer = trainer(RnnBaseline::cssrnn(cfg, 2), 2, 64, 3e-3);
+        fit(&mut trainer, &examples, &mut rng);
+        let model = trainer.model;
         let dst = net.num_segments() / 2;
         let q = PredictQuery {
             start: 0,
@@ -575,35 +532,28 @@ mod tests {
             .collect()
     }
 
-    /// `fit` counts every minibatch it cannot step, and an epoch that
-    /// stepped nothing reports NaN — not a perfect 0.0 loss — and leaves
-    /// the model untouched.
+    /// `Trainer::train_epoch` counts every RNN minibatch it cannot step,
+    /// and an epoch that stepped nothing reports NaN — not a perfect 0.0
+    /// loss — and leaves the model untouched.
     #[test]
     fn skipped_minibatches_are_counted_and_an_all_skipped_epoch_is_nan() {
         let net = grid_city(&GridConfig::small_test(), 8);
         let examples = dest_dependent_examples(&net, 16);
-        let cfg = RnnConfig {
-            epochs: 1,
-            batch_size: 8,
-            ..RnnConfig::new(net.num_segments(), net.max_out_degree())
-        };
-        let mut model = RnnBaseline::cssrnn(cfg, 3);
+        let cfg = RnnConfig::new(net.num_segments(), net.max_out_degree());
+        let mut trainer = trainer(RnnBaseline::cssrnn(cfg, 3), 1, 8, 3e-3);
         // Plants a non-finite loss in every minibatch: slot 0's logit is
         // NaN on every step.
-        model.alpha.value_mut().data_mut()[0] = f32::NAN;
-        let before = state_bits(&model);
+        trainer.model.alpha.value_mut().data_mut()[0] = f32::NAN;
+        let before = state_bits(&trainer.model);
         let skipped = st_obs::counter("train.batch.skipped.nonfinite_loss");
         let base = skipped.get();
         let mut rng = init::rng(4);
 
-        let history = model.fit(&examples, &mut rng);
-        assert!(
-            history[0].is_nan(),
-            "all-skipped epoch reported loss {history:?}"
-        );
+        let loss = trainer.train_epoch(&examples, &mut rng);
+        assert!(loss.is_nan(), "all-skipped epoch reported loss {loss}");
         assert_eq!(skipped.get() - base, 2);
         assert_eq!(
-            state_bits(&model),
+            state_bits(&trainer.model),
             before,
             "a skipped minibatch moved the model"
         );
@@ -611,40 +561,33 @@ mod tests {
 
     /// A NaN gradient norm must not reach Adam: the clip cannot scale it
     /// down (`NaN > max_norm` is false), so a step would write NaN into the
-    /// parameters. `fit` skips the minibatch, zeroes the gradients and
-    /// counts it instead.
+    /// parameters. `Trainer::train_epoch` skips the minibatch, zeroes the
+    /// gradients and counts it instead.
     #[test]
     fn nonfinite_grad_norm_skips_the_step() {
         let net = grid_city(&GridConfig::small_test(), 8);
         let examples = dest_dependent_examples(&net, 8);
-        let cfg = RnnConfig {
-            epochs: 1,
-            batch_size: 8,
-            ..RnnConfig::new(net.num_segments(), net.max_out_degree())
-        };
-        let mut model = RnnBaseline::vanilla(cfg, 5);
+        let cfg = RnnConfig::new(net.num_segments(), net.max_out_degree());
+        let mut trainer = trainer(RnnBaseline::vanilla(cfg, 5), 1, 8, 3e-3);
         {
-            let planted = model.params()[0];
+            let planted = trainer.model.params()[0];
             let shape = planted.value().shape().to_vec();
             planted.accumulate_grad(&Array::full(&shape, f32::NAN));
         }
-        let before = state_bits(&model);
+        let before = state_bits(&trainer.model);
         let skipped = st_obs::counter("train.batch.skipped.nonfinite_grad");
         let base = skipped.get();
         let mut rng = init::rng(6);
 
-        let history = model.fit(&examples, &mut rng);
+        let loss = trainer.train_epoch(&examples, &mut rng);
         assert_eq!(
-            state_bits(&model),
+            state_bits(&trainer.model),
             before,
             "a non-finite gradient norm reached the optimizer step"
         );
-        assert!(
-            history[0].is_nan(),
-            "skipped minibatch reported loss {history:?}"
-        );
+        assert!(loss.is_nan(), "skipped minibatch reported loss {loss}");
         assert_eq!(skipped.get() - base, 1);
-        for p in model.params() {
+        for p in trainer.model.params() {
             assert!(
                 p.grad().data().iter().all(|g| g.to_bits() == 0),
                 "gradient of {} not zeroed",
@@ -712,7 +655,7 @@ mod tests {
         };
         let tape = Tape::new();
         let binder = Binder::new(&tape);
-        let loss = model.batch_loss(&binder, &refs);
+        let loss = batch_loss(&model, &binder, &refs);
         let hazard = ops::sum_all(ops::ln(binder.input(Array::vector(vec![0.5, 2.0]))));
         let root = ops::add(loss, hazard);
         let _stray = ops::square(binder.input(Array::vector(vec![1.0, 2.0])));
@@ -736,7 +679,7 @@ mod tests {
     }
 
     /// The loss loop before packing, kept verbatim as the exactness oracle
-    /// of [`RnnBaseline::batch_loss`]: every route steps until the longest
+    /// of the RNN's [`TrainModel::loss`]: every route steps until the longest
     /// one ends, padded with token 0, and the finished rows are masked out.
     fn padded_batch_loss<'t, 'p>(
         model: &'p RnnBaseline,
@@ -795,7 +738,7 @@ mod tests {
         let tape = Tape::new();
         let binder = Binder::new(&tape);
         let loss = if packed {
-            model.batch_loss(&binder, &refs)
+            batch_loss(model, &binder, &refs)
         } else {
             padded_batch_loss(model, &binder, &refs)
         };

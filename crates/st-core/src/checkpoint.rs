@@ -1,9 +1,9 @@
 //! Trainer-level crash-safe checkpoints.
 //!
 //! Bridges the generic v2 checkpoint format in [`st_nn::serialize`] to the
-//! concrete training stack: a file written by [`save_training`] carries the
-//! [`DeepSt`] parameters and batch-norm buffers, the full Adam optimizer
-//! state, the epoch RNG state, and the trainer's progress counters —
+//! training stack: a file written by [`save_training`] carries the model's
+//! parameters and batch-norm buffers, the full Adam optimizer state, the
+//! epoch RNG state, and the trainer's progress counters —
 //! everything needed for [`load_training`] to continue the run
 //! *bit-identically*, as if the interruption never happened.
 //!
@@ -15,9 +15,8 @@ use std::path::Path;
 use rand::rngs::StdRng;
 
 use st_nn::serialize::{self, CheckpointError, TrainStateRecord};
+use st_nn::Module;
 use st_tensor::optim::Adam;
-
-use crate::model::DeepSt;
 
 /// Trainer progress carried by a checkpoint besides tensors and RNG state.
 #[derive(Debug, Clone, Copy)]
@@ -37,7 +36,7 @@ pub struct ResumePoint {
 /// Write a complete training checkpoint to `path` (atomic, checksummed).
 pub fn save_training(
     path: impl AsRef<Path>,
-    model: &DeepSt,
+    model: &impl Module,
     opt: &Adam,
     rng: &StdRng,
     rp: &ResumePoint,
@@ -63,7 +62,7 @@ pub fn save_training(
 /// and start from fresh state.
 pub fn load_training(
     path: impl AsRef<Path>,
-    model: &DeepSt,
+    model: &impl Module,
     opt: &mut Adam,
     rng: &mut StdRng,
 ) -> Result<ResumePoint, CheckpointError> {

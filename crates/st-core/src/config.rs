@@ -33,9 +33,11 @@ pub struct DeepStConfig {
     pub use_traffic: bool,
     /// Gumbel-Softmax temperature for the π relaxation (§IV-D).
     pub gumbel_temp: f32,
-    /// Distance scale (m) of the termination function `f_s` — the distance
-    /// at which the stop probability is ½ (§IV-A uses raw coordinate units;
-    /// our coordinates are meters, so a scale is required).
+    /// Distance scale (m) of the termination function
+    /// `f_s = exp(−(d/scale)²)` ([`crate::DeepSt::termination_prob`]): the
+    /// stop probability is 1 at the destination and e⁻¹ ≈ 0.37 at this
+    /// distance (§IV-A uses raw coordinate units; our coordinates are
+    /// meters, so a scale is required).
     pub term_scale_m: f64,
     /// Hard cap on generated route length.
     pub max_route_len: usize,

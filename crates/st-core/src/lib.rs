@@ -14,7 +14,9 @@
 //! - [`data::Example`] — the observable view of a trip `(r, x, C)`.
 //! - [`train::Trainer`] — Algorithm 1 (minibatch ELBO maximization, Adam):
 //!   one fault-tolerant loop, [`train::Trainer::fit`], over any
-//!   [`train::BatchSource`] (in-memory examples or a per-epoch stream).
+//!   [`train::BatchSource`] (in-memory examples or a per-epoch stream),
+//!   for any [`train::TrainModel`] (DeepST, DeepST-C and the RNN/CSSRNN
+//!   baselines).
 //! - [`checkpoint`] — crash-safe training checkpoints (save/resume).
 //! - [`faultinject`] — deterministic fault injection for tests.
 //! - [`predict`] — Algorithm 2 (route generation) and likelihood scoring.
@@ -44,5 +46,6 @@ pub use livetraffic::{
 pub use model::{DeepSt, EmbMemory};
 pub use predict::{InferSession, TripContext};
 pub use train::{
-    BatchSource, ElboStats, EpochStats, TrainConfig, TrainError, TrainEvent, TrainHistory, Trainer,
+    BatchSource, ElboStats, EpochStats, TrainConfig, TrainError, TrainEvent, TrainHistory,
+    TrainModel, Trainer,
 };

@@ -7,9 +7,10 @@
 //! 1. **The tape stays single-threaded.** [`st_tensor::Tape`] is `!Send`;
 //!    every worker owns its own tape (reused across shards via
 //!    [`st_tensor::Tape::reset`]) and only shares the model immutably.
-//!    [`st_tensor::Param`] values sit behind `RwLock`s, so `&DeepSt` is
-//!    `Sync`: workers take read locks to copy parameter values onto their
-//!    tapes, and only the calling thread ever takes write locks.
+//!    [`st_tensor::Param`] values sit behind `RwLock`s, so every
+//!    [`TrainModel`] is `Sync`: workers take read locks to copy parameter
+//!    values onto their tapes, and only the calling thread ever takes write
+//!    locks.
 //! 2. **Workers never mutate the model.** Gradients are returned as *owned*
 //!    per-shard arrays ([`st_tensor::Binder::collect_grads`]) and batch-norm
 //!    running-statistic updates are *recorded* ([`st_nn::BnBatchStats`])
@@ -33,18 +34,15 @@ use st_tensor::{Array, Binder, Param, Tape};
 
 use crate::data::Example;
 use crate::faultinject::FaultInjector;
-use crate::model::DeepSt;
-use crate::train::ElboStats;
+use crate::train::TrainModel;
 
 /// Everything a shard's forward/backward pass produces, ready for the
 /// caller to reduce in shard order.
 pub struct ShardOutput<'p> {
-    /// Loss value (−ELBO / shard size) of the shard.
+    /// Loss value of the shard ([`TrainModel::loss`]).
     pub loss: f32,
     /// Number of examples in the shard.
     pub count: usize,
-    /// ELBO term breakdown.
-    pub stats: ElboStats,
     /// Owned gradients, one entry per distinct parameter in binding order.
     pub grads: Vec<(&'p Param, Array)>,
     /// Deferred batch-norm statistic updates, in layer order.
@@ -59,8 +57,8 @@ pub struct ShardOutput<'p> {
 /// Exposed so the trainer can run a single-shard minibatch inline against
 /// the epoch's main RNG — that path consumes the RNG stream exactly like
 /// the classic serial trainer, keeping existing seeded runs reproducible.
-pub fn run_shard_with_rng<'p>(
-    model: &'p DeepSt,
+pub fn run_shard_with_rng<'p, M: TrainModel>(
+    model: &'p M,
     tape: &Tape,
     shard: &[&Example],
     rng: &mut StdRng,
@@ -71,7 +69,7 @@ pub fn run_shard_with_rng<'p>(
     tape.reset();
     let binder = Binder::new(tape);
     let mut bn_updates = BnBatchStats::new();
-    let (loss, stats) = model.batch_loss_collect(&binder, shard, rng, true, Some(&mut bn_updates));
+    let loss = model.loss(&binder, shard, rng, true, Some(&mut bn_updates));
     let loss_val = loss.scalar_value();
     let grads = if loss_val.is_finite() {
         let g = tape.backward(loss);
@@ -83,7 +81,6 @@ pub fn run_shard_with_rng<'p>(
     ShardOutput {
         loss: loss_val,
         count: shard.len(),
-        stats,
         grads,
         bn_updates,
         peak_tape_bytes: tape.peak_bytes(),
@@ -129,8 +126,8 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// through: the worker only ever takes `RwLock` *read* guards on model
 /// parameters (read guards do not poison) and all tape/binder state is
 /// local to the call.
-fn run_shard_contained<'p>(
-    model: &'p DeepSt,
+fn run_shard_contained<'p, M: TrainModel>(
+    model: &'p M,
     tape: &Tape,
     shard: &[&Example],
     rng: &mut StdRng,
@@ -191,8 +188,8 @@ fn retry_shard<'p>(
 /// recovered run stays bit-identical with an unfailed one. A larger
 /// minibatch draws one seed per shard from `rng`, in shard order, and goes
 /// through [`run_shards`].
-pub(crate) fn run_minibatch<'p>(
-    model: &'p DeepSt,
+pub(crate) fn run_minibatch<'p, M: TrainModel>(
+    model: &'p M,
     batch: &[&Example],
     shard_size: usize,
     num_threads: usize,
@@ -241,8 +238,8 @@ pub(crate) fn run_minibatch<'p>(
 /// A shard that fails its retry too is absent from the output list — its
 /// failure entry has `recovered == false` and the caller decides whether
 /// the minibatch is salvageable.
-pub fn run_shards<'p>(
-    model: &'p DeepSt,
+pub fn run_shards<'p, M: TrainModel>(
+    model: &'p M,
     batch: &[&Example],
     shard_size: usize,
     num_threads: usize,
@@ -290,8 +287,8 @@ pub fn run_shards<'p>(
 /// the determinism test can force real worker threads even on single-core
 /// hosts, where [`run_shards`] would fall back to the inline path. Worker
 /// panics are contained per shard and returned as `Err` slots.
-pub(crate) fn run_shards_on<'p>(
-    model: &'p DeepSt,
+pub(crate) fn run_shards_on<'p, M: TrainModel>(
+    model: &'p M,
     shards: &[&[&Example]],
     seeds: &[u64],
     workers: usize,
@@ -333,6 +330,7 @@ pub(crate) fn run_shards_on<'p>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::DeepSt;
 
     /// `&DeepSt` must be shareable across worker threads.
     #[test]

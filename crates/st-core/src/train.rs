@@ -1,7 +1,8 @@
 //! ELBO computation (Eq. 7) and the training loop (Algorithm 1):
 //! [`Trainer::fit`] over a [`BatchSource`], with crash-safe
 //! checkpoint/resume, divergence detection with rollback + LR backoff, and
-//! worker-failure containment (see DESIGN.md §8).
+//! worker-failure containment (see DESIGN.md §8). The loop trains any
+//! [`TrainModel`]: DeepST, DeepST-C and the RNN/CSSRNN baselines.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
@@ -59,10 +60,9 @@ impl DeepSt {
 
     /// [`DeepSt::batch_loss`] with deferred batch-norm statistics: when
     /// `bn_stats` is `Some(sink)`, running-statistic (EMA) updates are
-    /// recorded into the sink instead of applied to the model, so parallel
-    /// workers stay read-only and the main thread can apply updates in a
-    /// deterministic shard order (see [`crate::parallel`]).
-    pub fn batch_loss_collect<'t, 'p>(
+    /// recorded into the sink instead of applied to the model (see
+    /// [`TrainModel::loss`]).
+    fn batch_loss_collect<'t, 'p>(
         &'p self,
         binder: &Binder<'t, 'p>,
         batch: &[&Example],
@@ -224,6 +224,45 @@ impl DeepSt {
         let route_ll = route_ll.unwrap_or_else(|| binder.input(Array::zeros(&[1])));
         (route_ll, transitions)
     }
+}
+
+/// What [`Trainer`] and the shard runners in [`crate::parallel`] need from
+/// a gradient-trained model. [`DeepSt`] (DeepST and DeepST-C) and the
+/// RNN/CSSRNN baselines implement it, so every model of Table IV trains
+/// through one loop, [`Trainer::fit`].
+///
+/// `Sync` because shard workers share `&Self`: parameters sit behind
+/// `RwLock`s and workers only read them (DESIGN.md §7).
+pub trait TrainModel: Module + Sync {
+    /// Record the training loss of `batch` on `binder`'s tape: a scalar
+    /// mean over the batch's examples (DeepST's −ELBO per trip) or its
+    /// transitions (the RNNs' cross-entropy). `training` turns on sampling,
+    /// drawn from `rng`. With `bn_stats: Some(sink)`, batch-norm
+    /// running-statistic updates are recorded into the sink instead of
+    /// applied, so shard workers never write to the model and the caller
+    /// applies the updates in shard order.
+    ///
+    /// The trainer weights each shard's loss by its example count. For a
+    /// per-example mean that makes a sharded minibatch's gradient the
+    /// whole minibatch's; for a per-transition mean that holds only with
+    /// one shard per minibatch.
+    fn loss<'t, 'p>(
+        &'p self,
+        binder: &Binder<'t, 'p>,
+        batch: &[&Example],
+        rng: &mut StdRng,
+        training: bool,
+        bn_stats: Option<&mut BnBatchStats>,
+    ) -> Var<'t>;
+
+    /// Width of the output slot head. A training target at or past it is
+    /// a transition the model cannot represent.
+    fn slot_width(&self) -> usize;
+
+    /// Apply batch-norm statistics recorded by [`TrainModel::loss`], in
+    /// layer order. Models without batch norm record none; the default
+    /// does nothing.
+    fn apply_bn_stats(&self, _stats: &BnBatchStats) {}
 
     /// Statically analyze the training graph this model builds for `batch`:
     /// record one forward pass (no kernels beyond the forward itself, no
@@ -235,7 +274,10 @@ impl DeepSt {
     /// neither the caller's RNG stream nor the model's running buffers move
     /// — [`Trainer::fit`]'s bit-identical resume guarantee is preserved
     /// when analysis runs before epoch 0.
-    pub fn analyze_graph(&self, batch: &[&Example]) -> Vec<Diagnostic> {
+    fn analyze_graph(&self, batch: &[&Example]) -> Vec<Diagnostic>
+    where
+        Self: Sized,
+    {
         assert!(
             !batch.is_empty(),
             "analyze_graph needs at least one example"
@@ -244,12 +286,14 @@ impl DeepSt {
         let mut sink = BnBatchStats::default();
         let tape = Tape::new();
         let binder = Binder::new(&tape);
-        let (loss, _) = self.batch_loss_collect(&binder, batch, &mut rng, true, Some(&mut sink));
+        let loss = self.loss(&binder, batch, &mut rng, true, Some(&mut sink));
         analyze_module_graph(&tape, &binder, loss.id(), self)
     }
 
-    /// Mean negative ELBO per trip over `examples` (no parameter updates).
-    pub fn evaluate_loss(&self, examples: &[Example], batch_size: usize, rng: &mut StdRng) -> f32 {
+    /// [`TrainModel::loss`] at eval (no sampling, no parameter or buffer
+    /// updates) over `examples` in chunks of `batch_size`, averaged with
+    /// each chunk weighted by its example count.
+    fn evaluate_loss(&self, examples: &[Example], batch_size: usize, rng: &mut StdRng) -> f32 {
         assert!(!examples.is_empty());
         let mut total = 0.0f64;
         let mut count = 0usize;
@@ -257,11 +301,33 @@ impl DeepSt {
             let refs: Vec<&Example> = chunk.iter().collect();
             let tape = Tape::new();
             let binder = Binder::new(&tape);
-            let (loss, _) = self.batch_loss(&binder, &refs, rng, false);
+            let loss = self.loss(&binder, &refs, rng, false, None);
             total += loss.scalar_value() as f64 * refs.len() as f64;
             count += refs.len();
         }
         (total / count as f64) as f32
+    }
+}
+
+impl TrainModel for DeepSt {
+    fn loss<'t, 'p>(
+        &'p self,
+        binder: &Binder<'t, 'p>,
+        batch: &[&Example],
+        rng: &mut StdRng,
+        training: bool,
+        bn_stats: Option<&mut BnBatchStats>,
+    ) -> Var<'t> {
+        self.batch_loss_collect(binder, batch, rng, training, bn_stats)
+            .0
+    }
+
+    fn slot_width(&self) -> usize {
+        self.cfg.max_neighbors
+    }
+
+    fn apply_bn_stats(&self, stats: &BnBatchStats) {
+        DeepSt::apply_bn_stats(self, stats);
     }
 }
 
@@ -646,10 +712,11 @@ where
     }
 }
 
-/// Trains a [`DeepSt`] model (Algorithm 1 of the paper).
-pub struct Trainer {
+/// Trains a [`TrainModel`] (Algorithm 1 of the paper): [`DeepSt`] by
+/// default, or an RNN/CSSRNN baseline.
+pub struct Trainer<M: TrainModel = DeepSt> {
     /// The model being trained.
-    pub model: DeepSt,
+    pub model: M,
     /// High-water mark of any worker's tape arena seen so far, in bytes.
     pub peak_tape_bytes: usize,
     /// Findings from the pre-training graph analysis (run once before epoch
@@ -661,9 +728,9 @@ pub struct Trainer {
     faults: Option<Arc<FaultInjector>>,
 }
 
-impl Trainer {
+impl<M: TrainModel> Trainer<M> {
     /// Create a trainer owning `model`.
-    pub fn new(model: DeepSt, cfg: TrainConfig) -> Self {
+    pub fn new(model: M, cfg: TrainConfig) -> Self {
         let opt = Adam::new(cfg.lr);
         Self {
             model,
@@ -688,7 +755,7 @@ impl Trainer {
     /// [`Trainer::lint_report`] (and returning a copy). Called once before
     /// epoch 0 by [`Trainer::fit`] on its source's lint sample (nothing to
     /// lint when that is empty); side-effect free (see
-    /// [`DeepSt::analyze_graph`]).
+    /// [`TrainModel::analyze_graph`]).
     fn pre_train_lint(&mut self, train: &[Example]) -> Vec<Diagnostic> {
         if train.is_empty() {
             return Vec::new();
@@ -706,15 +773,15 @@ impl Trainer {
             .flat_map(|e| e.slots.iter().copied())
             .max()
             .unwrap_or(0);
-        if max_slot >= self.model.cfg.max_neighbors {
+        let width = self.model.slot_width();
+        if max_slot >= width {
             self.lint_report.push(Diagnostic {
                 kind: st_tensor::LintKind::TruncatedOutputSpace,
                 severity: st_tensor::Severity::Error,
                 node: None,
                 message: format!(
                     "training data contains slot {max_slot} but the output head has only \
-                     {} slots (cfg.max_neighbors): those transitions are unlearnable",
-                    self.model.cfg.max_neighbors
+                     {width} slots (cfg.max_neighbors): those transitions are unlearnable"
                 ),
             });
         }
@@ -1024,7 +1091,7 @@ impl Trainer {
         }
         for out in &outputs {
             if !out.bn_updates.is_empty() {
-                // Empty when the traffic pathway is disabled (DeepST-C).
+                // Empty without a traffic pathway (DeepST-C, the RNNs).
                 self.model.apply_bn_stats(&out.bn_updates);
             }
             acc.total += out.loss as f64 * out.count as f64;
@@ -1112,10 +1179,10 @@ enum Halt {
     },
 }
 
-/// Count one minibatch a training loop skipped without a step in its
+/// Count one minibatch `train_epoch`/`train_epoch_stream` skipped in its
 /// `train.batch.skipped.{key}` counter (`nonfinite_loss`,
 /// `nonfinite_grad`, …) and warn once per process with `reason`.
-pub fn count_skipped_minibatch(key: &str, reason: &str) {
+fn count_skipped_minibatch(key: &str, reason: &str) {
     let counter = format!("train.batch.skipped.{key}");
     st_obs::counter(&counter).inc();
     st_obs::warn_once(&counter, &format!("minibatch skipped: {reason}"));

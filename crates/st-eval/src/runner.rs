@@ -129,19 +129,24 @@ pub fn train_all_methods(
     cfg: &SuiteConfig,
 ) -> Result<Vec<Box<dyn Predictor>>, TrainError> {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xBA5E);
-    let rnn_cfg = RnnConfig {
+    let rnn_cfg = RnnConfig::new(ds.net.num_segments(), ds.net.max_out_degree());
+    // One shard per minibatch, as the RNN loss is a per-transition mean
+    // (see `TrainModel::loss`); no validation set, so no early stopping.
+    let tc = TrainConfig {
         epochs: cfg.rnn_epochs,
         batch_size: cfg.batch_size,
+        shard_size: cfg.batch_size,
         lr: cfg.lr,
-        ..RnnConfig::new(ds.net.num_segments(), ds.net.max_out_degree())
+        grad_clip: 5.0,
+        ..TrainConfig::default()
     };
 
     let deepst = train_deepst(ds, train, val, cfg, true)?;
     let deepst_c = train_deepst(ds, train, val, cfg, false)?;
-    let mut cssrnn = RnnBaseline::cssrnn(rnn_cfg.clone(), cfg.seed);
-    cssrnn.fit(train, &mut rng);
-    let mut rnn = RnnBaseline::vanilla(rnn_cfg, cfg.seed);
-    rnn.fit(train, &mut rng);
+    let mut cssrnn = Trainer::new(RnnBaseline::cssrnn(rnn_cfg.clone(), cfg.seed), tc.clone());
+    cssrnn.fit(train, None, &mut rng)?;
+    let mut rnn = Trainer::new(RnnBaseline::vanilla(rnn_cfg, cfg.seed), tc);
+    rnn.fit(train, None, &mut rng)?;
     let train_routes: Vec<Route> = train.iter().map(|e| e.route.clone()).collect();
     let mmi = Mmi::fit(&ds.net, train_routes.iter());
     // WSP needs durations: recover them from the dataset trips by matching
@@ -158,8 +163,8 @@ pub fn train_all_methods(
     Ok(vec![
         Box::new(DeepStPredictor::new(deepst)),
         Box::new(DeepStPredictor::new(deepst_c)),
-        Box::new(cssrnn),
-        Box::new(rnn),
+        Box::new(cssrnn.model),
+        Box::new(rnn.model),
         Box::new(mmi),
         Box::new(wsp),
     ])

@@ -363,7 +363,7 @@ mod tests {
     /// clean, and a planted defect on the same graph must be detected.
     #[test]
     fn strs_spatial_model_graph_passes_static_analysis() {
-        use st_core::{DeepStConfig, Example};
+        use st_core::{DeepStConfig, Example, TrainModel};
         use st_tensor::analyze::LintKind;
         use st_tensor::{init, ops, Array, Binder, Tape};
         use std::sync::Arc;

@@ -1,46 +1,17 @@
-//! Open-loop request-arrival profiles for load-generating the prediction
+//! The rush-hour demand profile for load-generating the prediction
 //! service.
 //!
 //! A serving benchmark must be *open-loop*: arrivals are drawn from a fixed
 //! process independent of how fast the server answers, so queueing delay —
 //! the thing overload actually produces — is measured instead of hidden by
-//! closed-loop self-throttling. Two deterministic profiles:
-//!
-//! - [`poisson_arrivals`] — a homogeneous Poisson process at a fixed rate
-//!   (exponential inter-arrival times), the nominal-load profile.
-//! - [`rush_hour_arrivals`] — an *inhomogeneous* Poisson process whose rate
-//!   follows the simulator's diurnal congestion profile
-//!   ([`crate::TrafficModel::diurnal_factor`]) with one simulated day
-//!   compressed into the benchmark window, so the morning/evening rush
-//!   shows up as genuine burst load. Drawn by thinning against the peak
-//!   rate, the standard exact sampler for inhomogeneous Poisson processes.
-//!
-//! Everything is seeded: same seed, same arrival times, bit for bit.
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+//! closed-loop self-throttling. [`rush_hour_rate`] is the rate of an
+//! *inhomogeneous* Poisson process that follows the simulator's diurnal
+//! congestion profile ([`crate::TrafficModel::diurnal_factor`]) with one
+//! simulated day compressed into the benchmark window, so the morning and
+//! evening rushes show up as genuine burst load; the load generator samples
+//! its arrivals from it.
 
 use crate::traffic::{TrafficModel, DAY_SECS};
-
-/// Arrival timestamps (seconds from benchmark start, strictly increasing)
-/// of a homogeneous Poisson process at `rate_hz` over `[0, duration_s)`.
-pub fn poisson_arrivals(rate_hz: f64, duration_s: f64, seed: u64) -> Vec<f64> {
-    assert!(rate_hz > 0.0, "rate must be positive");
-    assert!(duration_s > 0.0, "duration must be positive");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Vec::with_capacity((rate_hz * duration_s * 1.2) as usize + 4);
-    let mut t = 0.0f64;
-    loop {
-        // Exponential(rate) inter-arrival via inverse transform; the `1-u`
-        // keeps ln's argument in (0, 1] for u in [0, 1).
-        let u: f64 = rng.gen();
-        t += -(1.0 - u).ln() / rate_hz;
-        if t >= duration_s {
-            return out;
-        }
-        out.push(t);
-    }
-}
 
 /// Instantaneous arrival rate (Hz) of the rush-hour profile at benchmark
 /// time `t` of `duration_s`: one simulated day compressed into the window,
@@ -60,59 +31,9 @@ pub fn rush_hour_rate(base_rate_hz: f64, peak_mult: f64, t: f64, duration_s: f64
     base_rate_hz * (1.0 + (peak_mult - 1.0) * rush)
 }
 
-/// Arrival timestamps of the inhomogeneous rush-hour process over
-/// `[0, duration_s)`: base rate `base_rate_hz` off-peak, bursting to
-/// `base_rate_hz × peak_mult` at the compressed 8:00/18:00 rushes. Sampled
-/// by thinning: candidates are drawn at the peak rate and accepted with
-/// probability `rate(t) / peak`.
-pub fn rush_hour_arrivals(
-    base_rate_hz: f64,
-    peak_mult: f64,
-    duration_s: f64,
-    seed: u64,
-) -> Vec<f64> {
-    assert!(base_rate_hz > 0.0, "rate must be positive");
-    assert!(peak_mult >= 1.0, "peak multiplier must be at least 1");
-    assert!(duration_s > 0.0, "duration must be positive");
-    let peak = base_rate_hz * peak_mult;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Vec::new();
-    let mut t = 0.0f64;
-    loop {
-        let u: f64 = rng.gen();
-        t += -(1.0 - u).ln() / peak;
-        if t >= duration_s {
-            return out;
-        }
-        let accept: f64 = rng.gen();
-        if accept * peak < rush_hour_rate(base_rate_hz, peak_mult, t, duration_s) {
-            out.push(t);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn poisson_is_deterministic_and_ordered() {
-        let a = poisson_arrivals(50.0, 10.0, 7);
-        let b = poisson_arrivals(50.0, 10.0, 7);
-        assert_eq!(a, b, "same seed must give identical arrivals");
-        let c = poisson_arrivals(50.0, 10.0, 8);
-        assert_ne!(a, c, "different seeds must differ");
-        assert!(a.windows(2).all(|w| w[0] < w[1]), "arrivals must increase");
-        assert!(a.iter().all(|&t| (0.0..10.0).contains(&t)));
-    }
-
-    #[test]
-    fn poisson_count_matches_rate() {
-        // λ·T = 2000 expected arrivals, sd ≈ 45: ±10% is > 4 sigma.
-        let a = poisson_arrivals(200.0, 10.0, 3);
-        let n = a.len() as f64;
-        assert!((1800.0..2200.0).contains(&n), "got {n} arrivals");
-    }
 
     #[test]
     fn rush_hour_rate_peaks_at_compressed_rush() {
@@ -122,21 +43,5 @@ mod tests {
         let off = rush_hour_rate(10.0, 4.0, 60.0 * 3.0 / 24.0, dur); // 03:00
         assert!(peak > 3.9 * 10.0, "rush rate {peak} not near peak");
         assert!(off < 1.5 * 10.0, "off-peak rate {off} too high");
-    }
-
-    #[test]
-    fn rush_hour_arrivals_burst_at_rush() {
-        let dur = 60.0;
-        let a = rush_hour_arrivals(50.0, 4.0, dur, 11);
-        assert_eq!(a, rush_hour_arrivals(50.0, 4.0, dur, 11));
-        assert!(a.windows(2).all(|w| w[0] < w[1]));
-        // Density in the compressed 7:00–9:00 window vs 2:00–4:00.
-        let count = |lo: f64, hi: f64| a.iter().filter(|&&t| t >= lo && t < hi).count();
-        let rush = count(dur * 7.0 / 24.0, dur * 9.0 / 24.0);
-        let night = count(dur * 2.0 / 24.0, dur * 4.0 / 24.0);
-        assert!(
-            rush > 2 * night,
-            "rush window ({rush}) not denser than night ({night})"
-        );
     }
 }

@@ -17,8 +17,8 @@
 //! - [`feed`] — live traffic event stream replayed from the ground-truth
 //!   process (observation sweeps, incidents, closures) for streaming-serving
 //!   tests and benches.
-//! - [`arrivals`] — open-loop Poisson / rush-hour request-arrival profiles
-//!   for load-generating the prediction service.
+//! - [`arrivals`] — the open-loop rush-hour request-rate profile for
+//!   load-generating the prediction service.
 //! - [`megacity`] — district-structured 10k–100k-segment worlds whose trips
 //!   are generated *streaming*, never materialized in memory.
 //! - [`store`] — sharded on-disk trip files with checksummed records and
@@ -33,7 +33,7 @@ pub mod store;
 pub mod traffic;
 pub mod trips;
 
-pub use arrivals::{poisson_arrivals, rush_hour_arrivals, rush_hour_rate};
+pub use arrivals::rush_hour_rate;
 pub use dataset::{CityPreset, Dataset, Split, TripStats, SLOT_SECS, WINDOW_SECS};
 pub use driver::{simulate_route, Attractiveness, DriverConfig};
 pub use feed::{incident_event, TrafficFeed};

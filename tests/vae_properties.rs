@@ -1,7 +1,7 @@
 //! Integration tests of the VAE machinery: ELBO decomposition, KL
 //! non-negativity, proxy learning, and the Gumbel-Softmax relaxation.
 
-use deepst::core::{DeepSt, DeepStConfig, Example, TrainConfig, Trainer};
+use deepst::core::{DeepSt, DeepStConfig, Example, TrainConfig, TrainModel, Trainer};
 use deepst::eval::{build_examples, train_deepst, SuiteConfig};
 use deepst::sim::{CityPreset, Dataset};
 use deepst::tensor::{init, Binder, Tape};
