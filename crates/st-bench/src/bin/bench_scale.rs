@@ -34,7 +34,7 @@ use serde_json::json;
 use st_baselines::{beam_decode, DeepStDecoder};
 use st_bench::{host_meta, peak_rss_bytes, results_dir};
 use st_core::{DeepSt, DeepStConfig, TrainConfig, Trainer};
-use st_eval::report::write_json_atomic;
+use st_eval::report::write_json;
 use st_sim::{Megacity, MegacityConfig, Trip, TripStore, TripStoreWriter};
 
 const SEED: u64 = 42;
@@ -295,6 +295,6 @@ fn main() {
         },
     });
     let path = results_dir().join("BENCH_scale.json");
-    write_json_atomic(&path, &report).expect("write BENCH_scale.json");
+    write_json(&path, &report).expect("write BENCH_scale.json");
     eprintln!("wrote {}", path.display());
 }

@@ -40,7 +40,7 @@ use st_bench::{host_meta, make_dataset, results_dir, City, Scale};
 use st_core::faultinject::FeedFaultPlan;
 use st_core::{DeepSt, TrafficEventKind, VersionedTraffic};
 use st_eval::deepst_config;
-use st_eval::report::write_json_atomic;
+use st_eval::report::write_json;
 use st_serve::{RouteRequest, ServeConfig, Server};
 use st_sim::{incident_event, Dataset, TrafficFeed, Trip, SLOT_SECS};
 
@@ -393,7 +393,7 @@ fn main() {
         },
     });
     let path = dir.join("BENCH_stream.json");
-    if let Err(e) = write_json_atomic(&path, &out) {
+    if let Err(e) = write_json(&path, &out) {
         eprintln!("error: writing {}: {e}", path.display());
         std::process::exit(1);
     }

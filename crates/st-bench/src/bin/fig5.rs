@@ -1,38 +1,12 @@
 //! Fig. 5: the spatial distribution of GPS points, rendered as a text heat
-//! map over the city (plus a CSV density grid in results/).
+//! map over each city's grid.
 
-use st_bench::{make_dataset, results_dir, City, Scale};
-use st_eval::report::{format_heatmap, write_json};
+use std::process::ExitCode;
 
-fn main() {
-    let scale = Scale::from_args();
-    let mut json = serde_json::Map::new();
-    for city in City::ALL {
-        eprintln!("[fig5] generating {}", city.name());
-        let ds = make_dataset(city, &scale);
-        let (w, h) = (ds.grid.width, ds.grid.height);
-        let mut density = vec![0.0f64; w * h];
-        let mut n_points = 0usize;
-        for trip in &ds.trips {
-            for gp in &trip.gps {
-                if let Some(c) = ds.grid.cell_of(&gp.p) {
-                    density[c] += 1.0;
-                    n_points += 1;
-                }
-            }
-        }
-        println!(
-            "\nFig. 5 — GPS point density, {} ({} points)",
-            city.name(),
-            n_points
-        );
-        println!("{}", format_heatmap(&density, w, h));
-        json.insert(
-            city.name().into(),
-            serde_json::json!({"width": w, "height": h, "density": density}),
-        );
-    }
-    let path = results_dir().join("fig5.json");
-    write_json(&path, &json).expect("write results");
-    eprintln!("[fig5] wrote {}", path.display());
+use st_bench::{make_dataset, paper};
+
+fn main() -> ExitCode {
+    paper::write_artifact("fig5", |scale| {
+        paper::per_city(|city| Ok(paper::fig5(city, &make_dataset(city, scale))))
+    })
 }

@@ -1,57 +1,12 @@
-//! Fig. 6: distributions of travel distance (km) and number of road
-//! segments per trip, for both cities.
+//! Fig. 6: travel distance (km) and number of road segments of every trip,
+//! for both cities.
 
-use st_bench::{make_dataset, results_dir, City, Scale};
-use st_eval::report::{format_bars, write_json};
+use std::process::ExitCode;
 
-fn histogram(values: &[f64], n_bins: usize) -> (Vec<String>, Vec<f64>) {
-    let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
-    let hi = values.iter().cloned().fold(0.0f64, f64::max) + 1e-9;
-    let width = (hi - lo) / n_bins as f64;
-    let mut counts = vec![0.0; n_bins];
-    for &v in values {
-        let b = (((v - lo) / width) as usize).min(n_bins - 1);
-        counts[b] += 1.0;
-    }
-    let labels = (0..n_bins)
-        .map(|b| {
-            format!(
-                "[{:5.1},{:5.1})",
-                lo + b as f64 * width,
-                lo + (b + 1) as f64 * width
-            )
-        })
-        .collect();
-    (labels, counts)
-}
+use st_bench::{make_dataset, paper};
 
-fn main() {
-    let scale = Scale::from_args();
-    let mut json = serde_json::Map::new();
-    for city in City::ALL {
-        eprintln!("[fig6] generating {}", city.name());
-        let ds = make_dataset(city, &scale);
-        let dists: Vec<f64> = ds
-            .trips
-            .iter()
-            .map(|t| ds.net.route_length(&t.route) / 1000.0)
-            .collect();
-        let segs: Vec<f64> = ds.trips.iter().map(|t| t.route.len() as f64).collect();
-        let (dl, dc) = histogram(&dists, 10);
-        let (sl, sc) = histogram(&segs, 10);
-        println!("\nFig. 6 — {}: travel distance (km)", city.name());
-        println!("{}", format_bars("", &dl, &dc, 40));
-        println!("Fig. 6 — {}: route length (#segments)", city.name());
-        println!("{}", format_bars("", &sl, &sc, 40));
-        json.insert(
-            city.name().into(),
-            serde_json::json!({
-                "distance_km": {"labels": dl, "counts": dc},
-                "segments": {"labels": sl, "counts": sc},
-            }),
-        );
-    }
-    let path = results_dir().join("fig6.json");
-    write_json(&path, &json).expect("write results");
-    eprintln!("[fig6] wrote {}", path.display());
+fn main() -> ExitCode {
+    paper::write_artifact("fig6", |scale| {
+        paper::per_city(|city| Ok(paper::fig6(city, &make_dataset(city, scale))))
+    })
 }

@@ -3,68 +3,10 @@
 
 use std::process::ExitCode;
 
-use st_bench::{make_dataset, results_dir, City, Scale};
-use st_eval::report::{format_table, write_json};
+use st_bench::{make_dataset, paper};
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("[table3] error: {msg}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run() -> Result<(), String> {
-    let scale = Scale::from_args();
-    let mut rows = Vec::new();
-    let mut json = serde_json::Map::new();
-    for city in City::ALL {
-        eprintln!(
-            "[table3] generating {} ({} trips)",
-            city.name(),
-            scale.trips
-        );
-        let ds = make_dataset(city, &scale);
-        let st = ds.trip_stats();
-        rows.push(vec![
-            city.name().to_string(),
-            format!("{}", st.n_trips),
-            format!("{}", ds.net.num_segments()),
-            format!("{:.1}", st.min_km),
-            format!("{:.1}", st.max_km),
-            format!("{:.1}", st.mean_km),
-            format!("{}", st.min_segments),
-            format!("{}", st.max_segments),
-            format!("{:.0}", st.mean_segments),
-        ]);
-        json.insert(
-            city.name().into(),
-            serde_json::to_value(&st)
-                .map_err(|e| format!("serializing stats for {}: {e}", city.name()))?,
-        );
-    }
-    println!("\nTable III — dataset statistics");
-    println!(
-        "{}",
-        format_table(
-            &[
-                "City",
-                "#trips",
-                "#road segs",
-                "min km",
-                "max km",
-                "mean km",
-                "min segs",
-                "max segs",
-                "mean segs"
-            ],
-            &rows
-        )
-    );
-    let path = results_dir().join("table3.json");
-    write_json(&path, &json).map_err(|e| format!("failed to write {}: {e}", path.display()))?;
-    eprintln!("[table3] wrote {}", path.display());
-    Ok(())
+    paper::write_artifact("table3", |scale| {
+        paper::per_city(|city| Ok(paper::table3(city, &make_dataset(city, scale))))
+    })
 }

@@ -14,15 +14,20 @@
 //! | `fig6`   | Fig. 6 — travel distance / segment-count distributions |
 //! | `fig7`   | Fig. 7 — accuracy vs travel distance per method |
 //! | `fig8`   | Fig. 8 — training time vs training-set size |
-//! | `run_all`| everything above, sharing one training run per city |
+//! | `run_all`| everything above, sharing one dataset and prediction suite per city |
 //! | `ablate` | reproduction-specific ablations |
 //! | `bench_stream` | live-feed ingest rate, feed-chaos convergence (`--chaos`), incident reaction |
 //! | `bench_scale`  | Megacity memory ceiling at 1k / 10k / 50k segments |
 //!
 //! Every bin prints a human-readable table/figure and writes JSON under
-//! `results/`. Training, decode and serving throughput are measured by
-//! the repository benchmark in `benchmark/`, which uses [`host_meta`] and
+//! `results/`. Each table and figure is defined once, in [`paper`]: its bin
+//! and `run_all` call the same function, so both write the same file.
+//! Training, decode and serving throughput are measured by the repository
+//! benchmark in `benchmark/`, which uses [`host_meta`] and
 //! [`peak_rss_bytes`] from this crate.
+
+/// The paper's tables and figures, one function each.
+pub mod paper;
 
 use st_core::TrainError;
 use st_eval::{

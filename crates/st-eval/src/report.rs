@@ -54,42 +54,12 @@ pub fn format_bars(title: &str, labels: &[String], values: &[f64], max_width: us
 }
 
 /// Write a serde-serializable result to a pretty JSON file, creating parent
-/// directories as needed.
+/// directories as needed. The write is atomic
+/// ([`st_nn::serialize::write_atomic`]): a crash mid-write leaves the old
+/// file or a stray `.tmp`, never a truncated result.
 pub fn write_json<T: serde::Serialize>(path: impl AsRef<Path>, value: &T) -> std::io::Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
     let json = serde_json::to_string_pretty(value)?;
-    std::fs::write(path, json)
-}
-
-/// [`write_json`] with the checkpoint durability discipline: serialize to a
-/// tmp sibling, `fsync`, then atomically rename over the destination, so a
-/// crash mid-write can never leave a truncated or interleaved result file.
-/// Benchmark bins use this for everything under `results/`.
-pub fn write_json_atomic<T: serde::Serialize>(
-    path: impl AsRef<Path>,
-    value: &T,
-) -> std::io::Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let json = serde_json::to_string_pretty(value)?;
-    let file_name = path.file_name().ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name")
-    })?;
-    let mut tmp_name = file_name.to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-    {
-        use std::io::Write as _;
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(json.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    st_nn::serialize::write_atomic(path.as_ref(), json.as_bytes())
 }
 
 /// Render a text heat map from row-major grid data (Fig. 5 substitute).
@@ -153,22 +123,11 @@ mod tests {
 
     #[test]
     fn json_roundtrip() {
-        let dir = std::env::temp_dir().join("st_eval_test");
-        let path = dir.join("x.json");
-        write_json(&path, &vec![1, 2, 3]).unwrap();
-        let back: Vec<i32> =
-            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(back, vec![1, 2, 3]);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn atomic_json_replaces_and_leaves_no_tmp() {
-        let dir = std::env::temp_dir().join("st_eval_atomic_test");
+        let dir = std::env::temp_dir().join(format!("st_eval_json_{}", std::process::id()));
         let path = dir.join("r.json");
-        write_json_atomic(&path, &vec![1]).unwrap();
+        write_json(&path, &vec![1, 2, 3]).unwrap();
         // Overwrite must go through the tmp+rename path, not truncate.
-        write_json_atomic(&path, &vec![9, 8]).unwrap();
+        write_json(&path, &vec![9, 8]).unwrap();
         let back: Vec<i32> =
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(back, vec![9, 8]);

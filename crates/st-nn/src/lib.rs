@@ -20,16 +20,16 @@ pub mod gru;
 pub mod linear;
 /// The [`module::Module`] trait: uniform parameter/buffer handling.
 pub mod module;
-/// Checkpoint serialization (v1 text and v2 bit-exact formats).
+/// Checkpoint serialization (bit-exact, checksummed, atomic).
 pub mod serialize;
 
 pub use analyze::{analyze_module_graph, analyze_module_graph_with};
 pub use conv::{BatchNorm2d, BnBatchStats, ConvBlock, TrafficCnn};
 pub use embedding::Embedding;
 pub use gru::{Gru, GruCell, PackedGru, PackedGruCell, RunningRows};
-pub use linear::{Linear, Mlp, PackedMlp};
+pub use linear::{Linear, Mlp};
 pub use module::{Activation, Module};
 pub use serialize::{
-    checkpoint, checkpoint_v2, load, load_v2, restore, restore_v2, save, save_v2, Checkpoint,
-    CheckpointError, CheckpointV2, OptStateRecord, TensorRecord, TrainStateRecord,
+    checkpoint_v2, load_v2, restore_v2, save_v2, CheckpointError, CheckpointV2, OptStateRecord,
+    TensorRecord, TrainStateRecord,
 };

@@ -71,13 +71,6 @@ impl Linear {
         );
         infer::affine(arena, x, &self.w.value(), &self.b.value())
     }
-
-    /// Pack this layer's current weights once for a decode session; affine
-    /// maps through the result ([`infer::affine_packed`]) skip the per-call
-    /// GEMM pack and stay bit-identical to [`Linear::infer`].
-    pub fn pack(&self) -> infer::PackedLinear {
-        infer::PackedLinear::pack(&self.w.value(), &self.b.value())
-    }
 }
 
 impl Module for Linear {
@@ -167,45 +160,6 @@ impl Mlp {
 impl Module for Mlp {
     fn params(&self) -> Vec<&Param> {
         self.layers.iter().flat_map(|l| l.params()).collect()
-    }
-}
-
-/// An [`Mlp`] with every layer's weights packed once per session.
-pub struct PackedMlp {
-    layers: Vec<infer::PackedLinear>,
-    hidden_act: Activation,
-    output_act: Activation,
-}
-
-impl PackedMlp {
-    /// Pack every layer of an MLP.
-    pub fn pack(mlp: &Mlp) -> Self {
-        Self {
-            layers: mlp.layers.iter().map(Linear::pack).collect(),
-            hidden_act: mlp.hidden_act,
-            output_act: mlp.output_act,
-        }
-    }
-
-    /// Tape-free forward through the packed layers, bit-identical to
-    /// [`Mlp::infer`].
-    pub fn infer(&self, arena: &mut ScratchArena, x: &Array) -> Array {
-        let last = self.layers.len() - 1;
-        let act = |i: usize| {
-            if i == last {
-                self.output_act
-            } else {
-                self.hidden_act
-            }
-        };
-        let mut h = infer::affine_packed(arena, x, &self.layers[0]);
-        act(0).apply_mut(&mut h);
-        for (i, layer) in self.layers.iter().enumerate().skip(1) {
-            let mut y = infer::affine_packed(arena, &h, layer);
-            act(i).apply_mut(&mut y);
-            arena.recycle(std::mem::replace(&mut h, y));
-        }
-        h
     }
 }
 

@@ -1,21 +1,16 @@
 //! Model checkpointing: save/load a [`Module`]'s state as JSON.
 //!
-//! Two formats coexist:
-//!
-//! - **v1** ([`Checkpoint`]): a name-keyed list of `(shape, data)` parameter
-//!   entries — model weights only. Kept for existing files and for
-//!   lightweight weight exchange.
-//! - **v2** ([`CheckpointV2`]): the crash-safe training checkpoint. Carries
-//!   model parameters *and* non-trainable buffers (batch-norm running
-//!   statistics), optional Adam optimizer state, and an optional
-//!   training-progress record (epoch/step counters, RNG state, LR-backoff
-//!   bookkeeping). Tensor data is stored as hexadecimal IEEE-754 bit
-//!   patterns, so a save/load round trip is bit-identical — including
-//!   negative zeros and denormals that a decimal float path would mangle.
-//!   The file is a header line (format tag, version, FNV-1a checksum of the
-//!   payload) followed by the payload JSON; loads verify the checksum before
-//!   parsing, so truncated or corrupted files are rejected with a typed
-//!   error instead of half-loading.
+//! A [`CheckpointV2`] carries model parameters *and* non-trainable buffers
+//! (batch-norm running statistics), optional Adam optimizer state, and an
+//! optional training-progress record (epoch/step counters, RNG state,
+//! LR-backoff bookkeeping). Tensor data is stored as hexadecimal IEEE-754
+//! bit patterns, so a save/load round trip is bit-identical — including
+//! negative zeros and denormals that a decimal float path would mangle.
+//! The file is a header line (format tag, version, FNV-1a checksum of the
+//! payload) followed by the payload JSON; loads verify the checksum before
+//! parsing, so truncated or corrupted files are rejected with a typed error
+//! instead of half-loading. The training loop's crash-safe checkpoints and
+//! the CLI's model files are both this format.
 //!
 //! All writes are atomic: tmp file in the destination directory, `fsync`,
 //! rename over the target, directory `fsync`. A crash mid-write leaves
@@ -35,11 +30,8 @@ use st_tensor::Array;
 
 use crate::module::Module;
 
-/// Current checkpoint format version (the v2 training checkpoint).
+/// Current checkpoint format version.
 pub const CHECKPOINT_VERSION: u32 = 2;
-
-/// Version written by the legacy parameters-only format.
-pub const CHECKPOINT_VERSION_V1: u32 = 1;
 
 /// Typed checkpoint failure. Every load/restore error path reports one of
 /// these — nothing in the checkpoint stack panics on bad input.
@@ -147,79 +139,6 @@ impl From<serde_json::Error> for CheckpointError {
     fn from(e: serde_json::Error) -> Self {
         CheckpointError::Parse(e.to_string())
     }
-}
-
-// ---------------------------------------------------------------------------
-// v1: parameters-only checkpoint (decimal floats, single JSON document)
-// ---------------------------------------------------------------------------
-
-/// One serialized parameter (v1: decimal float data).
-#[derive(Debug, Serialize, Deserialize)]
-struct ParamRecord {
-    name: String,
-    shape: Vec<usize>,
-    data: Vec<f32>,
-}
-
-/// A serialized v1 checkpoint (model parameters only).
-#[derive(Debug, Serialize, Deserialize)]
-pub struct Checkpoint {
-    /// Format version (bumped on breaking layout changes).
-    pub version: u32,
-    params: Vec<ParamRecord>,
-}
-
-/// Capture a module's parameters into a v1 [`Checkpoint`].
-pub fn checkpoint<M: Module + ?Sized>(module: &M) -> Checkpoint {
-    let params = module
-        .state()
-        .into_iter()
-        .map(|(name, value)| ParamRecord {
-            name,
-            shape: value.shape().to_vec(),
-            data: value.data().to_vec(),
-        })
-        .collect();
-    Checkpoint {
-        version: CHECKPOINT_VERSION_V1,
-        params,
-    }
-}
-
-/// Restore a module's parameters from a v1 [`Checkpoint`].
-///
-/// Checkpoints are tied to the exact architecture that produced them: any
-/// version, name, or shape mismatch is an error and the module is left in
-/// whatever state the partial application reached — callers that need
-/// all-or-nothing semantics should restore into a scratch model first.
-pub fn restore<M: Module + ?Sized>(module: &M, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
-    if ckpt.version != CHECKPOINT_VERSION_V1 {
-        return Err(CheckpointError::Version {
-            found: ckpt.version,
-            expected: CHECKPOINT_VERSION_V1,
-        });
-    }
-    let state: Vec<(String, Array)> = ckpt
-        .params
-        .iter()
-        .map(|r| (r.name.clone(), Array::from_vec(&r.shape, r.data.clone())))
-        .collect();
-    module.load_state(&state)
-}
-
-/// Save a module's parameters to a v1 JSON file (atomically).
-pub fn save<M: Module + ?Sized>(module: &M, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-    let json = serde_json::to_string(&checkpoint(module))?;
-    write_atomic(path.as_ref(), json.as_bytes())?;
-    Ok(())
-}
-
-/// Load a module's parameters from a JSON file written by [`save`]. Never
-/// panics: truncated, garbage, or mismatched input yields a typed error.
-pub fn load<M: Module + ?Sized>(module: &M, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-    let json = std::fs::read_to_string(path)?;
-    let ckpt: Checkpoint = serde_json::from_str(&json)?;
-    restore(module, &ckpt)
 }
 
 // ---------------------------------------------------------------------------
@@ -556,7 +475,7 @@ mod tests {
     use super::*;
     use crate::linear::Mlp;
     use crate::module::Activation;
-    use st_tensor::{init, Binder, Tape};
+    use st_tensor::init;
 
     fn mlp(seed: u64) -> Mlp {
         let mut rng = init::rng(seed);
@@ -569,69 +488,11 @@ mod tests {
         )
     }
 
-    fn forward_sum(m: &Mlp, x: &Array) -> f32 {
-        let tape = Tape::new();
-        let b = Binder::new(&tape);
-        let xv = b.input(x.clone());
-        m.forward(&b, xv).value().sum()
-    }
-
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("st_nn_ckpt_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    #[test]
-    fn checkpoint_roundtrip_preserves_outputs() {
-        let m1 = mlp(1);
-        let m2 = mlp(2); // different init
-        let x = Array::from_vec(&[2, 3], vec![0.1, -0.5, 1.2, 0.0, 0.7, -0.3]);
-        assert_ne!(forward_sum(&m1, &x), forward_sum(&m2, &x));
-        restore(&m2, &checkpoint(&m1)).unwrap();
-        assert_eq!(forward_sum(&m1, &x), forward_sum(&m2, &x));
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = tmp_dir("v1");
-        let path = dir.join("mlp.json");
-        let m1 = mlp(3);
-        save(&m1, &path).unwrap();
-        let m2 = mlp(4);
-        load(&m2, &path).unwrap();
-        let x = Array::from_vec(&[1, 3], vec![1.0, 2.0, 3.0]);
-        assert_eq!(forward_sum(&m1, &x), forward_sum(&m2, &x));
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn mismatched_architecture_rejected() {
-        let m1 = mlp(1);
-        let mut rng = init::rng(0);
-        let other = Mlp::new(
-            "m",
-            &[3, 4, 2],
-            Activation::Tanh,
-            Activation::Identity,
-            &mut rng,
-        );
-        match restore(&other, &checkpoint(&m1)) {
-            Err(CheckpointError::Shape { .. }) => {}
-            other => panic!("expected shape mismatch, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn wrong_version_rejected() {
-        let m = mlp(1);
-        let mut ckpt = checkpoint(&m);
-        ckpt.version = 99;
-        match restore(&m, &ckpt) {
-            Err(CheckpointError::Version { found: 99, .. }) => {}
-            other => panic!("expected version error, got {other:?}"),
-        }
     }
 
     /// Hex bit-pattern encoding must round-trip every f32 exactly,
@@ -793,7 +654,6 @@ mod tests {
             &mut rng,
         );
 
-        // v2 path
         let path = dir.join("ckpt.json");
         save_v2(&path, &checkpoint_v2(&tiny, None, None)).unwrap();
         let full = std::fs::read(&path).unwrap();
@@ -807,18 +667,6 @@ mod tests {
             );
         }
 
-        // v1 path
-        let path1 = dir.join("v1.json");
-        save(&tiny, &path1).unwrap();
-        let full1 = std::fs::read(&path1).unwrap();
-        for n in 0..full1.len() {
-            std::fs::write(&cut, &full1[..n]).unwrap();
-            assert!(
-                load(&tiny, &cut).is_err(),
-                "v1 truncated to {n}/{} bytes loaded successfully",
-                full1.len()
-            );
-        }
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -826,7 +674,6 @@ mod tests {
     fn garbage_files_are_rejected_not_panicked() {
         let dir = tmp_dir("garbage");
         let path = dir.join("junk.json");
-        let tiny = mlp(9);
         for junk in [
             "",
             "\n",
@@ -837,8 +684,7 @@ mod tests {
             "{\"format\":\"deepst-checkpoint\",\"version\":2,\"checksum\":\"00\"}\n{broken",
         ] {
             std::fs::write(&path, junk).unwrap();
-            assert!(load_v2(&path).is_err(), "junk {junk:?} loaded as v2");
-            assert!(load(&tiny, &path).is_err(), "junk {junk:?} loaded as v1");
+            assert!(load_v2(&path).is_err(), "junk {junk:?} loaded");
         }
         let _ = std::fs::remove_dir_all(dir);
     }

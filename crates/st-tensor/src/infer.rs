@@ -233,16 +233,6 @@ pub fn leaky_relu_mut(a: &mut Array, slope: f32) {
     }
 }
 
-/// In-place numerically stable softplus `ln(1 + e^x)` (linear above 20,
-/// as taped).
-pub fn softplus_mut(a: &mut Array) {
-    for x in a.data_mut() {
-        if *x <= 20.0 {
-            *x = (1.0 + x.exp()).ln();
-        }
-    }
-}
-
 /// In-place row-wise softmax, mirroring [`crate::ops::softmax_into`]:
 /// per row, exponentials of `x − max` are summed then divided through.
 ///
@@ -377,27 +367,6 @@ pub fn gather_rows_blocked(
         assert_eq!(db, d, "block column mismatch");
         assert!(row < rows_b, "row {row} out of range {rows_b}");
         y.row_mut(r).copy_from_slice(b.row(row));
-    }
-    y
-}
-
-/// Concatenate 2-D arrays along columns (all must share a row count).
-pub fn concat_cols(arena: &mut ScratchArena, parts: &[&Array]) -> Array {
-    assert!(!parts.is_empty());
-    let n = parts[0].rows();
-    for p in parts {
-        assert_eq!(p.rows(), n, "concat_cols: row mismatch");
-    }
-    let total: usize = parts.iter().map(|p| p.cols()).sum();
-    let mut y = arena.alloc_uninit(&[n, total]);
-    for r in 0..n {
-        let out = y.row_mut(r);
-        let mut off = 0;
-        for p in parts {
-            let w = p.cols();
-            out[off..off + w].copy_from_slice(p.row(r));
-            off += w;
-        }
     }
     y
 }
@@ -594,42 +563,6 @@ pub fn matmul_packed(arena: &mut ScratchArena, a: &Array, w: &PackedWeights) -> 
     out
 }
 
-/// A linear layer (weights + bias) packed once per session.
-pub struct PackedLinear {
-    w: PackedWeights,
-    bias: Vec<f32>,
-}
-
-impl PackedLinear {
-    /// Pack a `[k, n]` weight matrix and its `[n]` bias.
-    pub fn pack(w: &Array, bias: &Array) -> Self {
-        let p = PackedWeights::pack(w);
-        assert_eq!(bias.len(), p.out_dim(), "PackedLinear: bias/width mismatch");
-        Self {
-            w: p,
-            bias: bias.data().to_vec(),
-        }
-    }
-
-    /// Output width of the layer.
-    pub fn out_dim(&self) -> usize {
-        self.w.out_dim()
-    }
-
-    /// Input width of the layer.
-    pub fn in_dim(&self) -> usize {
-        self.w.in_dim()
-    }
-}
-
-/// Affine map through a pre-packed layer: `x · W + bias`, bit-identical to
-/// [`affine`] on the same operands.
-pub fn affine_packed(arena: &mut ScratchArena, x: &Array, l: &PackedLinear) -> Array {
-    let mut y = matmul_packed(arena, x, &l.w);
-    add_bias_rows(&mut y, &l.bias);
-    y
-}
-
 // ---------------------------------------------------------------------------
 // Fused GRU gate epilogue
 // ---------------------------------------------------------------------------
@@ -820,14 +753,6 @@ mod tests {
                 },
                 ops::leaky_relu(xv, 0.1).value().data().to_vec(),
             ),
-            (
-                {
-                    let mut a = x.clone();
-                    softplus_mut(&mut a);
-                    a
-                },
-                ops::softplus(xv).value().data().to_vec(),
-            ),
         ];
         for (got, want) in pairs {
             assert_eq!(got.data(), &want[..]);
@@ -848,7 +773,7 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_concat_match_taped() {
+    fn gather_matches_taped() {
         let mut arena = ScratchArena::new();
         let table = seq(&[6, 4]);
         let idx = [3usize, 0, 5, 3];
@@ -856,12 +781,6 @@ mod tests {
         let t = Tape::new();
         let yt = ops::gather_rows(t.leaf(table.clone()), &idx);
         assert_eq!(y.data(), yt.value().data());
-
-        let a = seq(&[2, 3]);
-        let b = seq(&[2, 2]);
-        let cat = concat_cols(&mut arena, &[&a, &b]);
-        let catt = ops::concat_cols(&[t.leaf(a), t.leaf(b)]);
-        assert_eq!(cat.data(), catt.value().data());
     }
 
     #[test]
@@ -945,19 +864,6 @@ mod tests {
             arena.recycle(want);
             arena.recycle(got);
         }
-    }
-
-    #[test]
-    fn packed_affine_is_bit_identical_to_affine() {
-        let mut arena = ScratchArena::new();
-        let x = seq(&[4, 6]);
-        let w = seq(&[6, 5]);
-        let b = seq(&[5]);
-        let want = affine(&mut arena, &x, &w, &b);
-        let packed = PackedLinear::pack(&w, &b);
-        assert_eq!((packed.in_dim(), packed.out_dim()), (6, 5));
-        let got = affine_packed(&mut arena, &x, &packed);
-        assert_eq!(got.data(), want.data());
     }
 
     #[test]

@@ -22,3 +22,21 @@ pub use st_recovery as recovery;
 pub use st_roadnet as roadnet;
 pub use st_sim as sim;
 pub use st_tensor as tensor;
+
+/// Write `model` as the CLI's model file (`deepst train --out`): a v2
+/// checkpoint with its parameters and batch-norm running statistics.
+pub fn save_model_file(
+    model: &core::DeepSt,
+    path: impl AsRef<std::path::Path>,
+) -> Result<(), nn::CheckpointError> {
+    nn::save_v2(path, &nn::checkpoint_v2(model, None, None))
+}
+
+/// Read a model file written by [`save_model_file`] into `model`, which
+/// must have the architecture that wrote it.
+pub fn load_model_file(
+    model: &core::DeepSt,
+    path: impl AsRef<std::path::Path>,
+) -> Result<(), nn::CheckpointError> {
+    nn::restore_v2(model, &nn::load_v2(path)?)
+}

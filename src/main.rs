@@ -103,7 +103,7 @@ fn load_model(opts: &HashMap<String, String>, ds: &Dataset) -> Result<DeepSt, St
     let mut cfg = deepst_config(ds, num(opts, "k", 24));
     cfg.use_traffic = use_traffic;
     let model = DeepSt::new(cfg, 0);
-    deepst::nn::load(&model, path).map_err(|e| format!("load {path}: {e}"))?;
+    deepst::load_model_file(&model, path).map_err(|e| format!("load {path}: {e}"))?;
     Ok(model)
 }
 
@@ -187,7 +187,7 @@ fn cmd_train(opts: &HashMap<String, String>) -> Result<(), String> {
             e.seconds
         );
     }
-    deepst::nn::save(&trainer.model, out).map_err(|e| format!("write {out}: {e}"))?;
+    deepst::save_model_file(&trainer.model, out).map_err(|e| format!("write {out}: {e}"))?;
     eprintln!("wrote {out} ({} parameters)", trainer.model.num_params());
     Ok(())
 }
