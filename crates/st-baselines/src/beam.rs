@@ -5,11 +5,11 @@
 //! P(r) = Π_i P(r_{i+1} | r_{1:i}, ·) · Π_{i<n} (1 − f_s(r_{i+1}, x)) · f_s(r_n, x)
 //! ```
 //!
-//! Greedy sampling (Algorithm 2) is unbiased but suffers compounding errors
-//! at small training scale; beam search over the *same* generative
-//! probability is the deterministic "most likely route" decoder. It is used
-//! uniformly for every sequential method (DeepST, DeepST-C, CSSRNN, RNN,
-//! MMI) so the Table IV comparison isolates the models, not the decoders.
+//! A greedy rollout (Algorithm 2 with argmax choices) suffers compounding
+//! errors at small training scale; beam search over the *same* generative
+//! probability is the deterministic "most likely route" decoder. It decodes
+//! every destination-aware method (DeepST, DeepST-C, CSSRNN) the same way,
+//! so the Table IV comparison isolates the models, not the decoders.
 //!
 //! The decoder is *batched*: all live beam prefixes advance through one
 //! [`StepDecoder::step`] call per depth, with the recurrent state packed as
@@ -18,13 +18,18 @@
 //! the batched kernels compute each row exactly as a batch-1 step would,
 //! the routes are bit-identical to the clone-and-step formulation (see the
 //! `decode_parity` integration tests).
+//!
+//! [`greedy_decode`] is the other decoder over the same trait: a one-row
+//! argmax rollout that `f_s` only stops, for the destination-blind methods
+//! (RNN, MMI) and the greedy row of the ablations.
 
 use st_core::CancelToken;
 use st_roadnet::{Point, RoadNetwork, Route, SegmentId};
 
 use crate::predictor::TERM_SCALE_M;
 
-/// A batched stepwise sequence model usable by [`beam_decode`].
+/// A batched stepwise sequence model usable by [`beam_decode`] and
+/// [`greedy_decode`].
 ///
 /// One implementor instance serves one trip (its context — destination,
 /// traffic — is fixed at construction), owns whatever scratch memory the
@@ -37,8 +42,8 @@ pub trait StepDecoder {
     ///
     /// **Truncation**: a fixed-width slot head (e.g. DeepST's
     /// `cfg.max_neighbors`-wide projection) may be narrower than
-    /// `next_segments(seg)` at high-out-degree intersections. The decoder
-    /// then only considers the covered prefix of the successor list; each
+    /// `next_segments(seg)` at high-out-degree intersections. Both decoders
+    /// then only consider the covered prefix of the successor list; each
     /// such step bumps the `decode.truncated_transitions` /
     /// `decode.truncated_slots` st-obs counters and a one-time process
     /// warning, and `DeepSt::lint_output_space` flags the config statically.
@@ -79,6 +84,21 @@ fn p_stop(net: &RoadNetwork, seg: SegmentId, dest: &Point) -> f64 {
     let proj = net.project_onto(dest, seg);
     let d = proj.dist(dest) / TERM_SCALE_M;
     (-d * d).exp().clamp(1e-12, 0.95)
+}
+
+/// Count one step whose `out_degree` successors exceed the model's `width`
+/// slots (see [`StepDecoder::width`]) and warn once per process.
+fn note_truncation(out_degree: usize, width: usize) {
+    st_obs::counter("decode.truncated_transitions").inc();
+    st_obs::counter("decode.truncated_slots").add((out_degree - width) as u64);
+    st_obs::warn_once(
+        "decode.truncated-output-space",
+        &format!(
+            "out-degree {out_degree} exceeds the scorer's {width}-slot output: {} adjacent \
+             segment(s) unreachable in decoding",
+            out_degree - width
+        ),
+    );
 }
 
 /// A decode that was cancelled mid-search by its [`CancelToken`].
@@ -281,18 +301,7 @@ impl BeamSearch {
             let Some(&cur) = route.last() else { continue };
             let nexts = net.next_segments(cur);
             if nexts.len() > width {
-                st_obs::counter("decode.truncated_transitions").inc();
-                st_obs::counter("decode.truncated_slots").add((nexts.len() - width) as u64);
-                st_obs::warn_once(
-                    "decode.truncated-output-space",
-                    &format!(
-                        "out-degree {} exceeds the scorer's {}-slot output: {} adjacent \
-                         segment(s) unreachable in beam decoding",
-                        nexts.len(),
-                        width,
-                        nexts.len() - width
-                    ),
-                );
+                note_truncation(nexts.len(), width);
             }
             // renormalize over the valid slots
             let lrow = &logp[row * width..(row + 1) * width];
@@ -437,9 +446,9 @@ pub fn beam_decode<M: StepDecoder>(
 /// deadline hook.
 ///
 /// The recurrent state is warmed on `prefix[..len-1]` (the last prefix
-/// segment is consumed by the first search step, exactly like
-/// `DeepSt::predict_continuation`); with a one-segment prefix, no closures
-/// and a live token this is [`beam_decode`] itself. Every segment in
+/// segment is consumed by the first search step); with a one-segment
+/// prefix, no closures and a live token this is [`beam_decode`] itself.
+/// Every segment in
 /// `closed` (typically
 /// [`st_core::livetraffic::VersionedTraffic::closed_segments`] at decode
 /// time) is masked to −∞ transition log-prob, so decoded routes detour
@@ -513,6 +522,54 @@ pub fn beam_decode_closed<M: StepDecoder>(
     }
     model.recycle(state);
     Ok(bs.into_route())
+}
+
+/// Greedy most-likely rollout from `start`: step one row, append the
+/// successor in the first maximum log-prob slot, and stop once `f_s` of
+/// the appended segment exceeds ½ — the termination ends the route but
+/// never steers it. Also ends at a dead end or at `max_len` segments. Each
+/// exit bumps one of `decode.term.{stop,dead_end,len_cap}`.
+pub fn greedy_decode<M: StepDecoder>(
+    net: &RoadNetwork,
+    model: &mut M,
+    start: SegmentId,
+    dest: &Point,
+    max_len: usize,
+) -> Route {
+    let _sp = st_obs::span("decode/greedy");
+    let width = model.width();
+    let mut state = model.init_state(1);
+    let mut logp: Vec<f64> = Vec::new();
+    let mut route = vec![start];
+    let mut cur = start;
+    let exit = loop {
+        if route.len() >= max_len {
+            break "decode.term.len_cap";
+        }
+        let nexts = net.next_segments(cur);
+        if nexts.is_empty() {
+            break "decode.term.dead_end";
+        }
+        model.step(net, &[cur], &mut state, &mut logp);
+        if nexts.len() > width {
+            note_truncation(nexts.len(), width);
+        }
+        let valid = &logp[..nexts.len().min(width)];
+        let mut best = 0;
+        for (j, &v) in valid.iter().enumerate() {
+            if v > valid[best] {
+                best = j;
+            }
+        }
+        cur = nexts[best];
+        route.push(cur);
+        if p_stop(net, cur, dest) > 0.5 {
+            break "decode.term.stop";
+        }
+    };
+    st_obs::counter(exit).inc();
+    model.recycle(state);
+    route
 }
 
 #[cfg(test)]
@@ -995,6 +1052,72 @@ mod tests {
         assert!(route.len() >= prefix.len());
         assert_eq!(&route[..prefix.len()], prefix.as_slice());
         assert!(net.is_valid_route(&route));
+    }
+
+    /// `f_s` is one Gaussian in the destination-to-segment distance: e⁻¹
+    /// at `TERM_SCALE_M`, clamped into `[1e-12, 0.95]`, and above the
+    /// greedy stop threshold ½ exactly within `TERM_SCALE_M·√(ln 2)`.
+    #[test]
+    fn termination_is_one_gaussian_in_distance() {
+        // One 1 km segment along the x axis.
+        let mut net = RoadNetwork::new();
+        let a = net.add_vertex(Point::new(0.0, 0.0));
+        let b = net.add_vertex(Point::new(1000.0, 0.0));
+        let s = net.add_segment(a, b, 10.0);
+        net.freeze();
+        let at = |d: f64| p_stop(&net, s, &Point::new(500.0, d));
+        assert_eq!(at(0.0), 0.95);
+        assert!((at(TERM_SCALE_M) - (-1.0f64).exp()).abs() < 1e-12);
+        assert_eq!(at(10_000.0), 1e-12);
+        let half = TERM_SCALE_M * 2f64.ln().sqrt();
+        assert!(at(half - 0.01) > 0.5 && at(half + 0.01) < 0.5);
+    }
+
+    /// The greedy rollout stops on the first segment whose `f_s` exceeds
+    /// ½ — never earlier, and the exit is counted as a stop.
+    #[test]
+    fn greedy_stops_on_the_first_segment_near_the_destination() {
+        let net = grid_city(&GridConfig::small_test(), 3);
+        let dest = net.midpoint(net.num_segments() - 1);
+        let mut model = TowardTarget::new(&net, dest);
+        let stops = st_obs::counter("decode.term.stop").get();
+        let route = greedy_decode(&net, &mut model, 0, &dest, 60);
+        assert!(net.is_valid_route(&route));
+        let (last, stepped) = route.split_last().unwrap();
+        assert!(p_stop(&net, *last, &dest) > 0.5);
+        assert!(stepped[1..].iter().all(|&s| p_stop(&net, s, &dest) <= 0.5));
+        assert!(st_obs::counter("decode.term.stop").get() > stops);
+    }
+
+    /// Without a stop, the rollout ends at the length cap or a dead end.
+    #[test]
+    fn greedy_respects_max_len_and_dead_end() {
+        let net = grid_city(&GridConfig::small_test(), 0);
+        let far = Point::new(1e6, 1e6); // f_s never exceeds ½
+        let mut model = TowardTarget::new(&net, far);
+        let caps = st_obs::counter("decode.term.len_cap").get();
+        assert_eq!(greedy_decode(&net, &mut model, 0, &far, 5).len(), 5);
+        assert!(st_obs::counter("decode.term.len_cap").get() > caps);
+
+        let mut net = RoadNetwork::new();
+        let a = net.add_vertex(Point::new(0.0, 0.0));
+        let b = net.add_vertex(Point::new(100.0, 0.0));
+        let s = net.add_segment(a, b, 10.0); // one-way into a dead end
+        net.freeze();
+        let mut model = TowardTarget::new(&net, far);
+        let dead_ends = st_obs::counter("decode.term.dead_end").get();
+        assert_eq!(greedy_decode(&net, &mut model, s, &far, 5), vec![s]);
+        assert!(st_obs::counter("decode.term.dead_end").get() > dead_ends);
+    }
+
+    #[test]
+    #[should_panic(expected = "prefix")]
+    fn decode_from_empty_prefix_is_rejected() {
+        let net = grid_city(&GridConfig::small_test(), 3);
+        let dest = net.midpoint(5);
+        let mut model = TowardTarget::new(&net, dest);
+        let never = CancelToken::new();
+        let _ = beam_decode_closed(&net, &mut model, &[], &dest, 4, 60, &[], &never);
     }
 
     #[test]

@@ -331,6 +331,28 @@ mod tests {
         assert_eq!(wrapper.traffic_version(2), v);
     }
 
+    /// The whole decode — context encoding included — runs on the
+    /// tape-free inference runtime: the thread's tape-creation counter must
+    /// not move across an entire greedy rollout.
+    #[test]
+    fn generation_allocates_no_tapes() {
+        let net = grid_city(&GridConfig::small_test(), 2);
+        let cfg = DeepStConfig::new(net.num_segments(), net.max_out_degree(), 8, 8);
+        let model = DeepSt::new(cfg, 0);
+        let created = st_tensor::Tape::created_count();
+        let c = model.encode_traffic(&[0.2; 64]);
+        let ctx = model.encode_context([0.9, 0.9], Some(c));
+        let mut dec = DeepStDecoder::new(&model, &ctx);
+        let dest = st_roadnet::Point::new(380.0, 380.0);
+        let route = crate::greedy_decode(&net, &mut dec, 0, &dest, model.cfg.max_route_len);
+        assert!(route.len() >= 2);
+        assert_eq!(
+            st_tensor::Tape::created_count(),
+            created,
+            "decoding allocated an autodiff tape"
+        );
+    }
+
     #[test]
     fn deepst_c_wrapper_name() {
         let net = grid_city(&GridConfig::small_test(), 1);

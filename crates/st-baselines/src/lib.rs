@@ -13,9 +13,11 @@ pub mod predictor;
 pub mod rnn;
 pub mod wsp;
 
-pub use beam::{beam_decode, beam_decode_closed, BeamSearch, DecodeCancelled, StepDecoder};
+pub use beam::{
+    beam_decode, beam_decode_closed, greedy_decode, BeamSearch, DecodeCancelled, StepDecoder,
+};
 pub use deepst_wrap::{DeepStDecoder, DeepStPredictor};
 pub use mmi::{Mmi, MmiDecoder};
-pub use predictor::{generate_route, should_stop, PredictQuery, Predictor, TERM_SCALE_M};
+pub use predictor::{PredictQuery, Predictor, TERM_SCALE_M};
 pub use rnn::{RnnBaseline, RnnConfig, RnnDecoder};
 pub use wsp::Wsp;

@@ -5,8 +5,8 @@
 
 use st_roadnet::{RoadNetwork, Route, SegmentId};
 
-use crate::beam::StepDecoder;
-use crate::predictor::{generate_route, PredictQuery, Predictor};
+use crate::beam::{greedy_decode, StepDecoder};
+use crate::predictor::{PredictQuery, Predictor};
 
 /// First-order Markov transition model over road segments.
 pub struct Mmi {
@@ -68,27 +68,11 @@ impl Mmi {
             .map(|(j, _)| ((c[j] + 1.0) / total).ln())
             .collect()
     }
-
-    /// The most likely next segment from `cur` (greedy).
-    pub fn best_next(&self, net: &RoadNetwork, cur: SegmentId) -> Option<SegmentId> {
-        let nexts = net.next_segments(cur);
-        if nexts.is_empty() {
-            return None;
-        }
-        let c = &self.counts[cur];
-        let mut best = 0;
-        for j in 1..nexts.len() {
-            if c[j] > c[best] {
-                best = j;
-            }
-        }
-        Some(nexts[best])
-    }
 }
 
-/// [`StepDecoder`] view of an [`Mmi`] (for beam-decoding the Markov model
-/// with the shared decoder). Stateless; rows are padded to the network's
-/// maximum out-degree.
+/// [`StepDecoder`] view of an [`Mmi`], so the Markov model rolls out through
+/// the shared decoders. Stateless; rows are padded to the network's maximum
+/// out-degree, so no successor list is truncated.
 pub struct MmiDecoder<'m> {
     mmi: &'m Mmi,
     width: usize,
@@ -141,9 +125,8 @@ impl Predictor for Mmi {
         // MMI is destination-blind: a greedy most-likely rollout; the
         // destination only *stops* generation (shared f_s rule), it never
         // steers the search.
-        generate_route(net, q.start, &q.dest_coord, self.max_len, |prefix| {
-            self.best_next(net, prefix.last().copied()?)
-        })
+        let mut dec = MmiDecoder::new(self, net);
+        greedy_decode(net, &mut dec, q.start, &q.dest_coord, self.max_len)
     }
 }
 
@@ -178,7 +161,16 @@ mod tests {
         let rs = routes(&net);
         let mmi = Mmi::fit(&net, &rs);
         let nexts = net.next_segments(0);
-        assert_eq!(mmi.best_next(&net, 0), Some(nexts[0]));
+        // the greedy rollout takes the majority transition first
+        let q = PredictQuery {
+            start: 0,
+            dest_coord: net.midpoint(net.num_segments() - 1),
+            dest_norm: [0.9, 0.9],
+            dest_segment: net.num_segments() - 1,
+            traffic: &[],
+            slot_id: 0,
+        };
+        assert_eq!(mmi.predict(&net, &q)[1], nexts[0]);
         // P(majority) > P(minority)
         if nexts.len() >= 2 {
             assert!(mmi.prob(&net, 0, nexts[0]) > mmi.prob(&net, 0, nexts[1]));

@@ -1,5 +1,5 @@
-//! The common interface all route-prediction methods implement, and shared
-//! generation helpers.
+//! The common interface all route-prediction methods implement, and the
+//! termination scale they share.
 //!
 //! Each method sees a [`PredictQuery`] and uses only the fields its paper
 //! description allows:
@@ -16,10 +16,11 @@
 //! Decoding protocol (see DESIGN.md §4b): destination-aware methods
 //! (DeepST, DeepST-C, CSSRNN) decode the most likely route with beam search
 //! over their full generative probability including the termination
-//! Bernoulli `f_s`; destination-blind methods (MMI, RNN) use greedy
-//! most-likely rollouts in which `f_s` only *stops* generation and never
-//! steers it; WSP is a Dijkstra query. This keeps each method's information
-//! set exactly as the paper describes.
+//! Bernoulli `f_s` ([`crate::beam_decode`]); destination-blind methods
+//! (MMI, RNN) use greedy most-likely rollouts in which `f_s` only *stops*
+//! generation and never steers it ([`crate::greedy_decode`]); WSP is a
+//! Dijkstra query. This keeps each method's information set exactly as the
+//! paper describes.
 
 use st_roadnet::{Point, RoadNetwork, Route, SegmentId};
 
@@ -50,65 +51,6 @@ pub trait Predictor {
     fn predict(&self, net: &RoadNetwork, query: &PredictQuery<'_>) -> Route;
 }
 
-/// Termination scale shared by all `f_s`-terminated methods (m).
+/// Termination scale shared by all `f_s`-terminated methods (m): the
+/// distance at which `f_s` is e⁻¹ (see [`crate::beam`]).
 pub const TERM_SCALE_M: f64 = 150.0;
-
-/// The geometric stop rule `f_s` thresholded at ½: stop once the projection
-/// of the destination onto the current segment is within
-/// `TERM_SCALE_M·√(ln 2)` (Gaussian termination, see [`crate::beam`]).
-pub fn should_stop(net: &RoadNetwork, seg: SegmentId, dest: &Point) -> bool {
-    let proj = net.project_onto(dest, seg);
-    let d = proj.dist(dest) / TERM_SCALE_M;
-    (-d * d).exp() > 0.5
-}
-
-/// Greedy sequential generation: repeatedly apply `choose_next` (which maps
-/// the traveled prefix to the next segment, or `None` at dead ends) until
-/// the stop rule fires or `max_len` is reached.
-pub fn generate_route(
-    net: &RoadNetwork,
-    start: SegmentId,
-    dest: &Point,
-    max_len: usize,
-    mut choose_next: impl FnMut(&[SegmentId]) -> Option<SegmentId>,
-) -> Route {
-    let mut route = vec![start];
-    while route.len() < max_len {
-        let Some(next) = choose_next(&route) else {
-            break;
-        };
-        debug_assert!(route.last().is_some_and(|&cur| net.adjacent(cur, next)));
-        route.push(next);
-        if should_stop(net, next, dest) {
-            break;
-        }
-    }
-    route
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use st_roadnet::{grid_city, GridConfig};
-
-    #[test]
-    fn stop_rule_fires_near_destination() {
-        let net = grid_city(&GridConfig::small_test(), 0);
-        let dest = net.midpoint(0);
-        assert!(should_stop(&net, 0, &dest));
-        let far = Point::new(dest.x + 5_000.0, dest.y);
-        assert!(!should_stop(&net, 0, &far));
-    }
-
-    #[test]
-    fn generate_respects_max_len_and_dead_end() {
-        let net = grid_city(&GridConfig::small_test(), 0);
-        let dest = Point::new(1e6, 1e6); // unreachable, never stops early
-        let r = generate_route(&net, 0, &dest, 5, |prefix| {
-            net.next_segments(*prefix.last().unwrap()).first().copied()
-        });
-        assert_eq!(r.len(), 5);
-        let r2 = generate_route(&net, 0, &dest, 5, |_| None);
-        assert_eq!(r2, vec![0]);
-    }
-}

@@ -21,8 +21,8 @@ use st_nn::{BnBatchStats, Embedding, Gru, Module, PackedGru, RunningRows};
 use st_roadnet::{RoadNetwork, Route, SegmentId};
 use st_tensor::{infer, init, ops, Binder, Param, ScratchArena, Tape, TapeFreeScope, Var};
 
-use crate::beam::{beam_decode, StepDecoder};
-use crate::predictor::{generate_route, PredictQuery, Predictor};
+use crate::beam::{beam_decode, greedy_decode, StepDecoder};
+use crate::predictor::{PredictQuery, Predictor};
 use st_tensor::Array;
 
 /// Configuration shared by both neural baselines.
@@ -210,13 +210,29 @@ pub struct RnnDecoder<'m> {
     alpha_packed: infer::PackedWeights,
 }
 
-impl RnnDecoder<'_> {
+impl StepDecoder for RnnDecoder<'_> {
+    type State = Vec<Array>;
+
+    fn width(&self) -> usize {
+        self.model.cfg.max_neighbors
+    }
+
+    fn init_state(&mut self, n: usize) -> Vec<Array> {
+        self.model.gru.infer_zero_state(&mut self.arena, n)
+    }
+
     /// Advance every row: consume `tokens[i]` in state row `i`, refill
     /// `logp` with the row-major `[tokens.len(), max_neighbors]` slot
     /// log-probs. Arithmetic matches the taped step bit-for-bit: the
     /// per-row `+ dest·β` broadcast reproduces the taped
     /// `matmul(h,α) + matmul(d,β)` element order.
-    fn step_rows(&mut self, tokens: &[SegmentId], state: &mut [Array], logp: &mut Vec<f64>) {
+    fn step(
+        &mut self,
+        _net: &RoadNetwork,
+        tokens: &[SegmentId],
+        state: &mut Vec<Array>,
+        logp: &mut Vec<f64>,
+    ) {
         let _scope = TapeFreeScope::enter();
         let x = self.model.emb.infer(&mut self.arena, tokens);
         self.packed_gru.infer_step_fused(&mut self.arena, &x, state);
@@ -232,28 +248,6 @@ impl RnnDecoder<'_> {
         logp.clear();
         logp.extend(logits.data().iter().map(|&v| f64::from(v)));
         self.arena.recycle(logits);
-    }
-}
-
-impl StepDecoder for RnnDecoder<'_> {
-    type State = Vec<Array>;
-
-    fn width(&self) -> usize {
-        self.model.cfg.max_neighbors
-    }
-
-    fn init_state(&mut self, n: usize) -> Vec<Array> {
-        self.model.gru.infer_zero_state(&mut self.arena, n)
-    }
-
-    fn step(
-        &mut self,
-        _net: &RoadNetwork,
-        tokens: &[SegmentId],
-        state: &mut Vec<Array>,
-        logp: &mut Vec<f64>,
-    ) {
-        self.step_rows(tokens, state, logp);
     }
 
     fn gather(&mut self, state: &Vec<Array>, rows: &[usize]) -> Vec<Array> {
@@ -373,29 +367,12 @@ impl Predictor for RnnBaseline {
             // The vanilla RNN is destination-blind: greedy rollout; the
             // destination only stops generation, never steers it.
             let mut dec = self.decoder(0);
-            let mut state = dec.init_state(1);
-            let mut logps = Vec::new();
-            generate_route(
+            greedy_decode(
                 net,
+                &mut dec,
                 q.start,
                 &q.dest_coord,
                 self.cfg.max_route_len,
-                |prefix| {
-                    let cur = *prefix.last()?;
-                    let nexts = net.next_segments(cur);
-                    if nexts.is_empty() {
-                        return None;
-                    }
-                    dec.step_rows(&[cur], &mut state, &mut logps);
-                    let valid = &logps[..nexts.len().min(logps.len())];
-                    let mut best = 0;
-                    for (j, &v) in valid.iter().enumerate() {
-                        if v > valid[best] {
-                            best = j;
-                        }
-                    }
-                    Some(nexts[best])
-                },
             )
         }
     }

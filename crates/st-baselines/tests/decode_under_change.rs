@@ -5,19 +5,19 @@
 //! predictor level: ingest an injected incident for the slot being served,
 //! then prove (a) the very next prediction in that slot differs — reaction
 //! latency 0 slots, well within the one-slot bound — (b) the stale encoding
-//! was never served (counters: one targeted invalidation, one re-encode
-//! miss, no hit until the new version is warm), and (c) redelivery of the
-//! same event is a no-op.
+//! was never served (counts: one targeted invalidation, one re-encode miss,
+//! no hit until the new version is warm), and (c) redelivery of the same
+//! event is a no-op.
+//!
+//! The counts come from each predictor's own cache
+//! (`DeepStPredictor::traffic_cache_counts`), which no other test moves, so
+//! the tests need no lock against each other.
 
 use st_baselines::{DeepStPredictor, PredictQuery, Predictor};
 use st_core::livetraffic::{ApplyOutcome, TrafficEvent, TrafficEventKind};
 use st_core::{DeepSt, DeepStConfig};
 use st_roadnet::Route;
 use st_sim::{CityPreset, Dataset};
-
-/// Counters are process-global; tests asserting exact deltas must not
-/// interleave with other tests' predictions.
-static COUNTER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn rivertown() -> Dataset {
     Dataset::generate(&CityPreset::rivertown(), 24, 7)
@@ -66,7 +66,6 @@ fn gridlock_event(ds: &Dataset, seq: u64, slot: usize) -> TrafficEvent {
 
 #[test]
 fn prediction_reacts_within_one_slot_with_zero_stale_hits() {
-    let _serial = COUNTER_LOCK.lock().unwrap();
     let ds = rivertown();
     let wrapper = wrapper_for(&ds, 7);
     let slot = 3usize;
@@ -77,16 +76,14 @@ fn prediction_reacts_within_one_slot_with_zero_stale_hits() {
     // rest hit the cache.
     let before: Vec<Route> = qs.iter().map(|q| wrapper.predict(&ds.net, q)).collect();
 
-    let hits = st_obs::counter("predict.traffic_cache.hit").get();
-    let misses = st_obs::counter("predict.traffic_cache.miss").get();
-    let invalidations = st_obs::counter("predict.traffic_cache.invalidate").get();
+    let before_ingest = wrapper.traffic_cache_counts();
 
     // The incident lands *in the slot being served*.
     let ev = gridlock_event(&ds, 1, slot);
     assert!(wrapper.ingest(&ev).is_applied());
     assert_eq!(
-        st_obs::counter("predict.traffic_cache.invalidate").get(),
-        invalidations + 1,
+        wrapper.traffic_cache_counts().invalidations,
+        before_ingest.invalidations + 1,
         "ingest must evict the stale encoding eagerly"
     );
 
@@ -101,24 +98,24 @@ fn prediction_reacts_within_one_slot_with_zero_stale_hits() {
 
     // Zero stale hits: the first post-ingest lookup was a miss at the new
     // version (fresh encode), and every later one hit the *new* encoding.
+    let after_ingest = wrapper.traffic_cache_counts();
     assert_eq!(
-        st_obs::counter("predict.traffic_cache.miss").get(),
-        misses + 1,
+        after_ingest.misses,
+        before_ingest.misses + 1,
         "exactly one re-encode expected"
     );
     assert_eq!(
-        st_obs::counter("predict.traffic_cache.hit").get(),
-        hits + (qs.len() as u64 - 1),
+        after_ingest.hits,
+        before_ingest.hits + (qs.len() as u64 - 1),
         "post-ingest lookups must hit the fresh encoding only"
     );
 
     // Redelivery of the same event is a no-op: no invalidation, no
     // re-encode, routes bit-identical.
-    let inv2 = st_obs::counter("predict.traffic_cache.invalidate").get();
     assert!(matches!(wrapper.ingest(&ev), ApplyOutcome::Duplicate));
     assert_eq!(
-        st_obs::counter("predict.traffic_cache.invalidate").get(),
-        inv2
+        wrapper.traffic_cache_counts().invalidations,
+        after_ingest.invalidations
     );
     let replay: Vec<Route> = qs.iter().map(|q| wrapper.predict(&ds.net, q)).collect();
     assert_eq!(replay, after, "duplicate ingest changed predictions");
@@ -126,7 +123,6 @@ fn prediction_reacts_within_one_slot_with_zero_stale_hits() {
 
 #[test]
 fn updates_to_other_slots_leave_this_slots_predictions_alone() {
-    let _serial = COUNTER_LOCK.lock().unwrap();
     let ds = rivertown();
     let wrapper = wrapper_for(&ds, 11);
     let slot = 2usize;
@@ -151,7 +147,6 @@ fn updates_to_other_slots_leave_this_slots_predictions_alone() {
 /// the stale encoding is evicted, and the live tensor is what gets encoded.
 #[test]
 fn sim_incident_event_invalidates_and_reencodes() {
-    let _serial = COUNTER_LOCK.lock().unwrap();
     let ds = rivertown();
     let wrapper = wrapper_for(&ds, 5);
     let center = ds.net.midpoint(ds.net.num_segments() / 2);
@@ -164,10 +159,10 @@ fn sim_incident_event_invalidates_and_reencodes() {
     assert_eq!(wrapper.traffic_version(slot), 0);
     assert!(wrapper.ingest(&ev).is_applied());
     assert_eq!(wrapper.traffic_version(slot), 1);
-    let misses = st_obs::counter("predict.traffic_cache.miss").get();
+    let misses = wrapper.traffic_cache_counts().misses;
     let _ = wrapper.predict(&ds.net, q);
     assert_eq!(
-        st_obs::counter("predict.traffic_cache.miss").get(),
+        wrapper.traffic_cache_counts().misses,
         misses + 1,
         "stale encoding survived the incident"
     );

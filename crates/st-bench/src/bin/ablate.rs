@@ -1,9 +1,10 @@
 //! Ablation studies of the reproduction's own design choices (beyond the
 //! paper's Table VI):
 //!
-//! 1. **Beam width** of the most-likely-route decoder (1 = greedy … 16).
+//! 1. **Decoder** of the most likely route: the greedy rollout that `f_s`
+//!    only stops, then beam widths 1 … 16 over the full generative
+//!    probability, all on one trained model.
 //! 2. **Gumbel-Softmax temperature** of the π relaxation (§IV-D).
-//! 3. **Termination scale** of `f_s` (§IV-A; the paper leaves units open).
 //!
 //! ```bash
 //! cargo run --release -p st-bench --bin ablate [-- --quick|--full]
@@ -11,7 +12,9 @@
 
 use std::process::ExitCode;
 
-use st_baselines::{beam_decode, DeepStDecoder, DeepStPredictor, PredictQuery, Predictor};
+use st_baselines::{
+    beam_decode, greedy_decode, DeepStDecoder, DeepStPredictor, PredictQuery, Predictor,
+};
 use st_bench::{make_dataset, results_dir, City, Scale};
 use st_core::DeepSt;
 use st_eval::metrics::MetricSums;
@@ -46,49 +49,56 @@ fn run() -> Result<(), String> {
     };
     let take = scale.max_eval.unwrap_or(usize::MAX).min(split.test.len());
 
-    // ---- 1. beam width sweep on one trained model ----
+    // ---- 1. decoder sweep on one trained model: greedy, then beam widths ----
     eprintln!("[ablate] training the shared model...");
     let model = train_deepst(&ds, &train, None, &cfg, true).map_err(|e| e.to_string())?;
+    let max_len = model.cfg.max_route_len;
     let mut rows = Vec::new();
     let mut beam_json = Vec::new();
-    for width in [1usize, 2, 4, 8, 16] {
+    let mut greedy_json = serde_json::Value::Null;
+    for width in [None, Some(1usize), Some(2), Some(4), Some(8), Some(16)] {
         let mut sums = MetricSums::default();
-        let (_, secs) = st_obs::timed("bench/beam_sweep", || {
+        let (_, secs) = st_obs::timed("bench/decoder_sweep", || {
             for &i in split.test.iter().take(take) {
                 let trip = &ds.trips[i];
                 let slot = ds.slot_of(trip.start_time);
                 let c = model.encode_traffic(ds.traffic_tensor(slot));
                 let ctx = model.encode_context(ds.unit_coord(&trip.dest_coord), Some(c));
                 let mut dec = DeepStDecoder::new(&model, &ctx);
-                let route = beam_decode(
-                    &ds.net,
-                    &mut dec,
-                    trip.origin_segment(),
-                    &trip.dest_coord,
-                    width,
-                    model.cfg.max_route_len,
-                );
+                let (start, dest) = (trip.origin_segment(), &trip.dest_coord);
+                let route = match width {
+                    Some(w) => beam_decode(&ds.net, &mut dec, start, dest, w, max_len),
+                    None => greedy_decode(&ds.net, &mut dec, start, dest, max_len),
+                };
                 sums.add(&trip.route, &route);
             }
         });
+        let label = width.map_or_else(|| "greedy".to_string(), |w| w.to_string());
         eprintln!(
-            "[ablate] beam {width}: acc {:.3} ({secs:.0}s)",
+            "[ablate] decoder {label}: acc {:.3} ({secs:.0}s)",
             sums.accuracy()
         );
         rows.push(vec![
-            format!("{width}"),
+            label,
             format!("{:.3}", sums.recall()),
             format!("{:.3}", sums.accuracy()),
             format!("{:.1}", secs),
         ]);
-        beam_json.push(serde_json::json!({
-            "width": width, "recall": sums.recall(), "accuracy": sums.accuracy(), "secs": secs
-        }));
+        let (recall, accuracy) = (sums.recall(), sums.accuracy());
+        match width {
+            Some(w) => beam_json.push(serde_json::json!({
+                "width": w, "recall": recall, "accuracy": accuracy, "secs": secs
+            })),
+            None => {
+                greedy_json =
+                    serde_json::json!({"recall": recall, "accuracy": accuracy, "secs": secs})
+            }
+        }
     }
-    println!("\nAblation — beam width (DeepST, {}):", city.name());
+    println!("\nAblation — decoder (DeepST, {}):", city.name());
     println!(
         "{}",
-        format_table(&["beam", "recall@n", "accuracy", "secs"], &rows)
+        format_table(&["decoder", "recall@n", "accuracy", "secs"], &rows)
     );
 
     // ---- 2. Gumbel temperature sweep (retrains) ----
@@ -139,52 +149,10 @@ fn run() -> Result<(), String> {
     println!("\nAblation — Gumbel-Softmax temperature:");
     println!("{}", format_table(&["τ", "recall@n", "accuracy"], &rows));
 
-    // ---- 3. termination scale sweep (decode-time only) ----
-    let mut rows = Vec::new();
-    let mut term_json = Vec::new();
-    for scale_m in [75.0f64, 150.0, 300.0] {
-        // The shared decoder constant is fixed; emulate by scaling the
-        // destination distance in a wrapper model-config clone.
-        let mut mcfg = model.cfg.clone();
-        mcfg.term_scale_m = scale_m;
-        // Re-wrap the trained weights: termination scale only affects
-        // prediction, so we can reuse the trained parameters via state io.
-        let fresh = DeepSt::new(mcfg, cfg.seed);
-        use st_nn::Module;
-        fresh
-            .load_state(&model.state())
-            .map_err(|e| format!("transplanting trained weights (term scale {scale_m}m): {e}"))?;
-        let mut sums = MetricSums::default();
-        for &i in split.test.iter().take(take) {
-            let trip = &ds.trips[i];
-            let slot = ds.slot_of(trip.start_time);
-            let c = fresh.encode_traffic(ds.traffic_tensor(slot));
-            let ctx = fresh.encode_context(ds.unit_coord(&trip.dest_coord), Some(c));
-            let route =
-                fresh.predict_route(&ds.net, trip.origin_segment(), &trip.dest_coord, &ctx, None);
-            sums.add(&trip.route, &route);
-        }
-        eprintln!(
-            "[ablate] term scale {scale_m}m (greedy Algorithm 2): acc {:.3}",
-            sums.accuracy()
-        );
-        rows.push(vec![
-            format!("{scale_m}"),
-            format!("{:.3}", sums.recall()),
-            format!("{:.3}", sums.accuracy()),
-        ]);
-        term_json.push(serde_json::json!({"scale_m": scale_m, "recall": sums.recall(), "accuracy": sums.accuracy()}));
-    }
-    println!("\nAblation — termination scale (greedy Algorithm 2 decoding):");
-    println!(
-        "{}",
-        format_table(&["scale (m)", "recall@n", "accuracy"], &rows)
-    );
-
     let path = results_dir().join("ablate.json");
     write_json(
         &path,
-        &serde_json::json!({"beam": beam_json, "gumbel": temp_json, "term_scale": term_json}),
+        &serde_json::json!({"beam": beam_json, "greedy": greedy_json, "gumbel": temp_json}),
     )
     .map_err(|e| format!("failed to write {}: {e}", path.display()))?;
     eprintln!("[ablate] wrote {}", path.display());

@@ -33,12 +33,6 @@ pub struct DeepStConfig {
     pub use_traffic: bool,
     /// Gumbel-Softmax temperature for the π relaxation (§IV-D).
     pub gumbel_temp: f32,
-    /// Distance scale (m) of the termination function
-    /// `f_s = exp(−(d/scale)²)` ([`crate::DeepSt::termination_prob`]): the
-    /// stop probability is 1 at the destination and e⁻¹ ≈ 0.37 at this
-    /// distance (§IV-A uses raw coordinate units; our coordinates are
-    /// meters, so a scale is required).
-    pub term_scale_m: f64,
     /// Hard cap on generated route length.
     pub max_route_len: usize,
     /// Rows per block of the (row-sharded) segment-embedding table. Small
@@ -66,7 +60,6 @@ impl DeepStConfig {
             grid_w,
             use_traffic: true,
             gumbel_temp: 0.7,
-            term_scale_m: 150.0,
             max_route_len: 150,
             emb_block_rows: 4096, // = st_nn::Embedding::DEFAULT_BLOCK_ROWS
         }

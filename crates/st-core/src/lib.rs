@@ -19,7 +19,9 @@
 //!   baselines).
 //! - [`checkpoint`] — crash-safe training checkpoints (save/resume).
 //! - [`faultinject`] — deterministic fault injection for tests.
-//! - [`predict`] — Algorithm 2 (route generation) and likelihood scoring.
+//! - [`predict`] — route likelihood scoring (§IV-E) and the tape-free
+//!   [`InferSession`] that Algorithm 2's decoders (beam and greedy, in
+//!   `st-baselines`) step through.
 //! - [`cancel`] — cooperative cancellation tokens for decode loops.
 
 pub mod cancel;

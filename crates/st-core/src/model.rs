@@ -185,18 +185,6 @@ impl DeepSt {
         ops::add_scalar(ops::softplus(b.var(&self.s_proxy_raw)), 1e-4)
     }
 
-    /// The termination probability `f_s(r, x)` of §IV-A, implemented as a
-    /// Gaussian in the destination-to-segment distance (meters). The paper's
-    /// `1/(1 + ‖p(x,r) − x‖)` leaves units unspecified; a flat-tailed form
-    /// makes distant stops only polynomially unlikely and biases
-    /// maximum-probability decoding toward degenerate short routes, so we
-    /// use `exp(−(d/scale)²)` — ≈1 at the destination, exponentially small
-    /// far away.
-    pub fn termination_prob(&self, dist_m: f64) -> f64 {
-        let d = dist_m / self.cfg.term_scale_m;
-        (-d * d).exp()
-    }
-
     /// Draw a Gumbel-noise array for the π relaxation.
     pub(crate) fn gumbel_noise(&self, n: usize, rng: &mut StdRng) -> Array {
         let k = self.cfg.k_proxies;
@@ -351,17 +339,6 @@ mod tests {
         let (mu, logvar) = m.traffic_posterior(&b, grids, true, None);
         assert_eq!(mu.value().shape(), &[2, m.cfg.c_dim]);
         assert_eq!(logvar.value().shape(), &[2, m.cfg.c_dim]);
-    }
-
-    #[test]
-    fn termination_monotone_decreasing() {
-        let m = small();
-        let p0 = m.termination_prob(0.0);
-        let p_scale = m.termination_prob(m.cfg.term_scale_m);
-        let p_far = m.termination_prob(10_000.0);
-        assert!((p0 - 1.0).abs() < 1e-12);
-        assert!((p_scale - (-1.0f64).exp()).abs() < 1e-9);
-        assert!(p_far < 1e-6);
     }
 
     #[test]

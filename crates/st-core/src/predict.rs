@@ -1,14 +1,15 @@
-//! Route prediction (Algorithm 2) and route likelihood scoring (§IV-E).
+//! Route likelihood scoring (§IV-E) and the tape-free decoding session
+//! that route generation (Algorithm 2) steps through. The decoders
+//! themselves (beam and greedy) live in `st-baselines::beam`.
 
 use rand::rngs::StdRng;
-use rand::Rng;
 
 use st_tensor::{
     infer, ops, Array, Binder, Diagnostic, LintKind, ScratchArena, Severity, Tape, TapeFreeScope,
 };
 
 use st_nn::PackedGru;
-use st_roadnet::{Point, RoadNetwork, Route, SegmentId};
+use st_roadnet::{RoadNetwork, SegmentId};
 
 use crate::model::DeepSt;
 
@@ -71,33 +72,6 @@ impl DeepSt {
             c: traffic_c,
             pi,
         }
-    }
-
-    /// Algorithm 2: generate the most likely route for a trip.
-    ///
-    /// `start` is `T.r₁`; `dest_m` is the rough destination coordinate in
-    /// meters (used only by the termination function `f_s`); `ctx` holds the
-    /// encoded destination/traffic representations. With `rng = None` the
-    /// generation is greedy (argmax next road, threshold termination) — this
-    /// is the "most likely route" used in the evaluation; with `Some(rng)`
-    /// the route is sampled from the generative process.
-    ///
-    /// Inference runs on the tape-free runtime ([`InferSession`]): no
-    /// autodiff tape is allocated at any step, scratch buffers are recycled
-    /// through one [`ScratchArena`], and memory stays bounded by a single
-    /// step's working set regardless of route length.
-    pub fn predict_route(
-        &self,
-        net: &RoadNetwork,
-        start: SegmentId,
-        dest_m: &Point,
-        ctx: &TripContext,
-        rng: Option<&mut StdRng>,
-    ) -> Route {
-        let _sp = st_obs::span("predict/route");
-        let mut route = vec![start];
-        self.generate_from(net, &mut route, ctx, dest_m, rng);
-        route
     }
 
     /// Route likelihood score with posterior *sampling*, as §IV-E describes
@@ -188,154 +162,6 @@ impl DeepSt {
         }
         total
     }
-}
-
-impl DeepSt {
-    /// Continue a partially observed trip: warm the GRU up on the already
-    /// traveled `prefix`, then generate the remainder of the route toward
-    /// the destination (the "future movement prediction" setting of the
-    /// related work, §II). Returns the full route including the prefix.
-    pub fn predict_continuation(
-        &self,
-        net: &RoadNetwork,
-        prefix: &[SegmentId],
-        dest_m: &Point,
-        ctx: &TripContext,
-        rng: Option<&mut StdRng>,
-    ) -> Route {
-        let _sp = st_obs::span("predict/continuation");
-        assert!(net.is_valid_route(prefix), "prefix is not a valid route");
-        let mut route = prefix.to_vec();
-        self.generate_from(net, &mut route, ctx, dest_m, rng);
-        route
-    }
-
-    /// Shared generation loop for [`DeepSt::predict_route`] and
-    /// [`DeepSt::predict_continuation`]: warm the GRU up on all but the last
-    /// segment of `route` (the traveled prefix; the last segment is consumed
-    /// by the first generation step), then extend `route` until termination
-    /// fires, a dead end is hit, or `cfg.max_route_len` is reached. Each exit
-    /// cause bumps one of the `decode.term.{stop,dead_end,len_cap}` counters.
-    /// Warm-up and generation share one session, state and log-prob buffer.
-    ///
-    /// Truncation behaviour: the slot head is `cfg.max_neighbors` wide, so
-    /// at an intersection with a larger out-degree only the first
-    /// `max_neighbors` adjacent segments can ever be chosen. Such steps are
-    /// counted (`decode.truncated_transitions` / `decode.truncated_slots`)
-    /// and surfaced once per process via `st_obs::warn_once`;
-    /// [`DeepSt::lint_output_space`] reports the same condition statically.
-    fn generate_from(
-        &self,
-        net: &RoadNetwork,
-        route: &mut Route,
-        ctx: &TripContext,
-        dest_m: &Point,
-        mut rng: Option<&mut StdRng>,
-    ) {
-        let Some((&last, warmup)) = route.split_last() else {
-            // the paper's queries always carry at least T.r1
-            return;
-        };
-        let mut sess = self.infer_session();
-        let trip = sess.add_trip(ctx);
-        let mut state = sess.zero_state(1);
-        // One log-prob buffer for the whole route: `step_into` refills it
-        // in place, so the loop allocates nothing per step.
-        let mut logps: Vec<f64> = Vec::new();
-        for &seg in warmup {
-            sess.step_into(&[seg], &[trip], &mut state, &mut logps);
-        }
-        let mut cur = last;
-        while route.len() < self.cfg.max_route_len {
-            let nexts = net.next_segments(cur);
-            if nexts.is_empty() {
-                st_obs::counter("decode.term.dead_end").inc();
-                return;
-            }
-            sess.step_into(&[cur], &[trip], &mut state, &mut logps);
-            if nexts.len() > logps.len() {
-                self.note_truncation(nexts.len(), logps.len());
-            }
-            let valid = &logps[..nexts.len().min(logps.len())];
-            let slot = match rng.as_deref_mut() {
-                None => {
-                    // greedy argmax over valid slots (log-softmax is
-                    // monotone, so this matches an argmax on raw logits)
-                    let mut best = 0;
-                    for (j, &v) in valid.iter().enumerate() {
-                        if v > valid[best] {
-                            best = j;
-                        }
-                    }
-                    best
-                }
-                Some(r) => {
-                    let probs: Vec<f32> = {
-                        let m = valid.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                        let e: Vec<f64> = valid.iter().map(|&v| (v - m).exp()).collect();
-                        let z: f64 = e.iter().sum();
-                        e.iter().map(|&v| (v / z) as f32).collect()
-                    };
-                    sample_index(&probs, r)
-                }
-            };
-            let next = nexts[slot];
-            route.push(next);
-            cur = next;
-            // termination: s ~ Bernoulli(f_s(r_{i+1}, x))
-            let proj = net.project_onto(dest_m, next);
-            let p_stop = self.termination_prob(proj.dist(dest_m));
-            let stop = match rng.as_deref_mut() {
-                None => p_stop > 0.5,
-                Some(r) => r.gen::<f64>() < p_stop,
-            };
-            if stop {
-                st_obs::counter("decode.term.stop").inc();
-                return;
-            }
-        }
-        st_obs::counter("decode.term.len_cap").inc();
-    }
-
-    /// Count one truncated transition and warn once per process.
-    pub(crate) fn note_truncation(&self, out_degree: usize, slots: usize) {
-        st_obs::counter("decode.truncated_transitions").inc();
-        st_obs::counter("decode.truncated_slots").add((out_degree - slots) as u64);
-        st_obs::warn_once(
-            "decode.truncated-output-space",
-            &format!(
-                "out-degree {out_degree} exceeds the {slots}-slot output head \
-                 (cfg.max_neighbors = {}): {} adjacent segment(s) are unreachable \
-                 during decoding; see DeepSt::lint_output_space",
-                self.cfg.max_neighbors,
-                out_degree - slots
-            ),
-        );
-    }
-
-    /// One recurrent step outside any training tape: feed `token` into the
-    /// GRU given `state` (one `[1, hidden]` array per layer) and return the
-    /// new state plus the log-probabilities over the adjacent slots.
-    ///
-    /// Convenience wrapper over a one-shot [`InferSession`] — it re-packs
-    /// the weights, re-derives the trip projections and allocates a fresh
-    /// arena on every call. Loops that step many times (decoders,
-    /// evaluators) should open one session with [`DeepSt::infer_session`],
-    /// register the trip with [`InferSession::add_trip`] and use
-    /// [`InferSession::step_into`] with a reused log-prob buffer instead.
-    pub fn step_state(
-        &self,
-        state: &[Array],
-        token: SegmentId,
-        ctx: &TripContext,
-    ) -> (Vec<Array>, Vec<f64>) {
-        let mut sess = self.infer_session();
-        let trip = sess.add_trip(ctx);
-        let mut new_state = state.to_vec();
-        let mut lp = Vec::new();
-        sess.step_into(&[token], &[trip], &mut new_state, &mut lp);
-        (new_state, lp)
-    }
 
     /// The pre-refactor taped step: binds the inputs to a fresh autodiff
     /// tape, runs the taped forward graph and discards the tape. Kept
@@ -361,7 +187,7 @@ impl DeepSt {
         (new_state, lp)
     }
 
-    /// Fresh per-layer zero state for [`DeepSt::step_state`].
+    /// Fresh per-layer zero state for [`DeepSt::step_state_taped`].
     pub fn initial_state(&self) -> Vec<Array> {
         (0..self.gru.layers())
             .map(|_| Array::zeros(&[1, self.cfg.hidden]))
@@ -387,8 +213,8 @@ impl DeepSt {
         }
     }
 
-    /// Static check for the config/network mismatch that the generation
-    /// loop's truncation counters observe dynamically:
+    /// Static check for the config/network mismatch that the decoders'
+    /// truncation counters (`decode.truncated_*`) observe dynamically:
     /// if `net.max_out_degree()` exceeds `cfg.max_neighbors`, some
     /// transitions can never be decoded (and, because
     /// [`crate::data::Example`] slots are derived from the same network,
@@ -414,8 +240,8 @@ impl DeepSt {
 }
 
 /// The tape-free decoding session: the batched inference runtime behind
-/// [`DeepSt::predict_route`], [`DeepSt::predict_continuation`], the beam
-/// decoder and cross-request continuous batching in `st-serve`.
+/// the beam and greedy decoders of `st-baselines` and cross-request
+/// continuous batching in `st-serve`.
 ///
 /// The recurrent state is packed as one `[n, hidden]` matrix per GRU layer,
 /// so one [`InferSession::step_into`] call advances *all* `n` rows — beam
@@ -649,17 +475,6 @@ impl<'m> InferSession<'m> {
     }
 }
 
-fn sample_index(probs: &[f32], rng: &mut StdRng) -> usize {
-    let mut u: f32 = rng.gen();
-    for (i, &p) in probs.iter().enumerate() {
-        if u < p {
-            return i;
-        }
-        u -= p;
-    }
-    probs.len() - 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -684,116 +499,6 @@ mod tests {
         assert_eq!(ctx.pi.shape(), &[model.cfg.k_proxies]);
         let sum: f32 = ctx.pi.data().iter().sum();
         assert!((sum - 1.0).abs() < 1e-4, "π not a distribution");
-    }
-
-    /// The pre-PR-4 `predict_route`: one tape/binder shared across the
-    /// whole generation loop (so the tape grows with route length). Kept
-    /// verbatim as the behavioural oracle for the fresh-tape-per-step
-    /// rewrite — greedy decoding must produce identical routes.
-    fn reference_one_tape_greedy(
-        model: &DeepSt,
-        net: &st_roadnet::RoadNetwork,
-        start: SegmentId,
-        dest_m: &Point,
-        ctx: &TripContext,
-    ) -> Route {
-        let tape = Tape::new();
-        let binder = Binder::new(&tape);
-        let fx = binder.input(ctx.fx.clone());
-        let c = ctx.c.as_ref().map(|c| binder.input(c.clone()));
-        let mut state = model.gru.zero_state(&binder, 1);
-        let mut route = vec![start];
-        let mut cur = start;
-        loop {
-            if route.len() >= model.cfg.max_route_len {
-                break;
-            }
-            let nexts = net.next_segments(cur);
-            if nexts.is_empty() {
-                break;
-            }
-            let inp = model.emb.forward(&binder, &[cur]);
-            let hid = model.gru.step(&binder, inp, &mut state);
-            let logits = model.slot_logits(&binder, hid, fx, c);
-            let lv = logits.value();
-            let valid = &lv.data()[..nexts.len().min(model.cfg.max_neighbors)];
-            let mut best = 0;
-            for (j, &v) in valid.iter().enumerate() {
-                if v > valid[best] {
-                    best = j;
-                }
-            }
-            let next = nexts[best];
-            route.push(next);
-            cur = next;
-            let proj = net.project_onto(dest_m, next);
-            if model.termination_prob(proj.dist(dest_m)) > 0.5 {
-                break;
-            }
-        }
-        route
-    }
-
-    #[test]
-    fn stepwise_greedy_matches_one_tape_reference() {
-        let (net, model) = setup();
-        let c = model.encode_traffic(&vec![0.2; 64]);
-        for (start, dest_norm, dest) in [
-            (0usize, [0.8f32, 0.8f32], Point::new(300.0, 300.0)),
-            (3, [0.2, 0.9], Point::new(100.0, 300.0)),
-            (7, [0.5, 0.1], Point::new(200.0, 50.0)),
-        ] {
-            let ctx = model.encode_context(dest_norm, Some(c.clone()));
-            let expect = reference_one_tape_greedy(&model, &net, start, &dest, &ctx);
-            let got = model.predict_route(&net, start, &dest, &ctx, None);
-            assert_eq!(got, expect, "start {start} dest {dest:?}");
-        }
-    }
-
-    #[test]
-    fn generation_allocates_no_tapes() {
-        let (net, model) = setup();
-        let c = model.encode_traffic(&vec![0.2; 64]);
-        let ctx = model.encode_context([0.9, 0.9], Some(c));
-        // The whole decode — context encoding included — runs on the
-        // tape-free inference runtime: the thread's tape-creation counter
-        // must not move across an entire route generation.
-        let created = Tape::created_count();
-        let route = model.predict_route(&net, 0, &Point::new(380.0, 380.0), &ctx, None);
-        assert!(route.len() >= 2);
-        assert_eq!(
-            Tape::created_count(),
-            created,
-            "decoding allocated an autodiff tape"
-        );
-    }
-
-    /// The tape-free step must reproduce the pre-refactor taped step
-    /// bit-for-bit: log-probs (f64) and every state element (f32), over a
-    /// multi-step rollout so state differences would compound and surface.
-    #[test]
-    fn infer_step_matches_taped_step_bitwise() {
-        let (net, model) = setup();
-        let c = model.encode_traffic(&vec![0.3; 64]);
-        let ctx = model.encode_context([0.4, 0.7], Some(c));
-        let mut infer_state = model.initial_state();
-        let mut taped_state = model.initial_state();
-        let mut cur = 0usize;
-        for step in 0..6 {
-            let (ni, li) = model.step_state(&infer_state, cur, &ctx);
-            let (nt, lt) = model.step_state_taped(&taped_state, cur, &ctx);
-            let li_bits: Vec<u64> = li.iter().map(|v| v.to_bits()).collect();
-            let lt_bits: Vec<u64> = lt.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(li_bits, lt_bits, "log-prob mismatch at step {step}");
-            for (layer, (a, b)) in ni.iter().zip(&nt).enumerate() {
-                let ab: Vec<u32> = a.data().iter().map(|v| v.to_bits()).collect();
-                let bb: Vec<u32> = b.data().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(ab, bb, "state mismatch at step {step} layer {layer}");
-            }
-            infer_state = ni;
-            taped_state = nt;
-            cur = net.next_segments(cur)[0];
-        }
     }
 
     /// Each row of a batched fused step (the `step_into` kernels: packed
@@ -1023,48 +728,6 @@ mod tests {
         assert_eq!(diag.kind, st_tensor::LintKind::TruncatedOutputSpace);
         assert_eq!(diag.severity, st_tensor::Severity::Warning);
         assert!(diag.message.contains("max_neighbors"));
-        // And decoding with it counts truncated transitions. Start from a
-        // segment whose successor list has the full max out-degree, so the
-        // very first step is guaranteed to truncate.
-        let start = (0..net.num_segments())
-            .find(|&s| net.next_segments(s).len() == net.max_out_degree())
-            .expect("grid has a max-degree intersection");
-        let before = st_obs::counter("decode.truncated_transitions").get();
-        let c = narrow.encode_traffic(&vec![0.2; 64]);
-        let ctx = narrow.encode_context([0.9, 0.9], Some(c));
-        let route = narrow.predict_route(&net, start, &Point::new(380.0, 380.0), &ctx, None);
-        assert!(net.is_valid_route(&route));
-        assert!(
-            st_obs::counter("decode.truncated_transitions").get() > before,
-            "no truncation observed on a narrow head"
-        );
-    }
-
-    #[test]
-    fn greedy_prediction_is_valid_and_deterministic() {
-        let (net, model) = setup();
-        let c = model.encode_traffic(&vec![0.2; 64]);
-        let ctx = model.encode_context([0.8, 0.8], Some(c));
-        let dest = Point::new(300.0, 300.0);
-        let r1 = model.predict_route(&net, 0, &dest, &ctx, None);
-        let r2 = model.predict_route(&net, 0, &dest, &ctx, None);
-        assert_eq!(r1, r2);
-        assert!(net.is_valid_route(&r1));
-        assert!(r1.len() <= model.cfg.max_route_len);
-        assert_eq!(r1[0], 0);
-    }
-
-    #[test]
-    fn sampled_prediction_is_valid() {
-        let (net, model) = setup();
-        let c = model.encode_traffic(&vec![0.2; 64]);
-        let ctx = model.encode_context([0.2, 0.9], Some(c));
-        let dest = Point::new(100.0, 300.0);
-        let mut rng = init::rng(7);
-        for _ in 0..5 {
-            let r = model.predict_route(&net, 3, &dest, &ctx, Some(&mut rng));
-            assert!(net.is_valid_route(&r));
-        }
     }
 
     #[test]
@@ -1117,33 +780,6 @@ mod tests {
                 f64::NEG_INFINITY
             );
         }
-    }
-
-    #[test]
-    fn continuation_extends_prefix() {
-        let (net, model) = setup();
-        let c = model.encode_traffic(&vec![0.1; 64]);
-        let ctx = model.encode_context([0.7, 0.2], Some(c));
-        let mut prefix = vec![0usize];
-        for _ in 0..3 {
-            prefix.push(net.next_segments(*prefix.last().unwrap())[0]);
-        }
-        let dest = Point::new(250.0, 80.0);
-        let route = model.predict_continuation(&net, &prefix, &dest, &ctx, None);
-        assert!(route.len() >= prefix.len());
-        assert_eq!(&route[..prefix.len()], prefix.as_slice());
-        assert!(net.is_valid_route(&route));
-        // deterministic
-        let again = model.predict_continuation(&net, &prefix, &dest, &ctx, None);
-        assert_eq!(route, again);
-    }
-
-    #[test]
-    #[should_panic(expected = "prefix")]
-    fn continuation_rejects_empty_prefix() {
-        let (net, model) = setup();
-        let ctx = model.encode_context([0.5, 0.5], Some(model.encode_traffic(&vec![0.0; 64])));
-        let _ = model.predict_continuation(&net, &[], &Point::new(0.0, 0.0), &ctx, None);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Consistency tests between the three forward paths of the DeepST model:
 //! batched training (`batch_loss`), per-route scoring (`score_route`), and
-//! stepwise decoding (`step_state`). All three must compute the same
-//! transition log-probabilities.
+//! stepwise decoding (`InferSession::step_into`). All three must compute
+//! the same transition log-probabilities.
 
 use std::sync::Arc;
 
@@ -30,7 +30,7 @@ fn random_route(net: &RoadNetwork, start: usize, len: usize, seed: u64) -> Vec<u
 }
 
 #[test]
-fn score_route_matches_step_state_decoding() {
+fn score_route_matches_stepwise_decoding() {
     let (net, model) = setup(0);
     let route = random_route(&net, 0, 6, 1);
     let tensor = vec![0.2f32; 64];
@@ -39,11 +39,13 @@ fn score_route_matches_step_state_decoding() {
     // score via the scoring API
     let total = model.score_route(&net, &route, &ctx);
     // score via stepwise decoding (renormalization-free: same full softmax)
-    let mut state = model.initial_state();
+    let mut sess = model.infer_session();
+    let trip = sess.add_trip(&ctx);
+    let mut state = sess.zero_state(1);
+    let mut logps = Vec::new();
     let mut manual = 0.0f64;
     for i in 0..route.len() - 1 {
-        let (ns, logps) = model.step_state(&state, route[i], &ctx);
-        state = ns;
+        sess.step_into(&[route[i]], &[trip], &mut state, &mut logps);
         let slot = net.neighbor_slot(route[i], route[i + 1]).unwrap();
         manual += logps[slot];
     }
@@ -129,7 +131,7 @@ proptest! {
         model.zero_grads();
     }
 
-    /// The per-transition probabilities from step_state renormalize to 1
+    /// The per-transition probabilities of a decode step renormalize to 1
     /// over the full slot space.
     #[test]
     fn step_logprobs_normalize(seg in 0usize..40, seed in 0u64..100) {
@@ -141,7 +143,11 @@ proptest! {
             [rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)],
             Some(model.encode_traffic(&vec![0.3f32; 64])),
         );
-        let (_, logps) = model.step_state(&model.initial_state(), seg, &ctx);
+        let mut sess = model.infer_session();
+        let trip = sess.add_trip(&ctx);
+        let mut state = sess.zero_state(1);
+        let mut logps = Vec::new();
+        sess.step_into(&[seg], &[trip], &mut state, &mut logps);
         let total: f64 = logps.iter().map(|lp| lp.exp()).sum();
         prop_assert!((total - 1.0).abs() < 1e-4, "softmax total {total}");
     }

@@ -5,7 +5,6 @@
 //! k-shortest routes for recovery candidates ([`ksp`]), and a synthetic
 //! city generator standing in for the paper's OSM extracts ([`gen`]).
 
-pub mod astar;
 pub mod gen;
 pub mod geo;
 pub mod graph;
@@ -13,7 +12,6 @@ pub mod index;
 pub mod ksp;
 pub mod shortest;
 
-pub use astar::{astar_route, travel_time_heuristic};
 pub use gen::{grid_city, GridConfig};
 pub use geo::Point;
 pub use graph::{RoadNetwork, Route, Segment, SegmentId, VertexId};

@@ -15,9 +15,9 @@ use st_roadnet::{Point, Route, SegmentId};
 use crate::error::{Degradation, ServeError};
 
 /// A route-prediction query. A one-segment `prefix` asks for a full route
-/// from that start (`predict_route`); a longer prefix asks for the most
-/// likely continuation of a partially observed trip
-/// (`predict_continuation`).
+/// from that start; a longer prefix asks for the most likely continuation
+/// of a partially observed trip. Either way the engine returns the route
+/// `st_baselines::beam_decode_closed` decodes from the same prefix.
 #[derive(Debug, Clone)]
 pub struct RouteRequest {
     /// Travelled segments so far, in order; must be a connected route.

@@ -33,7 +33,7 @@ fn no_degradation_cfg(workers: usize) -> ServeConfig {
 fn batched_routes_are_bit_identical_to_serial_decoding() {
     let (net, model) = common::city_and_model(11);
     let n_seg = net.num_segments();
-    // Mixed workload: fresh predict_route queries and continuation queries
+    // Mixed workload: fresh one-segment queries and continuation queries
     // with multi-segment prefixes, all in flight at once on one worker so
     // their beam rows genuinely share packed steps.
     let mut requests = Vec::new();

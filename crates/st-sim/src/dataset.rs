@@ -414,8 +414,8 @@ pub struct TripStats {
 }
 
 /// Diurnal start-time sampler: uniform day, hours drawn from a mixture with
-/// morning/evening peaks.
-fn sample_start_time(horizon: f64, rng: &mut StdRng) -> f64 {
+/// morning/evening peaks. Cities and megacities draw trip starts from it.
+pub(crate) fn sample_start_time(horizon: f64, rng: &mut StdRng) -> f64 {
     let days = (horizon / DAY_SECS).floor().max(1.0);
     let day = rng.gen_range(0..days as usize) as f64;
     let hour = loop {

@@ -23,10 +23,10 @@ use rand::{Rng, SeedableRng};
 use st_core::data::Example;
 use st_roadnet::{grid_city, GridConfig, Point, RoadNetwork, SegmentIndex};
 
-use crate::dataset::{SLOT_SECS, WINDOW_SECS};
+use crate::dataset::{sample_start_time, SLOT_SECS, WINDOW_SECS};
 use crate::driver::{simulate_route, Attractiveness, DriverConfig};
 use crate::store::{TripStoreError, TripStoreWriter};
-use crate::traffic::{TrafficConfig, TrafficGrid, TrafficModel, DAY_SECS};
+use crate::traffic::{TrafficConfig, TrafficGrid, TrafficModel};
 use crate::trips::{gauss, sample_gps, Hotspot, Trip};
 
 /// Parameters of a district-structured megacity.
@@ -229,7 +229,7 @@ impl Megacity {
         let mut attempts = 0usize;
         while trips < n_trips && attempts < n_trips * 6 {
             attempts += 1;
-            let start_time = diurnal_start(horizon, &mut rng);
+            let start_time = sample_start_time(horizon, &mut rng);
             let od = rng.gen_range(0..n_districts);
             if self.district_segs[od].is_empty() {
                 continue;
@@ -390,23 +390,6 @@ fn district_of(cfg: &MegacityConfig, bb_min: &Point, bb_max: &Point, p: &Point) 
     let dx = ((fx * cfg.districts_x as f64) as usize).min(cfg.districts_x - 1);
     let dy = ((fy * cfg.districts_y as f64) as usize).min(cfg.districts_y - 1);
     dy * cfg.districts_x + dx
-}
-
-/// Diurnal start-time sampler (morning/evening peaks plus background).
-fn diurnal_start(horizon: f64, rng: &mut StdRng) -> f64 {
-    let days = (horizon / DAY_SECS).floor().max(1.0);
-    let day = rng.gen_range(0..days as usize) as f64;
-    let hour = loop {
-        let h: f64 = match rng.gen_range(0..3) {
-            0 => 8.0 + gauss(rng) * 1.5,
-            1 => 18.0 + gauss(rng) * 1.8,
-            _ => rng.gen_range(6.0..23.0),
-        };
-        if (0.0..24.0).contains(&h) {
-            break h;
-        }
-    };
-    (day * DAY_SECS + hour * 3600.0).min(horizon - 1.0)
 }
 
 /// Incremental per-slot traffic observation accumulator — the streaming

@@ -5,7 +5,7 @@
 //! span buffer, metric registry) is process-global, so concurrent tests in
 //! this binary would interleave their spans.
 
-use deepst::baselines::{DeepStPredictor, Predictor};
+use deepst::baselines::{greedy_decode, DeepStDecoder, DeepStPredictor, Predictor};
 use deepst::eval::{build_examples, evaluate_methods, train_deepst, SuiteConfig, DISTANCE_BUCKETS};
 use deepst::obs;
 use deepst::sim::{CityPreset, Dataset};
@@ -25,14 +25,20 @@ fn traced_pipeline_emits_valid_balanced_jsonl() {
     };
     let model = train_deepst(&ds, &train, None, &cfg, true).expect("DeepST training failed");
 
-    // ---- predict (route spans + termination counters) ----
+    // ---- predict (greedy decode span + termination counters) ----
     let trip = &ds.trips[split.test[0]];
     let slot = ds.slot_of(trip.start_time);
     let ctx = model.encode_context(
         ds.unit_coord(&trip.dest_coord),
         Some(model.encode_traffic(ds.traffic_tensor(slot))),
     );
-    let route = model.predict_route(&ds.net, trip.origin_segment(), &trip.dest_coord, &ctx, None);
+    let route = greedy_decode(
+        &ds.net,
+        &mut DeepStDecoder::new(&model, &ctx),
+        trip.origin_segment(),
+        &trip.dest_coord,
+        model.cfg.max_route_len,
+    );
     assert!(ds.net.is_valid_route(&route));
 
     // ---- eval (beam decode spans + bucket-drop accounting) ----
@@ -56,7 +62,7 @@ fn traced_pipeline_emits_valid_balanced_jsonl() {
         "train/epoch",
         "train/batch",
         "train/shard",
-        "predict/route",
+        "decode/greedy",
         "decode/beam",
         "eval/methods",
     ] {
