@@ -23,8 +23,9 @@
 //! argmax rollout that `f_s` only stops, for the destination-blind methods
 //! (RNN, MMI) and the greedy row of the ablations.
 
-use st_core::CancelToken;
+use st_core::{CancelToken, DeepSt, InferSession, TripContext};
 use st_roadnet::{Point, RoadNetwork, Route, SegmentId};
+use st_tensor::{Array, Param};
 
 use crate::predictor::TERM_SCALE_M;
 
@@ -69,6 +70,75 @@ pub trait StepDecoder {
 
     /// Return a state's buffers to the decoder's scratch pool (optional).
     fn recycle(&mut self, _state: Self::State) {}
+}
+
+/// [`StepDecoder`] view of one trip in a tape-free [`InferSession`]: the
+/// decoder of DeepST, DeepST-C, CSSRNN and the vanilla RNN. The recurrent
+/// state is packed as `[rows, hidden]` matrices, so one beam step over all
+/// candidates is one batched GEMM, and a warmed step allocates nothing.
+pub struct SessionDecoder<'m> {
+    sess: InferSession<'m>,
+    /// The decoded trip's id in `sess`.
+    trip: usize,
+    /// Per-row trip ids for `step_into` (every row is `trip`), kept across
+    /// steps so a step allocates nothing.
+    rows: Vec<usize>,
+}
+
+/// The decoder of one DeepST trip, opened with [`SessionDecoder::new`].
+pub type DeepStDecoder<'m> = SessionDecoder<'m>;
+
+impl<'m> SessionDecoder<'m> {
+    /// Open a decoder for one DeepST trip context.
+    pub fn new(model: &'m DeepSt, ctx: &TripContext) -> Self {
+        Self::open(model.infer_session(), model.trip_terms(ctx))
+    }
+
+    /// Register one trip by its slot-bias terms in `sess` (see
+    /// [`InferSession::add_trip`]) and decode it.
+    pub fn open<'a>(
+        mut sess: InferSession<'m>,
+        terms: impl IntoIterator<Item = (&'a Array, &'a Param)>,
+    ) -> Self {
+        let trip = sess.add_trip(terms);
+        Self {
+            sess,
+            trip,
+            rows: Vec::new(),
+        }
+    }
+}
+
+impl StepDecoder for SessionDecoder<'_> {
+    type State = Vec<Array>;
+
+    fn width(&self) -> usize {
+        self.sess.width()
+    }
+
+    fn init_state(&mut self, n: usize) -> Vec<Array> {
+        self.sess.zero_state(n)
+    }
+
+    fn step(
+        &mut self,
+        _net: &RoadNetwork,
+        tokens: &[SegmentId],
+        state: &mut Vec<Array>,
+        logp: &mut Vec<f64>,
+    ) {
+        self.rows.clear();
+        self.rows.resize(tokens.len(), self.trip);
+        self.sess.step_into(tokens, &self.rows, state, logp);
+    }
+
+    fn gather(&mut self, state: &Vec<Array>, rows: &[usize]) -> Vec<Array> {
+        self.sess.gather_state(state, rows)
+    }
+
+    fn recycle(&mut self, state: Vec<Array>) {
+        self.sess.recycle_state(state);
+    }
 }
 
 /// The termination probability `f_s` used by the decoder: a Gaussian in the
@@ -235,16 +305,6 @@ impl BeamSearch {
 
     fn is_closed(&self, seg: SegmentId) -> bool {
         self.closed.binary_search(&seg).is_ok()
-    }
-
-    /// Has the search concluded? (`plan_step` will return `None`.)
-    pub fn is_finished(&self) -> bool {
-        self.finished || self.remaining == 0
-    }
-
-    /// Number of live prefixes (= recurrent-state rows the caller holds).
-    pub fn live_rows(&self) -> usize {
-        self.live.len()
     }
 
     /// Plan the next batched step: `(tokens, rows)` where `tokens[k]` is the

@@ -5,11 +5,11 @@ use std::cell::{Cell, RefCell};
 use st_core::livetraffic::{
     ApplyOutcome, CacheCounts, TrafficCache, TrafficEvent, VersionedTraffic,
 };
-use st_core::{DeepSt, InferSession, TripContext};
-use st_roadnet::{RoadNetwork, Route, SegmentId};
+use st_core::{CancelToken, DeepSt};
+use st_roadnet::{RoadNetwork, Route};
 use st_tensor::Array;
 
-use crate::beam::{beam_decode, StepDecoder};
+use crate::beam::{beam_decode_closed, DeepStDecoder};
 use crate::predictor::{PredictQuery, Predictor};
 
 /// Default bound on cached traffic-slot encodings: one day of the paper's
@@ -24,7 +24,8 @@ pub const DEFAULT_TRAFFIC_CACHE_CAP: usize = 72;
 /// by slot *and* the slot's live-feed version, so a live update can never be
 /// served a stale encoding — the version mismatch evicts exactly that slot's
 /// entry (`predict.traffic_cache.invalidate`), leaving the rest of the cache
-/// warm. Feed events enter through [`DeepStPredictor::ingest`].
+/// warm. Feed events enter through [`DeepStPredictor::ingest`]; a
+/// `Closure` event also masks its segment in every later prediction.
 pub struct DeepStPredictor {
     model: DeepSt,
     name: &'static str,
@@ -88,7 +89,8 @@ impl DeepStPredictor {
     /// and *targeted* — other slots stay warm — so the next predict in that
     /// slot re-encodes from the live tensor. Duplicates, reorderings and
     /// past-horizon events are rejected idempotently (typed outcome plus
-    /// `traffic.feed.*` counters).
+    /// `traffic.feed.*` counters). A `Closure` event's segment is masked
+    /// in every later prediction, so routes detour around it.
     pub fn ingest(&self, ev: &TrafficEvent) -> ApplyOutcome {
         let outcome = self.live.borrow_mut().apply(ev);
         if let ApplyOutcome::Applied { slot, version } = outcome {
@@ -116,64 +118,6 @@ impl DeepStPredictor {
     }
 }
 
-/// [`StepDecoder`] view of a DeepST model for one trip: a tape-free
-/// [`InferSession`] with the trip registered and the recurrent state packed
-/// as `[rows, hidden]` matrices, so one beam step over all candidates is one
-/// batched GEMM.
-pub struct DeepStDecoder<'m> {
-    sess: InferSession<'m>,
-    /// The decoded trip's id in `sess`.
-    trip: usize,
-    /// Per-row trip ids for `step_into` (every row is `trip`), kept across
-    /// steps so a step allocates nothing.
-    rows: Vec<usize>,
-}
-
-impl<'m> DeepStDecoder<'m> {
-    /// Open a decoder for one trip context (fused f32 kernels).
-    pub fn new(model: &'m DeepSt, ctx: &TripContext) -> Self {
-        let mut sess = model.infer_session();
-        let trip = sess.add_trip(ctx);
-        Self {
-            sess,
-            trip,
-            rows: Vec::new(),
-        }
-    }
-}
-
-impl StepDecoder for DeepStDecoder<'_> {
-    type State = Vec<Array>;
-
-    fn width(&self) -> usize {
-        self.sess.model().cfg.max_neighbors
-    }
-
-    fn init_state(&mut self, n: usize) -> Vec<Array> {
-        self.sess.zero_state(n)
-    }
-
-    fn step(
-        &mut self,
-        _net: &RoadNetwork,
-        tokens: &[SegmentId],
-        state: &mut Vec<Array>,
-        logp: &mut Vec<f64>,
-    ) {
-        self.rows.clear();
-        self.rows.resize(tokens.len(), self.trip);
-        self.sess.step_into(tokens, &self.rows, state, logp);
-    }
-
-    fn gather(&mut self, state: &Vec<Array>, rows: &[usize]) -> Vec<Array> {
-        self.sess.gather_state(state, rows)
-    }
-
-    fn recycle(&mut self, state: Vec<Array>) {
-        self.sess.recycle_state(state);
-    }
-}
-
 impl Predictor for DeepStPredictor {
     fn name(&self) -> &str {
         self.name
@@ -187,15 +131,21 @@ impl Predictor for DeepStPredictor {
         }
         let c = self.traffic_context(q);
         let ctx = self.model.encode_context(q.dest_norm, c);
+        // Ingested closures mask their segments, as st-serve's admission
+        // does; with none this is `beam_decode`.
+        let closed = self.live.borrow().closed_segments();
         let mut dec = DeepStDecoder::new(&self.model, &ctx);
-        beam_decode(
+        beam_decode_closed(
             net,
             &mut dec,
-            q.start,
+            &[q.start],
             &q.dest_coord,
             8,
             self.model.cfg.max_route_len,
+            &closed,
+            &CancelToken::new(),
         )
+        .unwrap_or_else(|cancelled| cancelled.partial)
     }
 }
 

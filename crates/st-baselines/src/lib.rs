@@ -14,10 +14,11 @@ pub mod rnn;
 pub mod wsp;
 
 pub use beam::{
-    beam_decode, beam_decode_closed, greedy_decode, BeamSearch, DecodeCancelled, StepDecoder,
+    beam_decode, beam_decode_closed, greedy_decode, BeamSearch, DecodeCancelled, DeepStDecoder,
+    SessionDecoder, StepDecoder,
 };
-pub use deepst_wrap::{DeepStDecoder, DeepStPredictor};
+pub use deepst_wrap::DeepStPredictor;
 pub use mmi::{Mmi, MmiDecoder};
 pub use predictor::{PredictQuery, Predictor, TERM_SCALE_M};
-pub use rnn::{RnnBaseline, RnnConfig, RnnDecoder};
+pub use rnn::{RnnBaseline, RnnConfig};
 pub use wsp::Wsp;

@@ -57,17 +57,6 @@ impl Mmi {
         }
         total
     }
-
-    /// Log-probabilities over the adjacent slots of `cur` (smoothed).
-    pub fn slot_logprobs(&self, net: &RoadNetwork, cur: SegmentId) -> Vec<f64> {
-        let c = &self.counts[cur];
-        let total: f64 = c.iter().sum::<f64>() + c.len() as f64;
-        net.next_segments(cur)
-            .iter()
-            .enumerate()
-            .map(|(j, _)| ((c[j] + 1.0) / total).ln())
-            .collect()
-    }
 }
 
 /// [`StepDecoder`] view of an [`Mmi`], so the Markov model rolls out through
@@ -97,9 +86,12 @@ impl StepDecoder for MmiDecoder<'_> {
 
     fn init_state(&mut self, _n: usize) {}
 
+    /// Each row's smoothed log-probs over its adjacent slots
+    /// (`ln((count + 1) / (total + out-degree))`), written straight into
+    /// `logp` and padded with −∞, so a warmed step allocates nothing.
     fn step(
         &mut self,
-        net: &RoadNetwork,
+        _net: &RoadNetwork,
         tokens: &[SegmentId],
         _state: &mut (),
         logp: &mut Vec<f64>,
@@ -107,8 +99,9 @@ impl StepDecoder for MmiDecoder<'_> {
         logp.clear();
         for &seg in tokens {
             let base = logp.len();
-            let lps = self.mmi.slot_logprobs(net, seg);
-            logp.extend(lps.into_iter().take(self.width));
+            let c = &self.mmi.counts[seg];
+            let total: f64 = c.iter().sum::<f64>() + c.len() as f64;
+            logp.extend(c.iter().take(self.width).map(|&n| ((n + 1.0) / total).ln()));
             logp.resize(base + self.width, f64::NEG_INFINITY);
         }
     }

@@ -8,22 +8,25 @@
 //!   transition" — a *separate* representation per destination segment (the
 //!   very thing DeepST's K-proxies improve on, §IV-C).
 //!
-//! Both share the same recurrent backbone and output-slot head as DeepST so
-//! that Table IV differences isolate the conditioning information, not the
-//! architecture. They also train the same way: [`RnnBaseline`] is a
-//! [`TrainModel`], so `st_core::Trainer::fit` is its training loop, with
-//! DeepST's clip, sharding, checkpoints and rollback.
+//! Both are built on DeepST's own next-segment network,
+//! [`st_core::RouteRnn`] (segment embedding, stacked GRU, slot head `α`),
+//! so Table IV differences isolate the conditioning information, not the
+//! architecture: the only per-model part is the slot-bias term, CSSRNN's
+//! `emb(dest)·β` where DeepST has `fx·β` and `c·γ`. They train through the
+//! same packed pass ([`RouteRnn::route_log_likelihood`]) and loop —
+//! [`RnnBaseline`] is a [`TrainModel`], so `st_core::Trainer::fit` trains
+//! it with DeepST's clip, sharding, checkpoints and rollback — and decode
+//! through the same tape-free session ([`SessionDecoder`]).
 
 use rand::rngs::StdRng;
 
-use st_core::{Example, TrainModel};
-use st_nn::{BnBatchStats, Embedding, Gru, Module, PackedGru, RunningRows};
+use st_core::{Example, RouteRnn, TrainModel};
+use st_nn::{BnBatchStats, Embedding, Module};
 use st_roadnet::{RoadNetwork, Route, SegmentId};
-use st_tensor::{infer, init, ops, Binder, Param, ScratchArena, Tape, TapeFreeScope, Var};
+use st_tensor::{init, ops, Array, Binder, Param, ScratchArena, Var};
 
-use crate::beam::{beam_decode, greedy_decode, StepDecoder};
+use crate::beam::{beam_decode, greedy_decode, SessionDecoder};
 use crate::predictor::{PredictQuery, Predictor};
-use st_tensor::Array;
 
 /// Configuration shared by both neural baselines.
 #[derive(Debug, Clone)]
@@ -64,10 +67,8 @@ impl RnnConfig {
 pub struct RnnBaseline {
     cfg: RnnConfig,
     name: &'static str,
-    emb: Embedding,
-    gru: Gru,
-    /// Route-state projection into slot space.
-    alpha: Param,
+    /// Segment embedding, stacked GRU and slot head `α`.
+    rnn: RouteRnn,
     /// Destination-segment embedding + projection (CSSRNN only).
     dest: Option<(Embedding, Param)>,
 }
@@ -86,22 +87,15 @@ impl RnnBaseline {
     fn build(cfg: RnnConfig, seed: u64, use_dest: bool) -> Self {
         let mut rng = init::rng(seed);
         let name = if use_dest { "CSSRNN" } else { "RNN" };
-        let emb = Embedding::new(
-            &format!("{name}.emb"),
+        let rnn = RouteRnn::new(
+            name,
             cfg.n_segments,
             cfg.emb_dim,
-            &mut rng,
-        );
-        let gru = Gru::new(
-            &format!("{name}.gru"),
-            cfg.emb_dim,
+            Embedding::DEFAULT_BLOCK_ROWS,
             cfg.hidden,
             cfg.gru_layers,
+            cfg.max_neighbors,
             &mut rng,
-        );
-        let alpha = Param::new(
-            format!("{name}.alpha"),
-            init::xavier(cfg.hidden, cfg.max_neighbors, &mut rng),
         );
         let dest = use_dest.then(|| {
             (
@@ -120,155 +114,67 @@ impl RnnBaseline {
         Self {
             cfg,
             name,
-            emb,
-            gru,
-            alpha,
+            rnn,
             dest,
         }
     }
 
-    /// Slot logits for a batch step.
-    fn logits<'t, 'p>(
+    /// CSSRNN's slot-bias term for destination segments `dest_segs`
+    /// (`emb(dest)·β`; none for the vanilla RNN). Lazy: the lookup is
+    /// recorded when [`RouteRnn::slot_logits`] folds the term, after `h·α`.
+    fn slot_terms<'b, 't, 'p>(
         &'p self,
-        b: &Binder<'t, 'p>,
-        h: Var<'t>,
-        dest_segs: &[SegmentId],
-    ) -> Var<'t> {
-        let alpha = b.var(&self.alpha);
-        let mut logits = ops::matmul(h, alpha);
-        if let Some((demb, beta)) = &self.dest {
-            let d = demb.forward(b, dest_segs);
-            logits = ops::add(logits, ops::matmul(d, b.var(beta)));
-        }
-        logits
+        b: &'b Binder<'t, 'p>,
+        dest_segs: Vec<SegmentId>,
+    ) -> impl Iterator<Item = (Var<'t>, &'p Param)> + 'b {
+        self.dest
+            .iter()
+            .map(move |(demb, beta)| (demb.forward(b, &dest_segs), beta))
     }
 
-    /// The pre-refactor taped step: records the forward pass on a throwaway
-    /// tape. Kept (unused by decoding) as the parity oracle the tape-free
-    /// [`RnnDecoder`] is tested against.
+    /// CSSRNN's destination row `emb(dest)` and its projection `β` for
+    /// the tape-free paths; `None` for the vanilla RNN.
+    fn dest_row(&self, dest_seg: SegmentId) -> Option<(Array, &Param)> {
+        self.dest
+            .as_ref()
+            .map(|(demb, beta)| (demb.infer(&mut ScratchArena::new(), &[dest_seg]), beta))
+    }
+
+    /// The taped step of one row ([`RouteRnn::step_state_taped`] with
+    /// CSSRNN's destination term): the parity oracle of the tape-free
+    /// [`RnnBaseline::decoder`].
     pub fn step_state_taped(
         &self,
         state: &[Array],
         token: SegmentId,
         dest_seg: SegmentId,
     ) -> (Vec<Array>, Vec<f64>) {
-        let tape = Tape::new();
-        let binder = Binder::new(&tape);
-        let mut vars: Vec<_> = state.iter().map(|a| binder.input(a.clone())).collect();
-        let inp = self.emb.forward(&binder, &[token]);
-        let hid = self.gru.step(&binder, inp, &mut vars);
-        let logits = self.logits(&binder, hid, &[dest_seg]);
-        let logp = ops::log_softmax_rows(logits);
-        (
-            vars.iter().map(|v| (*v.value()).clone()).collect(),
-            logp.value().data().iter().map(|&v| v as f64).collect(),
-        )
+        let dest = self.dest_row(dest_seg);
+        self.rnn
+            .step_state_taped(state, token, dest.as_ref().map(|(d, beta)| (d, *beta)))
     }
 
     /// Fresh zero state for [`RnnBaseline::step_state_taped`].
     pub fn initial_state(&self) -> Vec<Array> {
-        (0..self.cfg.gru_layers)
-            .map(|_| Array::zeros(&[1, self.cfg.hidden]))
-            .collect()
+        self.rnn.initial_state()
     }
 
-    /// Open a tape-free [`StepDecoder`] for one trip. `dest_seg` is the
+    /// Open a tape-free decoder for one trip. `dest_seg` is the
     /// destination segment CSSRNN conditions on (ignored by the vanilla
-    /// RNN); its slot projection `emb(dest)·β` is computed once here and
-    /// added to every step's logits. The recurrent weights and the slot
-    /// head `α` are packed once per decoder for the fused step kernel.
-    pub fn decoder(&self, dest_seg: SegmentId) -> RnnDecoder<'_> {
-        let _scope = TapeFreeScope::enter();
-        let mut arena = ScratchArena::new();
-        let dest_beta = self.dest.as_ref().map(|(demb, beta)| {
-            let d = demb.infer(&mut arena, &[dest_seg]);
-            let db = infer::matmul(&mut arena, &d, &beta.value());
-            arena.recycle(d);
-            db
-        });
-        RnnDecoder {
-            model: self,
-            arena,
-            dest_beta,
-            packed_gru: PackedGru::pack(&self.gru),
-            alpha_packed: infer::PackedWeights::pack(&self.alpha.value()),
-        }
-    }
-}
-
-/// [`StepDecoder`] view of an [`RnnBaseline`] for one trip: tape-free
-/// batched stepping over a `[rows, hidden]` packed state, with the
-/// destination projection (CSSRNN) precomputed at construction.
-pub struct RnnDecoder<'m> {
-    model: &'m RnnBaseline,
-    arena: ScratchArena,
-    /// `emb(dest)·β` as a `[1, max_neighbors]` row (CSSRNN only).
-    dest_beta: Option<Array>,
-    /// GRU weights packed once at decoder construction.
-    packed_gru: PackedGru,
-    /// The slot head `α`, packed for the prepacked GEMM kernel.
-    alpha_packed: infer::PackedWeights,
-}
-
-impl StepDecoder for RnnDecoder<'_> {
-    type State = Vec<Array>;
-
-    fn width(&self) -> usize {
-        self.model.cfg.max_neighbors
-    }
-
-    fn init_state(&mut self, n: usize) -> Vec<Array> {
-        self.model.gru.infer_zero_state(&mut self.arena, n)
-    }
-
-    /// Advance every row: consume `tokens[i]` in state row `i`, refill
-    /// `logp` with the row-major `[tokens.len(), max_neighbors]` slot
-    /// log-probs. Arithmetic matches the taped step bit-for-bit: the
-    /// per-row `+ dest·β` broadcast reproduces the taped
-    /// `matmul(h,α) + matmul(d,β)` element order.
-    fn step(
-        &mut self,
-        _net: &RoadNetwork,
-        tokens: &[SegmentId],
-        state: &mut Vec<Array>,
-        logp: &mut Vec<f64>,
-    ) {
-        let _scope = TapeFreeScope::enter();
-        let x = self.model.emb.infer(&mut self.arena, tokens);
-        self.packed_gru.infer_step_fused(&mut self.arena, &x, state);
-        self.arena.recycle(x);
-        let Some(h) = state.last() else {
-            return;
-        };
-        let mut logits = infer::matmul_packed(&mut self.arena, h, &self.alpha_packed);
-        if let Some(db) = &self.dest_beta {
-            infer::add_bias_rows(&mut logits, db.data());
-        }
-        infer::log_softmax_rows_mut(&mut logits);
-        logp.clear();
-        logp.extend(logits.data().iter().map(|&v| f64::from(v)));
-        self.arena.recycle(logits);
-    }
-
-    fn gather(&mut self, state: &Vec<Array>, rows: &[usize]) -> Vec<Array> {
-        state
-            .iter()
-            .map(|layer| infer::gather_rows(&mut self.arena, layer, rows))
-            .collect()
-    }
-
-    fn recycle(&mut self, state: Vec<Array>) {
-        for layer in state {
-            self.arena.recycle(layer);
-        }
+    /// RNN); its slot projection `emb(dest)·β` is registered once as the
+    /// trip's slot-bias row.
+    pub fn decoder(&self, dest_seg: SegmentId) -> SessionDecoder<'_> {
+        let dest = self.dest_row(dest_seg);
+        SessionDecoder::open(
+            self.rnn.infer_session(),
+            dest.as_ref().map(|(d, beta)| (d, *beta)),
+        )
     }
 }
 
 impl Module for RnnBaseline {
     fn params(&self) -> Vec<&Param> {
-        let mut p = self.emb.params();
-        p.extend(self.gru.params());
-        p.push(&self.alpha);
+        let mut p = self.rnn.params();
         if let Some((demb, beta)) = &self.dest {
             p.extend(demb.params());
             p.push(beta);
@@ -280,9 +186,7 @@ impl Module for RnnBaseline {
     /// one group, so grouped clipping stays bit-identical to the dense
     /// layout (see [`Module::param_groups`]).
     fn param_groups(&self) -> Vec<Vec<&Param>> {
-        let mut g = self.emb.param_groups();
-        g.extend(self.gru.params().into_iter().map(|p| vec![p]));
-        g.push(vec![&self.alpha]);
+        let mut g = self.rnn.param_groups();
         if let Some((demb, beta)) = &self.dest {
             g.extend(demb.param_groups());
             g.push(vec![beta]);
@@ -292,11 +196,13 @@ impl Module for RnnBaseline {
 }
 
 impl TrainModel for RnnBaseline {
-    /// Cross-entropy loss (mean per transition) of a minibatch, over packed
-    /// sequences: step `i` runs only the routes with a transition left at
-    /// `i` ([`RunningRows`]), bit-identical to stepping every route to the
-    /// longest one and masking the finished rows (see DESIGN.md §7). The
-    /// loss draws no noise and has no batch norm.
+    /// Cross-entropy loss (mean per transition) of a minibatch: the
+    /// shared packed pass ([`RouteRnn::route_log_likelihood`]), which steps
+    /// only the routes with a transition left, bit-identical to stepping
+    /// every route to the longest one and masking the finished rows (see
+    /// DESIGN.md §7). CSSRNN looks up the destination embeddings of the
+    /// running rows at every step. The loss draws no noise and has no
+    /// batch norm.
     fn loss<'t, 'p>(
         &'p self,
         binder: &Binder<'t, 'p>,
@@ -305,37 +211,14 @@ impl TrainModel for RnnBaseline {
         _training: bool,
         _bn_stats: Option<&mut BnBatchStats>,
     ) -> Var<'t> {
-        let n = batch.len();
-        let max_len = batch.iter().map(|e| e.route.len()).max().unwrap_or(1);
-        let mut state = self.gru.zero_state(binder, n);
-        let mut running = RunningRows::all(n);
-        let mut total: Option<Var<'t>> = None;
-        let mut transitions = 0usize;
-        for i in 0..max_len - 1 {
-            if let Some(keep) = running.retain(|r| i + 1 < batch[r].route.len()) {
-                self.gru.gather_state(&mut state, &keep);
-            }
-            let rows = running.rows();
-            let tokens: Vec<SegmentId> = rows.iter().map(|&r| batch[r].route[i]).collect();
-            let targets: Vec<usize> = rows.iter().map(|&r| batch[r].slots[i]).collect();
+        let (total, transitions) = self.rnn.route_log_likelihood(binder, batch, |_, rows| {
             // A running route has a transition left, so it has a last segment.
-            let dest_segs: Vec<SegmentId> = rows
+            let dest_segs = rows
                 .iter()
                 .map(|&r| batch[r].route.last().copied().unwrap_or(0))
                 .collect();
-            transitions += rows.len();
-            let inp = self.emb.forward(binder, &tokens);
-            let hid = self.gru.step(binder, inp, &mut state);
-            let logits = self.logits(binder, hid, &dest_segs);
-            let logp = ops::log_softmax_rows(logits);
-            let step_ll = ops::sum_all(ops::pick_per_row(logp, &targets));
-            total = Some(match total {
-                Some(acc) => ops::add(acc, step_ll),
-                None => step_ll,
-            });
-        }
-        // A batch of length-1 routes has no transitions; its loss is 0.
-        let total = total.unwrap_or_else(|| binder.input(Array::zeros(&[1])));
+            self.slot_terms(binder, dest_segs)
+        });
         ops::scale(total, -1.0 / transitions.max(1) as f32)
     }
 
@@ -350,11 +233,11 @@ impl Predictor for RnnBaseline {
     }
 
     fn predict(&self, net: &RoadNetwork, q: &PredictQuery<'_>) -> Route {
+        let mut dec = self.decoder(q.dest_segment);
         if self.dest.is_some() {
             // CSSRNN knows the exact destination segment (paper [7]); its
             // most-likely route is beam-decoded with the shared f_s
             // termination in the route probability.
-            let mut dec = self.decoder(q.dest_segment);
             beam_decode(
                 net,
                 &mut dec,
@@ -366,7 +249,6 @@ impl Predictor for RnnBaseline {
         } else {
             // The vanilla RNN is destination-blind: greedy rollout; the
             // destination only stops generation, never steers it.
-            let mut dec = self.decoder(0);
             greedy_decode(
                 net,
                 &mut dec,
@@ -383,6 +265,7 @@ mod tests {
     use super::*;
     use st_core::{TrainConfig, Trainer};
     use st_roadnet::{grid_city, GridConfig};
+    use st_tensor::Tape;
     use std::sync::Arc;
 
     /// A serial trainer: one shard per minibatch, one thread, Adam at
@@ -520,7 +403,7 @@ mod tests {
         let mut trainer = trainer(RnnBaseline::cssrnn(cfg, 3), 1, 8, 3e-3);
         // Plants a non-finite loss in every minibatch: slot 0's logit is
         // NaN on every step.
-        trainer.model.alpha.value_mut().data_mut()[0] = f32::NAN;
+        trainer.model.rnn.alpha().value_mut().data_mut()[0] = f32::NAN;
         let before = state_bits(&trainer.model);
         let skipped = st_obs::counter("train.batch.skipped.nonfinite_loss");
         let base = skipped.get();
@@ -670,7 +553,7 @@ mod tests {
             .iter()
             .map(|e| e.route.last().copied().unwrap_or(0))
             .collect();
-        let mut state = model.gru.zero_state(binder, n);
+        let mut state = model.rnn.gru().zero_state(binder, n);
         let mut total: Option<Var<'t>> = None;
         let mut transitions = 0usize;
         for i in 0..max_len - 1 {
@@ -689,9 +572,12 @@ mod tests {
                     mask.push(0.0);
                 }
             }
-            let inp = model.emb.forward(binder, &tokens);
-            let hid = model.gru.step(binder, inp, &mut state);
-            let logits = model.logits(binder, hid, &dest_segs);
+            let inp = model.rnn.emb().forward(binder, &tokens);
+            let hid = model.rnn.gru().step(binder, inp, &mut state);
+            let logits =
+                model
+                    .rnn
+                    .slot_logits(binder, hid, model.slot_terms(binder, dest_segs.clone()));
             let logp = ops::log_softmax_rows(logits);
             let picked = ops::pick_per_row(logp, &targets);
             let masked = ops::sum_all(ops::mask_rows(ops::reshape(picked, &[n, 1]), &mask));

@@ -13,9 +13,9 @@
 //! (`DeepStPredictor::traffic_cache_counts`), which no other test moves, so
 //! the tests need no lock against each other.
 
-use st_baselines::{DeepStPredictor, PredictQuery, Predictor};
+use st_baselines::{beam_decode_closed, DeepStDecoder, DeepStPredictor, PredictQuery, Predictor};
 use st_core::livetraffic::{ApplyOutcome, TrafficEvent, TrafficEventKind};
-use st_core::{DeepSt, DeepStConfig};
+use st_core::{CancelToken, DeepSt, DeepStConfig};
 use st_roadnet::Route;
 use st_sim::{CityPreset, Dataset};
 
@@ -166,4 +166,54 @@ fn sim_incident_event_invalidates_and_reencodes() {
         misses + 1,
         "stale encoding survived the incident"
     );
+}
+
+/// A closure ingested by the predictor masks its segment, as the serving
+/// engine's admission does: after an interior segment of the route the
+/// predictor just returned closes, the next prediction detours around it
+/// and equals `beam_decode_closed` under the same closure.
+#[test]
+fn ingested_closure_produces_a_detour() {
+    let ds = rivertown();
+    let wrapper = wrapper_for(&ds, 7);
+    let slot = 3usize;
+    let tensor = ds.traffic_tensor(slot);
+    let qs = queries(&ds, tensor, slot, 8);
+    let (q, before) = qs
+        .iter()
+        .map(|q| (q, wrapper.predict(&ds.net, q)))
+        .find(|(_, r)| r.len() >= 3)
+        .expect("some route has an interior segment");
+    let closed = before[before.len() / 2];
+
+    // The closure re-reports the slot's own tensor, so only the graph edit
+    // changes between the two predictions.
+    let ev = TrafficEvent {
+        seq: 1,
+        time: slot as f64 * st_sim::SLOT_SECS,
+        slot,
+        kind: TrafficEventKind::Closure { segment: closed },
+        tensor: tensor.to_vec(),
+    };
+    assert!(wrapper.ingest(&ev).is_applied());
+    let after = wrapper.predict(&ds.net, q);
+    assert!(
+        !after.contains(&closed),
+        "prediction {after:?} still crosses closed segment {closed} (was {before:?})"
+    );
+
+    let model = wrapper.model();
+    let ctx = model.encode_context(q.dest_norm, Some(model.encode_traffic(tensor)));
+    let want = beam_decode_closed(
+        &ds.net,
+        &mut DeepStDecoder::new(model, &ctx),
+        &[q.start],
+        &q.dest_coord,
+        8,
+        model.cfg.max_route_len,
+        &[closed],
+        &CancelToken::new(),
+    )
+    .unwrap_or_else(|cancelled| cancelled.partial);
+    assert_eq!(after, want, "prediction differs from the closed-set decode");
 }

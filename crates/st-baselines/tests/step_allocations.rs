@@ -6,13 +6,14 @@
 //! log-prob buffer, spare state vectors), then asserts that
 //! [`ITERATIONS`] further iterations allocate nothing: single-trip
 //! `DeepStDecoder::step`, interleaved multi-trip `InferSession::step_into`,
-//! and the survivor gather plus recycle cycle of beam decoding and of the
+//! the vanilla RNN's, CSSRNN's and MMI's decoder steps, and the survivor
+//! gather plus recycle cycle of beam decoding (DeepST and RNN) and of the
 //! serving engine's tick.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use st_baselines::{DeepStDecoder, StepDecoder};
+use st_baselines::{DeepStDecoder, Mmi, MmiDecoder, RnnBaseline, RnnConfig, StepDecoder};
 use st_core::{DeepSt, DeepStConfig, TripContext};
 use st_roadnet::{grid_city, GridConfig, RoadNetwork, SegmentId};
 use st_tensor::Array;
@@ -128,9 +129,9 @@ fn warmed_decoder_step_allocates_nothing() {
 fn warmed_multi_trip_step_allocates_nothing() {
     let (net, model) = world();
     let mut sess = model.infer_session();
-    let a = sess.add_trip(&context(&model, 0.1, [0.2, 0.8]));
-    let b = sess.add_trip(&context(&model, 0.6, [0.9, 0.3]));
-    let c = sess.add_trip(&context(&model, 0.4, [0.5, 0.5]));
+    let a = sess.add_trip(model.trip_terms(&context(&model, 0.1, [0.2, 0.8])));
+    let b = sess.add_trip(model.trip_terms(&context(&model, 0.6, [0.9, 0.3])));
+    let c = sess.add_trip(model.trip_terms(&context(&model, 0.4, [0.5, 0.5])));
     // Rows of the three trips interleave, as in a serving tick.
     let trips = [a, b, c, a, b, c];
     let n = trips.len();
@@ -189,7 +190,7 @@ fn warmed_gather_and_recycle_allocate_nothing() {
     // The serving tick's gather: surviving rows plus zero-filled admissions,
     // the old state recycled, then one packed step.
     let mut sess = model.infer_session();
-    let trip = sess.add_trip(&ctx);
+    let trip = sess.add_trip(model.trip_terms(&ctx));
     let mut state = sess.zero_state(2);
     let specs: [&[Option<usize>]; 2] = [&[Some(1), None, Some(0)], &[Some(2), Some(0)]];
     let n_max = 3;
@@ -220,5 +221,111 @@ fn warmed_gather_and_recycle_allocate_nothing() {
         0,
         "{} warmed serving-tick gathers and steps allocated {allocs} times",
         2 * ITERATIONS
+    );
+}
+
+/// Allocations of [`ITERATIONS`] warmed `n`-row steps of `dec`, after warm-up
+/// steps that feed every segment at least twice.
+fn warmed_step_allocations<D: StepDecoder>(net: &RoadNetwork, dec: &mut D, n: usize) -> u64 {
+    let batches: Vec<Vec<SegmentId>> = (0..warm_iterations(net, n) + ITERATIONS)
+        .map(|k| tokens(net, k, n))
+        .collect();
+    let (warm, measured) = batches.split_at(batches.len() - ITERATIONS);
+    let mut state = dec.init_state(n);
+    let mut logp = Vec::new();
+    for toks in warm {
+        dec.step(net, toks, &mut state, &mut logp);
+    }
+    let allocs = allocations_in(|| {
+        for toks in measured {
+            dec.step(net, toks, &mut state, &mut logp);
+        }
+    });
+    assert!(logp.iter().any(|v| v.is_finite()));
+    dec.recycle(state);
+    allocs
+}
+
+fn rnn_config(net: &RoadNetwork) -> RnnConfig {
+    let cfg = RnnConfig::new(net.num_segments(), net.max_out_degree());
+    assert_eq!((cfg.hidden, cfg.gru_layers), (64, 2));
+    cfg
+}
+
+#[test]
+fn warmed_vanilla_rnn_step_allocates_nothing() {
+    let (net, _) = world();
+    let model = RnnBaseline::vanilla(rnn_config(&net), 0);
+    let allocs = warmed_step_allocations(&net, &mut model.decoder(0), 4);
+    assert_eq!(
+        allocs, 0,
+        "{ITERATIONS} warmed vanilla-RNN steps allocated {allocs} times"
+    );
+}
+
+#[test]
+fn warmed_cssrnn_step_allocates_nothing() {
+    let (net, _) = world();
+    let model = RnnBaseline::cssrnn(rnn_config(&net), 1);
+    let dest = net.num_segments() / 2;
+    let allocs = warmed_step_allocations(&net, &mut model.decoder(dest), 4);
+    assert_eq!(
+        allocs, 0,
+        "{ITERATIONS} warmed CSSRNN steps allocated {allocs} times"
+    );
+}
+
+#[test]
+fn warmed_mmi_step_allocates_nothing() {
+    let (net, _) = world();
+    // Routes that always take each segment's first successor.
+    let routes: Vec<Vec<SegmentId>> = (0..net.num_segments())
+        .map(|s| {
+            let mut r = vec![s];
+            for _ in 0..4 {
+                match net.next_segments(*r.last().unwrap()).first() {
+                    Some(&next) => r.push(next),
+                    None => break,
+                }
+            }
+            r
+        })
+        .collect();
+    let mmi = Mmi::fit(&net, &routes);
+    let allocs = warmed_step_allocations(&net, &mut MmiDecoder::new(&mmi, &net), 4);
+    assert_eq!(
+        allocs, 0,
+        "{ITERATIONS} warmed MMI steps allocated {allocs} times"
+    );
+}
+
+/// Beam survivor selection through the RNN's decoder: the state alternates
+/// between 3 and 5 rows, with repeated and dropped parents.
+#[test]
+fn warmed_rnn_gather_and_recycle_allocate_nothing() {
+    let (net, _) = world();
+    let model = RnnBaseline::cssrnn(rnn_config(&net), 2);
+    let mut dec = model.decoder(net.num_segments() - 1);
+    let mut state = dec.init_state(3);
+    let mut logp = Vec::new();
+    dec.step(&net, &[0, 1, 2], &mut state, &mut logp);
+    let picks: [&[usize]; 2] = [&[2, 0, 1, 1, 0], &[4, 0, 3]];
+    let mut cycle = |state: &mut Vec<Array>| {
+        for rows in picks {
+            let kept = dec.gather(state, rows);
+            dec.recycle(std::mem::replace(state, kept));
+        }
+    };
+    for _ in 0..4 {
+        cycle(&mut state);
+    }
+    let allocs = allocations_in(|| {
+        for _ in 0..ITERATIONS {
+            cycle(&mut state);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "{ITERATIONS} warmed RNN gather/recycle cycles allocated {allocs} times"
     );
 }

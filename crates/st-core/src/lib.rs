@@ -11,6 +11,10 @@
 //!
 //! - [`config::DeepStConfig`] — hyper-parameters (paper values scaled for CPU).
 //! - [`model::DeepSt`] — parameters and forward components.
+//! - [`route_rnn::RouteRnn`] — the next-segment network (segment embedding,
+//!   stacked GRU, slot head) DeepST shares with the RNN/CSSRNN baselines:
+//!   one taped head fold, one packed route log-likelihood pass and one
+//!   decode session.
 //! - [`data::Example`] — the observable view of a trip `(r, x, C)`.
 //! - [`train::Trainer`] — Algorithm 1 (minibatch ELBO maximization, Adam):
 //!   one fault-tolerant loop, [`train::Trainer::fit`], over any
@@ -21,7 +25,7 @@
 //! - [`faultinject`] — deterministic fault injection for tests.
 //! - [`predict`] — route likelihood scoring (§IV-E) and the tape-free
 //!   [`InferSession`] that Algorithm 2's decoders (beam and greedy, in
-//!   `st-baselines`) step through.
+//!   `st-baselines`) step through, for DeepST and the RNN baselines alike.
 //! - [`cancel`] — cooperative cancellation tokens for decode loops.
 
 pub mod cancel;
@@ -33,6 +37,7 @@ pub mod livetraffic;
 pub mod model;
 pub mod parallel;
 pub mod predict;
+pub mod route_rnn;
 pub mod train;
 
 pub use cancel::CancelToken;
@@ -47,6 +52,7 @@ pub use livetraffic::{
 };
 pub use model::{DeepSt, EmbMemory};
 pub use predict::{InferSession, TripContext};
+pub use route_rnn::RouteRnn;
 pub use train::{
     BatchSource, ElboStats, EpochStats, TrainConfig, TrainError, TrainEvent, TrainHistory,
     TrainModel, Trainer,

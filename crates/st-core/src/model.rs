@@ -4,7 +4,9 @@
 //!
 //! - route encoder: segment embeddings + stacked GRU (§IV-B);
 //! - next-road head: `P(r_{i+1}|·) = softmax(αᵀf_r + βᵀf_x + γᵀc)` over the
-//!   shared adjacent-slot space (§IV-A);
+//!   shared adjacent-slot space (§IV-A); the encoder and `αᵀf_r` are the
+//!   [`RouteRnn`] the RNN baselines share, and `βᵀf_x + γᵀc` are DeepST's
+//!   slot-bias terms on it;
 //! - destination proxies: the adjoint generative model with latent `π`,
 //!   proxy means `M`, variances `S`, embeddings `W`, inference net `q(π|x)`
 //!   (§IV-C);
@@ -13,23 +15,20 @@
 
 use rand::rngs::StdRng;
 
-use st_nn::{Activation, BnBatchStats, Embedding, Gru, Linear, Mlp, Module, TrafficCnn};
-use st_tensor::{infer, init, ops, Array, Binder, Param, ScratchArena, Var};
+use st_nn::{Activation, BnBatchStats, Linear, Mlp, Module, TrafficCnn};
+use st_tensor::{init, ops, Array, Binder, Param, Var};
 
 use crate::config::DeepStConfig;
-use crate::predict::TripContext;
+use crate::route_rnn::RouteRnn;
 
 /// The DeepST model (also covers the DeepST-C ablation via
 /// [`DeepStConfig::use_traffic`]).
 pub struct DeepSt {
     /// Model configuration.
     pub cfg: DeepStConfig,
-    /// Road-segment embedding table.
-    pub(crate) emb: Embedding,
-    /// Stacked GRU squeezing the past route (f_r).
-    pub(crate) gru: Gru,
-    /// Projection α ∈ R^{hidden × A} of the route representation.
-    pub(crate) alpha: Param,
+    /// Segment embedding, stacked GRU and slot head α (the network the
+    /// RNN baselines share).
+    pub(crate) rnn: RouteRnn,
     /// Projection β ∈ R^{n_x × A} of the destination representation.
     pub(crate) beta: Param,
     /// Projection γ ∈ R^{|c| × A} of the traffic representation.
@@ -56,21 +55,16 @@ impl DeepSt {
         cfg.validate();
         let mut rng = init::rng(seed);
         let a = cfg.max_neighbors;
-        let emb = Embedding::with_block_rows(
-            "deepst.emb",
+        let rnn = RouteRnn::new(
+            "deepst",
             cfg.n_segments,
             cfg.emb_dim,
             cfg.emb_block_rows,
-            &mut rng,
-        );
-        let gru = Gru::new(
-            "deepst.gru",
-            cfg.emb_dim,
             cfg.hidden,
             cfg.gru_layers,
+            a,
             &mut rng,
         );
-        let alpha = Param::new("deepst.alpha", init::xavier(cfg.hidden, a, &mut rng));
         let beta = Param::new("deepst.beta", init::xavier(cfg.n_x, a, &mut rng));
         let gamma = Param::new("deepst.gamma", init::xavier(cfg.c_dim, a, &mut rng));
         let w_proxy = Param::new(
@@ -100,9 +94,7 @@ impl DeepSt {
         let logvar_head = Linear::new("deepst.logvar", f_dim, cfg.c_dim, &mut rng);
         Self {
             cfg,
-            emb,
-            gru,
-            alpha,
+            rnn,
             beta,
             gamma,
             w_proxy,
@@ -142,42 +134,16 @@ impl DeepSt {
         self.cnn.apply_bn_stats(stats);
     }
 
-    /// Next-road logits over the A slots:
-    /// `αᵀh + βᵀ(Wπ) + γᵀc` for a batch (§IV-A). `c` is `None` for DeepST-C.
-    pub(crate) fn slot_logits<'t, 'p>(
-        &'p self,
-        b: &Binder<'t, 'p>,
-        h: Var<'t>,
-        fx: Var<'t>,
-        c: Option<Var<'t>>,
-    ) -> Var<'t> {
-        let alpha = b.var(&self.alpha);
-        let beta = b.var(&self.beta);
-        let mut logits = ops::add(ops::matmul(h, alpha), ops::matmul(fx, beta));
-        if let Some(c) = c {
-            let gamma = b.var(&self.gamma);
-            logits = ops::add(logits, ops::matmul(c, gamma));
-        }
-        logits
-    }
-
-    /// Per-trip slot-head projections for the tape-free decode path:
-    /// `fx·β` and (with traffic) `c·γ`, each `[1, max_neighbors]`. They are
-    /// constant across a trip's steps, so
-    /// [`crate::predict::InferSession::add_trip`] computes them once per
-    /// registered trip, and each step runs only the `h·α` GEMM before adding
-    /// every row's own trip projections.
-    pub(crate) fn trip_projections(
-        &self,
-        arena: &mut ScratchArena,
-        ctx: &TripContext,
-    ) -> (Array, Option<Array>) {
-        let fx_beta = infer::matmul(arena, &ctx.fx, &self.beta.value());
-        let c_gamma = ctx
-            .c
-            .as_ref()
-            .map(|c| infer::matmul(arena, c, &self.gamma.value()));
-        (fx_beta, c_gamma)
+    /// DeepST's slot-bias terms after `h·α` (§IV-A), in the order every
+    /// path adds them: `fx·β`, then `c·γ` with traffic. `X` is a tape
+    /// [`Var`] in training and an [`Array`] row in decoding.
+    pub(crate) fn slot_terms<X>(&self, fx: X, c: Option<X>) -> impl Iterator<Item = (X, &Param)> {
+        assert_eq!(
+            c.is_some(),
+            self.cfg.use_traffic,
+            "traffic context must match cfg.use_traffic"
+        );
+        std::iter::once((fx, &self.beta)).chain(c.map(|c| (c, &self.gamma)))
     }
 
     /// Proxy variances `S` (softplus of the raw parameter) as a tape var.
@@ -203,10 +169,11 @@ impl DeepSt {
     /// Segment-embedding memory accounting (DESIGN.md §16), for the scale
     /// benchmark and CI budget asserts.
     pub fn emb_memory(&self) -> EmbMemory {
-        let table = self.emb.table();
+        let emb = &self.rnn.emb;
+        let table = emb.table();
         EmbMemory {
-            table_bytes: self.emb.table_bytes(),
-            resident_grad_bytes: self.emb.resident_grad_bytes(),
+            table_bytes: emb.table_bytes(),
+            resident_grad_bytes: emb.resident_grad_bytes(),
             resident_blocks: table.resident_blocks(),
             num_blocks: table.num_blocks(),
         }
@@ -232,9 +199,7 @@ pub struct EmbMemory {
 
 impl Module for DeepSt {
     fn params(&self) -> Vec<&Param> {
-        let mut p = self.emb.params();
-        p.extend(self.gru.params());
-        p.push(&self.alpha);
+        let mut p = self.rnn.params();
         p.push(&self.beta);
         p.push(&self.w_proxy);
         p.push(&self.m_proxy);
@@ -251,11 +216,9 @@ impl Module for DeepSt {
 
     fn param_groups(&self) -> Vec<Vec<&Param>> {
         // Must flatten to exactly `params()`: the embedding's blocks form
-        // one logical tensor (grouped-clip norm is chained across them in
-        // row order), everything else is a singleton group.
-        let mut g = self.emb.param_groups();
-        g.extend(self.gru.params().into_iter().map(|p| vec![p]));
-        g.push(vec![&self.alpha]);
+        // one logical tensor (see `RouteRnn::param_groups`), everything
+        // else is a singleton group.
+        let mut g = self.rnn.param_groups();
         g.push(vec![&self.beta]);
         g.push(vec![&self.w_proxy]);
         g.push(vec![&self.m_proxy]);
@@ -324,9 +287,10 @@ mod tests {
         let h = b.input(Array::zeros(&[3, m.cfg.hidden]));
         let fx = b.input(Array::zeros(&[3, m.cfg.n_x]));
         let c = b.input(Array::zeros(&[3, m.cfg.c_dim]));
-        let logits = m.slot_logits(&b, h, fx, Some(c));
+        let logits = m.rnn.slot_logits(&b, h, m.slot_terms(fx, Some(c)));
         assert_eq!(logits.value().shape(), &[3, m.cfg.max_neighbors]);
-        let logits_nc = m.slot_logits(&b, h, fx, None);
+        let mc = DeepSt::new(DeepStConfig::new(20, 4, 8, 8).without_traffic(), 0);
+        let logits_nc = mc.rnn.slot_logits(&b, h, mc.slot_terms(fx, None));
         assert_eq!(logits_nc.value().shape(), &[3, m.cfg.max_neighbors]);
     }
 

@@ -2,16 +2,13 @@
 //! that route generation (Algorithm 2) steps through. The decoders
 //! themselves (beam and greedy) live in `st-baselines::beam`.
 
-use rand::rngs::StdRng;
-
-use st_tensor::{
-    infer, ops, Array, Binder, Diagnostic, LintKind, ScratchArena, Severity, Tape, TapeFreeScope,
-};
+use st_tensor::{infer, Array, Diagnostic, LintKind, Param, ScratchArena, Severity, TapeFreeScope};
 
 use st_nn::PackedGru;
 use st_roadnet::{RoadNetwork, SegmentId};
 
 use crate::model::DeepSt;
+use crate::route_rnn::RouteRnn;
 
 /// Encoded per-trip context: the destination representation `Wπ` and the
 /// traffic representation `c` (posterior mean at evaluation).
@@ -74,68 +71,24 @@ impl DeepSt {
         }
     }
 
-    /// Route likelihood score with posterior *sampling*, as §IV-E describes
-    /// ("once we draw c and π from the posterior distribution"): averages
-    /// the route likelihood over `l_samples` draws of `c ~ q(c|C)` and
-    /// `π ~ q(π|x)` (log-mean-exp). [`DeepSt::score_route`] is the
-    /// deterministic posterior-mean variant used in the evaluation.
-    pub fn score_route_sampled(
-        &self,
-        net: &RoadNetwork,
-        route: &[SegmentId],
-        dest: [f32; 2],
-        traffic: Option<&[f32]>,
-        l_samples: usize,
-        rng: &mut StdRng,
-    ) -> f64 {
-        assert!(l_samples >= 1);
-        assert_eq!(traffic.is_some(), self.cfg.use_traffic);
-        // posterior parameters
-        let (mu, logvar) = match traffic {
-            Some(t) => {
-                let (h, w) = (self.cfg.grid_h, self.cfg.grid_w);
-                let tape = Tape::new();
-                let binder = Binder::new(&tape);
-                let grid = binder.input(Array::from_vec(&[1, 1, h, w], t.to_vec()));
-                let (mu, logvar) = self.traffic_posterior(&binder, grid, false, None);
-                (Some((*mu.value()).clone()), Some((*logvar.value()).clone()))
-            }
-            None => (None, None),
-        };
-        let (pi_probs, _) = self.encode_dest(dest);
-        let w_proxy = self.w_proxy.value().clone();
-
-        let mut log_liks = Vec::with_capacity(l_samples);
-        for _ in 0..l_samples {
-            // c = μ + σ·ε
-            let c = mu.as_ref().zip(logvar.as_ref()).map(|(m, lv)| {
-                let mut c = m.clone();
-                for i in 0..c.len() {
-                    c.data_mut()[i] +=
-                        (0.5 * lv.data()[i]).exp() * st_tensor::init::sample_normal(rng);
-                }
-                c
-            });
-            // π ~ Categorical(q(π|x)) — a hard one-hot draw, f_x = W·π
-            let k = st_tensor::init::sample_categorical(pi_probs.data(), rng);
-            let fx = Array::from_vec(&[1, self.cfg.n_x], w_proxy.row(k).to_vec());
-            let ctx = TripContext {
-                fx,
-                c,
-                pi: pi_probs.clone(),
-            };
-            log_liks.push(self.score_route(net, route, &ctx));
-        }
-        // log-mean-exp over the samples
-        let m = log_liks.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        if !m.is_finite() {
-            return m;
-        }
-        m + (log_liks.iter().map(|&l| (l - m).exp()).sum::<f64>() / l_samples as f64).ln()
+    /// The slot-bias terms of one trip, `(fx, β)` then (with traffic)
+    /// `(c, γ)`: what [`InferSession::add_trip`] registers and
+    /// [`DeepSt::step_state_taped`] binds.
+    pub fn trip_terms<'a>(
+        &'a self,
+        ctx: &'a TripContext,
+    ) -> impl Iterator<Item = (&'a Array, &'a Param)> {
+        self.slot_terms(&ctx.fx, ctx.c.as_ref())
     }
 
-    /// Route likelihood score (§IV-E): `Σᵢ log P(r_{i+1}|r_{1:i}, Wπ, c)`.
-    /// Returns `f64::NEG_INFINITY` for invalid (non-adjacent) routes.
+    /// Route likelihood score (§IV-E): `Σᵢ log P(r_{i+1}|r_{1:i}, Wπ, c)`,
+    /// STRS+'s spatial score. Returns `f64::NEG_INFINITY` for invalid
+    /// (non-adjacent) routes.
+    ///
+    /// Walks the route one segment at a time through a tape-free
+    /// [`InferSession`] holding the one trip, so it records no autodiff
+    /// tape; each transition's log-prob is bit-identical to the taped
+    /// [`DeepSt::step_state_taped`].
     pub fn score_route(&self, net: &RoadNetwork, route: &[SegmentId], ctx: &TripContext) -> f64 {
         if route.len() < 2 {
             return 0.0;
@@ -147,25 +100,20 @@ impl DeepSt {
                 None => return f64::NEG_INFINITY,
             }
         }
-        let tape = Tape::new();
-        let binder = Binder::new(&tape);
-        let fx = binder.input(ctx.fx.clone());
-        let c = ctx.c.as_ref().map(|c| binder.input(c.clone()));
-        let mut state = self.gru.zero_state(&binder, 1);
+        let mut sess = self.infer_session();
+        let trip = sess.add_trip(self.trip_terms(ctx));
+        let mut state = sess.zero_state(1);
+        let mut logp = Vec::new();
         let mut total = 0.0f64;
-        for (i, &slot) in slots.iter().enumerate() {
-            let inp = self.emb.forward(&binder, &[route[i]]);
-            let hid = self.gru.step(&binder, inp, &mut state);
-            let logits = self.slot_logits(&binder, hid, fx, c);
-            let logp = ops::log_softmax_rows(logits);
-            total += logp.value().data()[slot] as f64;
+        for (&seg, &slot) in route.iter().zip(&slots) {
+            sess.step_into(&[seg], &[trip], &mut state, &mut logp);
+            total += logp[slot];
         }
         total
     }
 
-    /// The pre-refactor taped step: binds the inputs to a fresh autodiff
-    /// tape, runs the taped forward graph and discards the tape. Kept
-    /// verbatim as the behavioural oracle for decode-parity tests;
+    /// The taped step of one row ([`RouteRnn::step_state_taped`] with this
+    /// trip's terms): the behavioural oracle for decode-parity tests;
     /// production decoding uses the tape-free [`InferSession`].
     pub fn step_state_taped(
         &self,
@@ -173,44 +121,19 @@ impl DeepSt {
         token: SegmentId,
         ctx: &TripContext,
     ) -> (Vec<Array>, Vec<f64>) {
-        let tape = Tape::new();
-        let binder = Binder::new(&tape);
-        let fx = binder.input(ctx.fx.clone());
-        let c = ctx.c.as_ref().map(|c| binder.input(c.clone()));
-        let mut vars: Vec<_> = state.iter().map(|a| binder.input(a.clone())).collect();
-        let inp = self.emb.forward(&binder, &[token]);
-        let hid = self.gru.step(&binder, inp, &mut vars);
-        let logits = self.slot_logits(&binder, hid, fx, c);
-        let logp = ops::log_softmax_rows(logits);
-        let new_state = vars.iter().map(|v| (*v.value()).clone()).collect();
-        let lp = logp.value().data().iter().map(|&v| v as f64).collect();
-        (new_state, lp)
+        self.rnn
+            .step_state_taped(state, token, self.trip_terms(ctx))
     }
 
     /// Fresh per-layer zero state for [`DeepSt::step_state_taped`].
     pub fn initial_state(&self) -> Vec<Array> {
-        (0..self.gru.layers())
-            .map(|_| Array::zeros(&[1, self.cfg.hidden]))
-            .collect()
+        self.rnn.initial_state()
     }
 
-    /// Open a tape-free decoding session. Weight packing happens here, once
-    /// per session — the per-step path never touches `Param::value()`
-    /// weights. Trips join with [`InferSession::add_trip`] and leave with
-    /// [`InferSession::remove_trip`]; a single-trip decode registers one.
+    /// Open a tape-free decoding session on this model's network; trips
+    /// join with [`InferSession::add_trip`]`(model.trip_terms(&ctx))`.
     pub fn infer_session(&self) -> InferSession<'_> {
-        let _scope = TapeFreeScope::enter();
-        InferSession {
-            model: self,
-            arena: ScratchArena::new(),
-            packed_gru: PackedGru::pack(&self.gru),
-            alpha: infer::PackedWeights::pack(&self.alpha.value()),
-            gx0_slot: vec![usize::MAX; self.emb.vocab()],
-            gx0_cache: Vec::new(),
-            trips: Vec::new(),
-            free: Vec::new(),
-            spare: Vec::new(),
-        }
+        self.rnn.infer_session()
     }
 
     /// Static check for the config/network mismatch that the decoders'
@@ -239,18 +162,21 @@ impl DeepSt {
     }
 }
 
-/// The tape-free decoding session: the batched inference runtime behind
-/// the beam and greedy decoders of `st-baselines` and cross-request
-/// continuous batching in `st-serve`.
+/// The tape-free decoding session of a [`RouteRnn`]: the batched
+/// inference runtime behind the beam and greedy decoders of `st-baselines`
+/// (DeepST, DeepST-C, CSSRNN and the vanilla RNN), [`DeepSt::score_route`],
+/// and cross-request continuous batching in `st-serve`.
 ///
 /// The recurrent state is packed as one `[n, hidden]` matrix per GRU layer,
 /// so one [`InferSession::step_into`] call advances *all* `n` rows — beam
 /// candidates of one trip, or of many concurrent trips — with one batched
 /// GEMM per weight matrix. Weights are packed once at session open, and the
 /// bottom layer's per-token gate rows are memoized for the session's life.
-/// Each trip's constant slot-head projections `fx·β` and `c·γ` are computed
-/// once by [`InferSession::add_trip`]; a step runs only the `h·α` product
-/// and adds each row's own trip bias. All intermediates come from a
+/// Each trip registers its ordered slot-bias terms with
+/// [`InferSession::add_trip`], which projects them once (DeepST's `fx·β`
+/// then `c·γ`, CSSRNN's `emb(dest)·β`, none for the RNN); a step runs only
+/// the `h·α` product and adds each row's own trip bias rows in that order,
+/// the taped head's per-element association. All intermediates come from a
 /// [`ScratchArena`] and the per-layer state vectors are reused, so a warmed
 /// decode loop performs no heap allocation, and every step runs inside a
 /// [`TapeFreeScope`] (debug builds assert that no autodiff tape is ever
@@ -263,7 +189,7 @@ impl DeepSt {
 /// clone-and-step formulation, and batched serving the same routes as
 /// serial decoding.
 pub struct InferSession<'m> {
-    model: &'m DeepSt,
+    rnn: &'m RouteRnn,
     arena: ScratchArena,
     /// GRU weights packed once at session open for the fused step kernel.
     packed_gru: PackedGru,
@@ -275,47 +201,70 @@ pub struct InferSession<'m> {
     /// `gx0_cache` (`usize::MAX` = not yet computed); rows are `3·hidden` wide.
     gx0_slot: Vec<usize>,
     gx0_cache: Vec<f32>,
-    /// Slot map of registered trips; `None` slots are free.
-    trips: Vec<Option<TripSlot>>,
+    /// Registered trips' slot-bias rows (`[1, width]` each, in the order a
+    /// step adds them); `None` slots are free.
+    trips: Vec<Option<Vec<Array>>>,
     free: Vec<usize>,
     /// Emptied per-layer vectors of recycled states, refilled by the next
     /// gather or zero state so a warmed loop allocates none.
     spare: Vec<Vec<Array>>,
 }
 
-/// Per-trip slot-head projections registered with an [`InferSession`].
-struct TripSlot {
-    /// `fx·β`, shape `[1, max_neighbors]`.
-    fx_beta: Array,
-    /// `c·γ`, shape `[1, max_neighbors]`; `None` for DeepST-C.
-    c_gamma: Option<Array>,
+impl RouteRnn {
+    /// Open a tape-free decoding session. Weight packing happens here, once
+    /// per session — the per-step path never touches `Param::value()`
+    /// weights. Trips join with [`InferSession::add_trip`] and leave with
+    /// [`InferSession::remove_trip`]; a single-trip decode registers one.
+    pub fn infer_session(&self) -> InferSession<'_> {
+        let _scope = TapeFreeScope::enter();
+        InferSession {
+            rnn: self,
+            arena: ScratchArena::new(),
+            packed_gru: PackedGru::pack(&self.gru),
+            alpha: infer::PackedWeights::pack(&self.alpha.value()),
+            gx0_slot: vec![usize::MAX; self.emb.vocab()],
+            gx0_cache: Vec::new(),
+            trips: Vec::new(),
+            free: Vec::new(),
+            spare: Vec::new(),
+        }
+    }
 }
 
-impl<'m> InferSession<'m> {
-    /// The model this session decodes with.
-    pub fn model(&self) -> &'m DeepSt {
-        self.model
+impl InferSession<'_> {
+    /// Number of slot log-probs per row (the slot head's width).
+    pub fn width(&self) -> usize {
+        self.alpha.out_dim()
     }
 
-    /// Register one trip's context; returns the trip id used in
-    /// [`InferSession::step_into`] row assignments. Slots of removed trips
-    /// are reused.
-    pub fn add_trip(&mut self, ctx: &TripContext) -> usize {
-        assert_eq!(
-            ctx.c.is_some(),
-            self.model.cfg.use_traffic,
-            "trip context must match cfg.use_traffic"
-        );
+    /// Register one trip by its slot-bias terms: each `(x, W)` is a
+    /// conditioning row `x` (`[1, d]`) and its projection `W` (`[d,
+    /// width]`), e.g. [`DeepSt::trip_terms`]. The rows `x·W` are computed
+    /// once here and added to every step's `h·α` in the given order.
+    /// Returns the trip id used in [`InferSession::step_into`] row
+    /// assignments. Slots of removed trips are reused.
+    pub fn add_trip<'a>(
+        &mut self,
+        terms: impl IntoIterator<Item = (&'a Array, &'a Param)>,
+    ) -> usize {
         let _scope = TapeFreeScope::enter();
-        let (fx_beta, c_gamma) = self.model.trip_projections(&mut self.arena, ctx);
-        let slot = Some(TripSlot { fx_beta, c_gamma });
+        let width = self.width();
+        let arena = &mut self.arena;
+        let bias = terms
+            .into_iter()
+            .map(|(x, w)| {
+                let row = infer::matmul(arena, x, &w.value());
+                assert_eq!(row.shape(), [1, width], "a slot-bias term is one slot row");
+                row
+            })
+            .collect();
         match self.free.pop() {
             Some(i) => {
-                self.trips[i] = slot;
+                self.trips[i] = Some(bias);
                 i
             }
             None => {
-                self.trips.push(slot);
+                self.trips.push(Some(bias));
                 self.trips.len() - 1
             }
         }
@@ -325,13 +274,10 @@ impl<'m> InferSession<'m> {
     /// id must come from [`InferSession::add_trip`] and not have been
     /// removed already.
     pub fn remove_trip(&mut self, trip: usize) {
-        let slot = self.trips[trip].take();
-        assert!(slot.is_some(), "trip {trip} is not registered");
-        if let Some(s) = slot {
-            self.arena.recycle(s.fx_beta);
-            if let Some(cg) = s.c_gamma {
-                self.arena.recycle(cg);
-            }
+        let bias = self.trips[trip].take();
+        assert!(bias.is_some(), "trip {trip} is not registered");
+        for row in bias.into_iter().flatten() {
+            self.arena.recycle(row);
         }
         self.free.push(trip);
     }
@@ -383,7 +329,7 @@ impl<'m> InferSession<'m> {
         for (i, &tok) in tokens.iter().enumerate() {
             let mut slot = self.gx0_slot[tok];
             if slot == usize::MAX {
-                let x1 = self.model.emb.infer(arena, &[tok]);
+                let x1 = self.rnn.emb.infer(arena, &[tok]);
                 let g1 = self.packed_gru.gate_x0(arena, &x1);
                 slot = self.gx0_cache.len() / g;
                 self.gx0_cache.extend_from_slice(g1.data());
@@ -399,21 +345,18 @@ impl<'m> InferSession<'m> {
         arena.recycle(gx0);
         let Some(h) = state.last() else { return };
         let mut logits = infer::matmul_packed(arena, h, &self.alpha);
-        // Per-row trip biases in the taped head's per-element association:
-        // (h·α + fx·β) then (+ c·γ).
+        // Per-row trip bias rows in the taped head's per-element
+        // association: ((h·α + x₁·W₁) + x₂·W₂) + …
         for (r, &trip) in trips.iter().enumerate() {
-            let slot = self.trips[trip].as_ref();
+            let bias = self.trips[trip].as_deref();
             assert!(
-                slot.is_some(),
+                bias.is_some(),
                 "row {r} references unregistered trip {trip}"
             );
-            let Some(slot) = slot else { continue };
-            for (o, &b) in logits.row_mut(r).iter_mut().zip(slot.fx_beta.data()) {
-                *o += b;
-            }
-            if let Some(cg) = &slot.c_gamma {
-                for (o, &g) in logits.row_mut(r).iter_mut().zip(cg.data()) {
-                    *o += g;
+            let row = logits.row_mut(r);
+            for b in bias.unwrap_or_default() {
+                for (o, &v) in row.iter_mut().zip(b.data()) {
+                    *o += v;
                 }
             }
         }
@@ -480,7 +423,6 @@ mod tests {
     use super::*;
     use crate::config::DeepStConfig;
     use st_roadnet::{grid_city, GridConfig};
-    use st_tensor::init;
 
     fn setup() -> (st_roadnet::RoadNetwork, DeepSt) {
         let net = grid_city(&GridConfig::small_test(), 2);
@@ -511,7 +453,7 @@ mod tests {
         let c = model.encode_traffic(&vec![0.25; 64]);
         let ctx = model.encode_context([0.3, 0.8], Some(c));
         let mut fused = model.infer_session();
-        let trip = fused.add_trip(&ctx);
+        let trip = fused.add_trip(model.trip_terms(&ctx));
         let mut state_f = fused.zero_state(3);
         let mut taped: Vec<Vec<Array>> = (0..3).map(|_| model.initial_state()).collect();
         let mut tokens: Vec<usize> = vec![0, 3, 7];
@@ -555,7 +497,7 @@ mod tests {
         let n = tokens0.len();
 
         let mut sess = model.infer_session();
-        let trip = sess.add_trip(&ctx);
+        let trip = sess.add_trip(model.trip_terms(&ctx));
         let trips = vec![trip; n];
         let mut batched = sess.zero_state(n);
         let mut lp_b = Vec::new();
@@ -603,8 +545,8 @@ mod tests {
         let ctx_b = model.encode_context([0.9, 0.3], Some(cb));
 
         let mut multi = model.infer_session();
-        let ta = multi.add_trip(&ctx_a);
-        let tb = multi.add_trip(&ctx_b);
+        let ta = multi.add_trip(model.trip_terms(&ctx_a));
+        let tb = multi.add_trip(model.trip_terms(&ctx_b));
         assert_eq!(multi.active_trips(), 2);
         // Rows interleave the two trips: a, b, a, b.
         let trips = [ta, tb, ta, tb];
@@ -614,7 +556,10 @@ mod tests {
 
         let mut sess_a = model.infer_session();
         let mut sess_b = model.infer_session();
-        let (sa, sb) = (sess_a.add_trip(&ctx_a), sess_b.add_trip(&ctx_b));
+        let (sa, sb) = (
+            sess_a.add_trip(model.trip_terms(&ctx_a)),
+            sess_b.add_trip(model.trip_terms(&ctx_b)),
+        );
         let mut singles: Vec<(usize, Vec<Array>)> = (0..4)
             .map(|r| {
                 if trips[r] == ta {
@@ -661,11 +606,11 @@ mod tests {
         let c = model.encode_traffic(&vec![0.2; 64]);
         let ctx = model.encode_context([0.5, 0.5], Some(c));
         let mut multi = model.infer_session();
-        let t0 = multi.add_trip(&ctx);
-        let t1 = multi.add_trip(&ctx);
+        let t0 = multi.add_trip(model.trip_terms(&ctx));
+        let t1 = multi.add_trip(model.trip_terms(&ctx));
         multi.remove_trip(t0);
         assert_eq!(multi.active_trips(), 1);
-        let t2 = multi.add_trip(&ctx);
+        let t2 = multi.add_trip(model.trip_terms(&ctx));
         assert_eq!(t2, t0, "freed slot must be reused");
 
         let mut state = multi.zero_state(2);
@@ -690,7 +635,7 @@ mod tests {
         let c = model.encode_traffic(&vec![0.2; 64]);
         let ctx = model.encode_context([0.5, 0.5], Some(c));
         let mut multi = model.infer_session();
-        let t = multi.add_trip(&ctx);
+        let t = multi.add_trip(model.trip_terms(&ctx));
         multi.remove_trip(t);
         multi.remove_trip(t);
     }
@@ -702,7 +647,7 @@ mod tests {
         let c = model.encode_traffic(&vec![0.2; 64]);
         let ctx = model.encode_context([0.5, 0.5], Some(c));
         let mut sess = model.infer_session();
-        let trip = sess.add_trip(&ctx);
+        let trip = sess.add_trip(model.trip_terms(&ctx));
         let mut state = sess.zero_state(3);
         let mut lp = Vec::new();
         sess.step_into(&[0, 1, 2], &[trip; 3], &mut state, &mut lp);
@@ -750,36 +695,26 @@ mod tests {
         assert!(s.is_finite() && s < 0.0);
     }
 
+    /// `score_route` walks the tape-free session: scoring a route grows
+    /// no autodiff tape (the taped forward it replaced recorded one per
+    /// route).
     #[test]
-    fn sampled_score_close_to_mean_score() {
+    fn score_route_creates_no_tape() {
         let (net, model) = setup();
-        let tensor = vec![0.2f32; 64];
-        let c = model.encode_traffic(&tensor);
+        let c = model.encode_traffic(&vec![0.2; 64]);
         let ctx = model.encode_context([0.5, 0.5], Some(c));
         let mut route = vec![0usize];
         for _ in 0..4 {
             route.push(net.next_segments(*route.last().unwrap())[0]);
         }
-        let mean_score = model.score_route(&net, &route, &ctx);
-        let mut rng = init::rng(5);
-        let sampled =
-            model.score_route_sampled(&net, &route, [0.5, 0.5], Some(&tensor), 16, &mut rng);
-        assert!(sampled.is_finite());
-        // the sampled estimate is in the same ballpark as the mean-posterior
-        // score (an untrained model's posterior is diffuse, so allow slack)
-        assert!(
-            (sampled - mean_score).abs() < mean_score.abs() * 0.8 + 2.0,
-            "sampled {sampled} vs mean {mean_score}"
+        let created = st_tensor::Tape::created_count();
+        let s = model.score_route(&net, &route, &ctx);
+        assert!(s.is_finite() && s < 0.0);
+        assert_eq!(
+            st_tensor::Tape::created_count(),
+            created,
+            "score_route created an autodiff tape"
         );
-        // invalid routes still score −∞
-        let mut bad = route.clone();
-        bad.push(0);
-        if !net.adjacent(*route.last().unwrap(), 0) {
-            assert_eq!(
-                model.score_route_sampled(&net, &bad, [0.5, 0.5], Some(&tensor), 4, &mut rng),
-                f64::NEG_INFINITY
-            );
-        }
     }
 
     #[test]

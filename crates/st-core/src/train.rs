@@ -15,7 +15,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
-use st_nn::{analyze_module_graph, BnBatchStats, CheckpointError, Module, RunningRows};
+use st_nn::{analyze_module_graph, BnBatchStats, CheckpointError, Module};
 use st_tensor::optim::{clip_grad_norm_grouped, Adam, AdamState, Optimizer};
 use st_tensor::{init, ops, Array, Binder, Diagnostic, Tape, Var};
 
@@ -177,16 +177,10 @@ impl DeepSt {
     }
 
     /// Route log-likelihood `Σ log P(r_{i+1} | r_{1:i}, x, c)` of `batch`
-    /// and its number of transitions, over packed sequences: step `i` runs
-    /// the embedding lookup, GRU step and slot head only on the routes with
-    /// a transition left at `i`, dropping the others from the GRU state,
-    /// `fx` and `c` first ([`RunningRows`]).
-    ///
-    /// The value and every gradient are bit-identical to stepping every
-    /// route to the longest one and masking the finished rows (DESIGN.md
-    /// §7): each step's per-row arithmetic is independent of the other
-    /// rows, and a masked row only adds `±0` terms to the reductions over
-    /// rows. Rows are never reordered, which would change those sums.
+    /// and its number of transitions: the shared packed pass
+    /// ([`crate::RouteRnn::route_log_likelihood`]) with DeepST's slot-bias
+    /// terms, where `fx` and `c` drop the rows of finished routes right
+    /// after the GRU state does.
     fn route_log_likelihood<'t, 'p>(
         &'p self,
         binder: &Binder<'t, 'p>,
@@ -194,35 +188,13 @@ impl DeepSt {
         mut fx: Var<'t>,
         mut c: Option<Var<'t>>,
     ) -> (Var<'t>, usize) {
-        let n = batch.len();
-        let max_len = batch.iter().map(|e| e.route.len()).max().unwrap_or(1);
-        let mut state = self.gru.zero_state(binder, n);
-        let mut running = RunningRows::all(n);
-        let mut route_ll: Option<Var<'t>> = None;
-        let mut transitions = 0usize;
-        for i in 0..max_len - 1 {
-            if let Some(keep) = running.retain(|r| i + 1 < batch[r].route.len()) {
-                self.gru.gather_state(&mut state, &keep);
-                fx = ops::gather_rows(fx, &keep);
-                c = c.map(|c| ops::gather_rows(c, &keep));
+        self.rnn.route_log_likelihood(binder, batch, |keep, _| {
+            if let Some(keep) = keep {
+                fx = ops::gather_rows(fx, keep);
+                c = c.map(|c| ops::gather_rows(c, keep));
             }
-            let rows = running.rows();
-            let tokens: Vec<usize> = rows.iter().map(|&r| batch[r].route[i]).collect();
-            let targets: Vec<usize> = rows.iter().map(|&r| batch[r].slots[i]).collect();
-            transitions += rows.len();
-            let inp = self.emb.forward(binder, &tokens);
-            let hid = self.gru.step(binder, inp, &mut state);
-            let logits = self.slot_logits(binder, hid, fx, c);
-            let logp = ops::log_softmax_rows(logits);
-            let step_ll = ops::sum_all(ops::pick_per_row(logp, &targets));
-            route_ll = Some(match route_ll {
-                Some(acc) => ops::add(acc, step_ll),
-                None => step_ll,
-            });
-        }
-        // A batch of length-1 routes has no transitions; its route term is 0.
-        let route_ll = route_ll.unwrap_or_else(|| binder.input(Array::zeros(&[1])));
-        (route_ll, transitions)
+            self.slot_terms(fx, c)
+        })
     }
 }
 
@@ -1684,7 +1656,7 @@ mod tests {
     ) -> (Var<'t>, usize) {
         let n = batch.len();
         let max_len = batch.iter().map(|e| e.route.len()).max().unwrap_or(1);
-        let mut state = model.gru.zero_state(binder, n);
+        let mut state = model.rnn.gru.zero_state(binder, n);
         let mut route_ll: Option<Var<'t>> = None;
         let mut transitions = 0usize;
         for i in 0..max_len - 1 {
@@ -1703,9 +1675,9 @@ mod tests {
                     mask.push(0.0);
                 }
             }
-            let inp = model.emb.forward(binder, &tokens);
-            let hid = model.gru.step(binder, inp, &mut state);
-            let logits = model.slot_logits(binder, hid, fx, c);
+            let inp = model.rnn.emb.forward(binder, &tokens);
+            let hid = model.rnn.gru.step(binder, inp, &mut state);
+            let logits = model.rnn.slot_logits(binder, hid, model.slot_terms(fx, c));
             let logp = ops::log_softmax_rows(logits);
             let picked = ops::pick_per_row(logp, &targets);
             let masked = ops::sum_all(ops::mask_rows(ops::reshape(picked, &[n, 1]), &mask));

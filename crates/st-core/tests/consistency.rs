@@ -1,7 +1,8 @@
-//! Consistency tests between the three forward paths of the DeepST model:
-//! batched training (`batch_loss`), per-route scoring (`score_route`), and
-//! stepwise decoding (`InferSession::step_into`). All three must compute
-//! the same transition log-probabilities.
+//! Consistency tests between the forward paths of the DeepST model:
+//! batched training (`batch_loss`), per-route scoring (`score_route`, a
+//! walk over the tape-free `InferSession`), the taped step
+//! (`step_state_taped`) and stepwise decoding (`InferSession::step_into`).
+//! All must compute the same transition log-probabilities.
 
 use std::sync::Arc;
 
@@ -38,14 +39,13 @@ fn score_route_matches_stepwise_decoding() {
     let ctx = model.encode_context([0.4, 0.6], Some(c));
     // score via the scoring API
     let total = model.score_route(&net, &route, &ctx);
-    // score via stepwise decoding (renormalization-free: same full softmax)
-    let mut sess = model.infer_session();
-    let trip = sess.add_trip(&ctx);
-    let mut state = sess.zero_state(1);
-    let mut logps = Vec::new();
+    // score via a rollout of the taped step (renormalization-free: same
+    // full softmax); `score_route` itself walks the tape-free session
+    let mut state = model.initial_state();
     let mut manual = 0.0f64;
     for i in 0..route.len() - 1 {
-        sess.step_into(&[route[i]], &[trip], &mut state, &mut logps);
+        let (next, logps) = model.step_state_taped(&state, route[i], &ctx);
+        state = next;
         let slot = net.neighbor_slot(route[i], route[i + 1]).unwrap();
         manual += logps[slot];
     }
@@ -144,7 +144,7 @@ proptest! {
             Some(model.encode_traffic(&vec![0.3f32; 64])),
         );
         let mut sess = model.infer_session();
-        let trip = sess.add_trip(&ctx);
+        let trip = sess.add_trip(model.trip_terms(&ctx));
         let mut state = sess.zero_state(1);
         let mut logps = Vec::new();
         sess.step_into(&[seg], &[trip], &mut state, &mut logps);

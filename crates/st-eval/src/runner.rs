@@ -404,7 +404,7 @@ pub fn teacher_forced_accuracy(
             .use_traffic
             .then(|| model.encode_traffic(&e.traffic));
         let ctx = model.encode_context(e.dest, c);
-        let trip = sess.add_trip(&ctx);
+        let trip = sess.add_trip(model.trip_terms(&ctx));
         let mut state = sess.zero_state(1);
         for (i, &slot) in e.slots.iter().enumerate() {
             sess.step_into(&[e.route[i]], &[trip], &mut state, &mut logps);

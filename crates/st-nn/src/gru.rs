@@ -395,19 +395,12 @@ impl PackedGru {
         self.cells[0].hidden
     }
 
-    /// Fused step through the stack, updating each layer's `[n, hidden]`
-    /// state in place; bit-identical to [`Gru::infer_step`]. The top
-    /// layer's state (`state.last()`) is the step output.
-    pub fn infer_step_fused(&self, arena: &mut ScratchArena, x: &Array, state: &mut [Array]) {
-        let mut gx0 = self.cells[0].gate_x(arena, x);
-        self.infer_step_fused_pregx(arena, &mut gx0, state);
-        arena.recycle(gx0);
-    }
-
-    /// [`PackedGru::infer_step_fused`] with the *bottom layer's* `x·Wx`
+    /// Fused step through the stack with the *bottom layer's* `x·Wx`
     /// already computed ([`PackedGru::gate_x0`], possibly row-cached — the
-    /// bottom input is the only one that depends purely on the token).
-    /// `gx0` is consumed as scratch. Bit-identical to the unsplit step.
+    /// bottom input is the only one that depends purely on the token),
+    /// updating each layer's `[n, hidden]` state in place; bit-identical
+    /// to [`Gru::infer_step`]. `gx0` is consumed as scratch. The top
+    /// layer's state (`state.last()`) is the step output.
     pub fn infer_step_fused_pregx(
         &self,
         arena: &mut ScratchArena,
@@ -490,7 +483,8 @@ mod tests {
         for step in 0..5 {
             let x = init::randn(&[3, 4], 1.0, &mut rng);
             gru.infer_step(&mut arena, &x, &mut state_a);
-            packed.infer_step_fused(&mut arena, &x, &mut state_b);
+            let mut gx0 = packed.gate_x0(&mut arena, &x);
+            packed.infer_step_fused_pregx(&mut arena, &mut gx0, &mut state_b);
             for (a, b) in state_a.iter().zip(&state_b) {
                 assert_eq!(a.data(), b.data(), "step {step}");
             }

@@ -202,7 +202,7 @@ impl<'m> Engine<'m> {
                 })
         });
         let ctx = self.model.encode_context(req.dest_norm, c);
-        let trip = self.sess.add_trip(&ctx);
+        let trip = self.sess.add_trip(self.model.trip_terms(&ctx));
         let mut beam = BeamSearch::new(
             self.net,
             req.prefix.clone(),

@@ -204,11 +204,6 @@ pub fn analyze(
     diags
 }
 
-/// True if any diagnostic in `diags` is an error.
-pub fn has_errors(diags: &[Diagnostic]) -> bool {
-    diags.iter().any(|d| d.severity == Severity::Error)
-}
-
 // ---------------------------------------------------------------------------
 // Shape inference
 // ---------------------------------------------------------------------------

@@ -95,11 +95,6 @@ impl Array {
         Self::zeros(&other.shape)
     }
 
-    /// One array with the same shape as `other`.
-    pub fn ones_like(other: &Array) -> Self {
-        Self::ones(&other.shape)
-    }
-
     /// Identity matrix of size `n`.
     pub fn eye(n: usize) -> Self {
         let mut a = Self::zeros(&[n, n]);
@@ -305,20 +300,6 @@ impl Array {
         let mut out = Array::zeros(&[m, n]);
         crate::gemm::gemm(m, k, n, &self.data, &other.data, &mut out.data, false);
         out
-    }
-
-    /// `out += self · other`, reusing `out`'s allocation. Backward passes
-    /// accumulate gradients through this to avoid temporary products.
-    pub fn matmul_acc(&self, other: &Array, out: &mut Array) {
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
-        assert_eq!(
-            k, k2,
-            "matmul_acc inner dims: {:?} x {:?}",
-            self.shape, other.shape
-        );
-        assert_eq!(out.shape(), [m, n]);
-        crate::gemm::gemm(m, k, n, &self.data, &other.data, &mut out.data, true);
     }
 
     /// Matrix product `selfᵀ · other` without materializing the transpose

@@ -382,11 +382,6 @@ impl GradSink<'_> {
     pub fn add(&mut self, pid: usize, g: &Array) {
         self.accum(pid).add_assign(g);
     }
-
-    /// Convenience: `accum(pid) += scale * g`.
-    pub fn add_scaled(&mut self, pid: usize, scale: f32, g: &Array) {
-        self.accum(pid).axpy(scale, g);
-    }
 }
 
 /// The result of [`Tape::backward`]: per-node gradients. Dropping it returns
