@@ -85,31 +85,12 @@ impl DeepSt {
     /// STRS+'s spatial score. Returns `f64::NEG_INFINITY` for invalid
     /// (non-adjacent) routes.
     ///
-    /// Walks the route one segment at a time through a tape-free
-    /// [`InferSession`] holding the one trip, so it records no autodiff
-    /// tape; each transition's log-prob is bit-identical to the taped
-    /// [`DeepSt::step_state_taped`].
+    /// Opens a session and scores through [`InferSession::score_route`];
+    /// callers scoring many routes hold one session and call that
+    /// directly.
     pub fn score_route(&self, net: &RoadNetwork, route: &[SegmentId], ctx: &TripContext) -> f64 {
-        if route.len() < 2 {
-            return 0.0;
-        }
-        let mut slots = Vec::with_capacity(route.len() - 1);
-        for w in route.windows(2) {
-            match net.neighbor_slot(w[0], w[1]) {
-                Some(s) => slots.push(s),
-                None => return f64::NEG_INFINITY,
-            }
-        }
-        let mut sess = self.infer_session();
-        let trip = sess.add_trip(self.trip_terms(ctx));
-        let mut state = sess.zero_state(1);
-        let mut logp = Vec::new();
-        let mut total = 0.0f64;
-        for (&seg, &slot) in route.iter().zip(&slots) {
-            sess.step_into(&[seg], &[trip], &mut state, &mut logp);
-            total += logp[slot];
-        }
-        total
+        self.infer_session()
+            .score_route(net, route, self.trip_terms(ctx))
     }
 
     /// The taped step of one row ([`RouteRnn::step_state_taped`] with this
@@ -280,6 +261,43 @@ impl InferSession<'_> {
             self.arena.recycle(row);
         }
         self.free.push(trip);
+    }
+
+    /// Route likelihood `Σᵢ log P(r_{i+1}|r_{1:i})` of one trip given by its
+    /// slot-bias terms (as for [`InferSession::add_trip`]): the trip joins,
+    /// the route is walked one segment at a time, and the trip leaves, so
+    /// one session scores any number of routes. Records no autodiff tape;
+    /// each transition's log-prob is bit-identical to the taped step, and
+    /// to scoring in a fresh session (rows are independent and the gate memo
+    /// is exact). `0` for routes shorter than 2, `f64::NEG_INFINITY` for
+    /// non-adjacent ones.
+    pub fn score_route<'a>(
+        &mut self,
+        net: &RoadNetwork,
+        route: &[SegmentId],
+        terms: impl IntoIterator<Item = (&'a Array, &'a Param)>,
+    ) -> f64 {
+        let mut slots = Vec::with_capacity(route.len().saturating_sub(1));
+        for w in route.windows(2) {
+            match net.neighbor_slot(w[0], w[1]) {
+                Some(s) => slots.push(s),
+                None => return f64::NEG_INFINITY,
+            }
+        }
+        if slots.is_empty() {
+            return 0.0;
+        }
+        let trip = self.add_trip(terms);
+        let mut state = self.zero_state(1);
+        let mut logp = Vec::new();
+        let mut total = 0.0f64;
+        for (&seg, &slot) in route.iter().zip(&slots) {
+            self.step_into(&[seg], &[trip], &mut state, &mut logp);
+            total += logp[slot];
+        }
+        self.recycle_state(state);
+        self.remove_trip(trip);
+        total
     }
 
     /// Number of currently registered trips.

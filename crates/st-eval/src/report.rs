@@ -54,12 +54,12 @@ pub fn format_bars(title: &str, labels: &[String], values: &[f64], max_width: us
 }
 
 /// Write a serde-serializable result to a pretty JSON file, creating parent
-/// directories as needed. The write is atomic
-/// ([`st_nn::serialize::write_atomic`]): a crash mid-write leaves the old
-/// file or a stray `.tmp`, never a truncated result.
+/// directories as needed. The write is atomic ([`st_obs::write_atomic`]):
+/// a crash mid-write leaves the old file or a stray `.tmp`, never a
+/// truncated result.
 pub fn write_json<T: serde::Serialize>(path: impl AsRef<Path>, value: &T) -> std::io::Result<()> {
     let json = serde_json::to_string_pretty(value)?;
-    st_nn::serialize::write_atomic(path.as_ref(), json.as_bytes())
+    st_obs::write_atomic(path.as_ref(), json.as_bytes())
 }
 
 /// Render a text heat map from row-major grid data (Fig. 5 substitute).

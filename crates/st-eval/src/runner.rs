@@ -4,8 +4,6 @@
 //! simulated [`Dataset`] into training [`Example`]s, fits every method of
 //! §V-A, and evaluates most-likely-route prediction on the test split.
 
-use std::sync::Arc;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -49,30 +47,11 @@ impl Default for SuiteConfig {
     }
 }
 
-/// Convert dataset trips at `indices` into model [`Example`]s. Traffic
-/// tensors are shared per slot via `Arc`.
+/// Convert dataset trips at `indices` into model [`Example`]s with the
+/// simulator's shared trip-to-example path ([`Dataset::examples`]): traffic
+/// tensors are shared per slot via `Arc`, and dropped trips are counted.
 pub fn build_examples(ds: &Dataset, indices: &[usize]) -> Vec<Example> {
-    let mut tensor_cache: std::collections::HashMap<usize, Arc<Vec<f32>>> =
-        std::collections::HashMap::new();
-    indices
-        .iter()
-        .filter_map(|&i| {
-            let trip = &ds.trips[i];
-            let slot = ds.slot_of(trip.start_time);
-            let tensor = Arc::clone(
-                tensor_cache
-                    .entry(slot)
-                    .or_insert_with(|| Arc::new(ds.traffic_tensor(slot).to_vec())),
-            );
-            Example::new(
-                &ds.net,
-                trip.route.clone(),
-                ds.unit_coord(&trip.dest_coord),
-                tensor,
-                slot,
-            )
-        })
-        .collect()
+    ds.examples(indices)
 }
 
 /// The base DeepST configuration for a dataset.
@@ -283,6 +262,7 @@ pub fn evaluate_methods(
 mod tests {
     use super::*;
     use st_sim::CityPreset;
+    use std::sync::Arc;
 
     fn tiny() -> Dataset {
         Dataset::generate(&CityPreset::tiny_test(), 160, 13)

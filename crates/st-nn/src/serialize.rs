@@ -20,7 +20,7 @@
 //! [`CheckpointError`], so checkpoints can never silently half-load.
 
 use std::fmt;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
@@ -340,7 +340,7 @@ pub fn save_v2(path: impl AsRef<Path>, ckpt: &CheckpointV2) -> Result<(), Checkp
     bytes.extend_from_slice(header.as_bytes());
     bytes.push(b'\n');
     bytes.extend_from_slice(payload.as_bytes());
-    write_atomic(path.as_ref(), &bytes)?;
+    st_obs::write_atomic(path.as_ref(), &bytes)?;
     Ok(())
 }
 
@@ -438,36 +438,6 @@ pub fn decode_u64_words(words: &[String]) -> Result<Vec<u64>, CheckpointError> {
                 .map_err(|_| CheckpointError::Corrupt(format!("bad u64 hex word `{w}`")))
         })
         .collect()
-}
-
-/// Write `bytes` to `path` atomically: tmp file in the same directory,
-/// `fsync`, rename over the target, then directory `fsync` (so the rename
-/// itself survives a crash).
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    #[cfg(unix)]
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            // Persist the rename: fsync the containing directory.
-            if let Ok(dir) = std::fs::File::open(parent) {
-                let _ = dir.sync_all();
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -12,8 +12,10 @@
 //!   lock once per name, updates are lock-free and always on (an atomic add
 //!   is cheaper than asking whether anyone cares).
 //! - [`sink`] — recording control, ad-hoc events, one-time warnings, and an
-//!   atomically written JSONL trace file (tmp + rename, like checkpoints)
-//!   plus the schema validator the CI smoke job runs.
+//!   atomically written JSONL trace file plus the schema validator the CI
+//!   smoke job runs. [`write_atomic`] (tmp + fsync + rename + directory
+//!   fsync) is the workspace's one atomic file writer: traces, checkpoints
+//!   and result files.
 //!
 //! # Example
 //!
@@ -39,6 +41,6 @@ pub mod span;
 pub use metrics::{counter, gauge, histogram, Counter, Gauge, Histogram, MetricSnapshot};
 pub use sink::{
     drain, event, recording, start_recording, stop_recording, validate_jsonl, warn_once,
-    write_jsonl, Trace, TraceSummary,
+    write_atomic, write_jsonl, Trace, TraceSummary,
 };
 pub use span::{span, timed, SpanGuard, SpanRecord};

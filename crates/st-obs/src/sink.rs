@@ -182,15 +182,9 @@ fn metric_line(m: &MetricSnapshot) -> Value {
     }
 }
 
-/// Serialize a trace to `path` as schema-v1 JSONL. Atomic like the
-/// checkpoint writer: write a `.tmp` sibling, flush, then rename into
-/// place, so a crash never leaves a half-written trace.
+/// Serialize a trace to `path` as schema-v1 JSONL, atomically
+/// ([`write_atomic`]), so a crash never leaves a half-written trace.
 pub fn write_jsonl(path: &Path, run_meta: &Value, trace: &Trace) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
     let mut out = String::new();
     let mut meta = Map::new();
     meta.insert("type".into(), Value::Str("meta".into()));
@@ -222,13 +216,39 @@ pub fn write_jsonl(path: &Path, run_meta: &Value, trace: &Trace) -> std::io::Res
         }),
     )?;
 
-    let tmp = path.with_extension("jsonl.tmp");
+    write_atomic(path, out.as_bytes())
+}
+
+/// Write `bytes` to `path` atomically, creating parent directories: a
+/// `.tmp` sibling is written and `fsync`ed, renamed over the target, and
+/// the directory is `fsync`ed so the rename itself survives a crash. A
+/// crash mid-write leaves the old file or a stray `.tmp`, never a
+/// truncated one. Traces, checkpoints and result files all go through it.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            std::fs::create_dir_all(parent)?;
+        }
+    }
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = std::path::PathBuf::from(tmp);
     {
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(out.as_bytes())?;
+        f.write_all(bytes)?;
         f.sync_all()?;
     }
-    std::fs::rename(&tmp, path)
+    std::fs::rename(&tmp, path)?;
+    #[cfg(unix)]
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            // Persist the rename: fsync the containing directory.
+            if let Ok(dir) = std::fs::File::open(parent) {
+                let _ = dir.sync_all();
+            }
+        }
+    }
+    Ok(())
 }
 
 fn push_line(out: &mut String, v: &Value) -> std::io::Result<()> {

@@ -7,9 +7,10 @@
 //! in for STRS's inverse-RL module, and substituting DeepST's route
 //! likelihood yields **STRS+**.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
-use st_core::{DeepSt, TripContext};
+use st_core::{DeepSt, InferSession, TripContext};
 use st_mapmatch::{MapMatcher, MatchConfig};
 use st_roadnet::{k_shortest_routes, RoadNetwork, Route, SegmentId};
 use st_sim::GpsPoint;
@@ -114,10 +115,14 @@ impl SpatialModel for MarkovSpatial {
     }
 }
 
-/// DeepST as the spatial module (STRS+), with per-slot context caching.
+/// DeepST as the spatial module (STRS+), with per-slot context caching and
+/// one decoding session for its whole life: each scored route joins the
+/// session as a trip and leaves it, so weights are packed once and the
+/// gate memo carries over between candidates.
 pub struct DeepStSpatial<'m> {
     model: &'m DeepSt,
-    cache: std::cell::RefCell<HashMap<(usize, [u32; 2]), TripContext>>,
+    session: RefCell<InferSession<'m>>,
+    cache: RefCell<HashMap<(usize, [u32; 2]), TripContext>>,
 }
 
 impl<'m> DeepStSpatial<'m> {
@@ -125,24 +130,9 @@ impl<'m> DeepStSpatial<'m> {
     pub fn new(model: &'m DeepSt) -> Self {
         Self {
             model,
-            cache: std::cell::RefCell::new(HashMap::new()),
+            session: RefCell::new(model.infer_session()),
+            cache: RefCell::new(HashMap::new()),
         }
-    }
-
-    fn context(&self, dest_norm: [f32; 2], traffic: &[f32], slot: usize) -> TripContext {
-        let key = (slot, [dest_norm[0].to_bits(), dest_norm[1].to_bits()]);
-        let mut cache = self.cache.borrow_mut();
-        cache
-            .entry(key)
-            .or_insert_with(|| {
-                let c = self
-                    .model
-                    .cfg
-                    .use_traffic
-                    .then(|| self.model.encode_traffic(traffic));
-                self.model.encode_context(dest_norm, c)
-            })
-            .clone()
     }
 }
 
@@ -155,8 +145,19 @@ impl SpatialModel for DeepStSpatial<'_> {
         traffic: &[f32],
         slot: usize,
     ) -> f64 {
-        let ctx = self.context(dest_norm, traffic, slot);
-        self.model.score_route(net, route, &ctx)
+        let key = (slot, [dest_norm[0].to_bits(), dest_norm[1].to_bits()]);
+        let mut cache = self.cache.borrow_mut();
+        let ctx = cache.entry(key).or_insert_with(|| {
+            let c = self
+                .model
+                .cfg
+                .use_traffic
+                .then(|| self.model.encode_traffic(traffic));
+            self.model.encode_context(dest_norm, c)
+        });
+        self.session
+            .borrow_mut()
+            .score_route(net, route, self.model.trip_terms(ctx))
     }
 
     fn name(&self) -> &str {

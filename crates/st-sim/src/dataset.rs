@@ -10,15 +10,20 @@
 //! tensors, and time-based train/validation/test splits (the paper splits by
 //! days; we split by simulated time in the same proportions).
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use st_roadnet::{grid_city, GridConfig, Point, RoadNetwork, SegmentIndex};
+use st_core::data::Example;
+use st_roadnet::{grid_city, GridConfig, Point, RoadNetwork};
 
-use crate::driver::{simulate_route, Attractiveness, DriverConfig};
-use crate::traffic::{TrafficConfig, TrafficGrid, TrafficModel, DAY_SECS};
-use crate::trips::{gauss, sample_gps, sample_hotspots, Hotspot, Trip};
+use crate::driver::DriverConfig;
+use crate::traffic::{TrafficConfig, TrafficGrid, TrafficModel};
+use crate::trips::{jitter, sample_hotspots, sample_start_time, Hotspot, Trip};
+use crate::world::{self, trip_attempts, Rejection, SlotObs, TripSpec, World};
+pub use crate::world::{SLOT_SECS, WINDOW_SECS};
 
 /// Everything needed to generate one synthetic city's dataset.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -126,11 +131,6 @@ impl CityPreset {
     }
 }
 
-/// Slot length for sharing traffic tensors (paper: 20 minutes, §V-A).
-pub const SLOT_SECS: f64 = 1200.0;
-/// Observation window Δ before a trip's start (paper: 30 minutes, §V-A).
-pub const WINDOW_SECS: f64 = 1800.0;
-
 /// A fully generated city dataset.
 #[derive(Serialize, Deserialize)]
 pub struct Dataset {
@@ -169,111 +169,61 @@ impl Dataset {
     /// );
     /// ```
     pub fn generate(preset: &CityPreset, n_trips: usize, seed: u64) -> Self {
-        let net = grid_city(&preset.grid, seed);
-        let traffic = TrafficModel::generate(&net, &preset.traffic, seed);
-        let attract = Attractiveness::generate(&net, seed);
-        let grid = TrafficGrid::new(&net, preset.obs_width, preset.obs_height);
-        let index = SegmentIndex::build(&net, preset.grid.spacing_m.max(100.0));
+        let world = World::build(
+            grid_city(&preset.grid, seed),
+            &preset.traffic,
+            (preset.obs_width, preset.obs_height),
+            preset.grid.spacing_m,
+            seed,
+        );
         let mut rng = StdRng::seed_from_u64(seed ^ 0x0DA7_A5E7);
-        let hotspots = sample_hotspots(&net, preset.n_hotspots, &mut rng);
+        let hotspots = sample_hotspots(&world.net, preset.n_hotspots, &mut rng);
         let hs_weights: Vec<f64> = hotspots.iter().map(|h| h.weight).collect();
-        let horizon = traffic.horizon();
-        let max_speed = (0..net.num_segments())
-            .map(|s| net.segment(s).base_speed)
-            .fold(0.0f64, f64::max);
-
-        let mut trips = Vec::with_capacity(n_trips);
-        let mut attempts = 0usize;
-        while trips.len() < n_trips && attempts < n_trips * 4 {
-            attempts += 1;
+        let horizon = world.traffic.horizon();
+        // Filter short trips (paper's Table III: minimum distance 1 km).
+        let min_len = (preset.grid.spacing_m * 2.0).max(1000.0);
+        let spec = TripSpec {
+            driver: &preset.driver,
+            hotspots: &hotspots,
+            accept: &|net, route| net.route_length(route) >= min_len,
+            gps_period: preset.gps_period,
+            gps_noise: preset.gps_noise,
+        };
+        let mut trips: Vec<Trip> = trip_attempts(n_trips, n_trips * 4, || {
             let start_time = sample_start_time(horizon, &mut rng);
-            // Origin: uniformly random segment, mildly biased toward hotspots
-            // half the time (taxis pick up where people are).
+            // Origin: uniformly random segment, mildly biased toward
+            // hotspots half the time (taxis pick up where people are).
             let origin = if rng.gen::<f64>() < 0.5 {
                 let h = pick_weighted(&hs_weights, &mut rng);
                 let p = jitter(&hotspots[h].center, hotspots[h].sigma * 2.0, &mut rng);
-                match index.nearest(&net, &p) {
-                    Some(seg) => seg,
-                    None => continue, // empty network: no trip possible
-                }
+                world
+                    .index
+                    .nearest(&world.net, &p)
+                    .ok_or(Rejection::NoSegment)?
             } else {
-                rng.gen_range(0..net.num_segments())
+                rng.gen_range(0..world.net.num_segments())
             };
             // Destination: a hotspot plus scatter. The *coordinate* is the
             // observation; the driver steers to the nearest segment.
             let h = pick_weighted(&hs_weights, &mut rng);
-            let (bb_min, bb_max) = net.bounding_box();
-            let raw = jitter(&hotspots[h].center, hotspots[h].sigma, &mut rng);
-            let dest_coord = Point::new(
-                raw.x.clamp(bb_min.x, bb_max.x),
-                raw.y.clamp(bb_min.y, bb_max.y),
-            );
-            let Some(dest_seg) = index.nearest(&net, &dest_coord) else {
-                continue;
-            };
-            if dest_seg == origin {
-                continue;
-            }
-            let Some(route) = simulate_route(
-                &net,
-                &traffic,
-                &attract,
-                &preset.driver,
-                origin,
-                dest_seg,
-                start_time,
-                &mut rng,
-            ) else {
-                continue;
-            };
-            // Filter short trips (paper's Table III: minimum distance 1 km).
-            if net.route_length(&route) < (preset.grid.spacing_m * 2.0).max(1000.0) {
-                continue;
-            }
-            let (gps, end_time) = sample_gps(
-                &net,
-                &traffic,
-                &route,
-                start_time,
-                preset.gps_period,
-                preset.gps_noise,
-                &mut rng,
-            );
-            trips.push(Trip {
-                route,
-                start_time,
-                end_time,
-                dest_coord,
-                gps,
-                hotspot: h,
-            });
-        }
+            world.simulate_trip(&spec, origin, h, start_time, &mut rng)
+        })
+        .collect();
         trips.sort_by(|a, b| a.start_time.total_cmp(&b.start_time));
 
-        // Per-slot traffic tensors: observations from every vehicle active in
-        // [slot_start − Δ, slot_start). This is "real-time" sensing: the
-        // fleet's own GPS points, as in the paper (§IV-D).
-        let n_slots = (horizon / SLOT_SECS).ceil() as usize + 1;
-        let mut per_slot_obs: Vec<Vec<(Point, f64)>> = vec![Vec::new(); n_slots];
-        for trip in &trips {
-            for gp in &trip.gps {
-                // A point at time t is visible to every slot whose window
-                // [slot*SLOT − Δ, slot*SLOT) contains t.
-                let first = (gp.t / SLOT_SECS).floor() as usize + 1;
-                let last = ((gp.t + WINDOW_SECS) / SLOT_SECS).floor() as usize;
-                let last = last.min(n_slots - 1);
-                if first <= last {
-                    for obs in &mut per_slot_obs[first..=last] {
-                        obs.push((gp.p, gp.speed));
-                    }
-                }
-            }
+        // Per-slot traffic tensors from the fleet's own GPS points, as in
+        // the paper (§IV-D), recorded in start-time order.
+        let mut obs = SlotObs::new(&world.grid, horizon);
+        for gp in trips.iter().flat_map(|t| &t.gps) {
+            obs.record(&world.grid, &gp.p, gp.t, gp.speed);
         }
-        let tensors = per_slot_obs
-            .iter()
-            .map(|obs| grid.tensor_from_observations(obs, max_speed))
-            .collect();
-
+        let World {
+            net,
+            traffic,
+            grid,
+            max_speed,
+            ..
+        } = world;
         Self {
             name: preset.name.clone(),
             net,
@@ -281,45 +231,28 @@ impl Dataset {
             grid,
             hotspots,
             trips,
-            tensors,
+            tensors: (0..obs.num_slots())
+                .map(|slot| obs.tensor(slot, max_speed))
+                .collect(),
             max_speed,
             preset: preset.clone(),
         }
     }
 
     /// The traffic-tensor slot a start time falls into, or `None` if `t`
-    /// lies outside the simulated horizon (negative or past the last slot).
+    /// lies outside the simulated horizon (negative, NaN or past the last
+    /// slot).
     pub fn try_slot_of(&self, t: f64) -> Option<usize> {
-        if !t.is_finite() || t < 0.0 {
-            return None;
-        }
-        let slot = (t / SLOT_SECS).floor() as usize;
-        (slot < self.tensors.len()).then_some(slot)
+        world::try_slot_of(t, self.num_slots())
     }
 
-    /// The traffic-tensor slot a start time falls into, clamped into range.
-    ///
-    /// Out-of-horizon times (a live feed running past the simulated horizon)
-    /// are clamped to the nearest valid slot — but no longer *silently*: the
-    /// `sim.slot_of.clamped` counter increments and a one-shot warning fires,
-    /// so a deployment serving stale boundary tensors is visible. Callers
-    /// that need to distinguish use [`Self::try_slot_of`].
+    /// The traffic-tensor slot a start time falls into, clamped into range
+    /// by the shared slot rule: past the horizon to the last slot, negative
+    /// or NaN to slot 0, each clamp counted in `sim.slot_of.clamped` (with
+    /// a one-shot warning). Callers that need to distinguish use
+    /// [`Self::try_slot_of`].
     pub fn slot_of(&self, t: f64) -> usize {
-        match self.try_slot_of(t) {
-            Some(slot) => slot,
-            None => {
-                st_obs::counter("sim.slot_of.clamped").inc();
-                st_obs::warn_once(
-                    "sim.slot_of.clamped",
-                    "slot_of: time outside simulated horizon, clamping to boundary slot",
-                );
-                if t < 0.0 {
-                    0
-                } else {
-                    self.tensors.len() - 1
-                }
-            }
-        }
+        world::slot_of(t, self.num_slots())
     }
 
     /// The observed traffic tensor for a slot, `[obs_height × obs_width]`
@@ -335,11 +268,20 @@ impl Dataset {
 
     /// Normalize a coordinate into `[0, 1]²` using the network bounding box.
     pub fn unit_coord(&self, p: &Point) -> [f32; 2] {
-        let (min, max) = self.net.bounding_box();
-        [
-            ((p.x - min.x) / (max.x - min.x)) as f32,
-            ((p.y - min.y) / (max.y - min.y)) as f32,
-        ]
+        world::unit_coord(&self.net.bounding_box(), p)
+    }
+
+    /// The training examples of the trips at `indices`, in order, built by
+    /// the shared trip-to-example path; each slot's tensor is shared by `Arc`
+    /// among its examples. Trips whose routes fail validation are dropped
+    /// and counted (`sim.example.dropped`).
+    pub fn examples(&self, indices: &[usize]) -> Vec<Example> {
+        let tensors: Vec<Arc<Vec<f32>>> = self.tensors.iter().cloned().map(Arc::new).collect();
+        let bbox = self.net.bounding_box();
+        indices
+            .iter()
+            .filter_map(|&i| world::example(&self.net, &bbox, &self.trips[i], &tensors))
+            .collect()
     }
 
     /// Split trip indices by start time into train/validation/test with the
@@ -413,24 +355,6 @@ pub struct TripStats {
     pub mean_segments: f64,
 }
 
-/// Diurnal start-time sampler: uniform day, hours drawn from a mixture with
-/// morning/evening peaks. Cities and megacities draw trip starts from it.
-pub(crate) fn sample_start_time(horizon: f64, rng: &mut StdRng) -> f64 {
-    let days = (horizon / DAY_SECS).floor().max(1.0);
-    let day = rng.gen_range(0..days as usize) as f64;
-    let hour = loop {
-        let h: f64 = match rng.gen_range(0..3) {
-            0 => 8.0 + gauss(rng) * 1.5,   // morning peak
-            1 => 18.0 + gauss(rng) * 1.8,  // evening peak
-            _ => rng.gen_range(6.0..23.0), // background
-        };
-        if (0.0..24.0).contains(&h) {
-            break h;
-        }
-    };
-    (day * DAY_SECS + hour * 3600.0).min(horizon - 1.0)
-}
-
 fn pick_weighted(weights: &[f64], rng: &mut StdRng) -> usize {
     let total: f64 = weights.iter().sum();
     let mut u = rng.gen_range(0.0..total);
@@ -441,10 +365,6 @@ fn pick_weighted(weights: &[f64], rng: &mut StdRng) -> usize {
         u -= w;
     }
     weights.len() - 1
-}
-
-fn jitter(p: &Point, sigma: f64, rng: &mut StdRng) -> Point {
-    Point::new(p.x + gauss(rng) * sigma, p.y + gauss(rng) * sigma)
 }
 
 #[cfg(test)]
@@ -508,26 +428,6 @@ mod tests {
         assert!(slot < ds.num_slots());
         let slot_start = slot as f64 * SLOT_SECS;
         assert!(trip.start_time >= slot_start);
-    }
-
-    #[test]
-    fn slot_of_clamps_loudly_outside_the_horizon() {
-        let ds = tiny();
-        // in-range: typed and clamping paths agree, no counter movement
-        let t_ok = 1500.0;
-        assert_eq!(ds.try_slot_of(t_ok), Some(1));
-        let before = st_obs::counter("sim.slot_of.clamped").get();
-        assert_eq!(ds.slot_of(t_ok), 1);
-        assert_eq!(st_obs::counter("sim.slot_of.clamped").get(), before);
-        // past-horizon: typed path reports None, clamping path counts
-        let t_far = ds.traffic.horizon() * 10.0;
-        assert_eq!(ds.try_slot_of(t_far), None);
-        assert_eq!(ds.slot_of(t_far), ds.num_slots() - 1);
-        assert_eq!(st_obs::counter("sim.slot_of.clamped").get(), before + 1);
-        // negative times clamp to slot 0, also counted
-        assert_eq!(ds.try_slot_of(-5.0), None);
-        assert_eq!(ds.slot_of(-5.0), 0);
-        assert_eq!(st_obs::counter("sim.slot_of.clamped").get(), before + 2);
     }
 
     #[test]

@@ -15,19 +15,20 @@
 //! peak memory is one trip plus the observation grids — never a
 //! `Vec<Trip>` of the whole corpus.
 
+use std::ops::Deref;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use st_core::data::Example;
-use st_roadnet::{grid_city, GridConfig, Point, RoadNetwork, SegmentIndex};
+use st_roadnet::{grid_city, GridConfig, Point, RoadNetwork};
 
-use crate::dataset::{sample_start_time, SLOT_SECS, WINDOW_SECS};
-use crate::driver::{simulate_route, Attractiveness, DriverConfig};
+use crate::driver::DriverConfig;
 use crate::store::{TripStoreError, TripStoreWriter};
-use crate::traffic::{TrafficConfig, TrafficGrid, TrafficModel};
-use crate::trips::{gauss, sample_gps, Hotspot, Trip};
+use crate::traffic::TrafficConfig;
+use crate::trips::{sample_start_time, Hotspot, Trip};
+use crate::world::{self, trip_attempts, Rejection, SlotObs, TripSpec, World};
 
 /// Parameters of a district-structured megacity.
 #[derive(Debug, Clone)]
@@ -109,25 +110,24 @@ impl MegacityConfig {
     }
 }
 
-/// A generated megacity world: network, traffic process, districts.
+/// A generated megacity: a [`World`] (reached through `Deref`, so
+/// `city.net`, `city.grid` and `city.max_speed` read as on any world) plus
+/// its districts.
 pub struct Megacity {
-    /// The road network.
-    pub net: RoadNetwork,
-    /// Ground-truth traffic process.
-    pub traffic: TrafficModel,
-    /// Observation grid for traffic tensors.
-    pub grid: TrafficGrid,
+    world: World,
     /// One destination hotspot per district.
     pub hotspots: Vec<Hotspot>,
-    /// Maximum base speed (tensor normalization).
-    pub max_speed: f64,
     cfg: MegacityConfig,
-    attract: Attractiveness,
-    index: SegmentIndex,
     /// Segments whose midpoint falls in each district.
     district_segs: Vec<Vec<usize>>,
-    bb_min: Point,
-    bb_max: Point,
+}
+
+impl Deref for Megacity {
+    type Target = World;
+
+    fn deref(&self) -> &World {
+        &self.world
+    }
 }
 
 /// What [`Megacity::stream_trips`] produced: counts plus the incrementally
@@ -146,23 +146,22 @@ pub struct StreamSummary {
 impl Megacity {
     /// Generate the world (network, traffic, hotspots) for `cfg`.
     pub fn generate(cfg: &MegacityConfig, seed: u64) -> Self {
-        let grid_cfg = cfg.grid();
-        let net = renumber_district_major(&grid_city(&grid_cfg, seed), cfg);
-        let traffic = TrafficModel::generate(&net, &cfg.traffic, seed);
-        let attract = Attractiveness::generate(&net, seed);
-        let grid = TrafficGrid::new(&net, cfg.obs_width, cfg.obs_height);
-        let index = SegmentIndex::build(&net, cfg.spacing_m.max(100.0));
-        let (bb_min, bb_max) = net.bounding_box();
-        let max_speed = (0..net.num_segments())
-            .map(|s| net.segment(s).base_speed)
-            .fold(0.0f64, f64::max);
+        let world = World::build(
+            renumber_district_major(&grid_city(&cfg.grid(), seed), cfg),
+            &cfg.traffic,
+            (cfg.obs_width, cfg.obs_height),
+            cfg.spacing_m,
+            seed,
+        );
+        let net = &world.net;
+        let (bb_min, bb_max) = &world.bbox;
 
         // Bucket segments into districts by midpoint; coordinates are
         // jittered, so clamp into range at the borders.
         let n_districts = cfg.num_districts();
         let mut district_segs: Vec<Vec<usize>> = vec![Vec::new(); n_districts];
         for s in 0..net.num_segments() {
-            let d = district_of(cfg, &bb_min, &bb_max, &net.midpoint(s));
+            let d = district_of(cfg, bb_min, bb_max, &net.midpoint(s));
             district_segs[d].push(s);
         }
 
@@ -174,7 +173,7 @@ impl Megacity {
             .iter()
             .map(|segs| {
                 let center = if segs.is_empty() {
-                    bb_min.lerp(&bb_max, 0.5)
+                    bb_min.lerp(bb_max, 0.5)
                 } else {
                     net.midpoint(segs[rng.gen_range(0..segs.len())])
                 };
@@ -187,17 +186,10 @@ impl Megacity {
             .collect();
 
         Self {
-            net,
-            traffic,
-            grid,
+            world,
             hotspots,
-            max_speed,
             cfg: cfg.clone(),
-            attract,
-            index,
             district_segs,
-            bb_min,
-            bb_max,
         }
     }
 
@@ -208,7 +200,7 @@ impl Megacity {
 
     /// District of a coordinate.
     pub fn district_of(&self, p: &Point) -> usize {
-        district_of(&self.cfg, &self.bb_min, &self.bb_max, p)
+        district_of(&self.cfg, &self.bbox.0, &self.bbox.1, p)
     }
 
     /// Generate `n_trips` trips and stream each straight into `writer`
@@ -223,16 +215,20 @@ impl Megacity {
     ) -> Result<StreamSummary, TripStoreError> {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x7281_95C1);
         let horizon = self.traffic.horizon();
-        let mut slot_obs = SlotObs::new(&self.grid, horizon);
         let n_districts = self.cfg.num_districts();
-        let (mut trips, mut intra, mut inter) = (0usize, 0usize, 0usize);
-        let mut attempts = 0usize;
-        while trips < n_trips && attempts < n_trips * 6 {
-            attempts += 1;
+        let spec = TripSpec {
+            driver: &self.cfg.driver,
+            hotspots: &self.hotspots,
+            accept: &|_, route| route.len() >= 3,
+            gps_period: self.cfg.gps_period,
+            gps_noise: self.cfg.gps_noise,
+        };
+        let attempts = trip_attempts(n_trips, n_trips * 6, || {
             let start_time = sample_start_time(horizon, &mut rng);
             let od = rng.gen_range(0..n_districts);
-            if self.district_segs[od].is_empty() {
-                continue;
+            let segs = &self.district_segs[od];
+            if segs.is_empty() {
+                return Err(Rejection::NoSegment);
             }
             let cross = n_districts > 1 && rng.gen::<f64>() < self.cfg.inter_district_frac;
             let dd = if cross {
@@ -245,60 +241,19 @@ impl Megacity {
             } else {
                 od
             };
-            let origin = self.district_segs[od][rng.gen_range(0..self.district_segs[od].len())];
-            let h = &self.hotspots[dd];
-            let raw = Point::new(
-                h.center.x + gauss(&mut rng) * h.sigma,
-                h.center.y + gauss(&mut rng) * h.sigma,
-            );
-            let dest_coord = Point::new(
-                raw.x.clamp(self.bb_min.x, self.bb_max.x),
-                raw.y.clamp(self.bb_min.y, self.bb_max.y),
-            );
-            let Some(dest_seg) = self.index.nearest(&self.net, &dest_coord) else {
-                continue;
-            };
-            if dest_seg == origin {
-                continue;
-            }
-            let Some(route) = simulate_route(
-                &self.net,
-                &self.traffic,
-                &self.attract,
-                &self.cfg.driver,
-                origin,
-                dest_seg,
-                start_time,
-                &mut rng,
-            ) else {
-                continue;
-            };
-            if route.len() < 3 {
-                continue;
-            }
-            let (gps, end_time) = sample_gps(
-                &self.net,
-                &self.traffic,
-                &route,
-                start_time,
-                self.cfg.gps_period,
-                self.cfg.gps_noise,
-                &mut rng,
-            );
-            for gp in &gps {
+            let origin = segs[rng.gen_range(0..segs.len())];
+            let trip = self.simulate_trip(&spec, origin, dd, start_time, &mut rng)?;
+            Ok((trip, od))
+        });
+        let mut slot_obs = SlotObs::new(&self.grid, horizon);
+        let (mut trips, mut intra, mut inter) = (0usize, 0usize, 0usize);
+        for (trip, od) in attempts {
+            for gp in &trip.gps {
                 slot_obs.record(&self.grid, &gp.p, gp.t, gp.speed);
             }
-            let trip = Trip {
-                route,
-                start_time,
-                end_time,
-                dest_coord,
-                gps,
-                hotspot: dd,
-            };
             writer.append(&trip)?;
             trips += 1;
-            if od == dd {
+            if od == trip.hotspot {
                 intra += 1;
             } else {
                 inter += 1;
@@ -312,36 +267,20 @@ impl Megacity {
         })
     }
 
-    /// Normalize a coordinate into `[0, 1]²` (network bounding box).
-    pub fn unit_coord(&self, p: &Point) -> [f32; 2] {
-        [
-            ((p.x - self.bb_min.x) / (self.bb_max.x - self.bb_min.x)) as f32,
-            ((p.y - self.bb_min.y) / (self.bb_max.y - self.bb_min.y)) as f32,
-        ]
-    }
-
     /// The traffic-tensor slot a start time falls into, clamped into
-    /// `[0, n_slots)`.
+    /// `[0, n_slots)` by the shared slot rule (each clamp counted in
+    /// `sim.slot_of.clamped`).
     pub fn slot_of(&self, t: f64, n_slots: usize) -> usize {
-        if !t.is_finite() || t < 0.0 {
-            return 0;
-        }
-        ((t / SLOT_SECS).floor() as usize).min(n_slots - 1)
+        world::slot_of(t, n_slots)
     }
 
-    /// Build a training [`Example`] from a streamed trip, sharing the
-    /// per-slot tensors produced by [`SlotObs::tensors`]. `None` when the
-    /// route fails adjacency validation (cannot happen for trips this world
-    /// generated, but the store is an external input).
+    /// Build a training [`Example`] from a streamed trip with the shared
+    /// trip-to-example path, sharing the per-slot tensors produced by
+    /// [`SlotObs::tensors`]. `None` (counted in `sim.example.dropped`) when
+    /// the route fails adjacency validation: it cannot for trips this world
+    /// generated, but the store is an external input.
     pub fn example(&self, trip: &Trip, tensors: &[Arc<Vec<f32>>]) -> Option<Example> {
-        let slot = self.slot_of(trip.start_time, tensors.len());
-        Example::new(
-            &self.net,
-            trip.route.clone(),
-            self.unit_coord(&trip.dest_coord),
-            tensors[slot].clone(),
-            slot,
-        )
+        world::example(&self.net, &self.bbox, trip, tensors)
     }
 }
 
@@ -390,79 +329,6 @@ fn district_of(cfg: &MegacityConfig, bb_min: &Point, bb_max: &Point, p: &Point) 
     let dx = ((fx * cfg.districts_x as f64) as usize).min(cfg.districts_x - 1);
     let dy = ((fy * cfg.districts_y as f64) as usize).min(cfg.districts_y - 1);
     dy * cfg.districts_x + dx
-}
-
-/// Incremental per-slot traffic observation accumulator — the streaming
-/// twin of [`TrafficGrid::tensor_from_observations`], same mean/normalize
-/// arithmetic, but fed one GPS point at a time.
-pub struct SlotObs {
-    n_cells: usize,
-    n_slots: usize,
-    sum: Vec<f64>,
-    count: Vec<u32>,
-}
-
-impl SlotObs {
-    /// Accumulator covering `horizon` seconds of slots on `grid`.
-    pub fn new(grid: &TrafficGrid, horizon: f64) -> Self {
-        let n_slots = (horizon / SLOT_SECS).ceil() as usize + 1;
-        let n_cells = grid.len();
-        Self {
-            n_cells,
-            n_slots,
-            sum: vec![0.0; n_cells * n_slots],
-            count: vec![0; n_cells * n_slots],
-        }
-    }
-
-    /// Number of slots covered.
-    pub fn num_slots(&self) -> usize {
-        self.n_slots
-    }
-
-    /// Record one observation: a point at time `t` is visible to every slot
-    /// whose look-back window `[slot·SLOT − Δ, slot·SLOT)` contains `t`
-    /// (same visibility rule as the in-memory dataset builder).
-    pub fn record(&mut self, grid: &TrafficGrid, p: &Point, t: f64, speed: f64) {
-        let Some(cell) = grid.cell_of(p) else {
-            return;
-        };
-        if !t.is_finite() || t < 0.0 {
-            return;
-        }
-        let first = (t / SLOT_SECS).floor() as usize + 1;
-        let last = (((t + WINDOW_SECS) / SLOT_SECS).floor() as usize).min(self.n_slots - 1);
-        if first > last {
-            return;
-        }
-        for slot in first..=last {
-            let i = slot * self.n_cells + cell;
-            self.sum[i] += speed;
-            self.count[i] += 1;
-        }
-    }
-
-    /// Finalize into shared per-slot tensors (per-cell mean speed over
-    /// `max_speed`, 0 where unobserved), ready for [`Example`] building.
-    pub fn tensors(&self, max_speed: f64) -> Vec<Arc<Vec<f32>>> {
-        (0..self.n_slots)
-            .map(|slot| {
-                let base = slot * self.n_cells;
-                Arc::new(
-                    (0..self.n_cells)
-                        .map(|c| {
-                            let n = self.count[base + c];
-                            if n == 0 {
-                                0.0
-                            } else {
-                                ((self.sum[base + c] / n as f64) / max_speed).min(2.0) as f32
-                            }
-                        })
-                        .collect(),
-                )
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -340,31 +340,6 @@ impl TrafficGrid {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Build the observed traffic tensor from `(position, speed m/s)`
-    /// samples: per-cell average speed, normalized by `max_speed`, 0 where
-    /// unobserved. Row-major `[height × width]`, suitable for a `[1, H, W]`
-    /// CNN input.
-    pub fn tensor_from_observations(&self, samples: &[(Point, f64)], max_speed: f64) -> Vec<f32> {
-        let mut sum = vec![0.0f64; self.len()];
-        let mut count = vec![0u32; self.len()];
-        for (p, speed) in samples {
-            if let Some(c) = self.cell_of(p) {
-                sum[c] += *speed;
-                count[c] += 1;
-            }
-        }
-        sum.iter()
-            .zip(&count)
-            .map(|(&s, &c)| {
-                if c == 0 {
-                    0.0
-                } else {
-                    ((s / c as f64) / max_speed).min(2.0) as f32
-                }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -544,19 +519,6 @@ mod tests {
         assert!(g.cell_of(&inside).is_some());
         let outside = Point::new(max.x + 10_000.0, max.y);
         assert!(g.cell_of(&outside).is_none());
-    }
-
-    #[test]
-    fn tensor_averages_and_normalizes() {
-        let net = city();
-        let g = TrafficGrid::new(&net, 4, 4);
-        let p = net.midpoint(0);
-        let tensor = g.tensor_from_observations(&[(p, 5.0), (p, 15.0)], 20.0);
-        let c = g.cell_of(&p).unwrap();
-        assert!((tensor[c] - 0.5).abs() < 1e-6);
-        // unobserved cells are zero
-        let zeros = tensor.iter().filter(|&&v| v == 0.0).count();
-        assert!(zeros >= 14);
     }
 }
 

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use st_roadnet::{Point, RoadNetwork, Route, SegmentId};
 
-use crate::traffic::TrafficModel;
+use crate::traffic::{TrafficModel, DAY_SECS};
 
 /// One GPS sample `⟨p, τ⟩` (plus the device-reported instantaneous speed,
 /// which real GPS units provide and which the traffic tensors are built
@@ -133,6 +133,29 @@ pub(crate) fn gauss(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen::<f64>();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
+/// `p` scattered by isotropic Gaussian noise of `sigma` (x drawn first).
+pub(crate) fn jitter(p: &Point, sigma: f64, rng: &mut StdRng) -> Point {
+    Point::new(p.x + gauss(rng) * sigma, p.y + gauss(rng) * sigma)
+}
+
+/// Diurnal start-time sampler: uniform day, hours drawn from a mixture with
+/// morning/evening peaks. Cities and megacities draw trip starts from it.
+pub(crate) fn sample_start_time(horizon: f64, rng: &mut StdRng) -> f64 {
+    let days = (horizon / DAY_SECS).floor().max(1.0);
+    let day = rng.gen_range(0..days as usize) as f64;
+    let hour = loop {
+        let h: f64 = match rng.gen_range(0..3) {
+            0 => 8.0 + gauss(rng) * 1.5,   // morning peak
+            1 => 18.0 + gauss(rng) * 1.8,  // evening peak
+            _ => rng.gen_range(6.0..23.0), // background
+        };
+        if (0.0..24.0).contains(&h) {
+            break h;
+        }
+    };
+    (day * DAY_SECS + hour * 3600.0).min(horizon - 1.0)
 }
 
 /// A destination hotspot: trips gravitate toward a small set of popular
