@@ -3,7 +3,7 @@
 use std::cell::{Cell, RefCell};
 
 use st_core::livetraffic::{
-    ApplyOutcome, CacheCounts, TrafficCache, TrafficEvent, VersionedTraffic,
+    bind_traffic, ApplyOutcome, CacheCounts, TrafficCache, TrafficEvent, VersionedTraffic,
 };
 use st_core::{CancelToken, DeepSt};
 use st_roadnet::{RoadNetwork, Route};
@@ -105,16 +105,13 @@ impl DeepStPredictor {
         if !self.model.cfg.use_traffic {
             return None;
         }
-        let live = self.live.borrow();
-        let version = live.slot_version(q.slot_id);
-        // The live tensor supersedes the query's frozen snapshot once the
-        // feed has revised this slot.
-        let tensor = live.tensor(q.slot_id).unwrap_or(q.traffic);
-        Some(
-            self.traffic_cache
-                .borrow_mut()
-                .get_or_encode(q.slot_id, version, || self.model.encode_traffic(tensor)),
-        )
+        Some(bind_traffic(
+            &self.model,
+            &self.live.borrow(),
+            &mut self.traffic_cache.borrow_mut(),
+            q.slot_id,
+            q.traffic,
+        ))
     }
 }
 

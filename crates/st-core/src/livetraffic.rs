@@ -24,6 +24,9 @@
 //!   `(slot, version)`. A version bump evicts exactly the changed slot —
 //!   never a full flush — observable via the
 //!   `predict.traffic_cache.{hit,miss,invalidate}` counters.
+//! - [`bind_traffic`] — the one rule by which a decode binds its traffic
+//!   context to the live state, shared by the predictor and the serving
+//!   engine.
 //!
 //! Feed-application outcomes are observable via the
 //! `traffic.feed.{applied,duplicate,out_of_order,past_horizon}` counters.
@@ -33,6 +36,8 @@
 use std::collections::BTreeMap;
 
 use st_tensor::Array;
+
+use crate::model::DeepSt;
 
 /// What kind of ground-truth change produced a [`TrafficEvent`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -223,6 +228,25 @@ impl VersionedTraffic {
     }
 }
 
+/// The traffic latent `C` a decode starting now binds to. The live tensor
+/// of `slot` replaces `snapshot`, the caller's frozen copy, once the feed
+/// has revised the slot, and it is encoded through `cache` at
+/// `(slot, live.slot_version(slot))`. A slot the feed never touched is at
+/// version 0 and encodes `snapshot`, exactly as a deployment without a
+/// feed would.
+pub fn bind_traffic(
+    model: &DeepSt,
+    live: &VersionedTraffic,
+    cache: &mut TrafficCache,
+    slot: usize,
+    snapshot: &[f32],
+) -> Array {
+    let tensor = live.tensor(slot).unwrap_or(snapshot);
+    cache.get_or_encode(slot, live.slot_version(slot), || {
+        model.encode_traffic(tensor)
+    })
+}
+
 /// One cached slot encoding.
 #[derive(Debug)]
 struct CacheEntry {
@@ -373,6 +397,15 @@ impl TrafficCache {
 mod tests {
     use super::*;
 
+    /// Held by the tests that assert deltas of the process-wide
+    /// `traffic.feed.*` counters and by the property test, whose deliveries
+    /// move every one of them.
+    static FEED_COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn feed_counters() -> std::sync::MutexGuard<'static, ()> {
+        FEED_COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn ev(seq: u64, slot: usize, fill: f32) -> TrafficEvent {
         TrafficEvent {
             seq,
@@ -413,6 +446,7 @@ mod tests {
 
     #[test]
     fn duplicate_and_out_of_order_events_are_rejected() {
+        let _counters = feed_counters();
         let mut vt = VersionedTraffic::new();
         let d0 = st_obs::counter("traffic.feed.duplicate").get();
         let o0 = st_obs::counter("traffic.feed.out_of_order").get();
@@ -430,6 +464,7 @@ mod tests {
 
     #[test]
     fn past_horizon_events_are_rejected_not_clamped() {
+        let _counters = feed_counters();
         let mut vt = VersionedTraffic::with_horizon(10);
         let p0 = st_obs::counter("traffic.feed.past_horizon").get();
         assert_eq!(vt.apply(&ev(1, 10, 0.3)), ApplyOutcome::PastHorizon);
@@ -446,6 +481,82 @@ mod tests {
         e.kind = TrafficEventKind::Closure { segment: 42 };
         assert!(vt.apply(&e).is_applied());
         assert_eq!(vt.closed_segments(), vec![42]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// At-least-once delivery in any order ends in the state a reference
+        /// model computes without `apply`. The stream has strictly
+        /// increasing `seq`, slots in `0..horizon + 2` (two slots past the
+        /// horizon) and some closures; every event is delivered 1–3 times
+        /// and the deliveries are shuffled.
+        #[test]
+        fn any_delivery_order_matches_reference_model(
+            seed in 0u64..1_000_000,
+            horizon in 1usize..6,
+            n_events in 1usize..40,
+        ) {
+            use rand::seq::SliceRandom;
+            use rand::{Rng, SeedableRng};
+            use std::collections::BTreeSet;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut seq = 0u64;
+            let stream: Vec<TrafficEvent> = (0..n_events)
+                .map(|_| {
+                    seq += rng.gen_range(1u64..=3);
+                    let kind = if rng.gen_bool(0.3) {
+                        TrafficEventKind::Closure { segment: rng.gen_range(0usize..8) }
+                    } else {
+                        TrafficEventKind::Observation
+                    };
+                    TrafficEvent {
+                        seq,
+                        time: seq as f64,
+                        slot: rng.gen_range(0..horizon + 2),
+                        kind,
+                        tensor: vec![seq as f32; 3],
+                    }
+                })
+                .collect();
+            let mut delivered: Vec<&TrafficEvent> = stream
+                .iter()
+                .flat_map(|e| std::iter::repeat_n(e, rng.gen_range(1usize..=3)))
+                .collect();
+            delivered.shuffle(&mut rng);
+
+            let _counters = feed_counters();
+            let mut vt = VersionedTraffic::with_horizon(horizon);
+            let mut applied = 0u64;
+            for e in &delivered {
+                let outcome = vt.apply(e);
+                proptest::prop_assert_eq!(outcome == ApplyOutcome::PastHorizon, e.slot >= horizon);
+                applied += outcome.is_applied() as u64;
+            }
+
+            // The reference: per slot below the horizon, the delivered event
+            // with the highest seq; the segments of delivered closures below
+            // the horizon.
+            let mut newest: BTreeMap<usize, &TrafficEvent> = BTreeMap::new();
+            let mut closed = BTreeSet::new();
+            for &e in delivered.iter().filter(|e| e.slot < horizon) {
+                let best = newest.entry(e.slot).or_insert(e);
+                if e.seq > best.seq {
+                    *best = e;
+                }
+                if let TrafficEventKind::Closure { segment } = e.kind {
+                    closed.insert(segment);
+                }
+            }
+            proptest::prop_assert_eq!(vt.version(), applied);
+            proptest::prop_assert_eq!(vt.touched_slots(), newest.len());
+            for slot in 0..horizon + 2 {
+                let want = newest.get(&slot);
+                proptest::prop_assert_eq!(vt.tensor(slot), want.map(|e| e.tensor.as_slice()));
+                proptest::prop_assert_eq!(vt.last_seq(slot), want.map(|e| e.seq));
+            }
+            proptest::prop_assert_eq!(vt.closed_segments(), closed.into_iter().collect::<Vec<_>>());
+        }
     }
 
     /// Counts are asserted on the cache itself: other tests in this binary

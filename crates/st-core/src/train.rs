@@ -353,17 +353,9 @@ pub struct TrainConfig {
     /// Resume [`Trainer::fit`] from this checkpoint if the file exists;
     /// a missing file starts fresh, a corrupt one is an error.
     pub resume_from: Option<PathBuf>,
-    /// Rolling window of recent batch losses used by the divergence
-    /// detector (batches).
-    pub divergence_window: usize,
-    /// A batch loss above `divergence_factor ×` the rolling-window median
-    /// counts as divergence.
-    pub divergence_factor: f32,
     /// Maximum divergence rollbacks across the whole run before
     /// [`Trainer::fit`] gives up with [`TrainError::RollbackLimit`].
     pub max_rollbacks: u32,
-    /// Learning-rate multiplier applied on each rollback.
-    pub lr_backoff: f32,
 }
 
 impl Default for TrainConfig {
@@ -379,13 +371,18 @@ impl Default for TrainConfig {
             checkpoint_path: None,
             checkpoint_every: 1,
             resume_from: None,
-            divergence_window: 8,
-            divergence_factor: 10.0,
             max_rollbacks: 3,
-            lr_backoff: 0.5,
         }
     }
 }
+
+/// Stepped batch losses in the divergence detector's rolling window.
+const DIVERGENCE_WINDOW: usize = 8;
+/// A batch loss above this multiple of the rolling-window median counts as
+/// divergence.
+const DIVERGENCE_FACTOR: f32 = 10.0;
+/// Learning-rate multiplier applied on each rollback.
+const LR_BACKOFF: f32 = 0.5;
 
 /// A structured occurrence during a [`Trainer::fit`] run, recorded in
 /// [`TrainHistory::events`] in the order it happened.
@@ -801,12 +798,12 @@ impl<M: TrainModel> Trainer<M> {
     ///   epochs, and [`TrainConfig::resume_from`] continues from one
     ///   **bit-identically**: N epochs equal k epochs, a resume and N−k
     ///   more, parameter for parameter;
-    /// - a non-finite batch loss or gradient norm, a loss above
-    ///   [`TrainConfig::divergence_factor`] × the rolling-window median, or
-    ///   an unrecoverable worker failure aborts the epoch before its step;
-    ///   the trainer restores the state of the last epoch boundary, scales
-    ///   the learning rate by [`TrainConfig::lr_backoff`] and retries, at
-    ///   most [`TrainConfig::max_rollbacks`] times per run;
+    /// - a non-finite batch loss or gradient norm, a loss above 10 × the
+    ///   median of the last 8 stepped batch losses, or an unrecoverable
+    ///   worker failure aborts the epoch before its step; the trainer
+    ///   restores the state of the last epoch boundary, halves the
+    ///   learning rate and retries, at most [`TrainConfig::max_rollbacks`]
+    ///   times per run;
     /// - a panicked shard worker is retried serially with the shard's own
     ///   seed (bit-identical on success).
     ///
@@ -875,7 +872,7 @@ impl<M: TrainModel> Trainer<M> {
                     // Read the LR *before* restoring: repeated rollbacks must
                     // compound the backoff, not re-derive it from the
                     // snapshot's original LR every time.
-                    let new_lr = (self.opt.lr() * self.cfg.lr_backoff).max(f32::MIN_POSITIVE);
+                    let new_lr = (self.opt.lr() * LR_BACKOFF).max(f32::MIN_POSITIVE);
                     self.restore_state(&good, rng);
                     self.opt.set_lr(new_lr);
                     push_event(
@@ -1030,11 +1027,13 @@ impl<M: TrainModel> Trainer<M> {
         if !loss.is_finite() {
             return rejected("nonfinite_loss", "non-finite batch loss", loss);
         }
-        let window = self.cfg.divergence_window.max(1);
-        if let Some(g) = guard.as_deref().filter(|g| g.window.len() == window) {
+        if let Some(g) = guard
+            .as_deref()
+            .filter(|g| g.window.len() == DIVERGENCE_WINDOW)
+        {
             let mut sorted: Vec<f32> = g.window.iter().copied().collect();
             sorted.sort_by(f32::total_cmp);
-            let (median, factor) = (sorted[window / 2], self.cfg.divergence_factor);
+            let (median, factor) = (sorted[DIVERGENCE_WINDOW / 2], DIVERGENCE_FACTOR);
             if loss > factor * median.abs().max(1e-3) {
                 let reason = format!("loss spike: {loss} > {factor} × rolling median {median}");
                 return rejected("loss_spike", reason, loss);
@@ -1073,7 +1072,7 @@ impl<M: TrainModel> Trainer<M> {
         acc.g_loss.set(loss as f64);
         self.opt.step(&params);
         if let Some(g) = guard {
-            if g.window.len() == window {
+            if g.window.len() == DIVERGENCE_WINDOW {
                 g.window.pop_front();
             }
             g.window.push_back(loss);
@@ -1130,7 +1129,7 @@ struct EpochAcc {
 /// the loss-spike window and the event log.
 struct Guard<'a> {
     epoch: usize,
-    /// The last [`TrainConfig::divergence_window`] stepped batch losses.
+    /// The last [`DIVERGENCE_WINDOW`] stepped batch losses.
     window: VecDeque<f32>,
     events: &'a mut Vec<TrainEvent>,
     /// The minibatch that ended the epoch early, and why.

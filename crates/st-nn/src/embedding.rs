@@ -174,7 +174,7 @@ impl Module for Embedding {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use st_tensor::optim::{Optimizer, Sgd};
+    use st_tensor::optim::{Adam, Optimizer};
     use st_tensor::{Array, Tape};
 
     #[test]
@@ -210,7 +210,7 @@ mod tests {
         let loss = ops::sum_all(ops::square(out));
         let grads = tape.backward(loss);
         b.accumulate_grads(&grads);
-        let mut opt = Sgd::new(0.5);
+        let mut opt = Adam::new(0.5);
         opt.step(&e.params());
         let after = e.table.to_dense();
         for r in 0..5 {

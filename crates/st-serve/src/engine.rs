@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use st_baselines::BeamSearch;
 use st_core::faultinject::ServeFaultInjector;
-use st_core::livetraffic::{TrafficCache, VersionedTraffic};
+use st_core::livetraffic::{bind_traffic, TrafficCache, VersionedTraffic};
 use st_core::model::DeepSt;
 use st_core::predict::InferSession;
 use st_roadnet::{RoadNetwork, SegmentId};
@@ -189,18 +189,10 @@ impl<'m> Engine<'m> {
             ..
         } = job;
         let traffic_version = live.slot_version(req.slot_id);
-        let c = req.traffic.as_ref().map(|t| {
-            // The live tensor supersedes the request's frozen snapshot once
-            // the feed has revised this slot; version 0 (feed-untouched)
-            // falls back to the request tensor, matching the pre-streaming
-            // behaviour exactly.
-            let tensor: &[f32] = live.tensor(req.slot_id).unwrap_or(t);
-            let model = self.model;
-            self.traffic_cache
-                .get_or_encode(req.slot_id, traffic_version, || {
-                    model.encode_traffic(tensor)
-                })
-        });
+        let c = req
+            .traffic
+            .as_deref()
+            .map(|t| bind_traffic(self.model, live, &mut self.traffic_cache, req.slot_id, t));
         let ctx = self.model.encode_context(req.dest_norm, c);
         let trip = self.sess.add_trip(self.model.trip_terms(&ctx));
         let mut beam = BeamSearch::new(

@@ -52,8 +52,6 @@ pub struct ServeConfig {
     pub default_deadline: Duration,
     /// Beam width for full-quality responses.
     pub beam_width: usize,
-    /// Beam width under `ReducedBeam` degradation.
-    pub degraded_beam_width: usize,
     /// Queue depth at which admission downshifts to `ReducedBeam`.
     pub degrade_queue_depth: usize,
     /// Queue depth at which admission downshifts to `Greedy`.
@@ -83,7 +81,6 @@ impl Default for ServeConfig {
             max_batch_rows: 64,
             default_deadline: Duration::from_secs(2),
             beam_width: 8,
-            degraded_beam_width: 3,
             degrade_queue_depth: 16,
             greedy_queue_depth: 32,
             degrade_p99_ms: 250.0,
@@ -95,6 +92,8 @@ impl Default for ServeConfig {
     }
 }
 
+/// Beam width under `ReducedBeam` degradation.
+const DEGRADED_BEAM_WIDTH: usize = 3;
 /// Completed-request latencies kept for the trailing p99 estimate.
 const LATENCY_WINDOW: usize = 512;
 /// Idle workers re-check the queue at this period even without a wakeup, so
@@ -141,7 +140,7 @@ fn decide_degradation(cfg: &ServeConfig, queue_depth: usize, p99: f64) -> (Degra
     if queue_depth >= cfg.greedy_queue_depth || p99 > cfg.greedy_p99_ms {
         (Degradation::Greedy, 1)
     } else if queue_depth >= cfg.degrade_queue_depth || p99 > cfg.degrade_p99_ms {
-        (Degradation::ReducedBeam, cfg.degraded_beam_width.max(1))
+        (Degradation::ReducedBeam, DEGRADED_BEAM_WIDTH)
     } else {
         (Degradation::None, cfg.beam_width)
     }
@@ -525,7 +524,7 @@ mod tests {
         );
         assert_eq!(
             decide_degradation(&cfg, cfg.degrade_queue_depth, 0.0),
-            (Degradation::ReducedBeam, cfg.degraded_beam_width)
+            (Degradation::ReducedBeam, DEGRADED_BEAM_WIDTH)
         );
         assert_eq!(
             decide_degradation(&cfg, cfg.greedy_queue_depth, 0.0),
@@ -537,7 +536,7 @@ mod tests {
         );
         assert_eq!(
             decide_degradation(&cfg, 0, cfg.degrade_p99_ms + 1.0),
-            (Degradation::ReducedBeam, cfg.degraded_beam_width)
+            (Degradation::ReducedBeam, DEGRADED_BEAM_WIDTH)
         );
     }
 }

@@ -5,30 +5,17 @@
 //! three `Conv2d → BatchNorm2d → LeakyReLU` blocks followed by average
 //! pooling; batch-norm is composed from the per-channel primitives below so
 //! its backward pass comes for free from the tape.
+//!
+//! `conv2d`, `avg_pool_global`, `channel_affine`, `sub_channel` and
+//! `mul_channel` compute their values with their [`crate::infer`] kernels,
+//! so training and the traffic encoder of the decode path share one
+//! forward definition of each.
 
 use std::rc::Rc;
 
 use crate::array::Array;
+use crate::infer::{self, dims4, idx4, ScratchArena};
 use crate::tape::{OpMeta, Var};
-
-fn dims4(a: &Array) -> (usize, usize, usize, usize) {
-    assert_eq!(a.ndim(), 4, "expected NCHW, got {:?}", a.shape());
-    let s = a.shape();
-    (s[0], s[1], s[2], s[3])
-}
-
-#[inline]
-fn idx4(
-    c_stride: usize,
-    h_stride: usize,
-    w_stride: usize,
-    n: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-) -> usize {
-    n * c_stride + c * h_stride + h * w_stride + w
-}
 
 /// 2-D convolution with stride and zero padding.
 ///
@@ -43,59 +30,16 @@ pub fn conv2d<'t>(
 ) -> Var<'t> {
     #[cfg(feature = "kernel-timing")]
     let _kt = crate::ktime::timer(crate::ktime::Kernel::Conv2d);
-    assert!(stride >= 1, "stride must be >= 1");
     let xv = input.value();
     let kv = kernel.value();
     let bv = bias.value();
+    let out = infer::conv2d(&mut ScratchArena::new(), &xv, &kv, &bv, stride, pad);
     let (n, c, h, w) = dims4(&xv);
-    let (o, ck, kh, kw) = dims4(&kv);
-    assert_eq!(c, ck, "conv2d channel mismatch: input {c}, kernel {ck}");
-    assert_eq!(bv.len(), o, "conv2d bias length");
-    assert!(
-        h + 2 * pad >= kh && w + 2 * pad >= kw,
-        "conv2d kernel larger than padded input"
-    );
-    let oh = (h + 2 * pad - kh) / stride + 1;
-    let ow = (w + 2 * pad - kw) / stride + 1;
-
-    let mut out = Array::zeros(&[n, o, oh, ow]);
+    let (o, _, kh, kw) = dims4(&kv);
+    let (oh, ow) = (out.shape()[2], out.shape()[3]);
     let (xc, xh, xw) = (c * h * w, h * w, w);
     let (koc, kcc, khh) = (c * kh * kw, kh * kw, kw);
     let (yc, yh, yw) = (o * oh * ow, oh * ow, ow);
-    {
-        let xd = xv.data();
-        let kd = kv.data();
-        let bd = bv.data();
-        let yd = out.data_mut();
-        for ni in 0..n {
-            for oi in 0..o {
-                for yi in 0..oh {
-                    for xi_ in 0..ow {
-                        let mut acc = bd[oi];
-                        let h0 = yi * stride;
-                        let w0 = xi_ * stride;
-                        for ci in 0..c {
-                            for ki in 0..kh {
-                                let ih = h0 + ki;
-                                if ih < pad || ih - pad >= h {
-                                    continue;
-                                }
-                                for kj in 0..kw {
-                                    let iw = w0 + kj;
-                                    if iw < pad || iw - pad >= w {
-                                        continue;
-                                    }
-                                    acc += xd[idx4(xc, xh, xw, ni, ci, ih - pad, iw - pad)]
-                                        * kd[idx4(koc, kcc, khh, oi, ci, ki, kj)];
-                                }
-                            }
-                        }
-                        yd[idx4(yc, yh, yw, ni, oi, yi, xi_)] = acc;
-                    }
-                }
-            }
-        }
-    }
 
     let (xid, kid, bid) = (input.id(), kernel.id(), bias.id());
     input.tape().push(
@@ -152,16 +96,9 @@ pub fn conv2d<'t>(
 /// Global average pooling: `[N, C, H, W] → [N, C]`.
 pub fn avg_pool_global(input: Var<'_>) -> Var<'_> {
     let xv = input.value();
+    let out = infer::avg_pool_global(&mut ScratchArena::new(), &xv);
     let (n, c, h, w) = dims4(&xv);
     let area = (h * w) as f32;
-    let mut out = Array::zeros(&[n, c]);
-    for ni in 0..n {
-        for ci in 0..c {
-            let base = ni * c * h * w + ci * h * w;
-            let s: f32 = xv.data()[base..base + h * w].iter().sum();
-            out.data_mut()[ni * c + ci] = s / area;
-        }
-    }
     let xid = input.id();
     input.tape().push(
         out,
@@ -217,23 +154,9 @@ pub fn channel_mean(input: Var<'_>) -> Var<'_> {
 pub fn channel_affine<'t>(input: Var<'t>, scale: Var<'t>, shift: Var<'t>) -> Var<'t> {
     let xv = input.value();
     let sv = scale.value();
-    let bv = shift.value();
+    let mut out = (*xv).clone();
+    infer::channel_affine_mut(&mut out, &sv, &shift.value());
     let (n, c, h, w) = dims4(&xv);
-    assert_eq!(sv.len(), c, "channel_affine scale length");
-    assert_eq!(bv.len(), c, "channel_affine shift length");
-    let mut out = Array::zeros(&[n, c, h, w]);
-    for ni in 0..n {
-        for ci in 0..c {
-            let (s, b) = (sv.data()[ci], bv.data()[ci]);
-            let base = ni * c * h * w + ci * h * w;
-            for (o, &x) in out.data_mut()[base..base + h * w]
-                .iter_mut()
-                .zip(&xv.data()[base..base + h * w])
-            {
-                *o = x * s + b;
-            }
-        }
-    }
     let (xid, sid, bid) = (input.id(), scale.id(), shift.id());
     let sv2 = Rc::clone(&sv);
     input.tape().push(
@@ -265,20 +188,9 @@ pub fn channel_affine<'t>(input: Var<'t>, scale: Var<'t>, shift: Var<'t>) -> Var
 
 /// Subtract a per-channel vector: `out[n,c,·] = input[n,c,·] − v[c]`.
 pub fn sub_channel<'t>(input: Var<'t>, v: Var<'t>) -> Var<'t> {
-    let xv = input.value();
-    let vv = v.value();
-    let (n, c, h, w) = dims4(&xv);
-    assert_eq!(vv.len(), c);
-    let mut out = (*xv).clone();
-    for ni in 0..n {
-        for ci in 0..c {
-            let m = vv.data()[ci];
-            let base = ni * c * h * w + ci * h * w;
-            for o in &mut out.data_mut()[base..base + h * w] {
-                *o -= m;
-            }
-        }
-    }
+    let mut out = (*input.value()).clone();
+    infer::sub_channel_mut(&mut out, &v.value());
+    let (n, c, h, w) = dims4(&out);
     let (xid, vid) = (input.id(), v.id());
     input.tape().push(
         out,
@@ -300,18 +212,9 @@ pub fn sub_channel<'t>(input: Var<'t>, v: Var<'t>) -> Var<'t> {
 pub fn mul_channel<'t>(input: Var<'t>, v: Var<'t>) -> Var<'t> {
     let xv = input.value();
     let vv = v.value();
-    let (n, c, h, w) = dims4(&xv);
-    assert_eq!(vv.len(), c);
     let mut out = (*xv).clone();
-    for ni in 0..n {
-        for ci in 0..c {
-            let m = vv.data()[ci];
-            let base = ni * c * h * w + ci * h * w;
-            for o in &mut out.data_mut()[base..base + h * w] {
-                *o *= m;
-            }
-        }
-    }
+    infer::mul_channel_mut(&mut out, &vv);
+    let (n, c, h, w) = dims4(&xv);
     let (xid, vid) = (input.id(), v.id());
     input.tape().push(
         out,

@@ -4,11 +4,15 @@
 //! not. Route decoding runs the model forward thousands of times per query,
 //! and recording an autodiff graph for each step costs tape nodes, backward
 //! closures and `Rc` traffic that are thrown away immediately. This module
-//! is the forward path split out of autodiff: every kernel here computes
-//! **exactly** the same f32 arithmetic, in the same order, as its taped
-//! counterpart in [`crate::ops`] / [`crate::conv`] — decoders built on it
-//! produce bit-identical routes — but records nothing and, in steady state,
-//! allocates nothing.
+//! is the forward path split out of autodiff, and its kernels are the one
+//! forward definition of their ops: the taped [`crate::ops`] and
+//! [`crate::conv`] ops with a kernel here (affine, bias add, the gathers,
+//! softmax, log-softmax, conv2d, pooling and the channel ops) call it for
+//! their values, and the rest share its arithmetic (the packed GEMM, the
+//! [`crate::mathfn`] activations). Decoders built on it produce
+//! bit-identical routes (the parity suites check each layer's composition
+//! of these kernels against its taped forward) but record nothing and, in
+//! steady state, allocate nothing.
 //!
 //! # Scratch arena
 //!
@@ -139,7 +143,7 @@ fn dims2(a: &Array) -> (usize, usize) {
     (a.shape()[0], a.shape()[1])
 }
 
-fn dims4(a: &Array) -> (usize, usize, usize, usize) {
+pub(crate) fn dims4(a: &Array) -> (usize, usize, usize, usize) {
     assert_eq!(a.ndim(), 4, "expected NCHW, got {:?}", a.shape());
     let s = a.shape();
     (s[0], s[1], s[2], s[3])
@@ -157,8 +161,8 @@ pub fn matmul(arena: &mut ScratchArena, a: &Array, b: &Array) -> Array {
     out
 }
 
-/// Fused affine map `x(n×k) · w(k×d) + bias[d]`, mirroring
-/// [`crate::ops::affine`] (GEMM, then bias added row-wise).
+/// Fused affine map `x(n×k) · w(k×d) + bias[d]` (GEMM, then bias added
+/// row-wise): the value of the taped [`crate::ops::affine`].
 pub fn affine(arena: &mut ScratchArena, x: &Array, w: &Array, bias: &Array) -> Array {
     let mut y = matmul(arena, x, w);
     add_bias_rows(&mut y, bias.data());
@@ -167,7 +171,8 @@ pub fn affine(arena: &mut ScratchArena, x: &Array, w: &Array, bias: &Array) -> A
 
 /// Row-broadcast bias add `y[r, ·] += bias`, dispatched to the AVX2+FMA
 /// build when available (the scalar and SIMD builds run identical
-/// arithmetic, so results match bit-for-bit either way).
+/// arithmetic, so results match bit-for-bit either way). The taped
+/// [`crate::ops::add_bias`] computes its value with it.
 pub fn add_bias_rows(y: &mut Array, bias: &[f32]) {
     let (m, n) = dims2(y);
     assert_eq!(
@@ -233,13 +238,14 @@ pub fn leaky_relu_mut(a: &mut Array, slope: f32) {
     }
 }
 
-/// In-place row-wise softmax, mirroring [`crate::ops::softmax_into`]:
-/// per row, exponentials of `x − max` are summed then divided through.
+/// In-place row-wise softmax, the value of the taped
+/// [`crate::ops::softmax_rows`]: per row, exponentials of `x − max` are
+/// summed then divided through.
 ///
 /// Dispatched to the AVX2+FMA build; the max scan uses 8-lane partial
 /// maxima (exact — `max` is order-independent) and the divide pass
-/// vectorizes, while the exp/sum stays in the taped sequential order so the
-/// result is bit-identical to the taped op.
+/// vectorizes, while the exp/sum stays sequential, so the scalar and SIMD
+/// builds are bit-identical.
 pub fn softmax_rows_mut(a: &mut Array) {
     let (_, w) = dims2(a);
     #[cfg(target_arch = "x86_64")]
@@ -278,9 +284,10 @@ fn softmax_rows_impl(data: &mut [f32], w: usize) {
     }
 }
 
-/// In-place row-wise log-softmax, mirroring [`crate::ops::log_softmax_rows`]:
-/// `out[j] = x[j] − (max + ln Σ e^{x−max})`. Dispatched like
-/// [`softmax_rows_mut`], with the same bit-identity argument.
+/// In-place row-wise log-softmax, the value of the taped
+/// [`crate::ops::log_softmax_rows`]: `out[j] = x[j] − (max + ln Σ e^{x−max})`.
+/// Dispatched like [`softmax_rows_mut`], with the same bit-identity
+/// argument.
 pub fn log_softmax_rows_mut(a: &mut Array) {
     let (_, w) = dims2(a);
     #[cfg(target_arch = "x86_64")]
@@ -338,7 +345,8 @@ fn row_max(row: &[f32]) -> f32 {
 }
 
 /// Embedding lookup: rows of `table [v, d]` at `indices` →
-/// `[indices.len(), d]` (row copies, as taped).
+/// `[indices.len(), d]` (row copies): the value of the taped
+/// [`crate::ops::gather_rows`].
 pub fn gather_rows(arena: &mut ScratchArena, table: &Array, indices: &[usize]) -> Array {
     let (v, d) = dims2(table);
     let mut y = arena.alloc_uninit(&[indices.len(), d]);
@@ -353,6 +361,7 @@ pub fn gather_rows(arena: &mut ScratchArena, table: &Array, indices: &[usize]) -
 /// ([`BlockedParam`](crate::block::BlockedParam)): row `r` of the output is
 /// row `picks[r].1` of block value `blocks[picks[r].0]`. Row copies, so the
 /// result is bit-identical to [`gather_rows`] over the dense concatenation.
+/// The value of the taped [`crate::ops::gather_rows_blocked`].
 pub fn gather_rows_blocked(
     arena: &mut ScratchArena,
     blocks: &[&Array],
@@ -372,7 +381,7 @@ pub fn gather_rows_blocked(
 }
 
 #[inline]
-fn idx4(
+pub(crate) fn idx4(
     c_stride: usize,
     h_stride: usize,
     w_stride: usize,
@@ -384,9 +393,9 @@ fn idx4(
     n * c_stride + c * h_stride + h * w_stride + w
 }
 
-/// 2-D convolution with stride and zero padding, mirroring
-/// [`crate::conv::conv2d`]'s direct loop (bias-seeded accumulator, same
-/// accumulation order).
+/// 2-D convolution with stride and zero padding: a direct loop over
+/// `(n, o, oh, ow)` whose accumulator starts at the bias and adds the taps
+/// in `(c, kh, kw)` order. The value of the taped [`crate::conv::conv2d`].
 pub fn conv2d(
     arena: &mut ScratchArena,
     input: &Array,
@@ -446,7 +455,7 @@ pub fn conv2d(
     out
 }
 
-/// Global average pooling `[N, C, H, W] → [N, C]`, mirroring
+/// Global average pooling `[N, C, H, W] → [N, C]`: the value of the taped
 /// [`crate::conv::avg_pool_global`].
 pub fn avg_pool_global(arena: &mut ScratchArena, input: &Array) -> Array {
     let (n, c, h, w) = dims4(input);
@@ -462,8 +471,8 @@ pub fn avg_pool_global(arena: &mut ScratchArena, input: &Array) -> Array {
     out
 }
 
-/// In-place per-channel subtraction `x[n,c,·] −= v[c]`, mirroring
-/// [`crate::conv::sub_channel`].
+/// In-place per-channel subtraction `x[n,c,·] −= v[c]`: the value of the
+/// taped [`crate::conv::sub_channel`].
 pub fn sub_channel_mut(x: &mut Array, v: &Array) {
     let (n, c, h, w) = dims4(x);
     assert_eq!(v.len(), c);
@@ -478,7 +487,7 @@ pub fn sub_channel_mut(x: &mut Array, v: &Array) {
     }
 }
 
-/// In-place per-channel scaling `x[n,c,·] *= v[c]`, mirroring
+/// In-place per-channel scaling `x[n,c,·] *= v[c]`: the value of the taped
 /// [`crate::conv::mul_channel`].
 pub fn mul_channel_mut(x: &mut Array, v: &Array) {
     let (n, c, h, w) = dims4(x);
@@ -494,8 +503,8 @@ pub fn mul_channel_mut(x: &mut Array, v: &Array) {
     }
 }
 
-/// In-place per-channel affine `x[n,c,·] = x[n,c,·] · scale[c] + shift[c]`,
-/// mirroring [`crate::conv::channel_affine`].
+/// In-place per-channel affine `x[n,c,·] = x[n,c,·] · scale[c] + shift[c]`:
+/// the value of the taped [`crate::conv::channel_affine`].
 pub fn channel_affine_mut(x: &mut Array, scale: &Array, shift: &Array) {
     let (n, c, h, w) = dims4(x);
     assert_eq!(scale.len(), c, "channel_affine scale length");

@@ -16,7 +16,7 @@
 //! - [`conv`] — Conv2d / pooling / per-channel ops for the traffic CNN.
 //! - [`param`] — persistent [`param::Param`]s and the [`param::Binder`] that
 //!   bridges them onto per-step tapes.
-//! - [`optim`] — SGD and Adam with gradient clipping.
+//! - [`optim`] — Adam with gradient clipping.
 //! - [`init`] — seeded initializers and the Normal/Gumbel samplers used by
 //!   the VAE reparameterizations.
 //! - [`analyze`] — a static graph analyzer: shape dry-runs, gradient-flow
@@ -57,7 +57,7 @@ mod ktime;
 pub mod mathfn;
 /// Differentiable tensor operations recorded on the tape.
 pub mod ops;
-/// Optimizers (SGD, Adam) and gradient clipping.
+/// The Adam optimizer and gradient clipping.
 pub mod optim;
 /// Trainable parameters and the tape binder.
 pub mod param;

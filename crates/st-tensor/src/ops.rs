@@ -4,10 +4,17 @@
 //! closure distributes the incoming gradient to its parents. All backward
 //! implementations are validated against central finite differences in
 //! [`crate::check`]'s test suite.
+//!
+//! `affine`, `add_bias`, `gather_rows`, `gather_rows_blocked`,
+//! `softmax_rows` and `log_softmax_rows` compute their values with their
+//! [`crate::infer`] kernels, so training and decoding share one forward
+//! definition of each. An empty [`crate::infer::ScratchArena`] hands out
+//! the same fresh `Array::zeros` the op would allocate itself.
 
 use std::rc::Rc;
 
 use crate::array::Array;
+use crate::infer::{self, ScratchArena};
 use crate::tape::{OpMeta, Var};
 
 fn same_tape<'t>(a: Var<'t>, b: Var<'t>) {
@@ -235,19 +242,7 @@ pub fn affine<'t>(x: Var<'t>, w: Var<'t>, bias: Var<'t>) -> Var<'t> {
     let xv = x.value();
     let wv = w.value();
     let bv = bias.value();
-    let mut y = xv.matmul(&wv);
-    assert_eq!(
-        y.cols(),
-        bv.len(),
-        "affine: {:?} + bias {:?}",
-        y.shape(),
-        bv.shape()
-    );
-    for r in 0..y.rows() {
-        for (o, &b) in y.row_mut(r).iter_mut().zip(bv.data()) {
-            *o += b;
-        }
-    }
+    let y = infer::affine(&mut ScratchArena::new(), &xv, &wv, &bv);
     let (xid, wid, bid) = (x.id(), w.id(), bias.id());
     x.tape().push(
         y,
@@ -269,22 +264,9 @@ pub fn affine<'t>(x: Var<'t>, w: Var<'t>, bias: Var<'t>) -> Var<'t> {
 /// Add a row vector `bias [d]` to every row of `a [n, d]`.
 pub fn add_bias<'t>(a: Var<'t>, bias: Var<'t>) -> Var<'t> {
     same_tape(a, bias);
-    let av = a.value();
     let bv = bias.value();
-    assert_eq!(
-        av.cols(),
-        bv.len(),
-        "add_bias: {:?} + {:?}",
-        av.shape(),
-        bv.shape()
-    );
-    let mut y = (*av).clone();
-    let n = av.rows();
-    for r in 0..n {
-        for (o, &b) in y.row_mut(r).iter_mut().zip(bv.data()) {
-            *o += b;
-        }
-    }
+    let mut y = (*a.value()).clone();
+    infer::add_bias_rows(&mut y, bv.data());
     let (aid, bid) = (a.id(), bias.id());
     a.tape().push(
         y,
@@ -484,14 +466,7 @@ pub fn slice_cols(a: Var<'_>, start: usize, end: usize) -> Var<'_> {
 /// Embedding lookup: gather rows of `table [v, d]` at `indices`, producing
 /// `[indices.len(), d]`. Backward scatters gradients into the table rows.
 pub fn gather_rows<'t>(table: Var<'t>, indices: &[usize]) -> Var<'t> {
-    let tv = table.value();
-    assert_eq!(tv.ndim(), 2, "gather_rows expects a 2-D table");
-    let (v, d) = (tv.shape()[0], tv.shape()[1]);
-    let mut y = Array::zeros(&[indices.len(), d]);
-    for (r, &ix) in indices.iter().enumerate() {
-        assert!(ix < v, "gather index {ix} out of range {v}");
-        y.row_mut(r).copy_from_slice(tv.row(ix));
-    }
+    let y = infer::gather_rows(&mut ScratchArena::new(), &table.value(), indices);
     let idx = indices.to_vec();
     let tid = table.id();
     table.tape().push(
@@ -522,25 +497,9 @@ pub fn gather_rows<'t>(table: Var<'t>, indices: &[usize]) -> Var<'t> {
 /// parents of this node: they cost no tape value copy and no gradient
 /// buffer.
 pub fn gather_rows_blocked<'t>(blocks: &[Var<'t>], picks: &[(usize, usize)]) -> Var<'t> {
-    assert!(!blocks.is_empty(), "gather_rows_blocked needs >= 1 block");
-    let d = {
-        let b0 = blocks[0].value();
-        assert_eq!(b0.ndim(), 2, "gather_rows_blocked expects 2-D blocks");
-        b0.shape()[1]
-    };
-    let mut y = Array::zeros(&[picks.len(), d]);
-    for (r, &(slot, row)) in picks.iter().enumerate() {
-        assert!(slot < blocks.len(), "block slot {slot} out of range");
-        let bv = blocks[slot].value();
-        assert_eq!(bv.ndim(), 2, "gather_rows_blocked expects 2-D blocks");
-        assert_eq!(bv.shape()[1], d, "block column mismatch");
-        assert!(
-            row < bv.shape()[0],
-            "row {row} out of range {} in block slot {slot}",
-            bv.shape()[0]
-        );
-        y.row_mut(r).copy_from_slice(bv.row(row));
-    }
+    let vals: Vec<Rc<Array>> = blocks.iter().map(|b| b.value()).collect();
+    let refs: Vec<&Array> = vals.iter().map(|v| &**v).collect();
+    let y = infer::gather_rows_blocked(&mut ScratchArena::new(), &refs, picks);
     let ids: Vec<usize> = blocks.iter().map(|b| b.id()).collect();
     let picks_v = picks.to_vec();
     let backward_ids = ids.clone();
@@ -560,13 +519,9 @@ pub fn gather_rows_blocked<'t>(blocks: &[Var<'t>], picks: &[(usize, usize)]) -> 
 
 /// Row-wise softmax of a 2-D var.
 pub fn softmax_rows(a: Var<'_>) -> Var<'_> {
-    let av = a.value();
-    assert_eq!(av.ndim(), 2);
-    let (n, d) = (av.shape()[0], av.shape()[1]);
-    let mut y = Array::zeros(&[n, d]);
-    for r in 0..n {
-        softmax_into(av.row(r), y.row_mut(r));
-    }
+    let mut y = (*a.value()).clone();
+    infer::softmax_rows_mut(&mut y);
+    let n = y.rows();
     let yv = Rc::new(y.clone());
     let aid = a.id();
     a.tape().push(
@@ -588,18 +543,9 @@ pub fn softmax_rows(a: Var<'_>) -> Var<'_> {
 
 /// Row-wise log-softmax of a 2-D var.
 pub fn log_softmax_rows(a: Var<'_>) -> Var<'_> {
-    let av = a.value();
-    assert_eq!(av.ndim(), 2);
-    let (n, d) = (av.shape()[0], av.shape()[1]);
-    let mut y = Array::zeros(&[n, d]);
-    for r in 0..n {
-        let row = av.row(r);
-        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let lse = m + row.iter().map(|&x| (x - m).exp()).sum::<f32>().ln();
-        for (o, &x) in y.row_mut(r).iter_mut().zip(row) {
-            *o = x - lse;
-        }
-    }
+    let mut y = (*a.value()).clone();
+    infer::log_softmax_rows_mut(&mut y);
+    let n = y.rows();
     let yv = Rc::new(y.clone());
     let aid = a.id();
     a.tape().push(
@@ -676,20 +622,6 @@ pub fn mask_rows<'t>(a: Var<'t>, mask: &[f32]) -> Var<'t> {
             }
         })),
     )
-}
-
-/// Softmax over a slice into an output slice (shared helper, not recorded).
-pub fn softmax_into(input: &[f32], out: &mut [f32]) {
-    let m = input.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut z = 0.0;
-    for (o, &x) in out.iter_mut().zip(input) {
-        let e = (x - m).exp();
-        *o = e;
-        z += e;
-    }
-    for o in out.iter_mut() {
-        *o /= z;
-    }
 }
 
 #[cfg(test)]

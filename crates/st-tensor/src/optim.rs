@@ -1,5 +1,5 @@
-//! Optimizers: SGD (with momentum) and Adam, plus global-norm gradient
-//! clipping. The paper trains DeepST with Adam (§V-A).
+//! The Adam optimizer, plus global-norm gradient clipping. The paper trains
+//! DeepST with Adam (§V-A).
 
 use crate::array::Array;
 use crate::param::Param;
@@ -59,73 +59,6 @@ pub trait Optimizer {
     /// Apply one update step. `params` must be the same set, in the same
     /// order, on every call.
     fn step(&mut self, params: &[&Param]);
-}
-
-/// Stochastic gradient descent with optional classical momentum.
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Array>,
-}
-
-impl Sgd {
-    /// Plain SGD with the given learning rate.
-    pub fn new(lr: f32) -> Self {
-        Self::with_momentum(lr, 0.0)
-    }
-
-    /// SGD with classical momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum in [0, 1)");
-        Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Change the learning rate (e.g. for decay schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0);
-        self.lr = lr;
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &[&Param]) {
-        if self.velocity.is_empty() {
-            self.velocity = params
-                .iter()
-                .map(|p| Array::zeros_like(&p.value()))
-                .collect();
-        }
-        assert_eq!(
-            self.velocity.len(),
-            params.len(),
-            "param set changed between steps"
-        );
-        for (p, v) in params.iter().zip(&mut self.velocity) {
-            // An unallocated gradient is an exact zero: decay the velocity
-            // (which may still be nonzero) but skip the vacuous g terms.
-            let g = p.grad().clone();
-            if self.momentum > 0.0 {
-                v.scale_mut(self.momentum);
-                if !g.is_empty() {
-                    v.add_assign(&g);
-                }
-                p.apply_update(-self.lr, v);
-            } else if !g.is_empty() {
-                p.apply_update(-self.lr, &g);
-            }
-            p.zero_grad();
-        }
-    }
 }
 
 /// Adam optimizer (Kingma & Ba, 2014) with bias correction.
@@ -318,28 +251,6 @@ mod tests {
         let loss = ops::sum_all(ops::square(ops::sub(wv, t)));
         let grads = tape.backward(loss);
         b.accumulate_grads(&grads);
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let w = Param::new("w", Array::vector(vec![5.0]));
-        let mut opt = Sgd::new(0.1);
-        for _ in 0..100 {
-            quad_step(&w, 2.0);
-            opt.step(&[&w]);
-        }
-        assert!((w.value().data()[0] - 2.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let w = Param::new("w", Array::vector(vec![-3.0]));
-        let mut opt = Sgd::with_momentum(0.05, 0.9);
-        for _ in 0..200 {
-            quad_step(&w, 1.0);
-            opt.step(&[&w]);
-        }
-        assert!((w.value().data()[0] - 1.0).abs() < 1e-2);
     }
 
     #[test]

@@ -118,11 +118,6 @@ impl Param {
         self.grad_mut().fill_zero();
     }
 
-    /// Apply `value += scale * grad_like` — used by optimizers.
-    pub fn apply_update(&self, scale: f32, update: &Array) {
-        self.value_mut().axpy(scale, update);
-    }
-
     fn grad_mut(&self) -> RwLockWriteGuard<'_, Array> {
         self.grad.write().unwrap_or_else(|e| e.into_inner())
     }
