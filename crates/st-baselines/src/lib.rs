@@ -2,7 +2,7 @@
 //!
 //! - [`mmi::Mmi`] — first-order Markov model.
 //! - [`wsp::Wsp`] — weighted shortest path on historical mean travel times.
-//! - [`rnn::RnnBaseline`] — the vanilla RNN and CSSRNN [7] baselines.
+//! - [`rnn::RnnBaseline`] — the vanilla RNN and CSSRNN \[7\] baselines.
 //! - [`deepst_wrap::DeepStPredictor`] — adapter running DeepST / DeepST-C
 //!   under the common [`predictor::Predictor`] interface.
 

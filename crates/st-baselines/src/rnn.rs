@@ -1,9 +1,9 @@
-//! The neural sequence baselines: vanilla RNN and CSSRNN [7].
+//! The neural sequence baselines: vanilla RNN and CSSRNN \[7\].
 //!
 //! - **RNN** (§V-A): "the vanilla RNN that only takes the initial road
 //!   segment as input … ignoring the impact of both the destination and
 //!   real-time traffic." Next-road logits come from the GRU state alone.
-//! - **CSSRNN** [7]: "assumes the last road segments of the trips are known
+//! - **CSSRNN** \[7\]: "assumes the last road segments of the trips are known
 //!   in advance and learns their representations to help model the spatial
 //!   transition" — a *separate* representation per destination segment (the
 //!   very thing DeepST's K-proxies improve on, §IV-C).

@@ -7,7 +7,7 @@
 //! - **generate** — build the world, then *stream* trips straight into an
 //!   on-disk [`TripStore`]; no `Vec<Trip>` of the whole dataset ever
 //!   exists. The observed-traffic tensors are accumulated incrementally by
-//!   [`SlotObs`] during the same pass.
+//!   [`SlotObs`](st_sim::SlotObs) during the same pass.
 //! - **train** — one bounded mini-epoch of DeepST over
 //!   [`Trainer::train_epoch_stream`], reading minibatches back from the
 //!   store. The embedding table is sharded ([`BLOCK_ROWS`] rows per

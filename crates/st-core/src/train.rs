@@ -238,7 +238,7 @@ pub trait TrainModel: Module + Sync {
 
     /// Statically analyze the training graph this model builds for `batch`:
     /// record one forward pass (no kernels beyond the forward itself, no
-    /// backward) and run the [`st_tensor::analyze`] passes plus the
+    /// backward) and run the [`st_tensor::analyze`](mod@st_tensor::analyze) passes plus the
     /// module-level never-bound-parameter check over the exported spec.
     ///
     /// The pass is side-effect free: it draws noise from a private seeded

@@ -3,7 +3,7 @@
 //!
 //! Every rule is a pure function over the scanned lines of one file plus its
 //! repo-relative path; findings come back as [`Finding`]s. Waivers are
-//! applied afterwards by [`crate::apply_waivers`].
+//! applied afterwards by [`crate::lint_sources`].
 
 use crate::lexer::{test_regions, SourceLine};
 

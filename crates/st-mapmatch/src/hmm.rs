@@ -1,5 +1,5 @@
 //! Hidden-Markov-Model map matching (Newson & Krumm, SIGSPATIAL 2009 — the
-//! paper's reference [42]).
+//! paper's reference \[42\]).
 //!
 //! States at each GPS point are nearby candidate segments; the emission
 //! probability decays with the Gaussian of the projection distance, and the

@@ -1,12 +1,13 @@
-//! Module-level entry point to the [`st_tensor::analyze`] graph analyzer.
+//! Module-level entry point to the [`st_tensor::analyze`](mod@st_tensor::analyze)
+//! graph analyzer.
 //!
-//! [`st_tensor::analyze`] checks the graph that was actually recorded on a
+//! [`st_tensor::analyze()`] checks the graph that was actually recorded on a
 //! tape; it can only see parameters that were bound. This wrapper adds the
 //! module's-eye view: a [`crate::Module`] knows its full parameter list, so a
 //! parameter the forward pass never binds at all — the most common form of
 //! "dead parameter" (constructed, registered, then forgotten) — is reported
-//! here as an [`LintKind::UnreachableParam`] error alongside the tape-level
-//! findings.
+//! here as an [`UnreachableParam`](st_tensor::analyze::LintKind::UnreachableParam)
+//! error alongside the tape-level findings.
 
 use std::collections::HashSet;
 
@@ -18,7 +19,7 @@ use crate::module::Module;
 /// Analyze the graph recorded on `tape` (rooted at the loss node `root`)
 /// together with `module`'s parameter list, with default thresholds.
 ///
-/// Runs every [`st_tensor::analyze`] pass over the exported spec, then
+/// Runs every [`st_tensor::analyze`](mod@st_tensor::analyze) pass over the exported spec, then
 /// appends one [`LintKind::UnreachableParam`] error per module parameter that
 /// was never bound onto the tape by `binder` — those cannot receive a
 /// gradient under any input.

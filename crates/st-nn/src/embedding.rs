@@ -1,7 +1,8 @@
 //! Token embeddings (road-segment embeddings in DeepST), row-sharded.
 //!
-//! The table is a [`BlockedParam`]: consecutive row blocks of at most
-//! [`Embedding::DEFAULT_BLOCK_ROWS`] rows, each its own `Param`. A lookup
+//! The table is a [`BlockedParam`](st_tensor::BlockedParam): consecutive
+//! row blocks of at most [`Embedding::DEFAULT_BLOCK_ROWS`] rows, each its
+//! own `Param`. A lookup
 //! binds only the blocks its indices touch, so on a graph-scale vocabulary
 //! a training step's tape, gradient, and optimizer-moment bytes grow with
 //! the rows *visited*, not with the vocabulary. Small vocabularies fit in
@@ -9,8 +10,9 @@
 //! param name, same checkpoint entries, same bits.
 //!
 //! Initialization draws each row from its own seeded stream keyed by
-//! `(table_seed, row)` ([`init::fill_normal_row`]), so the table's bytes are
-//! a function of the vocabulary order alone — never of how the rows are
+//! `(table_seed, row)`
+//! ([`init::fill_normal_row`](st_tensor::init::fill_normal_row)), so the
+//! table's bytes are a function of the vocabulary order alone — never of how the rows are
 //! partitioned into blocks. A sharded and a dense table built from the same
 //! seed are bit-identical.
 

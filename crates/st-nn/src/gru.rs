@@ -1,4 +1,4 @@
-//! Gated Recurrent Units (Cho et al. / Chung et al. [38] in the paper).
+//! Gated Recurrent Units (Cho et al. / Chung et al. \[38\] in the paper).
 //!
 //! DeepST squeezes the past traveled route `r_{1:i}` into its representation
 //! with a (stacked) GRU (§IV-B):

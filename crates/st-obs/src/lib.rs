@@ -3,7 +3,7 @@
 //! Three pieces, designed so instrumented code pays close to nothing when
 //! nobody is looking:
 //!
-//! - [`span`] — scoped wall-clock timers with parent/child nesting. Guards
+//! - [`span`](mod@span) — scoped wall-clock timers with parent/child nesting. Guards
 //!   are `!Send`; each thread keeps its own span stack, so spans opened on
 //!   data-parallel shard workers attribute to the right thread. When
 //!   recording is off, [`span::span`] is a single relaxed atomic load.

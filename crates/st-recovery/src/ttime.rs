@@ -1,4 +1,4 @@
-//! The temporal inference module of STRS [2]: `P(t | r)`.
+//! The temporal inference module of STRS \[2\]: `P(t | r)`.
 //!
 //! Travel time of a route is modeled as a Gaussian whose mean and variance
 //! are sums of per-segment statistics estimated from historical trips (each

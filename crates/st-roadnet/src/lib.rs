@@ -17,4 +17,4 @@ pub use geo::Point;
 pub use graph::{RoadNetwork, Route, Segment, SegmentId, VertexId};
 pub use index::SegmentIndex;
 pub use ksp::{k_shortest_routes, ScoredRoute};
-pub use shortest::{all_costs_from, all_costs_to, shortest_route};
+pub use shortest::{all_costs_from, shortest_route, CostsTo};

@@ -145,44 +145,138 @@ pub fn all_costs_from(
     dist
 }
 
-/// Costs *to* `dst` from every segment (runs Dijkstra on the reversed graph).
+/// Costs *to* `dst`, settled on demand by a Dijkstra on the reversed graph.
+///
 /// `cost(s)` is charged when `s` is entered, consistent with
 /// [`shortest_route`]: the cost from `s` to `dst` excludes `cost(s)` itself.
-pub fn all_costs_to(
-    net: &RoadNetwork,
-    dst: SegmentId,
-    cost: &dyn Fn(SegmentId) -> f64,
-) -> Vec<f64> {
-    let n = net.num_segments();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut heap = BinaryHeap::new();
-    dist[dst] = 0.0;
-    heap.push(Entry {
-        cost: 0.0,
-        seg: dst,
-    });
-    while let Some(Entry { cost: d, seg }) = heap.pop() {
-        if d > dist[seg] {
-            continue;
-        }
-        // predecessors of `seg`: segments whose end vertex is seg's start
-        for &p in net.in_segments(net.segment(seg).from) {
-            let nd = d + cost(seg);
-            if nd < dist[p] {
-                dist[p] = nd;
-                heap.push(Entry { cost: nd, seg: p });
-            }
+/// [`CostsTo::get`] pops the heap only until the asked-for segment is
+/// settled, so a query near `dst` settles a small part of the network. Each
+/// settled segment calls `cost` once, to relax its predecessors.
+pub struct CostsTo<'a> {
+    net: &'a RoadNetwork,
+    cost: &'a dyn Fn(SegmentId) -> f64,
+    dist: Vec<f64>,
+    settled: Vec<bool>,
+    heap: BinaryHeap<Entry>,
+}
+
+impl<'a> CostsTo<'a> {
+    /// A search towards `dst` that has settled nothing yet. `cost` must be
+    /// non-negative for every segment.
+    pub fn new(net: &'a RoadNetwork, dst: SegmentId, cost: &'a dyn Fn(SegmentId) -> f64) -> Self {
+        let n = net.num_segments();
+        assert!(dst < n, "segment out of range");
+        let mut dist = vec![f64::INFINITY; n];
+        dist[dst] = 0.0;
+        let mut heap = BinaryHeap::new();
+        heap.push(Entry {
+            cost: 0.0,
+            seg: dst,
+        });
+        Self {
+            net,
+            cost,
+            dist,
+            settled: vec![false; n],
+            heap,
         }
     }
-    dist
+
+    /// Cost from `s` to `dst` (∞ where unreachable).
+    pub fn get(&mut self, s: SegmentId) -> f64 {
+        while !self.settled[s] {
+            let Some(Entry { cost: d, seg }) = self.heap.pop() else {
+                break;
+            };
+            if d > self.dist[seg] {
+                continue;
+            }
+            self.settled[seg] = true;
+            let w = (self.cost)(seg);
+            debug_assert!(w >= 0.0, "negative edge cost on segment {seg}");
+            let nd = d + w;
+            // predecessors of `seg`: segments whose end vertex is seg's start
+            for &p in self.net.in_segments(self.net.segment(seg).from) {
+                if nd < self.dist[p] {
+                    self.dist[p] = nd;
+                    self.heap.push(Entry { cost: nd, seg: p });
+                }
+            }
+        }
+        self.dist[s]
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
+    use proptest::prelude::*;
+
     use super::*;
     use crate::gen::{grid_city, GridConfig};
     use crate::geo::Point;
     use crate::graph::RoadNetwork;
+
+    /// The whole-network reverse Dijkstra: pops until the heap is empty and
+    /// charges `cost(seg)` once per in-edge. [`CostsTo`] must reproduce its
+    /// bits for every segment it is asked about.
+    fn all_costs_to(
+        net: &RoadNetwork,
+        dst: SegmentId,
+        cost: &dyn Fn(SegmentId) -> f64,
+    ) -> Vec<f64> {
+        let n = net.num_segments();
+        let mut dist = vec![f64::INFINITY; n];
+        let mut heap = BinaryHeap::new();
+        dist[dst] = 0.0;
+        heap.push(Entry {
+            cost: 0.0,
+            seg: dst,
+        });
+        while let Some(Entry { cost: d, seg }) = heap.pop() {
+            if d > dist[seg] {
+                continue;
+            }
+            for &p in net.in_segments(net.segment(seg).from) {
+                let nd = d + cost(seg);
+                if nd < dist[p] {
+                    dist[p] = nd;
+                    heap.push(Entry { cost: nd, seg: p });
+                }
+            }
+        }
+        dist
+    }
+
+    /// `n` vertices on a circle joined by one-way segments `a → a + k`
+    /// (mod `n`), one per pair of `edges` draws, so parts of the network can
+    /// be one-way, dead ends or disconnected.
+    fn digraph(n: usize, edges: &[usize]) -> RoadNetwork {
+        let mut net = RoadNetwork::new();
+        for v in 0..n {
+            let a = v as f64 * std::f64::consts::TAU / n as f64;
+            net.add_vertex(Point::new(100.0 * a.cos(), 100.0 * a.sin()));
+        }
+        for pair in edges.chunks_exact(2) {
+            let a = pair[0] % n;
+            net.add_segment(a, (a + 1 + pair[1] % (n - 1)) % n, 10.0);
+        }
+        net.freeze();
+        net
+    }
+
+    /// Maps a uniform draw in `[0, 50)` to a segment cost: an exact zero
+    /// (1 in 5), 1 or 2 shared by many segments (2 in 5), or arbitrary.
+    fn segment_cost(u: f64) -> f64 {
+        if u < 10.0 {
+            0.0
+        } else if u < 30.0 {
+            (u / 10.0).floor()
+        } else {
+            u - 30.0
+        }
+    }
 
     fn square() -> RoadNetwork {
         let mut net = RoadNetwork::new();
@@ -273,18 +367,84 @@ mod tests {
         let net = grid_city(&GridConfig::small_test(), 3);
         let cost = |s: SegmentId| net.segment(s).length;
         let dst = net.num_segments() / 2;
-        let to = all_costs_to(&net, dst, &cost);
+        let mut to = CostsTo::new(&net, dst, &cost);
         for src in (0..net.num_segments()).step_by(13) {
             match shortest_route(&net, src, dst, &cost) {
                 Some((_, c)) => {
-                    assert!(
-                        (c - to[src]).abs() < 1e-6,
-                        "mismatch at {src}: {c} vs {}",
-                        to[src]
-                    )
+                    let got = to.get(src);
+                    assert!((c - got).abs() < 1e-6, "mismatch at {src}: {c} vs {got}")
                 }
-                None => assert!(!to[src].is_finite()),
+                None => assert!(!to.get(src).is_finite()),
             }
+        }
+    }
+
+    #[test]
+    fn settles_only_as_far_as_asked() {
+        let net = grid_city(&GridConfig::small_test(), 3);
+        let n = net.num_segments();
+        let calls = Cell::new(0);
+        let cost = |s: SegmentId| {
+            calls.set(calls.get() + 1);
+            net.segment(s).length
+        };
+        let dst = n / 2;
+        let mut to = CostsTo::new(&net, dst, &cost);
+        assert_eq!(to.get(dst), 0.0);
+        assert_eq!(calls.get(), 1, "asking for dst settles dst alone");
+        let far = (0..n).map(|s| to.get(s)).fold(0.0, f64::max);
+        assert!(far.is_finite() && far > 0.0);
+        assert_eq!(calls.get(), n, "one cost call per settled segment");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any sequence of questions, with repeats, unreachable segments and
+        /// `dst` itself, gets the whole-network search's bits, and `cost` is
+        /// called once per settled segment.
+        #[test]
+        fn on_demand_costs_match_the_whole_network_search(
+            hand_built in 0usize..2,
+            grid in collection::vec(2usize..6, 2),
+            removal_prob in 0.0..0.8f64,
+            seed in 0u64..u64::MAX,
+            vertices in 2usize..10,
+            edges in collection::vec(0usize..1000, 2..48),
+            costs in collection::vec(0.0..50.0f64, 1..48),
+            dst in 0usize..1000,
+            asks in collection::vec(0usize..1000, 0..40),
+            dst_at in 0usize..1000,
+        ) {
+            let net = if hand_built == 1 {
+                digraph(vertices, &edges)
+            } else {
+                let cfg = GridConfig {
+                    nx: grid[0],
+                    ny: grid[1],
+                    removal_prob,
+                    ..GridConfig::small_test()
+                };
+                grid_city(&cfg, seed)
+            };
+            let n = net.num_segments();
+            let dst = dst % n;
+            let cost = |s: SegmentId| segment_cost(costs[s % costs.len()]);
+            let oracle = all_costs_to(&net, dst, &cost);
+            let calls = Cell::new(0);
+            let counted = |s: SegmentId| {
+                calls.set(calls.get() + 1);
+                cost(s)
+            };
+            let mut to = CostsTo::new(&net, dst, &counted);
+            let mut asks: Vec<SegmentId> = asks.iter().map(|&s| s % n).collect();
+            asks.insert(dst_at % (asks.len() + 1), dst);
+            for s in asks {
+                prop_assert_eq!(to.get(s).to_bits(), oracle[s].to_bits(), "segment {}", s);
+            }
+            let settled = to.settled.iter().filter(|&&b| b).count();
+            prop_assert_eq!(calls.get(), settled);
+            prop_assert!(settled <= n);
         }
     }
 }

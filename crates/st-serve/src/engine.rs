@@ -1,7 +1,7 @@
 //! The per-worker decode engine: continuous batching of many concurrent
 //! route searches into single packed model steps.
 //!
-//! Each worker owns one [`Engine`]. The engine keeps a set of active jobs,
+//! Each worker owns one `Engine`. The engine keeps a set of active jobs,
 //! each a resumable [`BeamSearch`] bound to a trip slot of one shared
 //! [`InferSession`]. Every scheduler tick it:
 //!
@@ -23,7 +23,7 @@
 //! parity tests.
 //!
 //! Fault handling is split: the engine *detects* (NaN log-probs →
-//! [`TickFault::Poisoned`]) and *carries* injected chaos faults; the worker
+//! `TickFault::Poisoned`) and *carries* injected chaos faults; the worker
 //! loop in [`crate::server`] contains them (`catch_unwind`, session rebuild,
 //! bounded retry).
 

@@ -2,8 +2,8 @@
 //!
 //! The contract the chaos tests pin: **every** enqueued request gets exactly
 //! one terminal event — a [`RouteResponse`] or a typed
-//! [`ServeError`](crate::ServeError) — no matter what fails in between.
-//! [`Responder`]'s `Drop` impl is the backstop: if a worker panics (or a
+//! [`ServeError`] — no matter what fails in between.
+//! `Responder`'s `Drop` impl is the backstop: if a worker panics (or a
 //! code path forgets to reply) while holding a job, dropping the responder
 //! delivers a typed `Internal` error instead of leaving the client hung.
 
@@ -34,14 +34,14 @@ pub struct RouteRequest {
     pub slot_id: usize,
     /// Per-request deadline measured from enqueue; `None` uses the server
     /// default. Expiry anywhere — queue or mid-decode — yields
-    /// [`ServeError::DeadlineExceeded`](crate::ServeError::DeadlineExceeded).
+    /// [`ServeError::DeadlineExceeded`].
     pub deadline: Option<Duration>,
 }
 
 /// A completed prediction. `degradation` is part of the API contract:
 /// clients must check it to know whether the route was decoded at full
 /// quality or under a load-shedding policy (see
-/// [`Degradation`](crate::Degradation)).
+/// [`Degradation`]).
 #[derive(Debug, Clone)]
 pub struct RouteResponse {
     /// The predicted route, starting with the request's prefix. Always a

@@ -4,7 +4,7 @@
 //! Threading model: clients call [`Server::enqueue`] / [`Server::predict`]
 //! from any thread; validation and load shedding happen synchronously on
 //! the caller. Admitted jobs sit in one bounded queue shared by all
-//! workers. Each worker owns an [`Engine`] (its own `InferSession`, with
+//! workers. Each worker owns an [`Engine`](crate::engine) (its own `InferSession`, with
 //! one trip slot per in-flight request, and scratch arena) and loops: admit from the queue up to its row budget,
 //! run one continuous-batching tick, repeat. Faults are contained at the
 //! worker loop:

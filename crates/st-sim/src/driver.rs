@@ -9,8 +9,9 @@
 //!    making transitions depend on the traveled history, not just the
 //!    current segment.
 //! 2. **Destination pull** — the expected remaining travel time to the
-//!    destination under current traffic, computed by a reverse Dijkstra at
-//!    trip start.
+//!    destination under the traffic at trip start, from a reverse Dijkstra
+//!    that settles segments on demand: only as far as the segments the
+//!    driver weighs.
 //! 3. **Real-time traffic** — the remaining-time estimate uses the live
 //!    [`TrafficModel`] speeds, so two trips with the same origin/destination
 //!    at different times take different routes when congestion differs.
@@ -23,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use st_roadnet::{geo, shortest, RoadNetwork, Route, SegmentId};
+use st_roadnet::{geo, CostsTo, RoadNetwork, Route, SegmentId};
 
 use crate::traffic::TrafficModel;
 
@@ -109,11 +110,13 @@ pub fn simulate_route(
     if src == dst {
         return Some(vec![src]);
     }
-    // Remaining travel time to dst from every segment, under traffic frozen
-    // at the trip's start (trips last minutes; events last tens of minutes).
-    let cost_to_dst =
-        shortest::all_costs_to(net, dst, &|s| traffic.travel_time(net, s, start_time));
-    if !cost_to_dst[src].is_finite() {
+    // Remaining travel time to dst, under traffic frozen at the trip's start
+    // (trips last minutes; events last tens of minutes). The reverse search
+    // settles segments only as far as the segments asked for: src first,
+    // then each successor the driver weighs.
+    let travel_time = |s| traffic.travel_time(net, s, start_time);
+    let mut cost_to_dst = CostsTo::new(net, dst, &travel_time);
+    if !cost_to_dst.get(src).is_finite() {
         return None;
     }
     let mut route = vec![src];
@@ -128,10 +131,11 @@ pub fn simulate_route(
         let utilities: Vec<f64> = nexts
             .iter()
             .map(|&n| {
-                if !cost_to_dst[n].is_finite() {
+                let to_dst = cost_to_dst.get(n);
+                if !to_dst.is_finite() {
                     return f64::NEG_INFINITY;
                 }
-                let remaining = traffic.travel_time(net, n, t) + cost_to_dst[n];
+                let remaining = traffic.travel_time(net, n, t) + to_dst;
                 let turn = geo::turn_angle(heading_cur, net.heading(n));
                 // discourage immediate U-turns strongly
                 let uturn = if net.reverse_of(cur) == Some(n) {

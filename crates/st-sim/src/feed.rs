@@ -33,8 +33,8 @@ pub struct TrafficFeed {
 
 impl TrafficFeed {
     /// Build the feed for a dataset: per-slot observation sweeps plus the
-    /// ground-truth street-level incidents (closures above severity
-    /// [`CLOSURE_SEVERITY`]), time-sorted with dense `seq` numbering.
+    /// ground-truth street-level incidents (closures from severity
+    /// `CLOSURE_SEVERITY` up), time-sorted with dense `seq` numbering.
     pub fn from_dataset(ds: &Dataset) -> Self {
         let horizon_slots = ds.num_slots();
         let mut raw: Vec<TrafficEvent> = Vec::new();

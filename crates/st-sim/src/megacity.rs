@@ -10,7 +10,7 @@
 //! intra-district trips touches a handful of shards, not the whole table.
 //!
 //! Trips are *streamed*: [`Megacity::stream_trips`] writes each generated
-//! trip straight to a [`TripStoreWriter`](crate::store::TripStoreWriter)
+//! trip straight to a [`TripStoreWriter`]
 //! and accumulates the per-slot traffic observations incrementally, so
 //! peak memory is one trip plus the observation grids — never a
 //! `Vec<Trip>` of the whole corpus.

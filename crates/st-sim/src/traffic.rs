@@ -7,7 +7,7 @@
 //! periodic: two different days, or two adjacent 20-minute slots, have
 //! different congestion patterns. This is exactly the property that breaks
 //! the "traffic in the same weekly slot is temporally invariant" assumption
-//! of [2], [8] (see §I of the paper) and makes a real-time traffic
+//! of \[2\], \[8\] (see §I of the paper) and makes a real-time traffic
 //! representation informative.
 
 use rand::rngs::StdRng;
@@ -141,8 +141,10 @@ pub struct TrafficModel {
     incident_from: usize,
     /// Time-bucketed index: `active[b]` lists the events overlapping bucket
     /// `b` of [`INDEX_BUCKET_SECS`] seconds. With hundreds of events but only
-    /// a couple dozen active at any instant, this cuts the speed-query hot
-    /// path (route simulation runs it millions of times) by ~10×.
+    /// a couple dozen active at any instant, a speed query scans only those:
+    /// on Rivertown it takes ~115 ns instead of ~850 ns for the full scan,
+    /// and generating 2,000 Rivertown trips makes ~0.9M queries (one
+    /// 2-core x86-64 host).
     #[serde(skip, default)]
     active: Vec<Vec<u32>>,
 }

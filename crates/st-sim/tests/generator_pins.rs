@@ -87,6 +87,16 @@ fn rivertown_dataset_bits_are_pinned() {
     );
 }
 
+/// Northport, the decode-batch world: recorded while the driver's reverse
+/// search still settled the whole network before every trip.
+#[test]
+fn northport_dataset_bits_are_pinned() {
+    assert_eq!(
+        dataset_pin(&CityPreset::northport(), 300, 7),
+        (300, 12849263658948558505, 289, 2746546501496325255)
+    );
+}
+
 fn small_megacity() -> MegacityConfig {
     MegacityConfig {
         districts_x: 2,

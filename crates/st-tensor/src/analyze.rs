@@ -15,7 +15,7 @@
 //!   recomputed every step for the same value;
 //! - **NaN hazards**: `div`/`reciprocal` whose denominator is not provably
 //!   positive, and `ln`/`sqrt` over possibly-negative inputs, found by a
-//!   sign abstract interpretation (see [`Sign`]);
+//!   sign abstract interpretation (see [`Sign`](crate::analyze::Sign));
 //! - **deep f32 accumulations**: reduction chains whose worst-case serial
 //!   accumulation length exceeds a threshold, where f32 rounding error grows
 //!   linearly.

@@ -275,8 +275,8 @@ impl Array {
 
     /// Matrix product `self(m×k) · other(k×n)`.
     ///
-    /// Dispatches to the cache-blocked packing kernel in [`crate::gemm`];
-    /// see that module for the blocking scheme and determinism notes.
+    /// Dispatches to the cache-blocked packing kernel in the crate-private
+    /// `gemm` module, which documents the blocking scheme and determinism.
     pub fn matmul(&self, other: &Array) -> Array {
         assert_eq!(
             self.ndim(),

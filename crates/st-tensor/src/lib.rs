@@ -19,7 +19,7 @@
 //! - [`optim`] — Adam with gradient clipping.
 //! - [`init`] — seeded initializers and the Normal/Gumbel samplers used by
 //!   the VAE reparameterizations.
-//! - [`analyze`] — a static graph analyzer: shape dry-runs, gradient-flow
+//! - [`analyze`](mod@analyze) — a static graph analyzer: shape dry-runs, gradient-flow
 //!   audits, and NaN-hazard detection over exported tape specs, without
 //!   executing kernels.
 //!

@@ -45,8 +45,8 @@ fn unary_attr<'t>(
     dfdx: impl Fn(f32, f32) -> f32 + 'static,
 ) -> Var<'t> {
     let xv = x.value();
-    let y = xv.map(&f);
-    let yv = Rc::new(y.clone());
+    let y = Rc::new(xv.map(&f));
+    let yv = Rc::clone(&y);
     let xid = x.id();
     x.tape().push(
         y,
@@ -522,7 +522,8 @@ pub fn softmax_rows(a: Var<'_>) -> Var<'_> {
     let mut y = (*a.value()).clone();
     infer::softmax_rows_mut(&mut y);
     let n = y.rows();
-    let yv = Rc::new(y.clone());
+    let y = Rc::new(y);
+    let yv = Rc::clone(&y);
     let aid = a.id();
     a.tape().push(
         y,
@@ -546,7 +547,8 @@ pub fn log_softmax_rows(a: Var<'_>) -> Var<'_> {
     let mut y = (*a.value()).clone();
     infer::log_softmax_rows_mut(&mut y);
     let n = y.rows();
-    let yv = Rc::new(y.clone());
+    let y = Rc::new(y);
+    let yv = Rc::clone(&y);
     let aid = a.id();
     a.tape().push(
         y,

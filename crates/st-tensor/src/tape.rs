@@ -2,9 +2,10 @@
 //!
 //! A [`Tape`] is an append-only arena of computation nodes. Each operation in
 //! [`crate::ops`] pushes one node holding the forward value plus a backward
-//! closure that accumulates gradient into its parents through a [`GradSink`].
-//! Because the tape is append-only, node ids are already a topological order,
-//! so backpropagation is a single reverse sweep — no explicit graph sort.
+//! closure that accumulates gradient into its parents through a
+//! [`GradSink`](crate::tape::GradSink). Because the tape is append-only,
+//! node ids are already a topological order, so backpropagation is a single
+//! reverse sweep — no explicit graph sort.
 //!
 //! # Memory reuse
 //!
@@ -36,13 +37,13 @@ pub(crate) type BackwardFn = Box<dyn Fn(&Array, &mut GradSink<'_>)>;
 ///
 /// Every op in [`crate::ops`] and [`crate::conv`] records one of these
 /// alongside its value and backward closure. The metadata is what makes the
-/// recorded graph *inspectable*: [`crate::analyze`] re-derives shapes, signs
-/// and gradient reachability from op names, parent edges and attributes
-/// alone, without touching the kernels.
+/// recorded graph *inspectable*: [`crate::analyze`](mod@crate::analyze)
+/// re-derives shapes, signs and gradient reachability from op names, parent
+/// edges and attributes alone, without touching the kernels.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpMeta {
     /// Op name, e.g. `"matmul"`, `"ln"`, `"leaf"`. The vocabulary is the
-    /// rule table in [`crate::analyze`].
+    /// rule table in [`crate::analyze`](mod@crate::analyze).
     pub name: &'static str,
     /// Parent node ids, in operand order (empty for leaves).
     pub parents: Vec<usize>,
@@ -210,12 +211,20 @@ impl Tape {
         self.push(value, OpMeta::constant(), None)
     }
 
-    pub(crate) fn push(&self, value: Array, meta: OpMeta, backward: Option<BackwardFn>) -> Var<'_> {
+    /// Record a node. An op whose backward reads its own output passes an
+    /// `Rc` and keeps a clone for the closure, so the value is stored once.
+    pub(crate) fn push(
+        &self,
+        value: impl Into<Rc<Array>>,
+        meta: OpMeta,
+        backward: Option<BackwardFn>,
+    ) -> Var<'_> {
+        let value = value.into();
         self.track_bytes(value.len() * std::mem::size_of::<f32>());
         let mut nodes = self.nodes.borrow_mut();
         let id = nodes.len();
         nodes.push(Node {
-            value: Rc::new(value),
+            value,
             meta,
             backward,
         });
@@ -227,7 +236,7 @@ impl Tape {
     }
 
     /// Export the recorded graph structure — per node, its value shape and
-    /// [`OpMeta`] — for offline analysis ([`crate::analyze`]). No values are
+    /// [`OpMeta`] — for offline analysis ([`crate::analyze()`]). No values are
     /// copied and no kernels run.
     pub fn export_spec(&self) -> crate::analyze::GraphSpec {
         let nodes = self.nodes.borrow();
