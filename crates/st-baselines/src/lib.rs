@@ -6,6 +6,8 @@
 //! - [`deepst_wrap::DeepStPredictor`] — adapter running DeepST / DeepST-C
 //!   under the common [`predictor::Predictor`] interface.
 
+#![warn(missing_docs)]
+
 pub mod beam;
 pub mod deepst_wrap;
 pub mod mmi;

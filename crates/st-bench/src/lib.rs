@@ -1,6 +1,5 @@
 //! `st-bench`: experiment binaries regenerating every table and figure of
-//! the paper's evaluation (§V), two system benches, and Criterion
-//! micro-benchmarks.
+//! the paper's evaluation (§V), and two system benches.
 //!
 //! Binaries (`cargo run --release -p st-bench --bin <name> [-- --quick|--full]`):
 //!
@@ -26,7 +25,8 @@
 //! benchmark in `benchmark/`, which uses [`host_meta`] and
 //! [`peak_rss_bytes`] from this crate.
 
-/// The paper's tables and figures, one function each.
+#![warn(missing_docs)]
+
 pub mod paper;
 
 use st_core::TrainError;

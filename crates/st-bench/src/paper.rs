@@ -4,11 +4,9 @@
 //! across artifacts — a city's [`Dataset`] and [`Split`], the
 //! [`SuiteOutput`] of [`run_prediction_suite`], and the [`Scale`] — prints
 //! it, and returns the JSON written to `results/<name>.json`.
-//! [`all`](crate::paper::all) computes all eight on one dataset and one
-//! prediction suite per city (the `run_all` bin); each single-artifact bin
-//! calls its one function through
-//! [`write_artifact`](crate::paper::write_artifact), so every command
-//! writes the same bits.
+//! [`all`] computes all eight on one dataset and one prediction suite per
+//! city (the `run_all` bin); each single-artifact bin calls its one function
+//! through [`write_artifact`], so every command writes the same bits.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

@@ -28,6 +28,8 @@
 //!   `st-baselines`) step through, for DeepST and the RNN baselines alike.
 //! - [`cancel`] — cooperative cancellation tokens for decode loops.
 
+#![warn(missing_docs)]
+
 pub mod cancel;
 pub mod checkpoint;
 pub mod config;

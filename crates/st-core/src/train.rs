@@ -426,8 +426,8 @@ pub enum TrainEvent {
         /// Offending batch loss (NaN for worker-failure divergence).
         loss: f32,
     },
-    /// The pre-training graph analyzer reported a finding (shape mismatch,
-    /// unreachable parameter, NaN hazard, …) before epoch 0.
+    /// The pre-training graph analyzer reported a finding (unreachable
+    /// parameter, NaN hazard, …) before epoch 0.
     LintWarning {
         /// The analyzer finding, verbatim.
         diagnostic: Diagnostic,
@@ -1492,40 +1492,6 @@ mod tests {
         assert!(has(LintKind::DetachedSubgraph), "missed dead op: {diags:?}");
         assert!(has(LintKind::NanHazard), "missed ln hazard: {diags:?}");
         assert_eq!(diags.len(), 3, "unexpected extra findings: {diags:?}");
-    }
-
-    /// A mis-shaped input feed is localized by the shape dry-run at the op
-    /// that consumes it — planted by corrupting the exported spec's input
-    /// leaf, since the eager kernels would refuse to record such a graph.
-    #[test]
-    fn analyzer_flags_planted_shape_mismatch_in_deepst_spec() {
-        use st_tensor::{LintKind, Severity};
-        let (net, examples) = toy_examples(8, 13);
-        let cfg =
-            DeepStConfig::new(net.num_segments(), net.max_out_degree(), 8, 8).without_traffic();
-        let model = DeepSt::new(cfg, 4);
-        let refs: Vec<&Example> = examples.iter().collect();
-        let mut rng = init::rng(0);
-        let tape = Tape::new();
-        let binder = Binder::new(&tape);
-        let (loss, _) = model.batch_loss(&binder, &refs, &mut rng, true);
-        let mut spec = tape.export_spec();
-        // Node 0 is the destination input leaf `x: [n, 2]`; pretend the
-        // caller fed 3-wide coordinates.
-        assert_eq!(spec.nodes[0].shape, vec![refs.len(), 2]);
-        spec.nodes[0].shape = vec![refs.len(), 3];
-        let diags = st_tensor::analyze(
-            &spec,
-            loss.id(),
-            &binder.bound_params(),
-            &Default::default(),
-        );
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.kind == LintKind::ShapeMismatch && d.severity == Severity::Error),
-            "dry run missed the planted shape mismatch: {diags:?}"
-        );
     }
 
     /// `fit` runs the analyzer before epoch 0 and records a clean report for

@@ -5,6 +5,8 @@
 //!   (the machinery behind Tables IV/VI and Fig. 7).
 //! - [`report`] — ASCII tables, bar "figures", heat maps, JSON output.
 
+#![warn(missing_docs)]
+
 pub mod metrics;
 pub mod report;
 pub mod runner;

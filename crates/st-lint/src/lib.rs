@@ -6,9 +6,8 @@
 //! full catalog:
 //!
 //! - the v1 line-oriented rules (`panic-in-lib`, `missing-safety`,
-//!   `float-eq`, `missing-docs`, `tape-in-infer`,
-//!   `unpacked-gemm-in-infer`), which pattern-match one comment-stripped
-//!   line at a time;
+//!   `float-eq`, `tape-in-infer`, `unpacked-gemm-in-infer`), which
+//!   pattern-match one comment-stripped line at a time;
 //! - the v2 analyzer rules (DESIGN.md §14), which run over a hand-rolled
 //!   item parser ([`parser`]) and a cross-file symbol index ([`symbols`]):
 //!   the determinism family ([`determinism`]: `fma-forbidden`,
@@ -16,6 +15,10 @@
 //!   `float-sort-key`) and the concurrency family ([`concurrency`]:
 //!   `lock-order-cycle`, `lock-unwrap`, `relaxed-atomic-gate`,
 //!   `unbounded-channel`).
+//!
+//! Undocumented public items are left to rustc's `missing_docs` lint, which
+//! every library crate of the workspace warns on and CI's clippy step
+//! denies.
 //!
 //! Findings can be waived two ways:
 //! - inline, with `// st-lint: allow(rule-name)` on the finding line or the
@@ -28,6 +31,8 @@
 //! stale entries (ones that matched nothing) make the lint run fail unless
 //! `--allow-stale` is passed, so the file shrinks as the code is cleaned
 //! up.
+
+#![warn(missing_docs)]
 
 pub mod concurrency;
 pub mod determinism;

@@ -17,8 +17,6 @@ pub enum Rule {
     MissingSafety,
     /// `==` / `!=` where an operand is lexically a float.
     FloatEq,
-    /// A public item of `st-tensor` / `st-nn` without a doc comment.
-    MissingDocs,
     /// `Tape::new(` / `Binder::new(` on the inference path (an `infer*` /
     /// `*_infer` function, or a `src/infer*.rs` file). The inference
     /// runtime's contract is that decoding never allocates autodiff tapes;
@@ -86,7 +84,6 @@ impl Rule {
             Rule::PanicInLib => "panic-in-lib",
             Rule::MissingSafety => "missing-safety",
             Rule::FloatEq => "float-eq",
-            Rule::MissingDocs => "missing-docs",
             Rule::TapeInInfer => "tape-in-infer",
             Rule::UnpackedGemmInInfer => "unpacked-gemm-in-infer",
             Rule::FmaForbidden => "fma-forbidden",
@@ -108,7 +105,6 @@ impl Rule {
             "panic-in-lib" => Some(Rule::PanicInLib),
             "missing-safety" => Some(Rule::MissingSafety),
             "float-eq" => Some(Rule::FloatEq),
-            "missing-docs" => Some(Rule::MissingDocs),
             "tape-in-infer" => Some(Rule::TapeInInfer),
             "unpacked-gemm-in-infer" => Some(Rule::UnpackedGemmInInfer),
             "fma-forbidden" => Some(Rule::FmaForbidden),
@@ -126,12 +122,11 @@ impl Rule {
     }
 
     /// All rules, in report order.
-    pub fn all() -> [Rule; 16] {
+    pub fn all() -> [Rule; 15] {
         [
             Rule::PanicInLib,
             Rule::MissingSafety,
             Rule::FloatEq,
-            Rule::MissingDocs,
             Rule::TapeInInfer,
             Rule::UnpackedGemmInInfer,
             Rule::FmaForbidden,
@@ -209,7 +204,6 @@ pub fn lint_file(path: &str, lines: &[SourceLine]) -> Vec<Finding> {
     panic_in_lib(path, lines, &in_test, &mut out);
     missing_safety(path, lines, &in_test, &mut out);
     float_eq(path, lines, &in_test, &mut out);
-    missing_docs(path, lines, &in_test, &mut out);
     tape_in_infer(path, lines, &in_test, &mut out);
     unpacked_gemm_in_infer(path, lines, &in_test, &mut out);
     dense_param_over_threshold(path, lines, &in_test, &mut out);
@@ -342,70 +336,6 @@ fn float_eq(path: &str, lines: &[SourceLine], in_test: &[bool], out: &mut Vec<Fi
                     });
                 }
             }
-        }
-    }
-}
-
-/// Item keywords whose `pub` form must carry a doc comment.
-const DOC_ITEMS: [&str; 9] = [
-    "fn", "struct", "enum", "trait", "mod", "type", "const", "static", "union",
-];
-
-/// Crates whose public API is held to `missing_docs`.
-fn wants_docs(path: &str) -> bool {
-    path.starts_with("crates/st-tensor/src/") || path.starts_with("crates/st-nn/src/")
-}
-
-fn missing_docs(path: &str, lines: &[SourceLine], in_test: &[bool], out: &mut Vec<Finding>) {
-    if !wants_docs(path) {
-        return;
-    }
-    for (idx, line) in lines.iter().enumerate() {
-        if in_test[idx] {
-            continue;
-        }
-        let code = line.code.trim_start();
-        let Some(rest) = code.strip_prefix("pub ") else {
-            continue;
-        };
-        // `pub(crate)` etc. are not public API
-        let item = rest.split_whitespace().next().unwrap_or("");
-        let item = item.strip_prefix("unsafe").unwrap_or(item);
-        let rest2 = rest.strip_prefix("unsafe ").unwrap_or(rest);
-        let kw = rest2.split_whitespace().next().unwrap_or(item);
-        if !DOC_ITEMS.contains(&kw) {
-            continue;
-        }
-        // Walk upwards over attributes to the nearest comment or other code.
-        let mut j = idx;
-        let mut documented = false;
-        while j > 0 {
-            j -= 1;
-            let above = &lines[j];
-            let c = above.code.trim();
-            if c.starts_with("#[") || c.ends_with(']') && c.starts_with('#') {
-                continue; // attribute between doc and item
-            }
-            if c.is_empty() {
-                let cm = above.comment.trim_start();
-                if cm.starts_with("///") || cm.starts_with("/**") || cm.starts_with("//!") {
-                    documented = true;
-                } else if !cm.is_empty() {
-                    // plain comment: keep looking upward? No — a plain
-                    // comment directly above is not a doc comment.
-                    documented = false;
-                }
-                break;
-            }
-            break; // other code directly above: undocumented
-        }
-        if !documented {
-            out.push(Finding {
-                rule: Rule::MissingDocs,
-                path: path.to_string(),
-                line: idx + 1,
-                message: format!("public `{kw}` without a doc comment"),
-            });
         }
     }
 }
@@ -721,31 +651,6 @@ mod tests {
     }
 
     #[test]
-    fn flags_missing_docs_only_in_st_tensor_and_st_nn() {
-        let src = "pub fn undocumented() {}\n";
-        assert_eq!(
-            rules_of(&lint("crates/st-tensor/src/x.rs", src)),
-            vec![Rule::MissingDocs]
-        );
-        assert_eq!(
-            rules_of(&lint("crates/st-nn/src/x.rs", src)),
-            vec![Rule::MissingDocs]
-        );
-        assert!(lint("crates/st-core/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn doc_comment_and_attributes_satisfy_missing_docs() {
-        let src = "/// Documented.\n#[inline]\npub fn f() {}\n";
-        assert!(lint("crates/st-tensor/src/x.rs", src).is_empty());
-        let src = "/// Documented.\npub struct S;\n";
-        assert!(lint("crates/st-tensor/src/x.rs", src).is_empty());
-        // pub(crate) needs no docs
-        let src = "pub(crate) fn g() {}\n";
-        assert!(lint("crates/st-tensor/src/x.rs", src).is_empty());
-    }
-
-    #[test]
     fn flags_tape_in_infer_named_fn() {
         let src = "fn infer_step(&self) {\n let t = Tape::new();\n}\n";
         let f = lint("crates/st-core/src/predict.rs", src);
@@ -813,14 +718,5 @@ mod tests {
         // tests are always out of scope
         let src = "#[cfg(test)]\nmod tests {\n fn infer_t() { infer::matmul(a, b, c); }\n}\n";
         assert!(lint("crates/st-core/src/predict.rs", src).is_empty());
-    }
-
-    #[test]
-    fn plain_comment_is_not_a_doc_comment() {
-        let src = "// not a doc comment\npub fn f() {}\n";
-        assert_eq!(
-            rules_of(&lint("crates/st-tensor/src/x.rs", src)),
-            vec![Rule::MissingDocs]
-        );
     }
 }

@@ -42,10 +42,10 @@ pub fn undocumented() {
     }
 }
 ";
-    // Place the snippet in an st-tensor path so all four rules apply.
+    // Place the snippet in a library path so all three rules apply.
     let findings = st_lint::lint_source("crates/st-tensor/src/planted.rs", planted, &mut allow);
     let rules: Vec<&str> = findings.iter().map(|f| f.rule.name()).collect();
-    for rule in ["panic-in-lib", "missing-safety", "float-eq", "missing-docs"] {
+    for rule in ["panic-in-lib", "missing-safety", "float-eq"] {
         assert!(rules.contains(&rule), "{rule} not caught in {rules:?}");
     }
 }

@@ -11,13 +11,13 @@
 
 use std::collections::HashSet;
 
-use st_tensor::analyze::{AnalyzerConfig, Diagnostic, LintKind, Severity};
+use st_tensor::analyze::{Diagnostic, LintKind, Severity};
 use st_tensor::{Binder, Tape};
 
 use crate::module::Module;
 
 /// Analyze the graph recorded on `tape` (rooted at the loss node `root`)
-/// together with `module`'s parameter list, with default thresholds.
+/// together with `module`'s parameter list.
 ///
 /// Runs every [`st_tensor::analyze`](mod@st_tensor::analyze) pass over the exported spec, then
 /// appends one [`LintKind::UnreachableParam`] error per module parameter that
@@ -29,20 +29,9 @@ pub fn analyze_module_graph(
     root: usize,
     module: &dyn Module,
 ) -> Vec<Diagnostic> {
-    analyze_module_graph_with(tape, binder, root, module, &AnalyzerConfig::default())
-}
-
-/// [`analyze_module_graph`] with explicit [`AnalyzerConfig`] thresholds.
-pub fn analyze_module_graph_with(
-    tape: &Tape,
-    binder: &Binder<'_, '_>,
-    root: usize,
-    module: &dyn Module,
-    cfg: &AnalyzerConfig,
-) -> Vec<Diagnostic> {
     let spec = tape.export_spec();
     let bound = binder.bound_params();
-    let mut diags = st_tensor::analyze(&spec, root, &bound, cfg);
+    let mut diags = st_tensor::analyze(&spec, root, &bound);
     let bound_names: HashSet<&str> = bound.iter().map(|(n, _)| n.as_str()).collect();
     for p in module.params() {
         if !bound_names.contains(p.name()) {

@@ -8,22 +8,17 @@
 //! runs the `st-tensor` graph analyzer over a recorded forward pass plus a
 //! module's full parameter list (catching never-bound parameters).
 
-/// Module-level static analysis of recorded forward passes.
+#![warn(missing_docs)]
+
 pub mod analyze;
-/// Convolution blocks and batch normalization for the traffic CNN.
 pub mod conv;
-/// Road-segment embedding lookup tables.
 pub mod embedding;
-/// GRU cells and stacked recurrent layers.
 pub mod gru;
-/// Linear layers and multi-layer perceptrons.
 pub mod linear;
-/// The [`module::Module`] trait: uniform parameter/buffer handling.
 pub mod module;
-/// Checkpoint serialization (bit-exact, checksummed, atomic).
 pub mod serialize;
 
-pub use analyze::{analyze_module_graph, analyze_module_graph_with};
+pub use analyze::analyze_module_graph;
 pub use conv::{BatchNorm2d, BnBatchStats, ConvBlock, TrafficCnn};
 pub use embedding::Embedding;
 pub use gru::{Gru, GruCell, PackedGru, PackedGruCell, RunningRows};

@@ -34,6 +34,8 @@
 //! The JSONL schema (one object per line, discriminated by `"type"`) is
 //! documented in DESIGN.md §10 and enforced by [`sink::validate_jsonl`].
 
+#![warn(missing_docs)]
+
 pub mod metrics;
 pub mod sink;
 pub mod span;

@@ -5,6 +5,8 @@
 //! pluggable; plugging DeepST's route likelihood in yields **STRS+**, the
 //! paper's Table V comparison.
 
+#![warn(missing_docs)]
+
 pub mod strs;
 pub mod ttime;
 

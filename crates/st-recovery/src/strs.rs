@@ -401,12 +401,7 @@ mod tests {
         let binder = Binder::new(&tape);
         let (loss, _) = model.batch_loss(&binder, &refs, &mut rng, false);
         let _stray = ops::square(binder.input(Array::vector(vec![1.0, 2.0])));
-        let diags = st_tensor::analyze(
-            &tape.export_spec(),
-            loss.id(),
-            &binder.bound_params(),
-            &Default::default(),
-        );
+        let diags = st_tensor::analyze(&tape.export_spec(), loss.id(), &binder.bound_params());
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].kind, LintKind::DetachedSubgraph);
     }

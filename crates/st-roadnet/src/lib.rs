@@ -5,6 +5,8 @@
 //! k-shortest routes for recovery candidates ([`ksp`]), and a synthetic
 //! city generator standing in for the paper's OSM extracts ([`gen`]).
 
+#![warn(missing_docs)]
+
 pub mod gen;
 pub mod geo;
 pub mod graph;
@@ -17,4 +19,4 @@ pub use geo::Point;
 pub use graph::{RoadNetwork, Route, Segment, SegmentId, VertexId};
 pub use index::SegmentIndex;
 pub use ksp::{k_shortest_routes, ScoredRoute};
-pub use shortest::{all_costs_from, shortest_route, CostsTo};
+pub use shortest::{shortest_route, CostsTo};

@@ -113,8 +113,11 @@ pub fn shortest_route_filtered(
     Some((route, dist[dst]))
 }
 
-/// Single-source costs to every segment (∞ where unreachable).
-pub fn all_costs_from(
+/// Single-source costs to every segment (∞ where unreachable): the
+/// whole-network search the tests check [`shortest_route`] and the
+/// generator's connectivity against.
+#[cfg(test)]
+pub(crate) fn all_costs_from(
     net: &RoadNetwork,
     src: SegmentId,
     cost: &dyn Fn(SegmentId) -> f64,

@@ -40,6 +40,8 @@
 //!
 //! See DESIGN.md §13 for the architecture.
 
+#![warn(missing_docs)]
+
 pub mod engine;
 pub mod error;
 pub mod request;

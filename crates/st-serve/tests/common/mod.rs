@@ -73,6 +73,18 @@ pub fn serial_oracle(
     req: &RouteRequest,
     beam_width: usize,
 ) -> Route {
+    serial_oracle_closed(net, model, req, beam_width, &[])
+}
+
+/// [`serial_oracle`] with the segments in `closed` masked, as admission
+/// masks the segments the live feed has closed.
+pub fn serial_oracle_closed(
+    net: &RoadNetwork,
+    model: &DeepSt,
+    req: &RouteRequest,
+    beam_width: usize,
+    closed: &[SegmentId],
+) -> Route {
     let c = req.traffic.as_ref().map(|t| model.encode_traffic(t));
     let ctx = model.encode_context(req.dest_norm, c);
     let mut dec = DeepStDecoder::new(model, &ctx);
@@ -83,7 +95,7 @@ pub fn serial_oracle(
         &req.dest_coord,
         beam_width,
         model.cfg.max_route_len,
-        &[],
+        closed,
         &CancelToken::new(),
     ) {
         Ok(route) => route,

@@ -1,5 +1,6 @@
 //! Live-feed ingest at the serving layer: an ingested traffic event must
-//! reach predictions at the next scheduler tick, batched serving must stay
+//! reach predictions at the next scheduler tick, an ingested closure must
+//! detour the routes served after it, batched serving must stay
 //! bit-identical to serial decoding across the invalidation, and faulty
 //! deliveries must be rejected idempotently.
 
@@ -96,6 +97,56 @@ fn ingest_reaches_predictions_at_the_next_tick() {
     }
     assert!(changed > 0, "no route reacted to a city-wide gridlock");
     server.shutdown();
+}
+
+/// A closure ingested by the server masks its segment at the next
+/// admission: after an interior segment of a served route closes, the same
+/// request is served a route that avoids it, equal to the serial decode
+/// under that closure.
+#[test]
+fn ingested_closure_detours_served_routes() {
+    let (net, model) = common::city_and_model(41);
+    let n_seg = net.num_segments();
+    let server = Server::new(model.clone(), net.clone(), no_degradation_cfg(1));
+    let (req, before) = (0..n_seg)
+        .map(|i| {
+            let start = (i * 7) % n_seg;
+            let target = ((i * 13 + 9) % n_seg).max(1);
+            common::request_between(&net, &model, start, target, None)
+        })
+        .map(|r| {
+            let route = server.predict(r.clone()).expect("no faults").route;
+            (r, route)
+        })
+        .find(|(_, route)| route.len() >= 3)
+        .expect("some served route has an interior segment");
+    let closed = before[before.len() / 2];
+
+    // The closure re-reports the request's own tensor, so only the graph
+    // edit changes between the two responses.
+    let ev = TrafficEvent {
+        seq: 1,
+        time: req.slot_id as f64 * 1200.0,
+        slot: req.slot_id,
+        kind: TrafficEventKind::Closure { segment: closed },
+        tensor: req
+            .traffic
+            .clone()
+            .expect("the fixture model reads traffic"),
+    };
+    assert!(server.ingest_traffic(&ev).is_applied());
+    let after = server.predict(req.clone()).expect("no faults");
+    server.shutdown();
+    assert!(
+        !after.route.contains(&closed),
+        "served route {:?} still crosses closed segment {closed} (was {before:?})",
+        after.route
+    );
+    let want = common::serial_oracle_closed(&net, &model, &req, after.beam_width, &[closed]);
+    assert_eq!(
+        after.route, want,
+        "served route differs from the closed-set decode"
+    );
 }
 
 /// The strong parity property across an invalidation tick: requests are in

@@ -30,6 +30,8 @@
 //! - [`store`] — sharded on-disk trip files with checksummed records and
 //!   typed corruption errors; the batch source for streamed training.
 
+#![warn(missing_docs)]
+
 pub mod arrivals;
 pub mod dataset;
 pub mod driver;

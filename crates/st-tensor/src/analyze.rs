@@ -1,13 +1,10 @@
-//! Static analysis of autodiff graphs: shape dry-runs and gradient-flow
-//! audits without executing kernels.
+//! Static analysis of autodiff graphs: gradient-flow audits and hazard
+//! scans over a recorded tape, without executing kernels.
 //!
 //! The analyzer consumes a [`GraphSpec`] — per-node shapes plus the
 //! [`OpMeta`] each op records when it is pushed onto a [`crate::Tape`] — and
 //! reports typed [`Diagnostic`]s:
 //!
-//! - **shape mismatches** at the op that introduces them, re-derived from the
-//!   engine's own inference rules (so a spec built by [`SpecBuilder`] from
-//!   leaf shapes alone is checked end to end, a *dry run* of the graph);
 //! - **unreachable parameters**: bound leaves with no gradient path from the
 //!   backward root;
 //! - **detached subgraphs**: op sinks whose results never reach the root;
@@ -15,19 +12,19 @@
 //!   recomputed every step for the same value;
 //! - **NaN hazards**: `div`/`reciprocal` whose denominator is not provably
 //!   positive, and `ln`/`sqrt` over possibly-negative inputs, found by a
-//!   sign abstract interpretation (see [`Sign`](crate::analyze::Sign));
+//!   sign abstract interpretation (see [`Sign`]);
 //! - **deep f32 accumulations**: reduction chains whose worst-case serial
-//!   accumulation length exceeds a threshold, where f32 rounding error grows
-//!   linearly.
+//!   accumulation length exceeds 100 000 terms, where f32 rounding error
+//!   grows linearly.
 //!
-//! Graphs come from two sources: [`crate::Tape::export_spec`] snapshots a
-//! live tape (the integration path used by the trainer before epoch 0), and
-//! [`SpecBuilder`] constructs a spec from leaf shapes only (the pure dry-run
-//! path used in tests and planted-defect suites). Every pass is linear in
-//! nodes + edges, so analysing even the largest training graph is
-//! sub-millisecond.
+//! The shapes are the ones the tape recorded. Every op in [`crate::ops`] and
+//! [`crate::conv`] refuses mis-shaped operands when it records, so each
+//! shape rule is defined once, in the op that enforces it, and a recorded
+//! graph is well-shaped by construction. Specs come from
+//! [`crate::Tape::export_spec`], which snapshots a live tape (the trainer
+//! runs it before epoch 0). Every pass is linear in nodes + edges, so
+//! analysing even the largest training graph is sub-millisecond.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::tape::OpMeta;
@@ -35,9 +32,7 @@ use crate::tape::OpMeta;
 /// Shape and op metadata for one tape node.
 #[derive(Debug, Clone)]
 pub struct NodeSpec {
-    /// The node's (recorded or inferred) output shape; empty when unknown —
-    /// downstream rules involving an unknown shape are skipped rather than
-    /// cascaded.
+    /// The node's output shape, as its op recorded it.
     pub shape: Vec<usize>,
     /// Op name, parents, and attributes as recorded at push time.
     pub op: OpMeta,
@@ -54,8 +49,6 @@ pub struct GraphSpec {
 /// The category of a [`Diagnostic`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LintKind {
-    /// An op's operand shapes violate its inference rule.
-    ShapeMismatch,
     /// A bound parameter leaf has no gradient path from the backward root.
     UnreachableParam,
     /// An op sink whose value never reaches the backward root.
@@ -65,7 +58,7 @@ pub enum LintKind {
     /// A `div`/`reciprocal`/`ln`/`sqrt` whose input sign admits NaN/Inf or a
     /// silent clamp.
     NanHazard,
-    /// A serial f32 accumulation chain longer than the configured threshold.
+    /// A serial f32 accumulation chain longer than 100 000 terms.
     DeepAccumulation,
     /// A model output space narrower than the data it must address (e.g. a
     /// slot head with fewer slots than the road network's max out-degree),
@@ -76,7 +69,6 @@ pub enum LintKind {
 impl fmt::Display for LintKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
-            LintKind::ShapeMismatch => "shape-mismatch",
             LintKind::UnreachableParam => "unreachable-param",
             LintKind::DetachedSubgraph => "detached-subgraph",
             LintKind::ConstantFoldable => "constant-foldable",
@@ -91,8 +83,8 @@ impl fmt::Display for LintKind {
 /// How serious a [`Diagnostic`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
-    /// The graph is wrong: training it would panic, silently skip a
-    /// parameter, or produce meaningless numbers.
+    /// The graph is wrong: training it would silently skip a parameter or
+    /// produce meaningless numbers.
     Error,
     /// The graph works but has a latent defect (wasted compute, a clamp
     /// distorting gradients, precision loss).
@@ -117,7 +109,7 @@ pub struct Diagnostic {
     pub severity: Severity,
     /// The node the finding anchors to, if any.
     pub node: Option<usize>,
-    /// Human-readable description naming the op and shapes involved.
+    /// Human-readable description naming the op involved.
     pub message: String,
 }
 
@@ -134,23 +126,11 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Analyzer thresholds.
-#[derive(Debug, Clone)]
-pub struct AnalyzerConfig {
-    /// Maximum tolerated worst-case serial f32 accumulation length before a
-    /// [`LintKind::DeepAccumulation`] warning fires. With f32's 24-bit
-    /// mantissa, relative error of naive summation grows like `n · 2⁻²⁴`, so
-    /// the default of 10⁵ corresponds to ~0.6% worst-case relative error.
-    pub accum_depth_threshold: usize,
-}
-
-impl Default for AnalyzerConfig {
-    fn default() -> Self {
-        Self {
-            accum_depth_threshold: 100_000,
-        }
-    }
-}
+/// The worst-case serial f32 accumulation length above which a
+/// [`LintKind::DeepAccumulation`] warning fires. With f32's 24-bit mantissa,
+/// relative error of naive summation grows like `n · 2⁻²⁴`, so 10⁵ terms
+/// correspond to ~0.6% worst-case relative error.
+const ACCUM_DEPTH_THRESHOLD: usize = 100_000;
 
 /// The sign lattice of the NaN-hazard abstract interpretation:
 /// `Pos ⊑ NonNeg ⊑ Unknown`.
@@ -183,379 +163,19 @@ impl Sign {
 /// (the loss) and `bound` as the `(name, leaf id)` parameter bindings (see
 /// [`crate::Binder::bound_params`]). Findings come back in node order within
 /// each pass.
-pub fn analyze(
-    spec: &GraphSpec,
-    root: usize,
-    bound: &[(String, usize)],
-    cfg: &AnalyzerConfig,
-) -> Vec<Diagnostic> {
+pub fn analyze(spec: &GraphSpec, root: usize, bound: &[(String, usize)]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     if spec.nodes.is_empty() {
         return diags;
     }
     let root = root.min(spec.nodes.len() - 1);
-    let shapes = check_shapes(spec, &mut diags);
     let reachable = ancestors_of(spec, root);
     check_unreachable_params(bound, &reachable, &mut diags);
     check_detached(spec, root, &reachable, &mut diags);
     check_constant_foldable(spec, &reachable, &mut diags);
-    check_nan_hazards(spec, &shapes, &mut diags);
-    check_accum_depth(spec, &shapes, cfg, &mut diags);
+    check_nan_hazards(spec, &mut diags);
+    check_accum_depth(spec, &mut diags);
     diags
-}
-
-// ---------------------------------------------------------------------------
-// Shape inference
-// ---------------------------------------------------------------------------
-
-fn fmt_shape(s: &[usize]) -> String {
-    format!("{s:?}")
-}
-
-/// Derive the output shape of `op` from its parents' shapes using the same
-/// rules the kernels enforce at run time. `Err` carries the mismatch message.
-/// Parents with unknown (empty) shape make the result unknown (`Ok(vec![])`)
-/// instead of cascading errors.
-pub fn infer_shape(op: &OpMeta, parent_shapes: &[&[usize]]) -> Result<Vec<usize>, String> {
-    if op.parents.len() != parent_shapes.len() {
-        return Err(format!(
-            "{}: expected {} parent shapes, got {}",
-            op.name,
-            op.parents.len(),
-            parent_shapes.len()
-        ));
-    }
-    if parent_shapes.iter().any(|s| s.is_empty()) && !matches!(op.name, "leaf" | "const") {
-        return Ok(Vec::new());
-    }
-    let p = parent_shapes;
-    let numel = |s: &[usize]| s.iter().product::<usize>();
-    match op.name {
-        "leaf" | "const" => Ok(Vec::new()),
-        // Elementwise binary over identical shapes.
-        "add" | "sub" | "mul" | "div" => {
-            if p[0] == p[1] {
-                Ok(p[0].to_vec())
-            } else {
-                Err(format!(
-                    "{}: operand shapes differ: {} vs {}",
-                    op.name,
-                    fmt_shape(p[0]),
-                    fmt_shape(p[1])
-                ))
-            }
-        }
-        // Elementwise unary.
-        "scale" | "add_scalar" | "exp" | "ln" | "sqrt" | "square" | "reciprocal" | "sigmoid"
-        | "tanh" | "relu" | "leaky_relu" | "softplus" => Ok(p[0].to_vec()),
-        "matmul" => {
-            let (a, b) = (p[0], p[1]);
-            if a.len() != 2 || b.len() != 2 {
-                Err(format!(
-                    "matmul: operands must be 2-D, got {} and {}",
-                    fmt_shape(a),
-                    fmt_shape(b)
-                ))
-            } else if a[1] != b[0] {
-                Err(format!(
-                    "matmul: inner dims differ: {} · {}",
-                    fmt_shape(a),
-                    fmt_shape(b)
-                ))
-            } else {
-                Ok(vec![a[0], b[1]])
-            }
-        }
-        "affine" => {
-            let (x, w, b) = (p[0], p[1], p[2]);
-            if x.len() != 2 || w.len() != 2 {
-                Err(format!(
-                    "affine: x and w must be 2-D, got {} and {}",
-                    fmt_shape(x),
-                    fmt_shape(w)
-                ))
-            } else if x[1] != w[0] {
-                Err(format!(
-                    "affine: inner dims differ: {} · {}",
-                    fmt_shape(x),
-                    fmt_shape(w)
-                ))
-            } else if numel(b) != w[1] {
-                Err(format!(
-                    "affine: bias {} does not match output width {}",
-                    fmt_shape(b),
-                    w[1]
-                ))
-            } else {
-                Ok(vec![x[0], w[1]])
-            }
-        }
-        "add_bias" | "mul_row_broadcast" => {
-            let (a, v) = (p[0], p[1]);
-            if a.len() != 2 {
-                Err(format!(
-                    "{}: expects a 2-D left operand, got {}",
-                    op.name,
-                    fmt_shape(a)
-                ))
-            } else if numel(v) != a[1] {
-                Err(format!(
-                    "{}: row vector {} does not match width of {}",
-                    op.name,
-                    fmt_shape(v),
-                    fmt_shape(a)
-                ))
-            } else {
-                Ok(a.to_vec())
-            }
-        }
-        "sum_all" => Ok(vec![1]),
-        "row_sum" => {
-            if p[0].len() != 2 {
-                Err(format!("row_sum: expects 2-D, got {}", fmt_shape(p[0])))
-            } else {
-                Ok(vec![p[0][0]])
-            }
-        }
-        "reshape" => {
-            let target = &op.iattrs;
-            if numel(p[0]) != numel(target) {
-                Err(format!(
-                    "reshape: {} has {} elements, target {} has {}",
-                    fmt_shape(p[0]),
-                    numel(p[0]),
-                    fmt_shape(target),
-                    numel(target)
-                ))
-            } else {
-                Ok(target.clone())
-            }
-        }
-        "concat_cols" => {
-            let mut total = 0;
-            let n = p[0].first().copied().unwrap_or(0);
-            for s in p {
-                if s.len() != 2 {
-                    return Err(format!(
-                        "concat_cols: expects 2-D parts, got {}",
-                        fmt_shape(s)
-                    ));
-                }
-                if s[0] != n {
-                    return Err(format!("concat_cols: row mismatch: {} vs {} rows", s[0], n));
-                }
-                total += s[1];
-            }
-            Ok(vec![n, total])
-        }
-        "slice_cols" => {
-            let (start, end) = (op.iattrs[0], op.iattrs[1]);
-            if p[0].len() != 2 {
-                Err(format!("slice_cols: expects 2-D, got {}", fmt_shape(p[0])))
-            } else if start > end || end > p[0][1] {
-                Err(format!(
-                    "slice_cols: range {start}..{end} out of bounds for {}",
-                    fmt_shape(p[0])
-                ))
-            } else {
-                Ok(vec![p[0][0], end - start])
-            }
-        }
-        "gather_rows" => {
-            if p[0].len() != 2 {
-                Err(format!(
-                    "gather_rows: expects a 2-D table, got {}",
-                    fmt_shape(p[0])
-                ))
-            } else {
-                Ok(vec![op.iattrs[0], p[0][1]])
-            }
-        }
-        "gather_rows_blocked" => {
-            let d = p[0].get(1).copied().unwrap_or(0);
-            for s in p {
-                if s.len() != 2 {
-                    return Err(format!(
-                        "gather_rows_blocked: expects 2-D blocks, got {}",
-                        fmt_shape(s)
-                    ));
-                }
-                if s[1] != d {
-                    return Err(format!(
-                        "gather_rows_blocked: block column mismatch: {} vs {d}",
-                        s[1]
-                    ));
-                }
-            }
-            Ok(vec![op.iattrs[0], d])
-        }
-        "softmax_rows" | "log_softmax_rows" => {
-            if p[0].len() != 2 {
-                Err(format!("{}: expects 2-D, got {}", op.name, fmt_shape(p[0])))
-            } else {
-                Ok(p[0].to_vec())
-            }
-        }
-        "pick_per_row" => {
-            if p[0].len() != 2 {
-                Err(format!(
-                    "pick_per_row: expects 2-D, got {}",
-                    fmt_shape(p[0])
-                ))
-            } else if op.iattrs[0] != p[0][0] {
-                Err(format!(
-                    "pick_per_row: {} indices for {} rows",
-                    op.iattrs[0], p[0][0]
-                ))
-            } else {
-                Ok(vec![p[0][0]])
-            }
-        }
-        "mask_rows" => {
-            if p[0].len() != 2 {
-                Err(format!("mask_rows: expects 2-D, got {}", fmt_shape(p[0])))
-            } else {
-                Ok(p[0].to_vec())
-            }
-        }
-        "conv2d" => {
-            let (x, k, b) = (p[0], p[1], p[2]);
-            let (stride, pad) = (op.iattrs[0], op.iattrs[1]);
-            if x.len() != 4 || k.len() != 4 {
-                return Err(format!(
-                    "conv2d: expects NCHW input and OCKhKw kernel, got {} and {}",
-                    fmt_shape(x),
-                    fmt_shape(k)
-                ));
-            }
-            if x[1] != k[1] {
-                return Err(format!(
-                    "conv2d: channel mismatch: input has {}, kernel expects {}",
-                    x[1], k[1]
-                ));
-            }
-            if numel(b) != k[0] {
-                return Err(format!(
-                    "conv2d: bias {} does not match {} output channels",
-                    fmt_shape(b),
-                    k[0]
-                ));
-            }
-            if x[2] + 2 * pad < k[2] || x[3] + 2 * pad < k[3] {
-                return Err(format!(
-                    "conv2d: kernel {} larger than padded input {} (pad {pad})",
-                    fmt_shape(k),
-                    fmt_shape(x)
-                ));
-            }
-            let oh = (x[2] + 2 * pad - k[2]) / stride + 1;
-            let ow = (x[3] + 2 * pad - k[3]) / stride + 1;
-            Ok(vec![x[0], k[0], oh, ow])
-        }
-        "avg_pool_global" => {
-            if p[0].len() != 4 {
-                Err(format!(
-                    "avg_pool_global: expects NCHW, got {}",
-                    fmt_shape(p[0])
-                ))
-            } else {
-                Ok(vec![p[0][0], p[0][1]])
-            }
-        }
-        "channel_mean" => {
-            if p[0].len() != 4 {
-                Err(format!(
-                    "channel_mean: expects NCHW, got {}",
-                    fmt_shape(p[0])
-                ))
-            } else {
-                Ok(vec![p[0][1]])
-            }
-        }
-        "channel_affine" => {
-            let (x, s, b) = (p[0], p[1], p[2]);
-            if x.len() != 4 {
-                Err(format!(
-                    "channel_affine: expects NCHW, got {}",
-                    fmt_shape(x)
-                ))
-            } else if numel(s) != x[1] || numel(b) != x[1] {
-                Err(format!(
-                    "channel_affine: scale {} / shift {} do not match {} channels",
-                    fmt_shape(s),
-                    fmt_shape(b),
-                    x[1]
-                ))
-            } else {
-                Ok(x.to_vec())
-            }
-        }
-        "sub_channel" | "mul_channel" => {
-            let (x, v) = (p[0], p[1]);
-            if x.len() != 4 {
-                Err(format!("{}: expects NCHW, got {}", op.name, fmt_shape(x)))
-            } else if numel(v) != x[1] {
-                Err(format!(
-                    "{}: vector {} does not match {} channels",
-                    op.name,
-                    fmt_shape(v),
-                    x[1]
-                ))
-            } else {
-                Ok(x.to_vec())
-            }
-        }
-        // Unknown ops pass their first parent's shape through so one
-        // unregistered op does not silence the rest of the graph.
-        _ => Ok(p.first().map(|s| s.to_vec()).unwrap_or_default()),
-    }
-}
-
-/// Re-derive every node's shape; record a [`LintKind::ShapeMismatch`] where
-/// inference fails or disagrees with the recorded shape. Returns the derived
-/// shapes (falling back to recorded ones) for downstream passes.
-fn check_shapes(spec: &GraphSpec, diags: &mut Vec<Diagnostic>) -> Vec<Vec<usize>> {
-    let mut shapes: Vec<Vec<usize>> = Vec::with_capacity(spec.nodes.len());
-    for (i, node) in spec.nodes.iter().enumerate() {
-        if matches!(node.op.name, "leaf" | "const") {
-            shapes.push(node.shape.clone());
-            continue;
-        }
-        let parents: Vec<&[usize]> = node.op.parents.iter().map(|&p| &shapes[p][..]).collect();
-        match infer_shape(&node.op, &parents) {
-            Ok(inferred) => {
-                if !inferred.is_empty() && !node.shape.is_empty() && inferred != node.shape {
-                    diags.push(Diagnostic {
-                        kind: LintKind::ShapeMismatch,
-                        severity: Severity::Error,
-                        node: Some(i),
-                        message: format!(
-                            "{}: recorded shape {} disagrees with inferred {}",
-                            node.op.name,
-                            fmt_shape(&node.shape),
-                            fmt_shape(&inferred)
-                        ),
-                    });
-                    shapes.push(node.shape.clone());
-                } else if inferred.is_empty() {
-                    shapes.push(node.shape.clone());
-                } else {
-                    shapes.push(inferred);
-                }
-            }
-            Err(msg) => {
-                diags.push(Diagnostic {
-                    kind: LintKind::ShapeMismatch,
-                    severity: Severity::Error,
-                    node: Some(i),
-                    message: msg,
-                });
-                // Unknown from here on; dependents are skipped, not cascaded.
-                shapes.push(node.shape.clone());
-            }
-        }
-    }
-    shapes
 }
 
 // ---------------------------------------------------------------------------
@@ -669,10 +289,9 @@ fn check_constant_foldable(spec: &GraphSpec, reachable: &[bool], diags: &mut Vec
 // NaN hazards (sign abstract interpretation)
 // ---------------------------------------------------------------------------
 
-fn sign_of(spec: &GraphSpec, signs: &[Sign], node: &NodeSpec) -> Sign {
+fn sign_of(signs: &[Sign], node: &NodeSpec) -> Sign {
     use Sign::*;
     let p = |i: usize| signs[node.op.parents[i]];
-    let _ = spec;
     match node.op.name {
         // Strictly positive ranges.
         "exp" | "sigmoid" | "softplus" | "softmax_rows" => Pos,
@@ -687,7 +306,7 @@ fn sign_of(spec: &GraphSpec, signs: &[Sign], node: &NodeSpec) -> Sign {
             (NonNeg, NonNeg) => NonNeg,
             _ => Unknown,
         },
-        "mul" | "mul_channel" | "mul_row_broadcast" => match (p(0), p(1)) {
+        "mul" | "mul_channel" => match (p(0), p(1)) {
             (Pos, Pos) => Pos,
             (a, b) if a.at_least_nonneg() && b.at_least_nonneg() => NonNeg,
             _ => Unknown,
@@ -742,7 +361,7 @@ fn sign_of(spec: &GraphSpec, signs: &[Sign], node: &NodeSpec) -> Sign {
             _ => Unknown,
         },
         // row selections across several operands preserve the joined sign
-        "concat_cols" | "gather_rows_blocked" => node
+        "gather_rows_blocked" => node
             .op
             .parents
             .iter()
@@ -753,11 +372,10 @@ fn sign_of(spec: &GraphSpec, signs: &[Sign], node: &NodeSpec) -> Sign {
     }
 }
 
-fn check_nan_hazards(spec: &GraphSpec, shapes: &[Vec<usize>], diags: &mut Vec<Diagnostic>) {
-    let _ = shapes;
+fn check_nan_hazards(spec: &GraphSpec, diags: &mut Vec<Diagnostic>) {
     let mut signs: Vec<Sign> = Vec::with_capacity(spec.nodes.len());
     for node in &spec.nodes {
-        signs.push(sign_of(spec, &signs, node));
+        signs.push(sign_of(&signs, node));
     }
     for (i, node) in spec.nodes.iter().enumerate() {
         let p = |k: usize| signs[node.op.parents[k]];
@@ -811,16 +429,12 @@ fn check_nan_hazards(spec: &GraphSpec, shapes: &[Vec<usize>], diags: &mut Vec<Di
 // Accumulation depth
 // ---------------------------------------------------------------------------
 
-fn check_accum_depth(
-    spec: &GraphSpec,
-    shapes: &[Vec<usize>],
-    cfg: &AnalyzerConfig,
-    diags: &mut Vec<Diagnostic>,
-) {
+fn check_accum_depth(spec: &GraphSpec, diags: &mut Vec<Diagnostic>) {
     // Worst-case length of the serial f32 accumulation chain ending at each
     // node: reductions add the number of terms they fold, elementwise adds
     // contribute one term, everything else passes the max through.
-    let numel = |i: usize| shapes[i].iter().product::<usize>().max(1);
+    let shape = |i: usize| &spec.nodes[i].shape;
+    let numel = |i: usize| shape(i).iter().product::<usize>().max(1);
     let mut depth: Vec<usize> = Vec::with_capacity(spec.nodes.len());
     for node in &spec.nodes {
         let pmax = node.op.parents.iter().map(|&p| depth[p]).max().unwrap_or(0);
@@ -828,19 +442,19 @@ fn check_accum_depth(
             "leaf" | "const" => 1,
             "add" | "sub" => pmax + 1,
             "sum_all" => pmax + numel(node.op.parents[0]),
-            "row_sum" => pmax + shapes[node.op.parents[0]].get(1).copied().unwrap_or(1),
-            "matmul" => pmax + shapes[node.op.parents[0]].get(1).copied().unwrap_or(1),
-            "affine" => pmax + shapes[node.op.parents[1]].first().copied().unwrap_or(1) + 1,
+            "row_sum" => pmax + shape(node.op.parents[0]).get(1).copied().unwrap_or(1),
+            "matmul" => pmax + shape(node.op.parents[0]).get(1).copied().unwrap_or(1),
+            "affine" => pmax + shape(node.op.parents[1]).first().copied().unwrap_or(1) + 1,
             "conv2d" => {
-                let k = &shapes[node.op.parents[1]];
+                let k = shape(node.op.parents[1]);
                 pmax + k.iter().skip(1).product::<usize>().max(1)
             }
             "avg_pool_global" => {
-                let x = &shapes[node.op.parents[0]];
+                let x = shape(node.op.parents[0]);
                 pmax + x.iter().skip(2).product::<usize>().max(1)
             }
             "channel_mean" => {
-                let x = &shapes[node.op.parents[0]];
+                let x = shape(node.op.parents[0]);
                 pmax + (x.first().copied().unwrap_or(1) * x.iter().skip(2).product::<usize>())
                     .max(1)
             }
@@ -851,7 +465,7 @@ fn check_accum_depth(
     for (i, node) in spec.nodes.iter().enumerate() {
         let pmax = node.op.parents.iter().map(|&p| depth[p]).max().unwrap_or(0);
         // Report the node that crosses the threshold, not every descendant.
-        if depth[i] > cfg.accum_depth_threshold && pmax <= cfg.accum_depth_threshold {
+        if depth[i] > ACCUM_DEPTH_THRESHOLD && pmax <= ACCUM_DEPTH_THRESHOLD {
             diags.push(Diagnostic {
                 kind: LintKind::DeepAccumulation,
                 severity: Severity::Warning,
@@ -860,85 +474,10 @@ fn check_accum_depth(
                     "{}: worst-case serial f32 accumulation length {} exceeds \
                      {} — rounding error grows linearly; consider pairwise or \
                      f64 accumulation",
-                    node.op.name, depth[i], cfg.accum_depth_threshold
+                    node.op.name, depth[i], ACCUM_DEPTH_THRESHOLD
                 ),
             });
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SpecBuilder: dry-run graphs from shapes alone
-// ---------------------------------------------------------------------------
-
-/// Builds a [`GraphSpec`] from leaf shapes only, deriving every op's shape by
-/// [`infer_shape`] — a shape dry-run that never allocates an array or runs a
-/// kernel. Ops whose inference fails get an unknown shape; [`analyze`]
-/// reports the failure at that node.
-#[derive(Debug, Default)]
-pub struct SpecBuilder {
-    nodes: Vec<NodeSpec>,
-    named: HashMap<String, usize>,
-}
-
-impl SpecBuilder {
-    /// An empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a trainable-input leaf of the given shape.
-    pub fn leaf(&mut self, shape: &[usize]) -> usize {
-        self.push_node(shape.to_vec(), OpMeta::leaf())
-    }
-
-    /// Add a trainable-input leaf registered under a parameter name, so the
-    /// builder can double as the binding list for [`analyze`].
-    pub fn param(&mut self, name: &str, shape: &[usize]) -> usize {
-        let id = self.leaf(shape);
-        self.named.insert(name.to_string(), id);
-        id
-    }
-
-    /// Add a constant leaf of the given shape.
-    pub fn constant(&mut self, shape: &[usize]) -> usize {
-        self.push_node(shape.to_vec(), OpMeta::constant())
-    }
-
-    /// Add an op node; its shape is derived from its parents, or unknown if
-    /// derivation fails (the failure resurfaces as a diagnostic in
-    /// [`analyze`]).
-    pub fn op(&mut self, meta: OpMeta) -> usize {
-        let parents: Vec<&[usize]> = meta
-            .parents
-            .iter()
-            .map(|&p| &self.nodes[p].shape[..])
-            .collect();
-        let shape = infer_shape(&meta, &parents).unwrap_or_default();
-        self.push_node(shape, meta)
-    }
-
-    /// The `(name, id)` bindings registered via [`SpecBuilder::param`].
-    pub fn bindings(&self) -> Vec<(String, usize)> {
-        let mut v: Vec<(String, usize)> = self.named.iter().map(|(n, &i)| (n.clone(), i)).collect();
-        v.sort_by_key(|(_, i)| *i);
-        v
-    }
-
-    /// The derived shape of a node (empty if unknown).
-    pub fn shape(&self, id: usize) -> &[usize] {
-        &self.nodes[id].shape
-    }
-
-    /// Finish building.
-    pub fn finish(self) -> GraphSpec {
-        GraphSpec { nodes: self.nodes }
-    }
-
-    fn push_node(&mut self, shape: Vec<usize>, op: OpMeta) -> usize {
-        let id = self.nodes.len();
-        self.nodes.push(NodeSpec { shape, op });
-        id
     }
 }
 
@@ -953,74 +492,62 @@ mod tests {
         diags.iter().map(|d| d.kind).collect()
     }
 
-    fn meta(name: &'static str, parents: Vec<usize>) -> OpMeta {
-        OpMeta::new(name, parents)
+    /// A hand-written spec: each node carries the shape written here, and
+    /// nothing is inferred.
+    #[derive(Default)]
+    struct Spec(Vec<NodeSpec>);
+
+    impl Spec {
+        fn push(&mut self, shape: &[usize], op: OpMeta) -> usize {
+            self.0.push(NodeSpec {
+                shape: shape.to_vec(),
+                op,
+            });
+            self.0.len() - 1
+        }
+
+        fn leaf(&mut self, shape: &[usize]) -> usize {
+            self.push(shape, OpMeta::leaf())
+        }
+
+        fn op(&mut self, name: &'static str, parents: Vec<usize>, shape: &[usize]) -> usize {
+            self.push(shape, OpMeta::new(name, parents))
+        }
+
+        fn finish(self) -> GraphSpec {
+            GraphSpec { nodes: self.0 }
+        }
+    }
+
+    fn bind(params: &[(&str, usize)]) -> Vec<(String, usize)> {
+        params.iter().map(|&(n, i)| (n.to_string(), i)).collect()
     }
 
     #[test]
     fn clean_linear_graph_is_clean() {
-        let mut b = SpecBuilder::new();
+        let mut b = Spec::default();
         let x = b.leaf(&[8, 4]);
-        let w = b.param("w", &[4, 3]);
-        let bias = b.param("b", &[3]);
-        let y = b.op(meta("affine", vec![x, w, bias]));
-        let sq = b.op(meta("square", vec![y]));
-        let loss = b.op(meta("sum_all", vec![sq]));
-        let bindings = b.bindings();
+        let w = b.leaf(&[4, 3]);
+        let bias = b.leaf(&[3]);
+        let y = b.op("affine", vec![x, w, bias], &[8, 3]);
+        let sq = b.op("square", vec![y], &[8, 3]);
+        let loss = b.op("sum_all", vec![sq], &[1]);
         let spec = b.finish();
-        let diags = analyze(&spec, loss, &bindings, &AnalyzerConfig::default());
+        let diags = analyze(&spec, loss, &bind(&[("w", w), ("b", bias)]));
         assert!(diags.is_empty(), "unexpected: {diags:?}");
     }
 
     #[test]
-    fn detects_matmul_shape_mismatch() {
-        let mut b = SpecBuilder::new();
-        let x = b.leaf(&[8, 4]);
-        let w = b.leaf(&[5, 3]); // planted: inner dims 4 vs 5
-        let y = b.op(meta("matmul", vec![x, w]));
-        let loss = b.op(meta("sum_all", vec![y]));
-        let spec = b.finish();
-        let diags = analyze(&spec, loss, &[], &AnalyzerConfig::default());
-        assert!(
-            kinds(&diags).contains(&LintKind::ShapeMismatch),
-            "{diags:?}"
-        );
-        let d = diags
-            .iter()
-            .find(|d| d.kind == LintKind::ShapeMismatch)
-            .expect("shape diag");
-        assert_eq!(d.node, Some(2));
-        assert!(d.message.contains("inner dims"), "{}", d.message);
-    }
-
-    #[test]
-    fn shape_error_does_not_cascade() {
-        let mut b = SpecBuilder::new();
-        let x = b.leaf(&[8, 4]);
-        let w = b.leaf(&[5, 3]);
-        let y = b.op(meta("matmul", vec![x, w])); // fails; shape unknown
-        let z = b.op(meta("relu", vec![y])); // depends on unknown: skipped
-        let loss = b.op(meta("sum_all", vec![z]));
-        let spec = b.finish();
-        let diags = analyze(&spec, loss, &[], &AnalyzerConfig::default());
-        let shape_errs: Vec<_> = diags
-            .iter()
-            .filter(|d| d.kind == LintKind::ShapeMismatch)
-            .collect();
-        assert_eq!(shape_errs.len(), 1, "{diags:?}");
-    }
-
-    #[test]
     fn detects_unreachable_param() {
-        let mut b = SpecBuilder::new();
+        let mut b = Spec::default();
         let x = b.leaf(&[4, 4]);
-        let w = b.param("model.w", &[4, 4]);
-        let _orphan = b.param("model.orphan", &[4, 4]); // planted: never used
-        let y = b.op(meta("matmul", vec![x, w]));
-        let loss = b.op(meta("sum_all", vec![y]));
-        let bindings = b.bindings();
+        let w = b.leaf(&[4, 4]);
+        let orphan = b.leaf(&[4, 4]); // planted: never used
+        let y = b.op("matmul", vec![x, w], &[4, 4]);
+        let loss = b.op("sum_all", vec![y], &[1]);
+        let bound = bind(&[("model.w", w), ("model.orphan", orphan)]);
         let spec = b.finish();
-        let diags = analyze(&spec, loss, &bindings, &AnalyzerConfig::default());
+        let diags = analyze(&spec, loss, &bound);
         let ur: Vec<_> = diags
             .iter()
             .filter(|d| d.kind == LintKind::UnreachableParam)
@@ -1032,17 +559,16 @@ mod tests {
 
     #[test]
     fn detects_detached_subgraph() {
-        let mut b = SpecBuilder::new();
+        let mut b = Spec::default();
         let x = b.leaf(&[4, 4]);
-        let w = b.param("w", &[4, 4]);
-        let y = b.op(meta("matmul", vec![x, w]));
-        let loss = b.op(meta("sum_all", vec![y]));
+        let w = b.leaf(&[4, 4]);
+        let y = b.op("matmul", vec![x, w], &[4, 4]);
+        let loss = b.op("sum_all", vec![y], &[1]);
         // planted: a side computation whose result is dropped
-        let dead1 = b.op(meta("relu", vec![y]));
-        let _dead2 = b.op(meta("sum_all", vec![dead1]));
-        let bindings = b.bindings();
+        let dead1 = b.op("relu", vec![y], &[4, 4]);
+        let _dead2 = b.op("sum_all", vec![dead1], &[1]);
         let spec = b.finish();
-        let diags = analyze(&spec, loss, &bindings, &AnalyzerConfig::default());
+        let diags = analyze(&spec, loss, &bind(&[("w", w)]));
         let det: Vec<_> = diags
             .iter()
             .filter(|d| d.kind == LintKind::DetachedSubgraph)
@@ -1054,14 +580,14 @@ mod tests {
 
     #[test]
     fn detects_constant_foldable() {
-        let mut b = SpecBuilder::new();
+        let mut b = Spec::default();
         let x = b.leaf(&[4, 4]);
-        let c1 = b.constant(&[4, 4]);
-        let c2 = b.op(meta("square", vec![c1])); // planted: const-only chain
-        let y = b.op(meta("add", vec![x, c2]));
-        let loss = b.op(meta("sum_all", vec![y]));
+        let c1 = b.push(&[4, 4], OpMeta::constant());
+        let c2 = b.op("square", vec![c1], &[4, 4]); // planted: const-only chain
+        let y = b.op("add", vec![x, c2], &[4, 4]);
+        let loss = b.op("sum_all", vec![y], &[1]);
         let spec = b.finish();
-        let diags = analyze(&spec, loss, &[], &AnalyzerConfig::default());
+        let diags = analyze(&spec, loss, &[]);
         let cf: Vec<_> = diags
             .iter()
             .filter(|d| d.kind == LintKind::ConstantFoldable)
@@ -1072,14 +598,14 @@ mod tests {
 
     #[test]
     fn detects_unclamped_div_and_ln() {
-        let mut b = SpecBuilder::new();
+        let mut b = Spec::default();
         let x = b.leaf(&[4, 4]);
         let y = b.leaf(&[4, 4]);
-        let q = b.op(meta("div", vec![x, y])); // planted: unknown denominator
-        let l = b.op(meta("ln", vec![q])); // planted: unknown ln input
-        let loss = b.op(meta("sum_all", vec![l]));
+        let q = b.op("div", vec![x, y], &[4, 4]); // planted: unknown denominator
+        let l = b.op("ln", vec![q], &[4, 4]); // planted: unknown ln input
+        let loss = b.op("sum_all", vec![l], &[1]);
         let spec = b.finish();
-        let diags = analyze(&spec, loss, &[], &AnalyzerConfig::default());
+        let diags = analyze(&spec, loss, &[]);
         let nan: Vec<_> = diags
             .iter()
             .filter(|d| d.kind == LintKind::NanHazard)
@@ -1091,17 +617,20 @@ mod tests {
     fn sign_lattice_clears_clamped_patterns() {
         // The ELBO's variance pattern: add_scalar(softplus(x), eps) is
         // provably positive, so ln/div over it must NOT fire.
-        let mut b = SpecBuilder::new();
+        let mut b = Spec::default();
         let x = b.leaf(&[4, 2]);
-        let sp = b.op(meta("softplus", vec![x]));
-        let var = b.op(meta("add_scalar", vec![sp]).with_sattrs(vec![1e-4]));
-        let num = b.op(meta("square", vec![x]));
-        let q = b.op(meta("div", vec![num, var]));
-        let lnv = b.op(meta("ln", vec![var]));
-        let s = b.op(meta("add", vec![q, lnv]));
-        let loss = b.op(meta("sum_all", vec![s]));
+        let sp = b.op("softplus", vec![x], &[4, 2]);
+        let var = b.push(
+            &[4, 2],
+            OpMeta::new("add_scalar", vec![sp]).with_sattrs(vec![1e-4]),
+        );
+        let num = b.op("square", vec![x], &[4, 2]);
+        let q = b.op("div", vec![num, var], &[4, 2]);
+        let lnv = b.op("ln", vec![var], &[4, 2]);
+        let s = b.op("add", vec![q, lnv], &[4, 2]);
+        let loss = b.op("sum_all", vec![s], &[1]);
         let spec = b.finish();
-        let diags = analyze(&spec, loss, &[], &AnalyzerConfig::default());
+        let diags = analyze(&spec, loss, &[]);
         assert!(
             !kinds(&diags).contains(&LintKind::NanHazard),
             "false positive: {diags:?}"
@@ -1112,18 +641,21 @@ mod tests {
     fn sign_lattice_clears_batchnorm_pattern() {
         // BatchNorm denominator: reciprocal(sqrt(add_scalar(channel_mean(
         // square(xc)), eps))) — provably positive end to end.
-        let mut b = SpecBuilder::new();
+        let mut b = Spec::default();
         let xc = b.leaf(&[2, 3, 4, 4]);
-        let sq = b.op(meta("square", vec![xc]));
-        let cm = b.op(meta("channel_mean", vec![sq]));
-        let veps = b.op(meta("add_scalar", vec![cm]).with_sattrs(vec![1e-5]));
-        let sd = b.op(meta("sqrt", vec![veps]));
-        let inv = b.op(meta("reciprocal", vec![sd]));
-        let scaled = b.op(meta("mul_channel", vec![xc, inv]));
-        let pool = b.op(meta("avg_pool_global", vec![scaled]));
-        let loss = b.op(meta("sum_all", vec![pool]));
+        let sq = b.op("square", vec![xc], &[2, 3, 4, 4]);
+        let cm = b.op("channel_mean", vec![sq], &[3]);
+        let veps = b.push(
+            &[3],
+            OpMeta::new("add_scalar", vec![cm]).with_sattrs(vec![1e-5]),
+        );
+        let sd = b.op("sqrt", vec![veps], &[3]);
+        let inv = b.op("reciprocal", vec![sd], &[3]);
+        let scaled = b.op("mul_channel", vec![xc, inv], &[2, 3, 4, 4]);
+        let pool = b.op("avg_pool_global", vec![scaled], &[2, 3]);
+        let loss = b.op("sum_all", vec![pool], &[1]);
         let spec = b.finish();
-        let diags = analyze(&spec, loss, &[], &AnalyzerConfig::default());
+        let diags = analyze(&spec, loss, &[]);
         assert!(
             !kinds(&diags).contains(&LintKind::NanHazard),
             "false positive: {diags:?}"
@@ -1132,11 +664,11 @@ mod tests {
 
     #[test]
     fn detects_deep_accumulation() {
-        let mut b = SpecBuilder::new();
+        let mut b = Spec::default();
         let x = b.leaf(&[1, 200_000]); // planted: 200k-term serial sum
-        let loss = b.op(meta("sum_all", vec![x]));
+        let loss = b.op("sum_all", vec![x], &[1]);
         let spec = b.finish();
-        let diags = analyze(&spec, loss, &[], &AnalyzerConfig::default());
+        let diags = analyze(&spec, loss, &[]);
         let deep: Vec<_> = diags
             .iter()
             .filter(|d| d.kind == LintKind::DeepAccumulation)
@@ -1147,8 +679,8 @@ mod tests {
 
     #[test]
     fn export_spec_matches_live_tape() {
-        // A real tape exports a spec whose analysis is clean, and whose
-        // recorded shapes agree with the analyzer's inference everywhere.
+        // A real tape exports a spec whose analysis is clean, and which
+        // carries each node's op and recorded shape.
         let tape = Tape::new();
         let x = tape.leaf(Array::ones(&[3, 4]));
         let w = tape.leaf(Array::ones(&[4, 2]));
@@ -1163,7 +695,6 @@ mod tests {
             &spec,
             loss.id(),
             &[("w".into(), w.id()), ("b".into(), b.id())],
-            &AnalyzerConfig::default(),
         );
         assert!(diags.is_empty(), "unexpected: {diags:?}");
         assert_eq!(spec.nodes[h.id()].op.name, "affine");
@@ -1174,15 +705,15 @@ mod tests {
     fn analysis_is_fast_on_large_graphs() {
         // 100k-node chain analysed in well under a second (acceptance: the
         // full pre-train analysis of the largest config < 1 s).
-        let mut b = SpecBuilder::new();
+        let mut b = Spec::default();
         let mut cur = b.leaf(&[64, 64]);
         for _ in 0..100_000 {
-            cur = b.op(meta("relu", vec![cur]));
+            cur = b.op("relu", vec![cur], &[64, 64]);
         }
-        let loss = b.op(meta("sum_all", vec![cur]));
+        let loss = b.op("sum_all", vec![cur], &[1]);
         let spec = b.finish();
         let t0 = std::time::Instant::now();
-        let diags = analyze(&spec, loss, &[], &AnalyzerConfig::default());
+        let diags = analyze(&spec, loss, &[]);
         assert!(diags.is_empty(), "{diags:?}");
         assert!(
             t0.elapsed().as_millis() < 1000,

@@ -1,6 +1,6 @@
 //! Tape-free inference runtime: pure-`Array` forward kernels for decoding.
 //!
-//! Training needs the autodiff [`Tape`](crate::tape::Tape); serving does
+//! Training needs the autodiff [`Tape`]; serving does
 //! not. Route decoding runs the model forward thousands of times per query,
 //! and recording an autodiff graph for each step costs tape nodes, backward
 //! closures and `Rc` traffic that are thrown away immediately. This module

@@ -11,17 +11,17 @@
 //! - [`tape::Tape`] / [`tape::Var`] — an append-only autodiff tape; node ids
 //!   double as a topological order, so backprop is a single reverse sweep.
 //! - [`ops`] — differentiable ops (arithmetic, activations, softmax family,
-//!   embeddings, concat/slice/mask), each gradient-checked against central
-//!   finite differences.
+//!   embeddings, slice/mask), each gradient-checked against central finite
+//!   differences. Each op checks its operands' shapes when it records.
 //! - [`conv`] — Conv2d / pooling / per-channel ops for the traffic CNN.
 //! - [`param`] — persistent [`param::Param`]s and the [`param::Binder`] that
 //!   bridges them onto per-step tapes.
 //! - [`optim`] — Adam with gradient clipping.
 //! - [`init`] — seeded initializers and the Normal/Gumbel samplers used by
 //!   the VAE reparameterizations.
-//! - [`analyze`](mod@analyze) — a static graph analyzer: shape dry-runs, gradient-flow
-//!   audits, and NaN-hazard detection over exported tape specs, without
-//!   executing kernels.
+//! - [`analyze`](mod@analyze) — a static graph analyzer: gradient-flow
+//!   audits, NaN-hazard detection and accumulation-depth checks over the
+//!   graph a tape recorded, without executing kernels.
 //!
 //! # Example
 //!
@@ -35,38 +35,26 @@
 //! assert_eq!(grads.expect(x).data(), &[2.0, 4.0, 6.0]);
 //! ```
 
-/// Dry-run graph analyzer: shape inference and grad-flow lints.
+#![warn(missing_docs)]
+
 pub mod analyze;
-/// The dense row-major f32 tensor type.
 pub mod array;
-/// Row-blocked parameter layout for graph-scale tensors.
 pub mod block;
-/// Finite-difference gradient checking utilities.
 pub mod check;
-/// Direct convolution kernels and channel-wise ops.
 pub mod conv;
 mod dispatch;
 mod gemm;
-/// Tape-free forward kernels and the inference scratch arena.
 pub mod infer;
-/// Seeded RNG construction and weight initializers.
 pub mod init;
 #[cfg(feature = "kernel-timing")]
 mod ktime;
-/// Deterministic, vectorizable transcendental kernels (exp/sigmoid/tanh).
 pub mod mathfn;
-/// Differentiable tensor operations recorded on the tape.
 pub mod ops;
-/// The Adam optimizer and gradient clipping.
 pub mod optim;
-/// Trainable parameters and the tape binder.
 pub mod param;
-/// The reverse-mode autodiff tape.
 pub mod tape;
 
-pub use analyze::{
-    analyze, AnalyzerConfig, Diagnostic, GraphSpec, LintKind, Severity, SpecBuilder,
-};
+pub use analyze::{analyze, Diagnostic, GraphSpec, LintKind, Severity};
 pub use array::Array;
 pub use block::BlockedParam;
 pub use dispatch::simd_active;

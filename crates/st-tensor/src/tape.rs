@@ -3,7 +3,7 @@
 //! A [`Tape`] is an append-only arena of computation nodes. Each operation in
 //! [`crate::ops`] pushes one node holding the forward value plus a backward
 //! closure that accumulates gradient into its parents through a
-//! [`GradSink`](crate::tape::GradSink). Because the tape is append-only,
+//! [`GradSink`]. Because the tape is append-only,
 //! node ids are already a topological order, so backpropagation is a single
 //! reverse sweep — no explicit graph sort.
 //!
@@ -38,8 +38,9 @@ pub(crate) type BackwardFn = Box<dyn Fn(&Array, &mut GradSink<'_>)>;
 /// Every op in [`crate::ops`] and [`crate::conv`] records one of these
 /// alongside its value and backward closure. The metadata is what makes the
 /// recorded graph *inspectable*: [`crate::analyze`](mod@crate::analyze)
-/// re-derives shapes, signs and gradient reachability from op names, parent
-/// edges and attributes alone, without touching the kernels.
+/// derives signs, gradient reachability and accumulation depth from op
+/// names, parent edges, attributes and the recorded shapes alone, without
+/// touching the kernels.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpMeta {
     /// Op name, e.g. `"matmul"`, `"ln"`, `"leaf"`. The vocabulary is the

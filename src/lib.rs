@@ -12,6 +12,8 @@
 //! - [`st_recovery`] — STRS route recovery
 //! - [`st_eval`] — metrics and experiment runners
 
+#![warn(missing_docs)]
+
 pub use st_baselines as baselines;
 pub use st_core as core;
 pub use st_eval as eval;
