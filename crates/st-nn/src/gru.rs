@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 
-use st_tensor::{infer, init, ops, Array, Binder, Param, ScratchArena, Var};
+use st_tensor::{gru, infer, init, ops, Array, Binder, Param, ScratchArena, Var};
 
 use crate::module::Module;
 
@@ -62,7 +62,10 @@ impl GruCell {
         self.in_dim
     }
 
-    /// One step: `x [n, in]`, `h [n, hidden]` → new hidden `[n, hidden]`.
+    /// One step: `x [n, in]`, `h [n, hidden]` → new hidden `[n, hidden]`,
+    /// recorded as one [`gru::gru_step`] node: the forward is decoding's
+    /// fused step ([`PackedGruCell`]'s GEMMs and gate epilogue), the
+    /// backward keeps the bits of the gate graph composed out of taped ops.
     ///
     /// Rejects mis-shaped inputs with a diagnostic naming this cell, instead
     /// of a shape panic deep inside the GEMM kernel.
@@ -84,70 +87,13 @@ impl GruCell {
             xs[0],
             self.hidden
         );
-        let hsz = self.hidden;
-        let wx = bind.var(&self.wx);
-        let wh = bind.var(&self.wh);
-        let b = bind.var(&self.b);
-        let gx = ops::affine(x, wx, b); // [n, 3h]
-        let gh = ops::matmul(h, wh); // [n, 3h]
-        let r = ops::sigmoid(ops::add(
-            ops::slice_cols(gx, 0, hsz),
-            ops::slice_cols(gh, 0, hsz),
-        ));
-        let z = ops::sigmoid(ops::add(
-            ops::slice_cols(gx, hsz, 2 * hsz),
-            ops::slice_cols(gh, hsz, 2 * hsz),
-        ));
-        let n = ops::tanh(ops::add(
-            ops::slice_cols(gx, 2 * hsz, 3 * hsz),
-            ops::mul(r, ops::slice_cols(gh, 2 * hsz, 3 * hsz)),
-        ));
-        // h' = (1 − z)⊙n + z⊙h = n − z⊙n + z⊙h
-        ops::add(ops::sub(n, ops::mul(z, n)), ops::mul(z, h))
-    }
-
-    /// Tape-free step `x [n, in]`, `h [n, hidden]` → new hidden, sharing
-    /// weights with [`GruCell::step`] and matching it bit-for-bit. The `n`
-    /// axis batches independent sequences (e.g. live beam candidates), so
-    /// one call steps the whole beam through a single pair of GEMMs.
-    pub fn infer_step(&self, arena: &mut ScratchArena, x: &Array, h: &Array) -> Array {
-        assert!(
-            x.ndim() == 2 && x.shape()[1] == self.in_dim,
-            "GruCell '{}': input shape {:?} incompatible with expected [n, {}]",
-            self.name,
-            x.shape(),
-            self.in_dim
-        );
-        assert!(
-            h.ndim() == 2 && h.shape()[1] == self.hidden && h.shape()[0] == x.shape()[0],
-            "GruCell '{}': state shape {:?} incompatible with expected [{}, {}]",
-            self.name,
-            h.shape(),
-            x.shape()[0],
-            self.hidden
-        );
-        let hsz = self.hidden;
-        let gx = infer::affine(arena, x, &self.wx.value(), &self.b.value()); // [n, 3h]
-        let gh = infer::matmul(arena, h, &self.wh.value()); // [n, 3h]
-        let rows = x.shape()[0];
-        let mut out = arena.alloc(&[rows, hsz]);
-        for r in 0..rows {
-            let gxr = gx.row(r);
-            let ghr = gh.row(r);
-            let hr = h.row(r);
-            let orow = out.row_mut(r);
-            for j in 0..hsz {
-                // Same per-element arithmetic (and rounding order) as the
-                // taped slice/add/mul/activation chain in `step`.
-                let rg = st_tensor::mathfn::sigmoid(gxr[j] + ghr[j]);
-                let z = st_tensor::mathfn::sigmoid(gxr[hsz + j] + ghr[hsz + j]);
-                let n = st_tensor::mathfn::tanh(gxr[2 * hsz + j] + rg * ghr[2 * hsz + j]);
-                orow[j] = (n - z * n) + (z * hr[j]);
-            }
-        }
-        arena.recycle(gx);
-        arena.recycle(gh);
-        out
+        gru::gru_step(
+            x,
+            h,
+            bind.var(&self.wx),
+            bind.var(&self.wh),
+            bind.var(&self.b),
+        )
     }
 }
 
@@ -221,32 +167,6 @@ impl Gru {
             *h = ops::gather_rows(*h, keep);
         }
     }
-
-    /// Fresh zero state for `n` batched sequences, drawn from `arena`:
-    /// one `[n, hidden]` array per layer.
-    pub fn infer_zero_state(&self, arena: &mut ScratchArena, n: usize) -> Vec<Array> {
-        self.cells
-            .iter()
-            .map(|c| arena.alloc(&[n, c.hidden()]))
-            .collect()
-    }
-
-    /// Tape-free step through the stack, matching [`Gru::step`]
-    /// bit-for-bit. `state` holds one `[n, hidden]` per layer and is
-    /// replaced in place (old arrays are recycled into `arena`); the top
-    /// layer's new state is the step output — read it via `state.last()`.
-    pub fn infer_step(&self, arena: &mut ScratchArena, x: &Array, state: &mut [Array]) {
-        assert_eq!(state.len(), self.cells.len(), "state/layer count mismatch");
-        for (k, cell) in self.cells.iter().enumerate() {
-            let new_h = if k == 0 {
-                cell.infer_step(arena, x, &state[0])
-            } else {
-                let (prev, rest) = state.split_at(k);
-                cell.infer_step(arena, &prev[k - 1], &rest[0])
-            };
-            arena.recycle(std::mem::replace(&mut state[k], new_h));
-        }
-    }
 }
 
 impl Module for Gru {
@@ -302,8 +222,9 @@ impl RunningRows {
 /// The fused step runs two pre-packed GEMMs (`x·Wx`, `h·Wh`) and the
 /// [`infer::gru_gates_fused`] epilogue, which activates the gates with the
 /// crate-owned polynomial sigmoid/tanh and rewrites the hidden state in
-/// place — no per-call weight packing, no intermediate gate buffers, and
-/// bit-identical output to [`GruCell::infer_step`] / [`GruCell::step`].
+/// place — no per-call weight packing, no intermediate gate buffers. It is
+/// the forward of [`GruCell::step`]'s taped op, which runs the same GEMMs
+/// and epilogue, so decoding and training share one GRU forward.
 pub struct PackedGruCell {
     wx: infer::PackedWeights,
     wh: infer::PackedWeights,
@@ -399,8 +320,8 @@ impl PackedGru {
     /// already computed ([`PackedGru::gate_x0`], possibly row-cached — the
     /// bottom input is the only one that depends purely on the token),
     /// updating each layer's `[n, hidden]` state in place; bit-identical
-    /// to [`Gru::infer_step`]. `gx0` is consumed as scratch. The top
-    /// layer's state (`state.last()`) is the step output.
+    /// to [`Gru::step`]. `gx0` is consumed as scratch. The top layer's
+    /// state (`state.last()`) is the step output.
     pub fn infer_step_fused_pregx(
         &self,
         arena: &mut ScratchArena,
@@ -413,7 +334,7 @@ impl PackedGru {
                 cell.infer_step_fused_pregx(arena, gx0, &mut state[0]);
             } else {
                 // Layer k's input is layer k−1's state, already updated in
-                // place this step — exactly the unfused chaining order.
+                // place this step — exactly the taped chaining order.
                 let (prev, rest) = state.split_at_mut(k);
                 cell.infer_step_fused(arena, &prev[k - 1], &mut rest[0]);
             }
@@ -431,65 +352,8 @@ mod tests {
     use super::*;
     use crate::linear::Linear;
     use crate::module::Activation;
-    use proptest::prelude::*;
     use st_tensor::optim::{Adam, Optimizer};
     use st_tensor::Tape;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// The three GRU step implementations — taped `step`, unfused
-        /// `infer_step`, fused packed `infer_step_fused` — are bit-identical
-        /// over random weights, inputs, states, and batch sizes.
-        #[test]
-        fn fused_unfused_taped_steps_are_bit_identical(
-            seed in 0u64..500,
-            m in 1usize..=8,
-        ) {
-            let mut rng = init::rng(seed);
-            let cell = GruCell::new("g", 5, 7, &mut rng);
-            let x = init::randn(&[m, 5], 1.0, &mut rng);
-            let h = init::randn(&[m, 7], 1.0, &mut rng);
-
-            let tape = Tape::new();
-            let b = Binder::new(&tape);
-            let taped = cell
-                .step(&b, b.input(x.clone()), b.input(h.clone()))
-                .value()
-                .clone();
-            drop(tape);
-
-            let mut arena = ScratchArena::new();
-            let unfused = cell.infer_step(&mut arena, &x, &h);
-            prop_assert_eq!(taped.data(), unfused.data());
-
-            let packed = PackedGruCell::pack(&cell);
-            let mut fused = h.clone();
-            packed.infer_step_fused(&mut arena, &x, &mut fused);
-            prop_assert_eq!(unfused.data(), fused.data());
-        }
-    }
-
-    #[test]
-    fn packed_stack_matches_unfused_stack_bitwise() {
-        let mut rng = init::rng(11);
-        let gru = Gru::new("g", 4, 6, 2, &mut rng);
-        let packed = PackedGru::pack(&gru);
-        assert_eq!(packed.layers(), 2);
-        assert_eq!(packed.hidden(), 6);
-        let mut arena = ScratchArena::new();
-        let mut state_a = gru.infer_zero_state(&mut arena, 3);
-        let mut state_b = gru.infer_zero_state(&mut arena, 3);
-        for step in 0..5 {
-            let x = init::randn(&[3, 4], 1.0, &mut rng);
-            gru.infer_step(&mut arena, &x, &mut state_a);
-            let mut gx0 = packed.gate_x0(&mut arena, &x);
-            packed.infer_step_fused_pregx(&mut arena, &mut gx0, &mut state_b);
-            for (a, b) in state_a.iter().zip(&state_b) {
-                assert_eq!(a.data(), b.data(), "step {step}");
-            }
-        }
-    }
 
     #[test]
     fn step_shapes() {

@@ -8,9 +8,15 @@
 //! across shapes (including the GEMM micro-kernel edge cases) and values,
 //! not just on one lucky seed.
 
+#[path = "common/composed_gru.rs"]
+mod composed_gru;
+
 use proptest::prelude::*;
 
-use st_nn::{Activation, BatchNorm2d, ConvBlock, Embedding, Gru, GruCell, Linear, Mlp, TrafficCnn};
+use st_nn::{
+    Activation, BatchNorm2d, ConvBlock, Embedding, Gru, GruCell, Linear, Mlp, Module, PackedGru,
+    PackedGruCell, TrafficCnn,
+};
 use st_tensor::{init, Array, Binder, ScratchArena, Tape, TapeFreeScope};
 
 /// Assert two arrays are bit-identical (shape and every f32's bits).
@@ -86,8 +92,11 @@ proptest! {
 
         let _scope = TapeFreeScope::enter();
         let mut arena = ScratchArena::new();
-        let got = cell.infer_step(&mut arena, &x, &h);
-        assert_bits_eq(&got, &want, "GruCell");
+        let got = composed_gru::infer_cell_step(&mut arena, &cell.params(), &x, &h);
+        assert_bits_eq(&got, &want, "GruCell, unfused oracle");
+        let mut got = h.clone();
+        PackedGruCell::pack(&cell).infer_step_fused(&mut arena, &x, &mut got);
+        assert_bits_eq(&got, &want, "GruCell, packed");
     }
 
     #[test]
@@ -104,12 +113,12 @@ proptest! {
         let mut taped_state = gru.zero_state(&b, n);
 
         let mut arena = ScratchArena::new();
-        let mut infer_state = gru.infer_zero_state(&mut arena, n);
+        let mut infer_state: Vec<Array> = (0..2).map(|_| Array::zeros(&[n, 6])).collect();
 
         for s in 0..steps {
             let x = input(&[n, 3], &data[s * n * 3..]);
             let want = gru.step(&b, b.input(x.clone()), &mut taped_state).value();
-            gru.infer_step(&mut arena, &x, &mut infer_state);
+            composed_gru::infer_stack_step(&mut arena, &gru.params(), &x, &mut infer_state);
             let got = infer_state.last().unwrap();
             assert_bits_eq(got, &want, "Gru stack output");
             for (layer, (gi, ti)) in infer_state.iter().zip(&taped_state).enumerate() {
@@ -208,14 +217,19 @@ proptest! {
 #[test]
 fn gru_steady_state_reuses_arena() {
     let mut rng = init::rng(0);
-    let gru = Gru::new("g", 4, 8, 2, &mut rng);
+    let gru = PackedGru::pack(&Gru::new("g", 4, 8, 2, &mut rng));
     let mut arena = ScratchArena::new();
-    let mut state = gru.infer_zero_state(&mut arena, 3);
+    let mut state: Vec<Array> = (0..2).map(|_| arena.alloc(&[3, 8])).collect();
     let x = Array::zeros(&[3, 4]);
-    gru.infer_step(&mut arena, &x, &mut state); // warm-up
+    let step = |arena: &mut ScratchArena, state: &mut Vec<Array>| {
+        let mut gx0 = gru.gate_x0(arena, &x);
+        gru.infer_step_fused_pregx(arena, &mut gx0, state);
+        arena.recycle(gx0);
+    };
+    step(&mut arena, &mut state); // warm-up
     let pooled = arena.pooled();
     for _ in 0..10 {
-        gru.infer_step(&mut arena, &x, &mut state);
+        step(&mut arena, &mut state);
         assert_eq!(arena.pooled(), pooled, "steady state must not allocate");
     }
 }

@@ -174,9 +174,10 @@ pub(crate) fn take_finished() -> Vec<SpanRecord> {
 mod tests {
     use super::*;
 
-    // Span tests share process-global state with sink tests; they only make
-    // assertions that hold under concurrent recording (relative counts and
-    // per-thread structure), not absolute global counters.
+    // Span tests share process-global state; they only make assertions that
+    // hold under concurrent recording (relative counts and per-thread
+    // structure), not absolute global counters. A drain that must see every
+    // span closed runs in its own test binary (`tests/trace_roundtrip.rs`).
 
     #[test]
     fn disabled_spans_are_inert() {

@@ -163,12 +163,18 @@ impl Sign {
 /// (the loss) and `bound` as the `(name, leaf id)` parameter bindings (see
 /// [`crate::Binder::bound_params`]). Findings come back in node order within
 /// each pass.
+///
+/// # Panics
+///
+/// If `root` is not a node of `spec` (a stale id, or an empty spec): the
+/// audit would otherwise describe some other subgraph.
 pub fn analyze(spec: &GraphSpec, root: usize, bound: &[(String, usize)]) -> Vec<Diagnostic> {
+    assert!(
+        root < spec.nodes.len(),
+        "analyze: root {root} is not a node of this {}-node graph",
+        spec.nodes.len()
+    );
     let mut diags = Vec::new();
-    if spec.nodes.is_empty() {
-        return diags;
-    }
-    let root = root.min(spec.nodes.len() - 1);
     let reachable = ancestors_of(spec, root);
     check_unreachable_params(bound, &reachable, &mut diags);
     check_detached(spec, root, &reachable, &mut diags);
@@ -367,7 +373,8 @@ fn sign_of(signs: &[Sign], node: &NodeSpec) -> Sign {
             .iter()
             .map(|&i| signs[i])
             .fold(Pos, Sign::join),
-        // mask weights, biases, affine shifts, convolutions: unconstrained.
+        // mask weights, biases, affine shifts, convolutions, GRU steps:
+        // unconstrained.
         _ => Unknown,
     }
 }
@@ -445,6 +452,16 @@ fn check_accum_depth(spec: &GraphSpec, diags: &mut Vec<Diagnostic>) {
             "row_sum" => pmax + shape(node.op.parents[0]).get(1).copied().unwrap_or(1),
             "matmul" => pmax + shape(node.op.parents[0]).get(1).copied().unwrap_or(1),
             "affine" => pmax + shape(node.op.parents[1]).first().copied().unwrap_or(1) + 1,
+            // The composed gate graph's depth: `affine(x, Wx, b)` and
+            // `h·Wh`, then four adds or subs on the longer path.
+            "gru_step" => {
+                // Parents: x, h, Wx, Wh, b.
+                let p = &node.op.parents;
+                let rows = |i: usize| shape(i).first().copied().unwrap_or(1);
+                let gx = depth[p[0]].max(depth[p[2]]).max(depth[p[4]]) + rows(p[2]) + 1;
+                let gh = depth[p[1]].max(depth[p[3]]) + rows(p[3]);
+                gx.max(gh) + 4
+            }
             "conv2d" => {
                 let k = shape(node.op.parents[1]);
                 pmax + k.iter().skip(1).product::<usize>().max(1)
@@ -487,6 +504,22 @@ mod tests {
     use crate::ops;
     use crate::tape::Tape;
     use crate::Array;
+
+    #[test]
+    #[should_panic(expected = "analyze: root 3 is not a node of this 3-node graph")]
+    fn out_of_range_root_is_refused() {
+        let mut b = Spec::default();
+        let x = b.leaf(&[2]);
+        let y = b.op("square", vec![x], &[2]);
+        b.op("sum_all", vec![y], &[1]);
+        analyze(&b.finish(), 3, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "analyze: root 0 is not a node of this 0-node graph")]
+    fn empty_spec_is_refused() {
+        analyze(&GraphSpec::default(), 0, &[]);
+    }
 
     fn kinds(diags: &[Diagnostic]) -> Vec<LintKind> {
         diags.iter().map(|d| d.kind).collect()

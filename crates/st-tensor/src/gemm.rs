@@ -135,6 +135,9 @@ pub fn gemm_at(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f3
         }
         return;
     }
+    if k <= 2 && m >= PACK_MIN_ROWS {
+        return outer_at(m, k, n, a, b, out, acc);
+    }
     SCRATCH.with(|s| {
         let scratch = &mut *s.borrow_mut();
         // Transpose A into scratch so the kernel sees contiguous A rows.
@@ -165,13 +168,21 @@ pub fn gemm_at(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f3
 ///
 /// Bit-compatibility: the packed and unpacked kernels accumulate in the
 /// same `p`-sequential order and neither contracts mul+add, so overwriting
-/// products (`acc = false` — the only mode the inference path uses) through
-/// a `PackedB` are bit-identical to [`gemm`] at every row count (pinned by
-/// the `batched_rows_equal_single_rows` proptest). With `acc = true` the
+/// products (`acc = false`) through a `PackedB` are bit-identical to
+/// [`gemm`] at every row count (pinned by the
+/// `batched_rows_equal_single_rows` proptest). With `acc = true` the
 /// packed kernel folds `out` in *after* the register accumulation, which
 /// matches [`gemm`] only at `m ≥ PACK_MIN_ROWS` (below that, `gemm`'s
 /// row-major fallback folds `out` in first — a last-ulp association
 /// difference).
+///
+/// A transposed pack ([`PackedB::pack_t`]) matches [`gemm_bt`] at every row
+/// count, `acc = true` included: `gemm_bt`'s dot-product fallback also sums
+/// each output before adding it to `out`, in the same `p` order. The two
+/// sums can differ only in the sign of an exactly-zero result, which adding
+/// it to an `out` that is not −0.0 cannot show; the tape's gradient
+/// accumulators start at +0.0 and a sum is −0.0 only when both its terms
+/// are, so they never hold −0.0 (DESIGN §7).
 pub struct PackedB {
     k: usize,
     n: usize,
@@ -187,6 +198,16 @@ impl PackedB {
         Self { k, n, tiles }
     }
 
+    /// Pack `bᵀ`, for a `b` stored `[n×k]` row-major: the B operand of
+    /// `a · bᵀ`, laid out as [`PackedB::pack`] lays out an explicit `[k×n]`
+    /// transpose.
+    pub fn pack_t(k: usize, n: usize, b: &[f32]) -> Self {
+        assert_eq!(b.len(), k * n, "PackedB::pack_t: b is not n×k");
+        let mut tiles = Vec::new();
+        pack_bt(k, n, b, &mut tiles);
+        Self { k, n, tiles }
+    }
+
     /// Rows of the original matrix (the shared GEMM dimension).
     pub fn k(&self) -> usize {
         self.k
@@ -195,6 +216,11 @@ impl PackedB {
     /// Columns of the original matrix (the output width).
     pub fn n(&self) -> usize {
         self.n
+    }
+
+    /// Floats held by the packed tiles (edge tiles zero-padded).
+    pub fn len(&self) -> usize {
+        self.tiles.len()
     }
 }
 
@@ -216,6 +242,78 @@ pub fn gemm_prepacked(m: usize, a: &[f32], b: &PackedB, out: &mut [f32], acc: bo
         return;
     }
     gemm_packed(m, b.k, b.n, a, &b.tiles, out, acc);
+}
+
+/// `out[m×n] += a[m×k] · b[k×n]` with `out` folded in *first*: each output
+/// becomes `((out + a₀b₀) + a₁b₁) + …`, the order of a loop that adds every
+/// product straight into its accumulator (the row-major kernel that
+/// [`gemm`] runs below `PACK_MIN_ROWS`, at any row count).
+pub fn gemm_acc_in_order(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(b.len(), k * n);
+    debug_assert_eq!(out.len(), m * n);
+    gemm_rowmajor_unpacked(m, k, n, a, b, out, true)
+}
+
+/// [`gemm_at`] for one or two shared rows (`k ≤ 2`) at row counts that
+/// [`gemm_at`] runs on the packed kernel: there the pack and the transpose
+/// of `a` would cost more than the product. Each output is the packed
+/// kernel's register sum `(0 + a₀b₀) + a₁b₁`, folded into `out` last, so
+/// the bits are the packed kernel's.
+fn outer_at(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32], acc: bool) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_fma() {
+        // SAFETY: feature presence checked at runtime.
+        return unsafe { outer_at_avx2(m, k, n, a, b, out, acc) };
+    }
+    outer_at_impl(m, k, n, a, b, out, acc)
+}
+
+/// SAFETY: `#[target_feature]`-only unsafety, same contract as
+/// [`gemm_rowmajor_avx2`] — the body is the safe `outer_at_impl` with
+/// AVX2+FMA codegen. Callers must have verified [`avx2_fma()`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn outer_at_avx2(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    acc: bool,
+) {
+    outer_at_impl(m, k, n, a, b, out, acc)
+}
+
+#[inline(always)]
+fn outer_at_impl(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32], acc: bool) {
+    let b0 = &b[..n];
+    for (i, o_row) in out.chunks_exact_mut(n).enumerate().take(m) {
+        let a0 = a[i];
+        if k == 1 {
+            if acc {
+                for (o, &x0) in o_row.iter_mut().zip(b0) {
+                    *o += 0.0 + a0 * x0;
+                }
+            } else {
+                for (o, &x0) in o_row.iter_mut().zip(b0) {
+                    *o = 0.0 + a0 * x0;
+                }
+            }
+        } else {
+            let (a1, b1) = (a[m + i], &b[n..2 * n]);
+            if acc {
+                for ((o, &x0), &x1) in o_row.iter_mut().zip(b0).zip(b1) {
+                    *o += (0.0 + a0 * x0) + a1 * x1;
+                }
+            } else {
+                for ((o, &x0), &x1) in o_row.iter_mut().zip(b0).zip(b1) {
+                    *o = (0.0 + a0 * x0) + a1 * x1;
+                }
+            }
+        }
+    }
 }
 
 /// Straight ikj loop for row counts too small to amortize packing. Same
@@ -621,6 +719,126 @@ mod tests {
                 gemm_prepacked(m, &a, &packed, &mut acc_got, true);
                 assert_eq!(acc_got, acc_want, "acc m={m}");
             }
+        }
+    }
+
+    /// Values in `[-2, 2)` with about one in four exactly `±0.0`.
+    fn fill_zeros(len: usize, seed: u64) -> Vec<f32> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..len)
+            .map(|_| match rng.gen_range(0..8) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range(-2.0f32..2.0),
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `gemm_at` with one or two shared rows takes the outer-product path
+    /// at packed row counts; it must give the packed kernel's bits.
+    #[test]
+    fn outer_products_match_the_packed_kernel() {
+        for k in 1..=2 {
+            for m in PACK_MIN_ROWS..=9 {
+                for n in [1, 7, 16, 33] {
+                    let a = fill_zeros(k * m, (k * 100 + m * 10 + n) as u64);
+                    let b = fill_zeros(k * n, (k * 1000 + m * 10 + n) as u64);
+                    let mut at = vec![0.0; m * k];
+                    for p in 0..k {
+                        for i in 0..m {
+                            at[i * k + p] = a[p * m + i];
+                        }
+                    }
+                    let packed = PackedB::pack(k, n, &b);
+                    for acc in [false, true] {
+                        let init = fill_zeros(m * n, 7)
+                            .iter()
+                            .map(|v| v.abs())
+                            .collect::<Vec<_>>();
+                        let mut want = init.clone();
+                        gemm_prepacked(m, &at, &packed, &mut want, acc);
+                        let mut got = init;
+                        gemm_at(m, k, n, &a, &b, &mut got, acc);
+                        assert_eq!(bits(&got), bits(&want), "k={k} m={m} n={n} acc={acc}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A transposed pack accumulates `a · bᵀ` into `out` as `gemm_bt` does
+    /// at every row count, its dot-product fallback included, over exact
+    /// zeros of both signs and an `out` without −0.0.
+    #[test]
+    fn transposed_pack_matches_gemm_bt_at_every_row_count() {
+        let (k, n) = (19, 21);
+        let b = fill_zeros(n * k, 3);
+        let packed = PackedB::pack_t(k, n, &b);
+        assert_eq!((packed.k(), packed.n()), (k, n));
+        for m in 1..=9 {
+            let a = fill_zeros(m * k, m as u64);
+            let init: Vec<f32> = fill_zeros(m * n, 11).iter().map(|v| v.abs()).collect();
+            let mut want = init.clone();
+            gemm_bt(m, k, n, &a, &b, &mut want, true);
+            let mut got = init;
+            gemm_prepacked(m, &a, &packed, &mut got, true);
+            assert_eq!(bits(&got), bits(&want), "m={m}");
+        }
+    }
+
+    /// Every output of the packed kernel is `p`-sequential from +0.0 and
+    /// folded into `out` last, whichever micro-kernel computes it (the
+    /// 4-row blocks or the one-row tail), across full and partial tiles.
+    #[test]
+    fn packed_kernel_sums_every_output_in_order() {
+        for m in 1..=9 {
+            for n in [16, 64, 65, 100, 192] {
+                let k = 13;
+                let a = fill_zeros(m * k, (m * 1000 + n) as u64);
+                let b = fill_zeros(k * n, n as u64);
+                let packed = PackedB::pack(k, n, &b);
+                let init: Vec<f32> = fill_zeros(m * n, 5).iter().map(|v| v.abs()).collect();
+                for acc in [false, true] {
+                    let mut want = init.clone();
+                    for i in 0..m {
+                        for j in 0..n {
+                            let mut sum = 0.0f32;
+                            for p in 0..k {
+                                sum += a[i * k + p] * b[p * n + j];
+                            }
+                            want[i * n + j] = if acc { want[i * n + j] + sum } else { sum };
+                        }
+                    }
+                    let mut got = init.clone();
+                    gemm_prepacked(m, &a, &packed, &mut got, acc);
+                    assert_eq!(bits(&got), bits(&want), "m={m} n={n} acc={acc}");
+                }
+            }
+        }
+    }
+
+    /// `gemm_acc_in_order` adds every product straight into `out`.
+    #[test]
+    fn in_order_gemm_folds_out_in_first() {
+        for &(m, k, n) in &[(1, 3, 5), (4, 7, 17), (6, 2, 3)] {
+            let a = fill_zeros(m * k, 21);
+            let b = fill_zeros(k * n, 22);
+            let mut want = fill_zeros(m * n, 23);
+            let mut got = want.clone();
+            for i in 0..m {
+                for j in 0..n {
+                    for p in 0..k {
+                        want[i * n + j] += a[i * k + p] * b[p * n + j];
+                    }
+                }
+            }
+            gemm_acc_in_order(m, k, n, &a, &b, &mut got);
+            assert_eq!(bits(&got), bits(&want), "{m}x{k}x{n}");
         }
     }
 

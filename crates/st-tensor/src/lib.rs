@@ -14,6 +14,8 @@
 //!   embeddings, slice/mask), each gradient-checked against central finite
 //!   differences. Each op checks its operands' shapes when it records.
 //! - [`conv`] — Conv2d / pooling / per-channel ops for the traffic CNN.
+//! - [`gru`] — the GRU layer-step as one op (the decoder's fused step
+//!   forward, a hand-written backward with the composed graph's bits).
 //! - [`param`] — persistent [`param::Param`]s and the [`param::Binder`] that
 //!   bridges them onto per-step tapes.
 //! - [`optim`] — Adam with gradient clipping.
@@ -44,6 +46,7 @@ pub mod check;
 pub mod conv;
 mod dispatch;
 mod gemm;
+pub mod gru;
 pub mod infer;
 pub mod init;
 #[cfg(feature = "kernel-timing")]

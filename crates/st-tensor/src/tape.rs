@@ -28,6 +28,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use crate::array::Array;
+use crate::gemm::PackedB;
 
 /// Backward function: given the gradient flowing into this node, accumulate
 /// contributions into parent gradients via the sink.
@@ -92,8 +93,26 @@ impl OpMeta {
 
 struct Node {
     value: Rc<Array>,
+    /// Bytes the backward closure keeps besides the node values it shares.
+    saved_bytes: usize,
     meta: OpMeta,
     backward: Option<BackwardFn>,
+}
+
+/// A node value packed for the GEMM micro-kernel as the B operand of both
+/// `a · value` and `a · valueᵀ`: what a fused op multiplies by a weight in
+/// its forward and backward products ([`Tape::packing`]).
+pub(crate) struct Packing {
+    /// `value` packed as the B operand of `a · value`.
+    pub(crate) b: PackedB,
+    /// `value` packed as the B operand of `a · valueᵀ`.
+    pub(crate) bt: PackedB,
+}
+
+impl Packing {
+    fn bytes(&self) -> usize {
+        (self.b.len() + self.bt.len()) * std::mem::size_of::<f32>()
+    }
 }
 
 thread_local! {
@@ -107,6 +126,9 @@ thread_local! {
 /// between minibatches.
 pub struct Tape {
     nodes: RefCell<Vec<Node>>,
+    /// Packings of node values by node id, made once per tape (a weight
+    /// leaf that every GRU step of a pass multiplies by).
+    packings: RefCell<Vec<(usize, Rc<Packing>)>>,
     /// Free-list of gradient buffers, recycled across backward passes.
     pool: RefCell<Vec<Vec<f32>>>,
     /// Bytes currently held by node values + live gradient buffers.
@@ -121,6 +143,7 @@ impl Default for Tape {
         CREATED_TAPES.with(|c| c.set(c.get() + 1));
         Self {
             nodes: RefCell::default(),
+            packings: RefCell::default(),
             pool: RefCell::default(),
             cur_bytes: Cell::default(),
             peak_bytes: Cell::default(),
@@ -185,11 +208,14 @@ impl Tape {
     /// or into unrelated new nodes).
     pub fn reset(&self) {
         let mut nodes = self.nodes.borrow_mut();
+        let mut packings = self.packings.borrow_mut();
         let node_bytes: usize = nodes
             .iter()
-            .map(|n| n.value.len() * std::mem::size_of::<f32>())
+            .map(|n| n.value.len() * std::mem::size_of::<f32>() + n.saved_bytes)
+            .chain(packings.iter().map(|(_, p)| p.bytes()))
             .sum();
         nodes.clear();
+        packings.clear();
         self.cur_bytes
             .set(self.cur_bytes.get().saturating_sub(node_bytes));
     }
@@ -205,9 +231,9 @@ impl Tape {
         self.push(value, OpMeta::leaf(), None)
     }
 
-    /// Record a constant — identical to [`Tape::leaf`] for gradient purposes
-    /// (gradients flowing into it are retained and usually ignored), but
-    /// tagged so the graph analyzer can spot constant-foldable subgraphs.
+    /// Record a constant: data, like the traffic grid, that no gradient is
+    /// wanted for. Ops may skip computing its gradient (`conv2d` does), and
+    /// the graph analyzer uses the tag to spot constant-foldable subgraphs.
     pub fn constant(&self, value: Array) -> Var<'_> {
         self.push(value, OpMeta::constant(), None)
     }
@@ -220,12 +246,26 @@ impl Tape {
         meta: OpMeta,
         backward: Option<BackwardFn>,
     ) -> Var<'_> {
+        self.push_saving(value, 0, meta, backward)
+    }
+
+    /// [`Tape::push`] for an op whose backward closure keeps `saved_bytes`
+    /// of its own (forward intermediates no node holds), so the tape's byte
+    /// accounting covers them.
+    pub(crate) fn push_saving(
+        &self,
+        value: impl Into<Rc<Array>>,
+        saved_bytes: usize,
+        meta: OpMeta,
+        backward: Option<BackwardFn>,
+    ) -> Var<'_> {
         let value = value.into();
-        self.track_bytes(value.len() * std::mem::size_of::<f32>());
+        self.track_bytes(value.len() * std::mem::size_of::<f32>() + saved_bytes);
         let mut nodes = self.nodes.borrow_mut();
         let id = nodes.len();
         nodes.push(Node {
             value,
+            saved_bytes,
             meta,
             backward,
         });
@@ -234,6 +274,41 @@ impl Tape {
 
     pub(crate) fn value_of(&self, id: usize) -> Rc<Array> {
         Rc::clone(&self.nodes.borrow()[id].value)
+    }
+
+    /// Whether `var` was recorded by [`Tape::constant`]: data no gradient
+    /// is wanted for, so an op may skip computing one.
+    pub(crate) fn is_constant(&self, var: Var<'_>) -> bool {
+        self.nodes.borrow()[var.id].meta.name == "const"
+    }
+
+    /// `var`'s value packed for the GEMM micro-kernel, made on the first
+    /// request and shared by every later one until [`Tape::reset`]. Node
+    /// values never change, so one packing serves every op that multiplies
+    /// by the same leaf — a GRU weight bound once per pass is packed once
+    /// per pass, not once per step.
+    pub(crate) fn packing(&self, var: Var<'_>) -> Rc<Packing> {
+        assert!(std::ptr::eq(var.tape, self), "var from a different tape");
+        if let Some((_, p)) = self.packings.borrow().iter().find(|(id, _)| *id == var.id) {
+            return Rc::clone(p);
+        }
+        let value = self.value_of(var.id);
+        assert_eq!(
+            value.ndim(),
+            2,
+            "packing expects 2-D, got {:?}",
+            value.shape()
+        );
+        let (k, n) = (value.shape()[0], value.shape()[1]);
+        let packing = Rc::new(Packing {
+            b: PackedB::pack(k, n, value.data()),
+            bt: PackedB::pack_t(n, k, value.data()),
+        });
+        self.track_bytes(packing.bytes());
+        self.packings
+            .borrow_mut()
+            .push((var.id, Rc::clone(&packing)));
+        packing
     }
 
     /// Export the recorded graph structure — per node, its value shape and
