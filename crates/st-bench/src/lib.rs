@@ -195,9 +195,10 @@ pub fn run_prediction_suite(city: City, scale: &Scale) -> Result<SuiteOutput, Tr
 
 /// Host/toolchain metadata embedded in every `BENCH_*.json` report, so a
 /// recorded number can never be compared against a run from a different
-/// machine class without noticing: logical core count, whether the AVX2+FMA
-/// kernel builds are active (false on non-x86 hosts and under
-/// `ST_TENSOR_FORCE_SCALAR=1`), and the rustc that built the benchmark.
+/// machine class without noticing: logical core count, the SIMD tier whose
+/// kernel builds ran (`avx512`, `avx2`, or `baseline` on non-x86 hosts and
+/// under `ST_TENSOR_FORCE_SCALAR=1`), and the rustc that built the
+/// benchmark.
 pub fn host_meta() -> serde_json::Value {
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -212,7 +213,7 @@ pub fn host_meta() -> serde_json::Value {
             .unwrap_or_else(|| "unknown".into());
     serde_json::json!({
         "logical_cores": cores,
-        "simd_avx2_fma": st_tensor::simd_active(),
+        "simd_tier": st_tensor::simd_tier(),
         "arch": std::env::consts::ARCH,
         "os": std::env::consts::OS,
         "rustc": rustc,
@@ -262,8 +263,8 @@ mod tests {
             .and_then(|v| v.as_f64())
             .is_some_and(|n| n >= 1.0));
         assert!(matches!(
-            m.get("simd_avx2_fma"),
-            Some(serde_json::Value::Bool(_))
+            m.get("simd_tier").and_then(|v| v.as_str()),
+            Some("avx512" | "avx2" | "baseline")
         ));
         assert!(m.get("rustc").and_then(|v| v.as_str()).is_some());
         assert!(m.get("arch").and_then(|v| v.as_str()).is_some());

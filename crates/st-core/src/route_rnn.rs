@@ -76,16 +76,18 @@ impl RouteRnn {
 
     /// Slot logits of a batch step: `h·α`, then `+ x·W` for each
     /// conditioning term in order. The terms are drawn only as they are
-    /// folded, so a lazy iterator records its ops after `h·α`.
+    /// folded, so a lazy iterator records its ops after `h·α`. Every step
+    /// of a pass multiplies by the same `α` and `W`s, so they go through
+    /// [`ops::matmul_weight`] and are packed once per tape.
     pub fn slot_logits<'t, 'p>(
         &'p self,
         b: &Binder<'t, 'p>,
         h: Var<'t>,
         terms: impl IntoIterator<Item = (Var<'t>, &'p Param)>,
     ) -> Var<'t> {
-        let mut logits = ops::matmul(h, b.var(&self.alpha));
+        let mut logits = ops::matmul_weight(h, b.var(&self.alpha));
         for (x, w) in terms {
-            logits = ops::add(logits, ops::matmul(x, b.var(w)));
+            logits = ops::add(logits, ops::matmul_weight(x, b.var(w)));
         }
         logits
     }

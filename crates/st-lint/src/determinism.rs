@@ -2,7 +2,7 @@
 //! contract.
 //!
 //! The serving stack promises taped ≡ infer ≡ fused routes, bit-identical
-//! across thread counts, batch shapes, and scalar/AVX2 builds (DESIGN.md
+//! across thread counts, batch shapes, and SIMD tiers (DESIGN.md
 //! §12). That holds only while four invariants do: no FMA contraction
 //! anywhere, Cephes-only transcendentals in numeric crates, no
 //! hash-order-dependent reductions, and no wall-clock values steering

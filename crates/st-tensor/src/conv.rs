@@ -158,22 +158,8 @@ fn input_grad(arena: &mut ScratchArena, s: &ConvShape, g: &[f32], k: &[f32], gx:
     arena.recycle(gt);
 }
 
-fn scatter(s: &ConvShape, gt: &[f32], kt: &[f32], gxt: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::dispatch::avx2_fma() {
-        // SAFETY: feature presence checked at runtime.
-        return unsafe { scatter_avx2(s, gt, kt, gxt) };
-    }
-    scatter_impl(s, gt, kt, gxt)
-}
-
-/// SAFETY: `#[target_feature]`-only unsafety — the body is the safe
-/// `scatter_impl` with AVX2+FMA codegen; no raw pointers or intrinsics.
-/// Callers must have verified `dispatch::avx2_fma()`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn scatter_avx2(s: &ConvShape, gt: &[f32], kt: &[f32], gxt: &mut [f32]) {
-    scatter_impl(s, gt, kt, gxt)
+crate::dispatch::tiered! {
+    fn scatter / scatter_on(s: &ConvShape, gt: &[f32], kt: &[f32], gxt: &mut [f32]) => scatter_impl;
 }
 
 /// The scatter over `gt [o, oh, ow, n]`, `kt [o, kh, kw, c]` and

@@ -14,7 +14,8 @@
 //! * The micro-kernel holds an `MR × NR` accumulator block in registers
 //!   and walks the shared k dimension once, broadcasting each A element
 //!   against an NR-wide B row; LLVM auto-vectorizes the fixed-size inner
-//!   loops to SIMD FMAs.
+//!   loops to SIMD multiplies and adds, in every `crate::dispatch` tier.
+//!   Rows left over by the 4-row blocks walk up to four tiles at a time.
 //! * Pack buffers come from a thread-local scratch pool and are reused
 //!   across calls, so steady-state training does no GEMM allocations
 //!   beyond the output array itself.
@@ -25,16 +26,16 @@
 
 use std::cell::RefCell;
 
-#[cfg(target_arch = "x86_64")]
-use crate::dispatch::avx2_fma;
+use crate::dispatch::tiered;
 
 /// Micro-kernel rows: accumulator block height.
 const MR: usize = 4;
-/// Micro-kernel cols: accumulator block width. Two AVX2 lanes per
-/// accumulator row gives the 4×NR block eight independent add chains —
-/// enough to keep both FP ports busy despite the 4-cycle add latency
-/// (mul and add stay separate instructions; see the determinism note).
-const NR: usize = 16;
+/// Micro-kernel cols: accumulator block width. Two AVX2 registers (one
+/// AVX-512 register) per accumulator row give the 4×NR block eight (four)
+/// independent add chains, enough to keep the FP ports busy despite the
+/// 4-cycle add latency (mul and add stay separate instructions; see the
+/// determinism note).
+pub(crate) const NR: usize = 16;
 
 /// Below this row count packing cannot amortize (the whole product costs
 /// about as much as the pack); fall back to a straight row-major loop.
@@ -255,35 +256,21 @@ pub fn gemm_acc_in_order(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out
     gemm_rowmajor_unpacked(m, k, n, a, b, out, true)
 }
 
-/// [`gemm_at`] for one or two shared rows (`k ≤ 2`) at row counts that
-/// [`gemm_at`] runs on the packed kernel: there the pack and the transpose
-/// of `a` would cost more than the product. Each output is the packed
-/// kernel's register sum `(0 + a₀b₀) + a₁b₁`, folded into `out` last, so
-/// the bits are the packed kernel's.
-fn outer_at(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32], acc: bool) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_fma() {
-        // SAFETY: feature presence checked at runtime.
-        return unsafe { outer_at_avx2(m, k, n, a, b, out, acc) };
-    }
-    outer_at_impl(m, k, n, a, b, out, acc)
-}
-
-/// SAFETY: `#[target_feature]`-only unsafety, same contract as
-/// [`gemm_rowmajor_avx2`] — the body is the safe `outer_at_impl` with
-/// AVX2+FMA codegen. Callers must have verified [`avx2_fma()`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn outer_at_avx2(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    acc: bool,
-) {
-    outer_at_impl(m, k, n, a, b, out, acc)
+tiered! {
+    /// [`gemm_at`] for one or two shared rows (`k ≤ 2`) at row counts that
+    /// [`gemm_at`] runs on the packed kernel: there the pack and the
+    /// transpose of `a` would cost more than the product. Each output is the
+    /// packed kernel's register sum `(0 + a₀b₀) + a₁b₁`, folded into `out`
+    /// last, so the bits are the packed kernel's.
+    fn outer_at / outer_at_on(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        acc: bool,
+    ) => outer_at_impl;
 }
 
 #[inline(always)]
@@ -316,44 +303,18 @@ fn outer_at_impl(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
     }
 }
 
-/// Straight ikj loop for row counts too small to amortize packing. Same
-/// `p`-sequential accumulation order as the packed kernel.
-fn gemm_rowmajor_unpacked(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    acc: bool,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_fma() {
-        // SAFETY: feature presence checked at runtime.
-        return unsafe { gemm_rowmajor_avx2(m, k, n, a, b, out, acc) };
-    }
-    gemm_rowmajor_impl(m, k, n, a, b, out, acc)
-}
-
-/// SAFETY: the only unsafety is `#[target_feature]` — the body is the safe
-/// `gemm_rowmajor_impl` recompiled with AVX2+FMA codegen and contains no raw
-/// pointers or intrinsics of its own. Callers must ensure the CPU supports
-/// AVX2 and FMA (every call site checks [`avx2_fma()`] first); executing it
-/// on a CPU without them is undefined behavior (illegal instruction). Slice
-/// preconditions (`a: m×k`, `b: k×n`, `out: m×n`) are asserted by the safe
-/// `gemm_rowmajor` entry point before dispatch.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn gemm_rowmajor_avx2(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    acc: bool,
-) {
-    gemm_rowmajor_impl(m, k, n, a, b, out, acc)
+tiered! {
+    /// Straight ikj loop for row counts too small to amortize packing. Same
+    /// `p`-sequential accumulation order as the packed kernel.
+    fn gemm_rowmajor_unpacked / gemm_rowmajor_on(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        acc: bool,
+    ) => gemm_rowmajor_impl;
 }
 
 #[inline(always)]
@@ -381,34 +342,18 @@ fn gemm_rowmajor_impl(
     }
 }
 
-/// Dot-product form of `a·bᵀ` for tiny row counts: both operand rows are
-/// contiguous, so packing would cost more than it saves.
-fn bt_dot_rows(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32], acc: bool) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_fma() {
-        // SAFETY: feature presence checked at runtime.
-        return unsafe { bt_dot_rows_avx2(m, k, n, a, b, out, acc) };
-    }
-    bt_dot_rows_impl(m, k, n, a, b, out, acc)
-}
-
-/// SAFETY: `#[target_feature]`-only unsafety, same contract as
-/// [`gemm_rowmajor_avx2`] — the body is the safe `bt_dot_rows_impl` with
-/// AVX2+FMA codegen. Callers must have verified [`avx2_fma()`]; the
-/// `a: m×k`, `b: n×k`, `out: m×n` slice invariants are asserted by the safe
-/// `bt_dot_rows` wrapper.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn bt_dot_rows_avx2(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    acc: bool,
-) {
-    bt_dot_rows_impl(m, k, n, a, b, out, acc)
+tiered! {
+    /// Dot-product form of `a·bᵀ` for tiny row counts: both operand rows are
+    /// contiguous, so packing would cost more than it saves.
+    fn bt_dot_rows / bt_dot_rows_on(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        acc: bool,
+    ) => bt_dot_rows_impl;
 }
 
 #[inline(always)]
@@ -480,43 +425,19 @@ fn pack_bt(k: usize, n: usize, b: &[f32], packed: &mut Vec<f32>) {
     }
 }
 
-/// Macro-loop over packed tiles: MR-row blocks of A against NR-column
-/// tiles of packed B.
-fn gemm_packed(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    packed_b: &[f32],
-    out: &mut [f32],
-    acc: bool,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_fma() {
-        // SAFETY: feature presence checked at runtime.
-        return unsafe { gemm_packed_avx2(m, k, n, a, packed_b, out, acc) };
-    }
-    gemm_packed_impl(m, k, n, a, packed_b, out, acc)
-}
-
-/// SAFETY: `#[target_feature]`-only unsafety, same contract as
-/// [`gemm_rowmajor_avx2`]. Callers must have verified [`avx2_fma()`]. The
-/// packed-buffer invariant — `packed_b` holds `ceil(n/NR)` column panels of
-/// `k×NR` zero-padded floats, exactly as laid out by `pack_b` — is
-/// established by the safe `gemm_packed` wrapper, which also asserts the
-/// `a`/`out` dimensions.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn gemm_packed_avx2(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    packed_b: &[f32],
-    out: &mut [f32],
-    acc: bool,
-) {
-    gemm_packed_impl(m, k, n, a, packed_b, out, acc)
+tiered! {
+    /// Macro-loop over packed tiles: MR-row blocks of A against NR-column
+    /// tiles of packed B. `packed_b` holds `ceil(n/NR)` zero-padded `k×NR`
+    /// column panels, as [`pack_b`] and [`pack_bt`] lay them out.
+    fn gemm_packed / gemm_packed_on(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        packed_b: &[f32],
+        out: &mut [f32],
+        acc: bool,
+    ) => gemm_packed_impl;
 }
 
 #[inline(always)]
@@ -530,6 +451,7 @@ fn gemm_packed_impl(
     acc: bool,
 ) {
     let n_tiles = n.div_ceil(NR);
+    let m4 = m - m % MR;
     for t in 0..n_tiles {
         let j0 = t * NR;
         let jw = NR.min(n - j0);
@@ -539,15 +461,24 @@ fn gemm_packed_impl(
             micro_kernel_4(k, &a[i0 * k..], tile, jw, &mut out[i0 * n + j0..], n, acc);
             i0 += MR;
         }
-        for i in i0..m {
-            micro_kernel_1(
-                k,
-                &a[i * k..(i + 1) * k],
-                tile,
-                jw,
-                &mut out[i * n + j0..],
-                acc,
-            );
+        // The m % MR tail walks the tiles in groups of up to four, at the
+        // last tile of each group: one tile is a single accumulator
+        // register on AVX-512, and one add chain per row left the tail
+        // latency-bound.
+        if t % 4 == 3 || t + 1 == n_tiles {
+            let g = t % 4 + 1;
+            let t0 = t + 1 - g;
+            let group = &packed_b[t0 * k * NR..(t + 1) * k * NR];
+            for i in m4..m {
+                let a_row = &a[i * k..(i + 1) * k];
+                let o_row = &mut out[i * n + t0 * NR..];
+                match g {
+                    4 => micro_kernel_row::<4>(k, a_row, group, jw, o_row, acc),
+                    3 => micro_kernel_row::<3>(k, a_row, group, jw, o_row, acc),
+                    2 => micro_kernel_row::<2>(k, a_row, group, jw, o_row, acc),
+                    _ => micro_kernel_row::<1>(k, a_row, group, jw, o_row, acc),
+                }
+            }
         }
     }
 }
@@ -582,33 +513,49 @@ fn micro_kernel_4(
         }
     }
     for (r, accr) in acc.iter().enumerate() {
-        let dst = &mut out[r * ldc..r * ldc + jw];
-        if add_in {
-            for (o, &v) in dst.iter_mut().zip(accr) {
-                *o += v;
-            }
-        } else {
-            dst.copy_from_slice(&accr[..jw]);
-        }
+        store_row(&accr[..jw], &mut out[r * ldc..], add_in);
     }
 }
 
-/// Single-row edge kernel for the m % MR tail.
+/// One row of the m % MR tail against `T` adjacent tiles (`tiles` is
+/// `[T][k][NR]`, each tile full but the last, which is `jw` columns wide):
+/// `T` independent accumulator chains per row, each output still one sum
+/// over `p` from +0.0.
 #[inline(always)]
-fn micro_kernel_1(k: usize, a_row: &[f32], tile: &[f32], jw: usize, out: &mut [f32], add_in: bool) {
-    let mut acc = [0.0f32; NR];
-    for (p, brow) in tile.chunks_exact(NR).enumerate().take(k) {
-        let av = a_row[p];
-        for (o, &bv) in acc.iter_mut().zip(brow) {
-            *o += av * bv;
+fn micro_kernel_row<const T: usize>(
+    k: usize,
+    a_row: &[f32],
+    tiles: &[f32],
+    jw: usize,
+    out: &mut [f32],
+    add_in: bool,
+) {
+    let tiles = &tiles[..T * k * NR];
+    let mut acc = [[0.0f32; NR]; T];
+    for (p, &av) in a_row[..k].iter().enumerate() {
+        for (t, accr) in acc.iter_mut().enumerate() {
+            let brow = &tiles[(t * k + p) * NR..(t * k + p + 1) * NR];
+            for (o, &bv) in accr.iter_mut().zip(brow) {
+                *o += av * bv;
+            }
         }
     }
+    for (t, accr) in acc.iter().enumerate() {
+        let w = if t + 1 == T { jw } else { NR };
+        store_row(&accr[..w], &mut out[t * NR..], add_in);
+    }
+}
+
+/// Write (or with `add_in`, add) one row of register sums into `out`.
+#[inline(always)]
+fn store_row(acc: &[f32], out: &mut [f32], add_in: bool) {
+    let out = &mut out[..acc.len()];
     if add_in {
-        for (o, &v) in out[..jw].iter_mut().zip(&acc) {
+        for (o, &v) in out.iter_mut().zip(acc) {
             *o += v;
         }
     } else {
-        out[..jw].copy_from_slice(&acc[..jw]);
+        out.copy_from_slice(acc);
     }
 }
 
@@ -797,7 +744,7 @@ mod tests {
     #[test]
     fn packed_kernel_sums_every_output_in_order() {
         for m in 1..=9 {
-            for n in [16, 64, 65, 100, 192] {
+            for n in [16, 20, 40, 64, 65, 100, 192] {
                 let k = 13;
                 let a = fill_zeros(m * k, (m * 1000 + n) as u64);
                 let b = fill_zeros(k * n, n as u64);

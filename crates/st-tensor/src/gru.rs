@@ -118,17 +118,31 @@ pub fn gru_step<'t>(x: Var<'t>, h: Var<'t>, wx: Var<'t>, wh: Var<'t>, b: Var<'t>
     )
 }
 
-/// The elementwise half of [`gru_step`]'s backward: given `g = ∂L/∂h'`,
-/// add `∂L/∂h`'s direct term `z ⊙ g` into `dh` and write the gate
-/// pre-activation gradients `dgx` (of `x·Wx + b`) and `dgh` (of `h·Wh`).
-///
-/// Each line replays one node of the composed graph's reverse sweep, in
-/// sweep order: a node's gradient buffer starts at +0.0, so its first
-/// contribution `v` lands as `0 + v` (−0.0 becomes +0.0); a binary node
-/// passes `g · 1`, `g · −1` or `g · other` to its operands; the sigmoid's
-/// local derivative is `g · (y · (1 − y))` and the tanh's `g · (1 − y · y)`.
+crate::dispatch::tiered! {
+    /// The elementwise half of [`gru_step`]'s backward: given `g = ∂L/∂h'`,
+    /// add `∂L/∂h`'s direct term `z ⊙ g` into `dh` and write the gate
+    /// pre-activation gradients `dgx` (of `x·Wx + b`) and `dgh` (of `h·Wh`).
+    ///
+    /// Each line replays one node of the composed graph's reverse sweep, in
+    /// sweep order: a node's gradient buffer starts at +0.0, so its first
+    /// contribution `v` lands as `0 + v` (−0.0 becomes +0.0); a binary node
+    /// passes `g · 1`, `g · −1` or `g · other` to its operands; the sigmoid's
+    /// local derivative is `g · (y · (1 − y))` and the tanh's `g · (1 − y · y)`.
+    fn gate_grads / gate_grads_on(
+        hidden: usize,
+        g: &[f32],
+        gates: &[f32],
+        gh: &[f32],
+        h: &[f32],
+        dh: &mut [f32],
+        dgx: &mut [f32],
+        dgh: &mut [f32],
+    ) => gate_grads_impl;
+}
+
 #[allow(clippy::too_many_arguments)]
-fn gate_grads(
+#[inline(always)]
+fn gate_grads_impl(
     hidden: usize,
     g: &[f32],
     gates: &[f32],

@@ -183,12 +183,17 @@ pub fn affine(arena: &mut ScratchArena, x: &Array, w: &Array, bias: &Array) -> A
     y
 }
 
-/// Row-broadcast bias add `y[r, ·] += bias`, dispatched to the AVX2+FMA
-/// build when available (the scalar and SIMD builds run identical
-/// arithmetic, so results match bit-for-bit either way). The taped
-/// [`crate::ops::add_bias`] computes its value with it.
-pub fn add_bias_rows(y: &mut Array, bias: &[f32]) {
-    let (m, n) = dims2(y);
+crate::dispatch::tiered! {
+    /// Row-broadcast bias add `y[r, ·] += bias`, on the widest SIMD tier
+    /// the host has (every tier runs identical arithmetic, so results match
+    /// bit-for-bit either way). The taped [`crate::ops::add_bias`] computes
+    /// its value with it.
+    pub fn add_bias_rows / add_bias_rows_on(y: &mut Array, bias: &[f32]) => add_bias_rows_impl;
+}
+
+#[inline(always)]
+fn add_bias_rows_impl(y: &mut Array, bias: &[f32]) {
+    let (_, n) = dims2(y);
     assert_eq!(
         n,
         bias.len(),
@@ -196,27 +201,7 @@ pub fn add_bias_rows(y: &mut Array, bias: &[f32]) {
         y.shape(),
         bias.len()
     );
-    let _ = m;
-    #[cfg(target_arch = "x86_64")]
-    if crate::dispatch::avx2_fma() {
-        // SAFETY: feature presence checked at runtime.
-        return unsafe { add_bias_rows_avx2(y.data_mut(), bias) };
-    }
-    add_bias_rows_impl(y.data_mut(), bias);
-}
-
-/// SAFETY: `#[target_feature]`-only unsafety — the body is the safe
-/// `add_bias_rows_impl` recompiled with AVX2+FMA codegen; no raw pointers
-/// or intrinsics. Callers must have verified [`crate::dispatch::avx2_fma()`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn add_bias_rows_avx2(data: &mut [f32], bias: &[f32]) {
-    add_bias_rows_impl(data, bias)
-}
-
-#[inline(always)]
-fn add_bias_rows_impl(data: &mut [f32], bias: &[f32]) {
-    for row in data.chunks_exact_mut(bias.len()) {
+    for row in y.data_mut().chunks_exact_mut(n) {
         for (o, &b) in row.iter_mut().zip(bias) {
             *o += b;
         }
@@ -225,7 +210,7 @@ fn add_bias_rows_impl(data: &mut [f32], bias: &[f32]) {
 
 /// In-place logistic sigmoid, via the crate's deterministic polynomial
 /// kernel ([`crate::mathfn::sigmoid`] — the same function the taped op
-/// computes), vectorized under the runtime AVX2 dispatch.
+/// computes), vectorized on the host's widest SIMD tier.
 pub fn sigmoid_mut(a: &mut Array) {
     crate::mathfn::sigmoid_slice_mut(a.data_mut());
 }
@@ -252,39 +237,25 @@ pub fn leaky_relu_mut(a: &mut Array, slope: f32) {
     }
 }
 
-/// In-place row-wise softmax, the value of the taped
-/// [`crate::ops::softmax_rows`]: per row, exponentials of `x − max` are
-/// summed then divided through.
-///
-/// Dispatched to the AVX2+FMA build; the max scan uses 8-lane partial
-/// maxima (exact — `max` is order-independent) and the divide pass
-/// vectorizes, while the exp/sum stays sequential, so the scalar and SIMD
-/// builds are bit-identical.
-pub fn softmax_rows_mut(a: &mut Array) {
-    let (_, w) = dims2(a);
-    #[cfg(target_arch = "x86_64")]
-    if crate::dispatch::avx2_fma() {
-        // SAFETY: feature presence checked at runtime.
-        return unsafe { softmax_rows_avx2(a.data_mut(), w) };
-    }
-    softmax_rows_impl(a.data_mut(), w);
-}
-
-/// SAFETY: `#[target_feature]`-only unsafety — the body is the safe
-/// `softmax_rows_impl` with AVX2+FMA codegen. Callers must have verified
-/// [`crate::dispatch::avx2_fma()`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn softmax_rows_avx2(data: &mut [f32], w: usize) {
-    softmax_rows_impl(data, w)
+crate::dispatch::tiered! {
+    /// In-place row-wise softmax, the value of the taped
+    /// [`crate::ops::softmax_rows`]: per row, exponentials of `x − max` are
+    /// summed then divided through.
+    ///
+    /// Runs on the widest SIMD tier the host has; the max scan uses 8-lane
+    /// partial maxima (exact — `max` is order-independent) and the divide
+    /// pass vectorizes, while the exp/sum stays sequential, so every tier
+    /// is bit-identical to the baseline.
+    pub fn softmax_rows_mut / softmax_rows_on(a: &mut Array) => softmax_rows_impl;
 }
 
 #[inline(always)]
-fn softmax_rows_impl(data: &mut [f32], w: usize) {
+fn softmax_rows_impl(a: &mut Array) {
+    let (_, w) = dims2(a);
     if w == 0 {
         return;
     }
-    for row in data.chunks_exact_mut(w) {
+    for row in a.data_mut().chunks_exact_mut(w) {
         let m = row_max(row);
         let mut z = 0.0;
         for o in row.iter_mut() {
@@ -298,35 +269,21 @@ fn softmax_rows_impl(data: &mut [f32], w: usize) {
     }
 }
 
-/// In-place row-wise log-softmax, the value of the taped
-/// [`crate::ops::log_softmax_rows`]: `out[j] = x[j] − (max + ln Σ e^{x−max})`.
-/// Dispatched like [`softmax_rows_mut`], with the same bit-identity
-/// argument.
-pub fn log_softmax_rows_mut(a: &mut Array) {
-    let (_, w) = dims2(a);
-    #[cfg(target_arch = "x86_64")]
-    if crate::dispatch::avx2_fma() {
-        // SAFETY: feature presence checked at runtime.
-        return unsafe { log_softmax_rows_avx2(a.data_mut(), w) };
-    }
-    log_softmax_rows_impl(a.data_mut(), w);
-}
-
-/// SAFETY: `#[target_feature]`-only unsafety — the body is the safe
-/// `log_softmax_rows_impl` with AVX2+FMA codegen. Callers must have
-/// verified [`crate::dispatch::avx2_fma()`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn log_softmax_rows_avx2(data: &mut [f32], w: usize) {
-    log_softmax_rows_impl(data, w)
+crate::dispatch::tiered! {
+    /// In-place row-wise log-softmax, the value of the taped
+    /// [`crate::ops::log_softmax_rows`]:
+    /// `out[j] = x[j] − (max + ln Σ e^{x−max})`. Dispatched like
+    /// [`softmax_rows_mut`], with the same bit-identity argument.
+    pub fn log_softmax_rows_mut / log_softmax_rows_on(a: &mut Array) => log_softmax_rows_impl;
 }
 
 #[inline(always)]
-fn log_softmax_rows_impl(data: &mut [f32], w: usize) {
+fn log_softmax_rows_impl(a: &mut Array) {
+    let (_, w) = dims2(a);
     if w == 0 {
         return;
     }
-    for row in data.chunks_exact_mut(w) {
+    for row in a.data_mut().chunks_exact_mut(w) {
         let m = row_max(row);
         let lse = m + row.iter().map(|&x| (x - m).exp()).sum::<f32>().ln();
         for o in row.iter_mut() {
@@ -690,29 +647,46 @@ pub fn matmul_packed(arena: &mut ScratchArena, a: &Array, w: &PackedWeights) -> 
 // Fused GRU gate epilogue
 // ---------------------------------------------------------------------------
 
-/// Fused GRU gate epilogue: consumes the two per-step GEMM outputs and
-/// rewrites the hidden state in place, with no intermediate gate buffers.
-///
-/// Inputs per batch row: `gx = x·Wx` (bias **not** yet added, `[m, 3h]`
-/// laid out `[r | z | n]`), `gh = h·Wh` (`[m, 3h]`), the `[3h]` gate bias,
-/// and `state` (`[m, h]`, holding hₜ₋₁ on entry and hₜ on return). The
-/// gates are computed into `gx` in place, activated with the
-/// [`crate::mathfn`] kernels, and combined:
-///
-/// ```text
-/// r = σ((gx_r + b_r) + gh_r)
-/// z = σ((gx_z + b_z) + gh_z)
-/// n = tanh((gx_n + b_n) + r ⊙ gh_n)
-/// h' = (n − z ⊙ n) + z ⊙ h
-/// ```
-///
-/// On return `gx` holds the activations `[r | z | n]`: decoding treats it
-/// as scratch, and the taped GRU step ([`crate::gru::gru_step`]) keeps it
-/// for its backward. The association matches the composed gate graph
-/// (`affine` adds the bias before `gh` is added) exactly, so the fused step
-/// is bit-identical to it (the composed cell is kept in st-nn's tests as
-/// the oracle).
-pub fn gru_gates_fused(hidden: usize, gx: &mut Array, gh: &Array, bias: &[f32], state: &mut Array) {
+crate::dispatch::tiered! {
+    /// Fused GRU gate epilogue: consumes the two per-step GEMM outputs and
+    /// rewrites the hidden state in place, with no intermediate gate buffers.
+    ///
+    /// Inputs per batch row: `gx = x·Wx` (bias **not** yet added, `[m, 3h]`
+    /// laid out `[r | z | n]`), `gh = h·Wh` (`[m, 3h]`), the `[3h]` gate bias,
+    /// and `state` (`[m, h]`, holding hₜ₋₁ on entry and hₜ on return). The
+    /// gates are computed into `gx` in place, activated with the
+    /// [`crate::mathfn`] kernels, and combined:
+    ///
+    /// ```text
+    /// r = σ((gx_r + b_r) + gh_r)
+    /// z = σ((gx_z + b_z) + gh_z)
+    /// n = tanh((gx_n + b_n) + r ⊙ gh_n)
+    /// h' = (n − z ⊙ n) + z ⊙ h
+    /// ```
+    ///
+    /// On return `gx` holds the activations `[r | z | n]`: decoding treats it
+    /// as scratch, and the taped GRU step ([`crate::gru::gru_step`]) keeps it
+    /// for its backward. The association matches the composed gate graph
+    /// (`affine` adds the bias before `gh` is added) exactly, so the fused step
+    /// is bit-identical to it (the composed cell is kept in st-nn's tests as
+    /// the oracle).
+    pub fn gru_gates_fused / gru_gates_fused_on(
+        hidden: usize,
+        gx: &mut Array,
+        gh: &Array,
+        bias: &[f32],
+        state: &mut Array,
+    ) => gru_gates_fused_impl;
+}
+
+#[inline(always)]
+fn gru_gates_fused_impl(
+    hidden: usize,
+    gx: &mut Array,
+    gh: &Array,
+    bias: &[f32],
+    state: &mut Array,
+) {
     let (m, g) = dims2(gx);
     assert_eq!(g, 3 * hidden, "gru_gates_fused: gx is not [m, 3h]");
     assert_eq!(gh.shape(), gx.shape(), "gru_gates_fused: gh/gx mismatch");
@@ -722,33 +696,13 @@ pub fn gru_gates_fused(hidden: usize, gx: &mut Array, gh: &Array, bias: &[f32], 
         &[m, hidden],
         "gru_gates_fused: state is not [m, h]"
     );
-    #[cfg(target_arch = "x86_64")]
-    if crate::dispatch::avx2_fma() {
-        // SAFETY: feature presence checked at runtime.
-        return unsafe {
-            gru_gates_fused_avx2(hidden, gx.data_mut(), gh.data(), bias, state.data_mut())
-        };
-    }
-    gru_gates_fused_impl(hidden, gx.data_mut(), gh.data(), bias, state.data_mut());
-}
-
-/// SAFETY: `#[target_feature]`-only unsafety — the body is the safe
-/// `gru_gates_fused_impl` with AVX2+FMA codegen; no raw pointers or
-/// intrinsics. Callers must have verified [`crate::dispatch::avx2_fma()`];
-/// shape preconditions are asserted by the safe [`gru_gates_fused`] entry.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn gru_gates_fused_avx2(h: usize, gx: &mut [f32], gh: &[f32], b: &[f32], st: &mut [f32]) {
-    gru_gates_fused_impl(h, gx, gh, b, st)
-}
-
-#[inline(always)]
-fn gru_gates_fused_impl(h: usize, gx: &mut [f32], gh: &[f32], b: &[f32], st: &mut [f32]) {
-    let (brz, bn) = b.split_at(2 * h);
-    for (gx_row, (gh_row, h_row)) in gx
-        .chunks_exact_mut(3 * h)
-        .zip(gh.chunks_exact(3 * h).zip(st.chunks_exact_mut(h)))
-    {
+    let h = hidden;
+    let (brz, bn) = bias.split_at(2 * h);
+    for (gx_row, (gh_row, h_row)) in gx.data_mut().chunks_exact_mut(3 * h).zip(
+        gh.data()
+            .chunks_exact(3 * h)
+            .zip(state.data_mut().chunks_exact_mut(h)),
+    ) {
         let (rz, n) = gx_row.split_at_mut(2 * h);
         let (gh_rz, gh_n) = gh_row.split_at(2 * h);
         gru_gates_row(rz, n, gh_rz, gh_n, brz, bn, h_row);

@@ -60,7 +60,7 @@ pub mod tape;
 pub use analyze::{analyze, Diagnostic, GraphSpec, LintKind, Severity};
 pub use array::Array;
 pub use block::BlockedParam;
-pub use dispatch::simd_active;
+pub use dispatch::simd_tier;
 pub use infer::{ScratchArena, TapeFreeScope};
 pub use param::{Binder, Param};
 pub use tape::{Gradients, OpMeta, Tape, Var};

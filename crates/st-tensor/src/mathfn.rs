@@ -14,10 +14,21 @@
 //! 2. **Vectorization.** glibc's scalar `tanhf` costs ~17 ns/call on the
 //!    benchmark host — at `beam × 3·hidden` activations per GRU step that
 //!    alone exceeds the decode latency budget. These kernels are
-//!    branch-free (compute-both-sides + select), so LLVM auto-vectorizes
-//!    them 8-wide under the crate's AVX2 dispatch, and the scalar and SIMD
-//!    builds execute the same f32 operations in the same order — results
-//!    are identical regardless of which build runs.
+//!    branch-free (compute-both-sides + select), so LLVM vectorizes them
+//!    8 lanes wide under the crate's AVX2 tier and 16 wide under its
+//!    AVX-512 tier, and every build executes the same f32 operations in
+//!    the same order — results are identical whichever build runs.
+//!
+//! Branch-free is not enough on its own. `exp` once built its `2^n` scale
+//! from `n as i32`: Rust's saturating float-to-int cast has no single packed
+//! instruction, so LLVM converted the lanes one at a time (18 scalar
+//! `vcvttss2si` in the AVX2 GRU gate epilogue) and every kernel that calls
+//! `exp` ran at a fraction of its width while still looking vectorized in
+//! the source. `exp` now reads `n` out of the bits of `n + 1.5·2²³`, which
+//! is exact for the integers `exp` produces and is plain lane-wise float
+//! and integer arithmetic. `scripts/check_vectorized.sh`, run in CI, fails
+//! if a scalar conversion reappears in the tier builds of the slice
+//! kernels or the GRU epilogue.
 //!
 //! Accuracy: ≤ a few ulp of the correctly-rounded result over the ranges
 //! the models use (validated against an `f64` reference in the tests).
@@ -36,6 +47,9 @@ const LOG2E: f32 = std::f32::consts::LOG2_E;
 const LN2_HI: f32 = 0.693_359_375;
 /// ...and the low-order correction.
 const LN2_LO: f32 = -2.121_944_4e-4;
+/// 1.5·2²³: adding it to an integer-valued `f32` of magnitude below 2²²
+/// leaves that integer, in two's complement, in the low mantissa bits.
+const ROUND_MAGIC: f32 = 12_582_912.0;
 
 /// Branch-free `e^x` with the argument clamped to `[-87, 88]`.
 ///
@@ -59,8 +73,13 @@ pub fn exp(x: f32) -> f32 {
     p = p * r + 5e-1;
     let y = p * (r * r) + r + 1.0;
     // Scale by 2^n through the exponent bits (n ∈ [−126, 127] after the
-    // argument clamp, so the bit pattern is always a normal number).
-    let scale = f32::from_bits((((n as i32) + 127) << 23) as u32);
+    // argument clamp, so the bit pattern is always a normal number). Adding
+    // 1.5·2²³ puts the integer n in the low mantissa bits exactly (|n| is
+    // far below 2²²), and those bits plus the bias, shifted into the
+    // exponent field, are `(n + 127) << 23`: the high bits of the sum shift
+    // out. Unlike `n as i32`, every step vectorizes.
+    let shifted = (n + ROUND_MAGIC).to_bits();
+    let scale = f32::from_bits(shifted.wrapping_add(127) << 23);
     y * scale
 }
 
@@ -98,26 +117,10 @@ pub fn tanh(x: f32) -> f32 {
     }
 }
 
-/// In-place sigmoid over a slice, dispatched to the AVX2+FMA build when
-/// available. Scalar and SIMD builds run identical arithmetic.
-pub fn sigmoid_slice_mut(xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::dispatch::avx2_fma() {
-        // SAFETY: feature presence checked at runtime.
-        return unsafe { sigmoid_slice_avx2(xs) };
-    }
-    sigmoid_slice_impl(xs)
-}
-
-/// SAFETY: `#[target_feature]`-only unsafety — the body is the safe
-/// `sigmoid_slice_impl` recompiled with AVX2+FMA codegen and contains no raw
-/// pointers or intrinsics. Callers must have verified
-/// [`crate::dispatch::avx2_fma()`]; executing on a CPU without those
-/// features is undefined behavior (illegal instruction).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn sigmoid_slice_avx2(xs: &mut [f32]) {
-    sigmoid_slice_impl(xs)
+crate::dispatch::tiered! {
+    /// In-place sigmoid over a slice, on the widest SIMD tier the host has.
+    /// Every tier runs identical arithmetic.
+    pub fn sigmoid_slice_mut / sigmoid_slice_on(xs: &mut [f32]) => sigmoid_slice_impl;
 }
 
 #[inline(always)]
@@ -127,24 +130,9 @@ fn sigmoid_slice_impl(xs: &mut [f32]) {
     }
 }
 
-/// In-place tanh over a slice, dispatched like [`sigmoid_slice_mut`].
-pub fn tanh_slice_mut(xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::dispatch::avx2_fma() {
-        // SAFETY: feature presence checked at runtime.
-        return unsafe { tanh_slice_avx2(xs) };
-    }
-    tanh_slice_impl(xs)
-}
-
-/// SAFETY: `#[target_feature]`-only unsafety, same contract as
-/// [`sigmoid_slice_avx2`] — the body is the safe `tanh_slice_impl` with
-/// AVX2+FMA codegen; callers must have verified
-/// [`crate::dispatch::avx2_fma()`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn tanh_slice_avx2(xs: &mut [f32]) {
-    tanh_slice_impl(xs)
+crate::dispatch::tiered! {
+    /// In-place tanh over a slice, dispatched like [`sigmoid_slice_mut`].
+    pub fn tanh_slice_mut / tanh_slice_on(xs: &mut [f32]) => tanh_slice_impl;
 }
 
 #[inline(always)]
@@ -224,6 +212,104 @@ mod tests {
             let d = (tanh(x + 5e-4) - tanh(x)).abs();
             assert!(d < 1e-3, "jump at {x}: {d}");
         }
+    }
+
+    /// `exp` as it built its `2^n` scale before the bit trick: through the
+    /// saturating `n as i32` cast, which LLVM cannot vectorize. The oracle
+    /// the current `exp` must match bit for bit.
+    fn exp_cast(x: f32) -> f32 {
+        let x = x.clamp(-87.0, 88.0);
+        let n = (x * LOG2E + 0.5).floor();
+        let r = x - n * LN2_HI - n * LN2_LO;
+        let mut p = 1.987_569_2e-4;
+        p = p * r + 1.398_199_9e-3;
+        p = p * r + 8.333_452e-3;
+        p = p * r + 4.166_579_6e-2;
+        p = p * r + 1.666_666_5e-1;
+        p = p * r + 5e-1;
+        let y = p * (r * r) + r + 1.0;
+        let scale = f32::from_bits((((n as i32) + 127) << 23) as u32);
+        y * scale
+    }
+
+    fn sigmoid_cast(x: f32) -> f32 {
+        1.0 / (1.0 + exp_cast(-x))
+    }
+
+    fn tanh_cast(x: f32) -> f32 {
+        let ax = x.abs();
+        let big = 1.0 - 2.0 / (exp_cast(2.0 * ax) + 1.0);
+        let z = x * x;
+        let mut p = -5.704_988_7e-3;
+        p = p * z + 2.063_909e-2;
+        p = p * z - 5.373_971_4e-2;
+        p = p * z + 1.333_144_2e-1;
+        p = p * z - 3.333_328_3e-1;
+        let small = p * z * x + x;
+        if ax < 0.625 {
+            small
+        } else if x.is_sign_negative() {
+            -big
+        } else {
+            big
+        }
+    }
+
+    /// Equal bits, or both NaN.
+    fn same(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// The bit-trick `exp`, and `sigmoid` and `tanh` through it, return the
+    /// cast formula's bits on 2²⁴ bit patterns — every value of the top 24
+    /// bits (sign, exponent and high mantissa), so all of f32 is covered
+    /// evenly, with hashed low bits — and on the special values: signed
+    /// zeros and infinities, NaNs, subnormals, and both clamp edges and the
+    /// inputs around them.
+    #[test]
+    fn bit_trick_matches_the_cast_formula() {
+        let special = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7f80_0001), // signalling NaN
+            f32::from_bits(1),           // smallest subnormal
+            -f32::from_bits(1),
+            f32::from_bits(0x007f_ffff), // largest subnormal
+            -f32::from_bits(0x007f_ffff),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+            -87.0,
+            88.0,
+            -88.0,
+            87.0,
+            // The clamp edges' neighbours and the 2^n steps around them.
+            f32::from_bits((-87.0f32).to_bits() - 1),
+            f32::from_bits((-87.0f32).to_bits() + 1),
+            f32::from_bits(88.0f32.to_bits() - 1),
+            f32::from_bits(88.0f32.to_bits() + 1),
+            126.5 * std::f32::consts::LN_2,
+            -125.5 * std::f32::consts::LN_2,
+            -126.5 * std::f32::consts::LN_2,
+        ];
+        let hashed =
+            (0..1u32 << 24).map(|i| f32::from_bits((i << 8) | (i.wrapping_mul(0x9E37_79B1) >> 24)));
+        let mut checked = 0usize;
+        for x in special.into_iter().chain(hashed) {
+            assert!(
+                same(exp(x), exp_cast(x)),
+                "exp({x:e}) [{:#010x}]",
+                x.to_bits()
+            );
+            assert!(same(sigmoid(x), sigmoid_cast(x)), "sigmoid({x:e})");
+            assert!(same(tanh(x), tanh_cast(x)), "tanh({x:e})");
+            checked += 1;
+        }
+        assert!(checked > 1 << 24);
     }
 
     #[test]

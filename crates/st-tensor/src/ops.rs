@@ -16,6 +16,7 @@
 use std::rc::Rc;
 
 use crate::array::Array;
+use crate::gemm::gemm_prepacked;
 use crate::infer::{self, ScratchArena};
 use crate::tape::{OpMeta, Var};
 
@@ -228,6 +229,42 @@ pub fn matmul<'t>(a: Var<'t>, b: Var<'t>) -> Var<'t> {
             // accumulators, no temporary product arrays.
             g.matmul_t_acc(&bv, sink.accum(aid));
             av.t_matmul_acc(g, sink.accum(bid));
+        })),
+    )
+}
+
+/// [`matmul`] by a weight that several products on the tape share, such
+/// as a slot head that every step of a pass multiplies by: `w` is packed
+/// once per tape for the forward product and once for the backward's
+/// `g · wᵀ` ([`crate::Tape::reset`] drops the packings), where [`matmul`]
+/// packs it again on every call. The value and both gradients keep
+/// [`matmul`]'s bits: a product through a packing equals the unpacked one
+/// at every row count (`gemm_prepacked`'s contract), and the node records
+/// as `"matmul"`.
+pub fn matmul_weight<'t>(a: Var<'t>, w: Var<'t>) -> Var<'t> {
+    same_tape(a, w);
+    let tape = a.tape();
+    let av = a.value();
+    let packing = tape.packing(w);
+    assert!(
+        av.ndim() == 2 && av.cols() == packing.b.k(),
+        "matmul_weight: {:?} · [{}, {}]",
+        av.shape(),
+        packing.b.k(),
+        packing.b.n()
+    );
+    let m = av.rows();
+    let mut y = Array::zeros(&[m, packing.b.n()]);
+    gemm_prepacked(m, av.data(), &packing.b, y.data_mut(), false);
+    let (aid, wid) = (a.id(), w.id());
+    tape.push(
+        y,
+        OpMeta::new("matmul", vec![aid, wid]),
+        Some(Box::new(move |g, sink| {
+            // dL/da += g · wᵀ through the packing; dL/dw += aᵀ · g as in
+            // `matmul`, in the same order.
+            gemm_prepacked(m, g.data(), &packing.bt, sink.accum(aid).data_mut(), true);
+            av.t_matmul_acc(g, sink.accum(wid));
         })),
     )
 }
