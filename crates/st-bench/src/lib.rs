@@ -196,7 +196,7 @@ pub fn run_prediction_suite(city: City, scale: &Scale) -> Result<SuiteOutput, Tr
 /// Host/toolchain metadata embedded in every `BENCH_*.json` report, so a
 /// recorded number can never be compared against a run from a different
 /// machine class without noticing: logical core count, the SIMD tier whose
-/// kernel builds ran (`avx512`, `avx2`, or `baseline` on non-x86 hosts and
+/// kernel builds ran (`avx2`, or `baseline` on non-x86 hosts and
 /// under `ST_TENSOR_FORCE_SCALAR=1`), and the rustc that built the
 /// benchmark.
 pub fn host_meta() -> serde_json::Value {
@@ -264,7 +264,7 @@ mod tests {
             .is_some_and(|n| n >= 1.0));
         assert!(matches!(
             m.get("simd_tier").and_then(|v| v.as_str()),
-            Some("avx512" | "avx2" | "baseline")
+            Some("avx2" | "baseline")
         ));
         assert!(m.get("rustc").and_then(|v| v.as_str()).is_some());
         assert!(m.get("arch").and_then(|v| v.as_str()).is_some());

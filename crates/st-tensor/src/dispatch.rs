@@ -1,11 +1,16 @@
 //! Runtime SIMD tier selection shared by every multiply-compiled kernel.
 //!
 //! A kernel is one safe `#[inline(always)]` body. The [`tiered!`] macro
-//! compiles it once per [`Tier`] — baseline, then inside
-//! `#[target_feature]` wrappers for AVX2+FMA and for AVX-512F — and runs
-//! the widest build the host has, picked once per process. The crate
-//! therefore stays portable without `-C target-cpu`, while hot loops run
-//! 16 lanes wide on hosts that have AVX-512 and 8 wide on AVX2 ones.
+//! compiles it once per [`Tier`] — baseline, then inside a
+//! `#[target_feature]` wrapper for AVX2+FMA — and runs the widest build
+//! the host has, picked once per process. The crate therefore stays
+//! portable without `-C target-cpu`, while hot loops run 8 lanes wide on
+//! AVX2 hosts.
+//!
+//! There is no AVX-512 tier. One built the same way returned the same bits
+//! and ran up to 1.5× faster than AVX2 on a quiet host, but lost most of
+//! that lead whenever other virtual machines loaded the host's cores, so a
+//! server's capacity depended on when it was measured (DESIGN §12.3).
 //!
 //! Every tier returns the baseline's bits. The bodies never call
 //! `mul_add` (st-lint's `fma-forbidden` rule), and LLVM does not contract
@@ -24,21 +29,18 @@ pub(crate) enum Tier {
     Baseline,
     /// AVX2 + FMA: 8-lane `f32` vectors.
     Avx2,
-    /// AVX-512F with AVX2 + FMA: 16-lane `f32` vectors.
-    Avx512,
 }
 
 impl Tier {
     /// Every tier, narrowest first.
     #[cfg(test)]
-    pub(crate) const ALL: [Tier; 3] = [Tier::Baseline, Tier::Avx2, Tier::Avx512];
+    pub(crate) const ALL: [Tier; 2] = [Tier::Baseline, Tier::Avx2];
 
     /// The tier's name as benchmark records print it.
     pub(crate) fn name(self) -> &'static str {
         match self {
             Tier::Baseline => "baseline",
             Tier::Avx2 => "avx2",
-            Tier::Avx512 => "avx512",
         }
     }
 
@@ -75,10 +77,7 @@ fn detect() -> Tier {
         // the portable kernels so the unsafe paths stay checkable under it.
         return Tier::Baseline;
     }
-    let avx2 = std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma");
-    if avx2 && std::is_x86_feature_detected!("avx512f") {
-        Tier::Avx512
-    } else if avx2 {
+    if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
         Tier::Avx2
     } else {
         Tier::Baseline
@@ -91,9 +90,8 @@ fn detect() -> Tier {
     Tier::Baseline
 }
 
-/// The kernel tier this process runs — `"avx512"`, `"avx2"` or
-/// `"baseline"` — public so benchmark writers can record which kernels
-/// produced their numbers.
+/// The kernel tier this process runs — `"avx2"` or `"baseline"` — public
+/// so benchmark writers can record which kernels produced their numbers.
 pub fn simd_tier() -> &'static str {
     Tier::active().name()
 }
@@ -136,26 +134,19 @@ macro_rules! tiered {
             );
             #[cfg(target_arch = "x86_64")]
             {
-                #[target_feature(enable = "avx512f,avx2,fma")]
-                #[allow(clippy::too_many_arguments)]
-                fn avx512($($arg: $ty),*) {
-                    $body($($arg),*)
-                }
                 #[target_feature(enable = "avx2,fma")]
                 #[allow(clippy::too_many_arguments)]
                 fn avx2($($arg: $ty),*) {
                     $body($($arg),*)
                 }
-                // SAFETY: the wrappers' only unsafety is `#[target_feature]`:
-                // each is the safe body, with no raw pointers or intrinsics
-                // of its own, compiled for the extensions its tier names. The
-                // assert above proved the CPU has them (`Tier::host` probes
-                // with `is_x86_feature_detected!`), so no instruction can be
+                // SAFETY: the wrapper's only unsafety is `#[target_feature]`:
+                // it is the safe body, with no raw pointers or intrinsics of
+                // its own, compiled for AVX2 and FMA. The assert above proved
+                // the CPU has them (`Tier::host` probes with
+                // `is_x86_feature_detected!`), so no instruction can be
                 // illegal here.
-                match tier {
-                    Tier::Avx512 => return unsafe { avx512($($arg),*) },
-                    Tier::Avx2 => return unsafe { avx2($($arg),*) },
-                    Tier::Baseline => {}
+                if tier == Tier::Avx2 {
+                    return unsafe { avx2($($arg),*) };
                 }
             }
             $body($($arg),*)

@@ -30,11 +30,10 @@ use crate::dispatch::tiered;
 
 /// Micro-kernel rows: accumulator block height.
 const MR: usize = 4;
-/// Micro-kernel cols: accumulator block width. Two AVX2 registers (one
-/// AVX-512 register) per accumulator row give the 4×NR block eight (four)
-/// independent add chains, enough to keep the FP ports busy despite the
-/// 4-cycle add latency (mul and add stay separate instructions; see the
-/// determinism note).
+/// Micro-kernel cols: accumulator block width. Two AVX2 registers per
+/// accumulator row give the 4×NR block eight independent add chains,
+/// enough to keep the FP ports busy despite the 4-cycle add latency (mul
+/// and add stay separate instructions; see the determinism note).
 pub(crate) const NR: usize = 16;
 
 /// Below this row count packing cannot amortize (the whole product costs
@@ -462,9 +461,8 @@ fn gemm_packed_impl(
             i0 += MR;
         }
         // The m % MR tail walks the tiles in groups of up to four, at the
-        // last tile of each group: one tile is a single accumulator
-        // register on AVX-512, and one add chain per row left the tail
-        // latency-bound.
+        // last tile of each group: one tile per row gave two add chains,
+        // which left the tail latency-bound.
         if t % 4 == 3 || t + 1 == n_tiles {
             let g = t % 4 + 1;
             let t0 = t + 1 - g;

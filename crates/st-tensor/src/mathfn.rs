@@ -15,9 +15,9 @@
 //!    benchmark host — at `beam × 3·hidden` activations per GRU step that
 //!    alone exceeds the decode latency budget. These kernels are
 //!    branch-free (compute-both-sides + select), so LLVM vectorizes them
-//!    8 lanes wide under the crate's AVX2 tier and 16 wide under its
-//!    AVX-512 tier, and every build executes the same f32 operations in
-//!    the same order — results are identical whichever build runs.
+//!    8 lanes wide under the crate's AVX2 tier, and every build executes
+//!    the same f32 operations in the same order — results are identical
+//!    whichever build runs.
 //!
 //! Branch-free is not enough on its own. `exp` once built its `2^n` scale
 //! from `n as i32`: Rust's saturating float-to-int cast has no single packed

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Fail when a SIMD tier build of the GRU gate epilogue or of the sigmoid /
+# Fail when the AVX2 build of the GRU gate epilogue or of the sigmoid /
 # tanh slice kernels converts a float to an integer one lane at a time.
 #
 # A scalar `cvttss2si` inside a `#[target_feature]` wrapper means some step
@@ -8,8 +8,8 @@
 # bits but runs at a fraction of the tier's width, which no test notices.
 #
 # The script builds the release st-tensor unit-test binary, disassembles it
-# with objdump, and checks the `avx2` and `avx512` wrappers that
-# `dispatch::tiered!` emits for each kernel. A wrapper that cannot be found
+# with objdump, and checks the `avx2` wrapper that `dispatch::tiered!`
+# emits for each kernel. A wrapper that cannot be found
 # fails the check too, so a rename cannot turn it into a silent pass.
 #
 # Usage: scripts/check_vectorized.sh   (from anywhere in the repository)
@@ -17,7 +17,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 kernels=(infer::gru_gates_fused_on mathfn::sigmoid_slice_on mathfn::tanh_slice_on)
-tiers=(avx2 avx512)
+tiers=(avx2)
 
 bin=$(cargo test --release -q -p st-tensor --lib --no-run --message-format=json |
     grep '"name":"st_tensor"' | grep -o '"executable":"[^"]*"' | cut -d'"' -f4 | tail -n1)
