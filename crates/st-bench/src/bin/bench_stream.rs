@@ -251,7 +251,7 @@ fn main() {
     let split = ds.default_split();
     let trip = &ds.trips[*split.test.first().unwrap_or(&0)];
 
-    // Single worker so the warm-cache / eager-invalidation counter deltas
+    // Single worker so the warm-cache / invalidation counter deltas
     // below are deterministic (each worker owns its own encode cache).
     let cfg = ServeConfig {
         workers: 1,

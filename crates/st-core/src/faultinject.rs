@@ -18,6 +18,7 @@
 //! time or OS randomness.
 
 use std::collections::HashSet;
+use std::hash::Hash;
 use std::io;
 use std::path::Path;
 use std::sync::Mutex;
@@ -66,95 +67,113 @@ impl FaultPlan {
     }
 }
 
+/// Planned faults keyed by `K`, each of which fires at most once, and the
+/// log of those that fired. Both injectors keep one.
+#[derive(Debug)]
+struct TakeOnce<K> {
+    planned: Mutex<HashSet<K>>,
+    fired: Mutex<Vec<String>>,
+}
+
+impl<K: Eq + Hash> TakeOnce<K> {
+    fn new(planned: impl IntoIterator<Item = K>) -> Self {
+        Self {
+            planned: Mutex::new(planned.into_iter().collect()),
+            fired: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Whether `fault` was planned and has not fired yet. Consumes it and
+    /// logs `describe()` if so.
+    fn take(&self, fault: K, describe: impl FnOnce() -> String) -> bool {
+        let hit = self
+            .planned
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .remove(&fault);
+        if hit {
+            self.fired
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push(describe());
+        }
+        hit
+    }
+
+    fn pending(&self) -> usize {
+        self.planned.lock().unwrap_or_else(|e| e.into_inner()).len()
+    }
+
+    fn fired(&self) -> Vec<String> {
+        self.fired.lock().unwrap_or_else(|e| e.into_inner()).clone()
+    }
+}
+
+/// A training fault's coordinates.
+#[derive(Debug, PartialEq, Eq, Hash)]
+enum TrainFault {
+    NanLoss(usize, usize),
+    Panic(usize, usize, usize),
+    Crash(usize, usize),
+}
+
 /// An armed [`FaultPlan`]. Thread-safe (workers consult it concurrently);
 /// every fault fires at most once.
 #[derive(Debug)]
 pub struct FaultInjector {
-    nan_loss: Mutex<HashSet<(usize, usize)>>,
-    panics: Mutex<HashSet<(usize, usize, usize)>>,
-    crash: Mutex<Option<(usize, usize)>>,
-    fired: Mutex<Vec<String>>,
+    faults: TakeOnce<TrainFault>,
 }
 
 impl FaultInjector {
     /// Arm a plan.
     pub fn new(plan: FaultPlan) -> Self {
+        let nan = plan
+            .nan_loss_at
+            .into_iter()
+            .map(|(e, b)| TrainFault::NanLoss(e, b));
+        let panics = plan
+            .panic_at
+            .into_iter()
+            .map(|(e, b, s)| TrainFault::Panic(e, b, s));
+        let crash = plan.crash_at.map(|(e, b)| TrainFault::Crash(e, b));
         Self {
-            nan_loss: Mutex::new(plan.nan_loss_at.into_iter().collect()),
-            panics: Mutex::new(plan.panic_at.into_iter().collect()),
-            crash: Mutex::new(plan.crash_at),
-            fired: Mutex::new(Vec::new()),
+            faults: TakeOnce::new(nan.chain(panics).chain(crash)),
         }
     }
 
     /// Should minibatch `(epoch, batch)`'s loss be poisoned? Consumes the
     /// fault.
     pub fn take_nan_loss(&self, epoch: usize, batch: usize) -> bool {
-        let hit = self
-            .nan_loss
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&(epoch, batch));
-        if hit {
-            self.record(format!("nan_loss epoch={epoch} batch={batch}"));
-        }
-        hit
+        self.faults.take(TrainFault::NanLoss(epoch, batch), || {
+            format!("nan_loss epoch={epoch} batch={batch}")
+        })
     }
 
     /// Should the worker running `(epoch, batch, shard)` panic? Consumes the
     /// fault.
     pub fn take_panic(&self, epoch: usize, batch: usize, shard: usize) -> bool {
-        let hit = self
-            .panics
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&(epoch, batch, shard));
-        if hit {
-            self.record(format!(
-                "worker_panic epoch={epoch} batch={batch} shard={shard}"
-            ));
-        }
-        hit
+        self.faults
+            .take(TrainFault::Panic(epoch, batch, shard), || {
+                format!("worker_panic epoch={epoch} batch={batch} shard={shard}")
+            })
     }
 
     /// Should training abort (simulated kill) at `(epoch, batch)`? Consumes
     /// the fault.
     pub fn take_crash(&self, epoch: usize, batch: usize) -> bool {
-        let mut crash = self.crash.lock().unwrap_or_else(|e| e.into_inner());
-        if *crash == Some((epoch, batch)) {
-            *crash = None;
-            drop(crash);
-            self.record(format!("crash epoch={epoch} batch={batch}"));
-            return true;
-        }
-        false
+        self.faults.take(TrainFault::Crash(epoch, batch), || {
+            format!("crash epoch={epoch} batch={batch}")
+        })
     }
 
     /// Human-readable log of every fault that fired, in firing order.
     pub fn fired(&self) -> Vec<String> {
-        self.fired.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        self.faults.fired()
     }
 
     /// Number of planned faults that have not fired yet.
     pub fn pending(&self) -> usize {
-        self.nan_loss
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len()
-            + self.panics.lock().unwrap_or_else(|e| e.into_inner()).len()
-            + usize::from(
-                self.crash
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .is_some(),
-            )
-    }
-
-    fn record(&self, msg: String) {
-        self.fired
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(msg);
+        self.faults.pending()
     }
 }
 
@@ -214,27 +233,32 @@ impl ServeFaultPlan {
     }
 }
 
+/// A serving fault's scheduler tick.
+#[derive(Debug, PartialEq, Eq, Hash)]
+enum ServeFault {
+    Slow(u64),
+    Panic(u64),
+    Poison(u64),
+}
+
 /// An armed [`ServeFaultPlan`]. Thread-safe; every fault fires at most once
 /// (so a retried request replays cleanly and recovery can be asserted to
 /// actually recover).
 #[derive(Debug)]
 pub struct ServeFaultInjector {
-    slow: Mutex<HashSet<u64>>,
+    faults: TakeOnce<ServeFault>,
     slow_ms: u64,
-    panics: Mutex<HashSet<u64>>,
-    poisons: Mutex<HashSet<u64>>,
-    fired: Mutex<Vec<String>>,
 }
 
 impl ServeFaultInjector {
     /// Arm a plan.
     pub fn new(plan: ServeFaultPlan) -> Self {
+        let slow = plan.slow_at.into_iter().map(ServeFault::Slow);
+        let panics = plan.panic_at.into_iter().map(ServeFault::Panic);
+        let poisons = plan.poison_at.into_iter().map(ServeFault::Poison);
         Self {
-            slow: Mutex::new(plan.slow_at.into_iter().collect()),
+            faults: TakeOnce::new(slow.chain(panics).chain(poisons)),
             slow_ms: plan.slow_ms,
-            panics: Mutex::new(plan.panic_at.into_iter().collect()),
-            poisons: Mutex::new(plan.poison_at.into_iter().collect()),
-            fired: Mutex::new(Vec::new()),
         }
     }
 
@@ -242,62 +266,37 @@ impl ServeFaultInjector {
     /// slow. Consumes the fault. The caller performs the sleep so the
     /// injector itself stays time-free.
     pub fn take_slow(&self, tick: u64) -> Option<u64> {
-        let hit = self
-            .slow
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&tick);
-        if hit {
-            self.record(format!("slow_step tick={tick} ms={}", self.slow_ms));
-            return Some(self.slow_ms);
-        }
-        None
+        let ms = self.slow_ms;
+        self.faults
+            .take(ServeFault::Slow(tick), || {
+                format!("slow_step tick={tick} ms={ms}")
+            })
+            .then_some(ms)
     }
 
     /// Should the worker panic inside tick `tick`? Consumes the fault.
     pub fn take_panic(&self, tick: u64) -> bool {
-        let hit = self
-            .panics
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&tick);
-        if hit {
-            self.record(format!("worker_panic tick={tick}"));
-        }
-        hit
+        self.faults.take(ServeFault::Panic(tick), || {
+            format!("worker_panic tick={tick}")
+        })
     }
 
     /// Should tick `tick`'s step output be poisoned with NaN? Consumes the
     /// fault.
     pub fn take_poison(&self, tick: u64) -> bool {
-        let hit = self
-            .poisons
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&tick);
-        if hit {
-            self.record(format!("poisoned_step tick={tick}"));
-        }
-        hit
+        self.faults.take(ServeFault::Poison(tick), || {
+            format!("poisoned_step tick={tick}")
+        })
     }
 
     /// Human-readable log of every fault that fired, in firing order.
     pub fn fired(&self) -> Vec<String> {
-        self.fired.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        self.faults.fired()
     }
 
     /// Number of planned faults that have not fired yet.
     pub fn pending(&self) -> usize {
-        self.slow.lock().unwrap_or_else(|e| e.into_inner()).len()
-            + self.panics.lock().unwrap_or_else(|e| e.into_inner()).len()
-            + self.poisons.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    fn record(&self, msg: String) {
-        self.fired
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(msg);
+        self.faults.pending()
     }
 }
 

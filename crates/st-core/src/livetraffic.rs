@@ -21,12 +21,9 @@
 //!   Past-horizon events are rejected with a typed outcome instead of
 //!   silently clamping.
 //! - [`TrafficCache`] — a bounded LRU of per-slot *encodings* keyed by
-//!   `(slot, version)`. A version bump evicts exactly the changed slot —
-//!   never a full flush — observable via the
+//!   `(slot, version)`. A lookup at a newer version evicts exactly the
+//!   changed slot — never a full flush — observable via the
 //!   `predict.traffic_cache.{hit,miss,invalidate}` counters.
-//! - [`bind_traffic`] — the one rule by which a decode binds its traffic
-//!   context to the live state, shared by the predictor and the serving
-//!   engine.
 //!
 //! Feed-application outcomes are observable via the
 //! `traffic.feed.{applied,duplicate,out_of_order,past_horizon}` counters.
@@ -36,8 +33,6 @@
 use std::collections::BTreeMap;
 
 use st_tensor::Array;
-
-use crate::model::DeepSt;
 
 /// What kind of ground-truth change produced a [`TrafficEvent`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,6 +87,10 @@ pub enum ApplyOutcome {
     /// The event's slot lies beyond the configured horizon — the feed ran
     /// past the simulated world. Rejected loudly instead of clamped.
     PastHorizon,
+    /// The event's tensor is not the model's `grid_h × grid_w` finite
+    /// cells. The serving front end rejects it before it reaches
+    /// [`VersionedTraffic`], which does not know the grid.
+    Malformed,
 }
 
 impl ApplyOutcome {
@@ -228,24 +227,10 @@ impl VersionedTraffic {
     }
 }
 
-/// The traffic latent `C` a decode starting now binds to. The live tensor
-/// of `slot` replaces `snapshot`, the caller's frozen copy, once the feed
-/// has revised the slot, and it is encoded through `cache` at
-/// `(slot, live.slot_version(slot))`. A slot the feed never touched is at
-/// version 0 and encodes `snapshot`, exactly as a deployment without a
-/// feed would.
-pub fn bind_traffic(
-    model: &DeepSt,
-    live: &VersionedTraffic,
-    cache: &mut TrafficCache,
-    slot: usize,
-    snapshot: &[f32],
-) -> Array {
-    let tensor = live.tensor(slot).unwrap_or(snapshot);
-    cache.get_or_encode(slot, live.slot_version(slot), || {
-        model.encode_traffic(tensor)
-    })
-}
+/// The capacity of the traffic caches the predictor and each serving
+/// worker keep: one day of the paper's 20-minute slots, so a long-running
+/// process does not grow with the number of distinct slots it has seen.
+pub const TRAFFIC_CACHE_CAP: usize = 72;
 
 /// One cached slot encoding.
 #[derive(Debug)]
@@ -289,7 +274,7 @@ pub struct CacheCounts {
     pub hits: u64,
     /// Lookups that encoded (absent or stale entry).
     pub misses: u64,
-    /// Stale entries evicted, at lookup or eagerly on ingest.
+    /// Stale entries evicted at lookup.
     pub invalidations: u64,
 }
 
@@ -363,19 +348,6 @@ impl TrafficCache {
             },
         );
         enc
-    }
-
-    /// Eagerly evict `slot`'s entry if it is older than `version` (called on
-    /// feed ingest so the stale encoding doesn't linger until next lookup).
-    /// Returns whether an entry was evicted; counted as an invalidation.
-    pub fn invalidate_stale(&mut self, slot: usize, version: u64) -> bool {
-        let stale = self.entries.get(&slot).is_some_and(|e| e.version < version);
-        if stale {
-            st_obs::counter("predict.traffic_cache.invalidate").inc();
-            self.counts.invalidations += 1;
-            self.entries.remove(&slot);
-        }
-        stale
     }
 
     fn evict_lru(&mut self) {
@@ -589,20 +561,21 @@ mod tests {
         for slot in 0..4 {
             let _ = cache.get_or_encode(slot, 0, || enc(slot as f32));
         }
-        assert_eq!(cache.len(), 4);
-        // Only slot 2 changed.
-        assert!(cache.invalidate_stale(2, 5));
-        assert_eq!(cache.len(), 3, "exactly one entry evicted");
+        // Only slot 2 changed: its lookup at the new version evicts its
+        // entry and re-encodes, and no other entry goes.
+        let fresh = cache.get_or_encode(2, 5, || enc(9.0));
+        assert_eq!(fresh.data(), enc(9.0).data());
+        assert_eq!(cache.len(), 4, "an entry besides the stale one was evicted");
+        assert_eq!(cache.cached_version(2), Some(5));
         assert_eq!(cache.counts().invalidations, 1);
-        // Unchanged slots still hit.
+        // Unchanged slots still hit, with their own encodings.
         for slot in [0usize, 1, 3] {
-            let _ = cache.get_or_encode(slot, 0, || unreachable!("must hit"));
+            let hit = cache.get_or_encode(slot, 0, || unreachable!("must hit"));
+            assert_eq!(hit.data(), enc(slot as f32).data());
         }
         assert_eq!(cache.counts().hits, 3);
-        // Re-invalidation of an absent / up-to-date entry is a no-op.
-        assert!(!cache.invalidate_stale(2, 5));
-        let _ = cache.get_or_encode(2, 5, || enc(9.0));
-        assert!(!cache.invalidate_stale(2, 5));
+        // At its new version the changed slot hits too: one invalidation.
+        let _ = cache.get_or_encode(2, 5, || unreachable!("must hit"));
         assert_eq!(cache.counts().invalidations, 1);
     }
 

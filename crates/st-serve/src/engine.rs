@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use st_baselines::BeamSearch;
 use st_core::faultinject::ServeFaultInjector;
-use st_core::livetraffic::{bind_traffic, TrafficCache, VersionedTraffic};
+use st_core::livetraffic::{TrafficCache, VersionedTraffic, TRAFFIC_CACHE_CAP};
 use st_core::model::DeepSt;
 use st_core::predict::InferSession;
 use st_roadnet::{RoadNetwork, SegmentId};
@@ -39,10 +39,6 @@ use st_tensor::Array;
 
 use crate::error::{Degradation, ServeError};
 use crate::request::{Responder, RouteRequest, RouteResponse};
-
-/// How many encoded traffic latents an engine memoizes (one per time slot;
-/// a simulated day has 72 slots).
-const TRAFFIC_CACHE_CAP: usize = 72;
 
 /// A request queued for admission, owned by the shared queue until a worker
 /// picks it up.
@@ -188,11 +184,18 @@ impl<'m> Engine<'m> {
             attempts,
             ..
         } = job;
+        // The live tensor of the slot replaces the request's own once the
+        // feed has revised the slot; a slot the feed never touched is at
+        // version 0 and encodes the request's tensor, as a server without a
+        // feed would.
         let traffic_version = live.slot_version(req.slot_id);
-        let c = req
-            .traffic
-            .as_deref()
-            .map(|t| bind_traffic(self.model, live, &mut self.traffic_cache, req.slot_id, t));
+        let c = req.traffic.as_deref().map(|snapshot| {
+            let tensor = live.tensor(req.slot_id).unwrap_or(snapshot);
+            self.traffic_cache
+                .get_or_encode(req.slot_id, traffic_version, || {
+                    self.model.encode_traffic(tensor)
+                })
+        });
         let ctx = self.model.encode_context(req.dest_norm, c);
         let trip = self.sess.add_trip(self.model.trip_terms(&ctx));
         let mut beam = BeamSearch::new(
@@ -440,15 +443,7 @@ pub(crate) fn validate_request(
                 "model uses traffic but request has no traffic tensor".into(),
             ))
         }
-        (Some(t), true) => {
-            let want = model.cfg.grid_h * model.cfg.grid_w;
-            if t.len() != want {
-                return Err(ServeError::BadRequest(format!(
-                    "traffic tensor has {} cells, model wants {want}",
-                    t.len()
-                )));
-            }
-        }
+        (Some(t), true) => check_traffic_tensor(model, t).map_err(ServeError::BadRequest)?,
         (Some(_), false) => {
             return Err(ServeError::BadRequest(
                 "model has no traffic pathway but request carries a tensor".into(),
@@ -457,4 +452,21 @@ pub(crate) fn validate_request(
         (None, false) => {}
     }
     Ok(())
+}
+
+/// Check that `tensor` is one `model` can read: exactly `grid_h × grid_w`
+/// cells, all finite. Request tensors and feed events come from outside the
+/// process, and one non-finite cell poisons every decode batched with it.
+pub(crate) fn check_traffic_tensor(model: &DeepSt, tensor: &[f32]) -> Result<(), String> {
+    let want = model.cfg.grid_h * model.cfg.grid_w;
+    if tensor.len() != want {
+        return Err(format!(
+            "traffic tensor has {} cells, model wants {want}",
+            tensor.len()
+        ));
+    }
+    match tensor.iter().position(|v| !v.is_finite()) {
+        Some(i) => Err(format!("traffic tensor cell {i} is not finite")),
+        None => Ok(()),
+    }
 }

@@ -31,7 +31,7 @@ use st_core::livetraffic::{ApplyOutcome, TrafficEvent, VersionedTraffic};
 use st_core::model::DeepSt;
 use st_roadnet::RoadNetwork;
 
-use crate::engine::{validate_request, Engine, QueuedJob, TickFault};
+use crate::engine::{check_traffic_tensor, validate_request, Engine, QueuedJob, TickFault};
 use crate::error::{Degradation, ServeError};
 use crate::request::{response_channel, PendingResponse, RouteRequest, RouteResponse};
 
@@ -286,11 +286,18 @@ impl Server {
     /// entry — targeted, never a flush). In-flight decodes keep the context
     /// they were admitted with, preserving bit-parity with serial decoding.
     /// Duplicate, out-of-order and past-horizon deliveries are rejected
-    /// idempotently with a typed outcome; counters:
-    /// `serve.traffic_ingest.{applied,rejected}` plus the underlying
-    /// `traffic.feed.*` breakdown.
+    /// idempotently with a typed outcome. When the model reads traffic, an
+    /// event whose tensor is not `grid_h × grid_w` finite cells is rejected
+    /// as [`ApplyOutcome::Malformed`] before it reaches the shared state.
+    /// Counters: `serve.traffic_ingest.{applied,rejected}` plus the
+    /// underlying `traffic.feed.*` breakdown.
     pub fn ingest_traffic(&self, ev: &TrafficEvent) -> ApplyOutcome {
-        let outcome = lock_anyway(&self.shared.traffic).apply(ev);
+        let model = &self.shared.model;
+        let outcome = if model.cfg.use_traffic && check_traffic_tensor(model, &ev.tensor).is_err() {
+            ApplyOutcome::Malformed
+        } else {
+            lock_anyway(&self.shared.traffic).apply(ev)
+        };
         if outcome.is_applied() {
             st_obs::counter("serve.traffic_ingest.applied").inc();
             // Nudge parked workers so a quiet server still converges its

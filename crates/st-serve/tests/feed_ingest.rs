@@ -1,15 +1,18 @@
 //! Live-feed ingest at the serving layer: an ingested traffic event must
-//! reach predictions at the next scheduler tick, an ingested closure must
-//! detour the routes served after it, batched serving must stay
-//! bit-identical to serial decoding across the invalidation, and faulty
-//! deliveries must be rejected idempotently.
+//! reach predictions at the next scheduler tick and leave other slots'
+//! predictions alone, an ingested closure must detour the routes served
+//! after it, batched serving must stay bit-identical to serial decoding
+//! across the invalidation, and faulty deliveries — malformed tensors
+//! included — must be rejected idempotently.
 
 mod common;
 
 use std::time::Duration;
 
 use st_core::livetraffic::{ApplyOutcome, TrafficEvent, TrafficEventKind};
-use st_serve::{RouteRequest, ServeConfig, Server};
+use st_core::DeepSt;
+use st_roadnet::RoadNetwork;
+use st_serve::{RouteRequest, RouteResponse, ServeConfig, Server};
 
 fn no_degradation_cfg(workers: usize) -> ServeConfig {
     ServeConfig {
@@ -45,28 +48,40 @@ fn with_live_tensor(req: &RouteRequest, ev: &TrafficEvent) -> RouteRequest {
     r
 }
 
+/// Twelve requests in traffic slot `slot` between spread-out segments.
+fn requests_in_slot(net: &RoadNetwork, model: &DeepSt, slot: usize) -> Vec<RouteRequest> {
+    let n_seg = net.num_segments();
+    (0..12)
+        .map(|i| {
+            let start = (i * 7) % n_seg;
+            let target = ((i * 13 + 9) % n_seg).max(1);
+            let mut r = common::request_between(net, model, start, target, None);
+            r.slot_id = slot;
+            r
+        })
+        .collect()
+}
+
+/// Serve the requests one at a time.
+fn serve_each(server: &Server, requests: &[RouteRequest]) -> Vec<RouteResponse> {
+    requests
+        .iter()
+        .map(|r| server.predict(r.clone()).expect("no faults"))
+        .collect()
+}
+
 #[test]
 fn ingest_reaches_predictions_at_the_next_tick() {
     // Model seed picked so the gridlock tensor demonstrably flips at least
     // one of these routes (untrained weights differ in traffic sensitivity).
     let (net, model) = common::city_and_model(41);
     let cells = model.cfg.grid_h * model.cfg.grid_w;
-    let n_seg = net.num_segments();
-    let requests: Vec<_> = (0..12)
-        .map(|i| {
-            let start = (i * 7) % n_seg;
-            let target = ((i * 13 + 9) % n_seg).max(1);
-            common::request_between(&net, &model, start, target, None)
-        })
-        .collect();
+    let requests = requests_in_slot(&net, &model, 0);
     let server = Server::new(model.clone(), net.clone(), no_degradation_cfg(1));
 
     // Steady state: responses decode at feed version 0 from the request's
     // own tensor.
-    let before: Vec<_> = requests
-        .iter()
-        .map(|r| server.predict(r.clone()).expect("no faults"))
-        .collect();
+    let before = serve_each(&server, &requests);
     for (req, resp) in requests.iter().zip(&before) {
         assert_eq!(resp.traffic_version, 0);
         let oracle = common::serial_oracle(&net, &model, req, resp.beam_width);
@@ -81,10 +96,7 @@ fn ingest_reaches_predictions_at_the_next_tick() {
     // The very next predictions decode under the live tensor (version 1),
     // bit-identical to a serial decode of the revised tensor — and at least
     // one route actually changes.
-    let after: Vec<_> = requests
-        .iter()
-        .map(|r| server.predict(r.clone()).expect("no faults"))
-        .collect();
+    let after = serve_each(&server, &requests);
     let mut changed = 0;
     for ((req, old), resp) in requests.iter().zip(&before).zip(&after) {
         assert_eq!(resp.traffic_version, 1, "stale traffic context served");
@@ -97,6 +109,47 @@ fn ingest_reaches_predictions_at_the_next_tick() {
     }
     assert!(changed > 0, "no route reacted to a city-wide gridlock");
     server.shutdown();
+}
+
+/// Events for other slots leave a slot's served routes and the traffic
+/// version its responses report unchanged: the encode cache and the
+/// reported version are keyed by the request's own slot. The same event on
+/// the slot itself then does change a route, so the requests are ones
+/// traffic can move.
+#[test]
+fn events_for_other_slots_leave_a_slots_routes_alone() {
+    let (net, model) = common::city_and_model(41);
+    let cells = model.cfg.grid_h * model.cfg.grid_w;
+    let slot = 2;
+    let requests = requests_in_slot(&net, &model, slot);
+    let server = Server::new(model, net, no_degradation_cfg(1));
+    let before = serve_each(&server, &requests);
+
+    for (seq, other) in [0usize, 1, 3, 4, 5].into_iter().enumerate() {
+        assert!(server
+            .ingest_traffic(&gridlock(seq as u64 + 1, other, cells))
+            .is_applied());
+    }
+    let after = serve_each(&server, &requests);
+    assert_eq!(
+        server.traffic_version(slot),
+        0,
+        "slot {slot} was never revised"
+    );
+    for (old, new) in before.iter().zip(&after) {
+        assert_eq!(new.traffic_version, 0, "reported another slot's revision");
+        assert_eq!(new.route, old.route, "another slot's event changed a route");
+    }
+
+    assert!(server
+        .ingest_traffic(&gridlock(6, slot, cells))
+        .is_applied());
+    let revised = serve_each(&server, &requests);
+    server.shutdown();
+    assert!(
+        before.iter().zip(&revised).any(|(b, r)| b.route != r.route),
+        "no route in slot {slot} reacted to its own gridlock"
+    );
 }
 
 /// A closure ingested by the server masks its segment at the next
@@ -204,7 +257,7 @@ fn faulty_deliveries_are_rejected_idempotently() {
         traffic_slots: Some(4),
         ..no_degradation_cfg(1)
     };
-    let server = Server::new(model, net, cfg);
+    let server = Server::new(model.clone(), net.clone(), cfg);
     let rejected = st_obs::counter("serve.traffic_ingest.rejected").get();
 
     assert!(server.ingest_traffic(&gridlock(5, 2, cells)).is_applied());
@@ -224,10 +277,24 @@ fn faulty_deliveries_are_rejected_idempotently() {
         server.ingest_traffic(&gridlock(6, 9, cells)),
         ApplyOutcome::PastHorizon
     ));
+    // tensors the model cannot read: too few cells, or a NaN cell
+    let mut nan = gridlock(8, 2, cells);
+    nan.tensor[5] = f32::NAN;
+    for ev in [gridlock(7, 2, 3), nan] {
+        assert!(matches!(
+            server.ingest_traffic(&ev),
+            ApplyOutcome::Malformed
+        ));
+    }
     assert_eq!(server.traffic_version(2), v, "rejected events moved state");
     assert_eq!(
         st_obs::counter("serve.traffic_ingest.rejected").get(),
-        rejected + 3
+        rejected + 5
     );
+    // and the slot still serves, under the last well-formed revision
+    let mut req = common::request_between(&net, &model, 0, 5, None);
+    req.slot_id = 2;
+    let resp = server.predict(req).expect("the slot still serves");
+    assert_eq!(resp.traffic_version, v);
     server.shutdown();
 }

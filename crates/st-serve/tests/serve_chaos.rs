@@ -279,6 +279,16 @@ fn bad_requests_are_rejected_before_queueing() {
         Err(ServeError::BadRequest(_))
     ));
 
+    let mut nan_cell = good.clone();
+    nan_cell
+        .traffic
+        .as_mut()
+        .expect("the fixture model reads traffic")[7] = f32::NAN;
+    assert!(matches!(
+        server.enqueue(nan_cell),
+        Err(ServeError::BadRequest(_))
+    ));
+
     let mut nan_dest = good.clone();
     nan_dest.dest_norm = [f32::NAN, 0.5];
     assert!(matches!(

@@ -149,7 +149,7 @@ fn perturbed_tensor(ds: &Dataset, slot: usize, center: &Point, severity: f64) ->
 mod tests {
     use super::*;
     use crate::dataset::CityPreset;
-    use st_core::livetraffic::VersionedTraffic;
+    use st_core::livetraffic::{ApplyOutcome, VersionedTraffic};
 
     fn dataset() -> Dataset {
         Dataset::generate(&CityPreset::tiny_test(), 30, 7)
@@ -208,20 +208,57 @@ mod tests {
         }
     }
 
+    /// The first `(slot, cell)` whose reading satisfies `pick`.
+    fn find_cell(ds: &Dataset, pick: impl Fn(f32) -> bool) -> (usize, usize) {
+        (0..ds.num_slots())
+            .flat_map(|slot| (0..ds.grid.len()).map(move |c| (slot, c)))
+            .find(|&(slot, c)| pick(ds.traffic_tensor(slot)[c]))
+            .expect("the dataset has such a cell")
+    }
+
+    /// In range, the event is the slot tensor with exactly the centre's cell
+    /// rewritten to `max(prior·(1 − severity), 0.01)`, where an unobserved
+    /// cell's prior is 0.5, and it applies to a fresh state.
     #[test]
     fn incident_event_changes_the_affected_cell() {
         let ds = dataset();
+        let observed = find_cell(&ds, |v| v > 0.0);
+        let unobserved = find_cell(&ds, |v| v == 0.0);
+        for (slot, c) in [observed, unobserved] {
+            let base = ds.traffic_tensor(slot);
+            let prior = if base[c] > 0.0 { base[c] } else { 0.5 };
+            let center = ds.grid.cell_center(c).expect("cell in range");
+            let time = (slot as f64 + 0.5) * SLOT_SECS;
+            for severity in [0.3, 0.95, 0.999] {
+                let ev = incident_event(&ds, 99, time, &center, severity).expect("in range");
+                assert_eq!((ev.seq, ev.time, ev.slot), (99, time, slot));
+                assert_eq!(ev.kind, TrafficEventKind::Incident);
+                assert_eq!(ev.tensor.len(), base.len());
+                let changed: Vec<usize> = (0..base.len())
+                    .filter(|&k| ev.tensor[k] != base[k])
+                    .collect();
+                assert_eq!(changed, vec![c], "slot {slot} severity {severity}");
+                assert_eq!(ev.tensor[c], (prior * (1.0 - severity) as f32).max(0.01));
+
+                let mut state = VersionedTraffic::with_horizon(ds.num_slots());
+                assert_eq!(state.apply(&ev), ApplyOutcome::Applied { slot, version: 1 });
+                assert_eq!(state.tensor(slot), Some(ev.tensor.as_slice()));
+            }
+        }
+    }
+
+    /// Out-of-horizon times and centres off the observation grid are
+    /// rejected, not clamped.
+    #[test]
+    fn incident_event_is_none_past_the_horizon_or_off_the_grid() {
+        let ds = dataset();
         let center = ds.net.midpoint(0);
-        let ev = incident_event(&ds, 99, 1500.0, &center, 0.95).expect("in-range incident");
-        assert_eq!(ev.slot, 1);
-        let base = ds.traffic_tensor(ev.slot);
-        assert_eq!(ev.tensor.len(), base.len());
-        let c = ds.grid.cell_of(&center).unwrap();
-        assert!(
-            (ev.tensor[c] - base[c]).abs() > 1e-6,
-            "incident did not change the cell reading"
-        );
-        // out-of-horizon times are rejected, not clamped
+        assert!(incident_event(&ds, 99, 1500.0, &center, 0.95).is_some());
+        let past = ds.num_slots() as f64 * SLOT_SECS;
+        assert!(incident_event(&ds, 99, past, &center, 0.95).is_none());
         assert!(incident_event(&ds, 99, 1e12, &center, 0.95).is_none());
+        let off_grid = Point::new(-1e6, -1e6);
+        assert!(ds.grid.cell_of(&off_grid).is_none());
+        assert!(incident_event(&ds, 99, 1500.0, &off_grid, 0.95).is_none());
     }
 }

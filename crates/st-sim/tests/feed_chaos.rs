@@ -35,6 +35,7 @@ fn mangled_dataset_feed_converges_to_clean_state() {
             ApplyOutcome::Duplicate => dup += 1,
             ApplyOutcome::OutOfOrder => ooo += 1,
             ApplyOutcome::PastHorizon => past += 1,
+            ApplyOutcome::Malformed => panic!("only a serving front end reports Malformed"),
         }
     }
     assert!(dup > 0, "no duplicate was delivered");
