@@ -14,7 +14,8 @@ use crate::predictor::{PredictQuery, Predictor};
 /// The predictor decodes the traffic tensor each query carries, frozen:
 /// trips in the same 20-minute slot share one tensor and one `C` (§IV-D),
 /// so the CNN runs once per slot, through a [`TrafficCache`] bounded at
-/// [`TRAFFIC_CACHE_CAP`] slots. A live feed reaches routes through
+/// [`TRAFFIC_CACHE_CAP`] slots; a query whose tensor differs from the one
+/// cached for its slot is encoded afresh. A live feed reaches routes through
 /// `st_serve::Server::ingest_traffic`, not through this adapter.
 pub struct DeepStPredictor {
     model: DeepSt,
@@ -69,7 +70,9 @@ impl Predictor for DeepStPredictor {
         let c = self.model.cfg.use_traffic.then(|| {
             self.traffic_cache
                 .borrow_mut()
-                .get_or_encode(q.slot_id, 0, || self.model.encode_traffic(q.traffic))
+                .get_or_encode_tensor(q.slot_id, 0, q.traffic, || {
+                    self.model.encode_traffic(q.traffic)
+                })
         });
         let ctx = self.model.encode_context(q.dest_norm, c);
         let mut dec = DeepStDecoder::new(&self.model, &ctx);

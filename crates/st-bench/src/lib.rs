@@ -1,5 +1,5 @@
 //! `st-bench`: experiment binaries regenerating every table and figure of
-//! the paper's evaluation (§V), and two system benches.
+//! the paper's evaluation (§V).
 //!
 //! Binaries (`cargo run --release -p st-bench --bin <name> [-- --quick|--full]`):
 //!
@@ -15,13 +15,12 @@
 //! | `fig8`   | Fig. 8 — training time vs training-set size |
 //! | `run_all`| everything above, sharing one dataset and prediction suite per city |
 //! | `ablate` | reproduction-specific ablations |
-//! | `bench_stream` | live-feed ingest rate, feed-chaos convergence (`--chaos`), incident reaction |
-//! | `bench_scale`  | Megacity memory ceiling at 1k / 10k / 50k segments |
 //!
 //! Every bin prints a human-readable table/figure and writes JSON under
 //! `results/`. Each table and figure is defined once, in [`paper`]: its bin
 //! and `run_all` call the same function, so both write the same file.
-//! Training, decode and serving throughput are measured by the repository
+//! Training, decode, serving and live-feed throughput, and the memory of
+//! training on a 50k-segment Megacity, are measured by the repository
 //! benchmark in `benchmark/`, which uses [`host_meta`] and
 //! [`peak_rss_bytes`] from this crate.
 
@@ -193,7 +192,7 @@ pub fn run_prediction_suite(city: City, scale: &Scale) -> Result<SuiteOutput, Tr
     })
 }
 
-/// Host/toolchain metadata embedded in every `BENCH_*.json` report, so a
+/// Host/toolchain metadata embedded in every benchmark record, so a
 /// recorded number can never be compared against a run from a different
 /// machine class without noticing: logical core count, the SIMD tier whose
 /// kernel builds ran (`avx2`, or `baseline` on non-x86 hosts and
@@ -222,9 +221,8 @@ pub fn host_meta() -> serde_json::Value {
 
 /// Peak resident-set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`). The kernel's high-water mark is monotonic for the
-/// process lifetime, so a benchmark sweeping scales must run them in
-/// ascending order for per-scale readings to be meaningful. Returns `None`
-/// off Linux or if the field is missing.
+/// process lifetime, so a reading covers everything the process did before
+/// it. Returns `None` off Linux or if the field is missing.
 pub fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     for line in status.lines() {

@@ -21,8 +21,9 @@
 //!   Past-horizon events are rejected with a typed outcome instead of
 //!   silently clamping.
 //! - [`TrafficCache`] — a bounded LRU of per-slot *encodings* keyed by
-//!   `(slot, version)`. A lookup at a newer version evicts exactly the
-//!   changed slot — never a full flush — observable via the
+//!   `(slot, version)` and the bits of the encoded tensor. A lookup at a
+//!   newer version, or with another tensor, evicts exactly that slot —
+//!   never a full flush — observable via the
 //!   `predict.traffic_cache.{hit,miss,invalidate}` counters.
 //!
 //! Feed-application outcomes are observable via the
@@ -237,6 +238,9 @@ pub const TRAFFIC_CACHE_CAP: usize = 72;
 struct CacheEntry {
     /// Slot version the encoding was computed at.
     version: u64,
+    /// Bits of the tensor that was encoded (empty for an entry made by
+    /// [`TrafficCache::get_or_encode`]).
+    tensor: Vec<u32>,
     /// Recency stamp (monotonic per-cache tick); smallest = LRU victim.
     used: u64,
     /// The encoded traffic latent `C`.
@@ -244,15 +248,16 @@ struct CacheEntry {
 }
 
 /// Bounded LRU of per-slot traffic *encodings*, keyed by slot with the
-/// slot's [`VersionedTraffic`] version as part of the logical key.
+/// slot's [`VersionedTraffic`] version and the encoded tensor's bits as
+/// part of the logical key.
 ///
-/// Lookup is `O(log n)` via `BTreeMap` (replacing the previous `O(cap)`
-/// linear scan per lookup); eviction scans for the least-recently-used
-/// entry only when the cache is full (rare, and `cap` is small). LRU order
-/// is exact: every hit refreshes the entry's recency stamp.
+/// Lookup is `O(log n)` via `BTreeMap`; eviction scans for the
+/// least-recently-used entry only when the cache is full (rare, and `cap`
+/// is small). LRU order is exact: every hit refreshes the entry's recency
+/// stamp.
 ///
-/// Invalidation is **targeted**: a version mismatch evicts exactly the
-/// changed slot's entry (counted as `predict.traffic_cache.invalidate`);
+/// Invalidation is **targeted**: a version or tensor mismatch evicts
+/// exactly that slot's entry (counted as `predict.traffic_cache.invalidate`);
 /// other slots' encodings are untouched — never a full flush.
 ///
 /// Every hit, miss and invalidation is counted twice: in the process-wide
@@ -310,25 +315,30 @@ impl TrafficCache {
         self.entries.get(&slot).map(|e| e.version)
     }
 
-    /// Look up the encoding of `slot` at `version`, encoding (and caching)
-    /// on miss. A cached entry at a *different* version is evicted first
-    /// (targeted invalidation) and re-encoded.
-    pub fn get_or_encode(
+    /// Look up the encoding of `tensor`, the traffic of `slot` at
+    /// `version`, encoding it with `encode` (and caching it) on a miss. A
+    /// cached entry of the slot at a *different* version, or of different
+    /// tensor bits, is evicted first (targeted invalidation) and
+    /// re-encoded, so a hit always returns the encoding of `tensor` itself.
+    pub fn get_or_encode_tensor(
         &mut self,
         slot: usize,
         version: u64,
+        tensor: &[f32],
         encode: impl FnOnce() -> Array,
     ) -> Array {
         self.tick += 1;
         if let Some(e) = self.entries.get_mut(&slot) {
-            if e.version == version {
+            let bits = tensor.iter().map(|v| v.to_bits());
+            if e.version == version && e.tensor.iter().copied().eq(bits) {
                 st_obs::counter("predict.traffic_cache.hit").inc();
                 self.counts.hits += 1;
                 e.used = self.tick;
                 return e.enc.clone();
             }
-            // Stale: the slot's tensor changed under us. Evict exactly this
-            // entry and fall through to a fresh encode.
+            // Stale: the slot's version moved, or this lookup carries
+            // another tensor. Evict exactly this entry and fall through to a
+            // fresh encode.
             st_obs::counter("predict.traffic_cache.invalidate").inc();
             self.counts.invalidations += 1;
             self.entries.remove(&slot);
@@ -343,11 +353,24 @@ impl TrafficCache {
             slot,
             CacheEntry {
                 version,
+                tensor: tensor.iter().map(|v| v.to_bits()).collect(),
                 used: self.tick,
                 enc: enc.clone(),
             },
         );
         enc
+    }
+
+    /// [`Self::get_or_encode_tensor`] keyed by `(slot, version)` alone, for
+    /// a caller whose every lookup of a slot at one version carries the
+    /// same tensor.
+    pub fn get_or_encode(
+        &mut self,
+        slot: usize,
+        version: u64,
+        encode: impl FnOnce() -> Array,
+    ) -> Array {
+        self.get_or_encode_tensor(slot, version, &[], encode)
     }
 
     fn evict_lru(&mut self) {
@@ -577,6 +600,32 @@ mod tests {
         // At its new version the changed slot hits too: one invalidation.
         let _ = cache.get_or_encode(2, 5, || unreachable!("must hit"));
         assert_eq!(cache.counts().invalidations, 1);
+    }
+
+    /// At one version a slot's entry serves only the tensor it encoded: a
+    /// lookup carrying other bits is an invalidation and a re-encode.
+    #[test]
+    fn a_lookup_with_another_tensor_reencodes() {
+        let mut cache = TrafficCache::new(8);
+        let (t1, t2) = (vec![0.2f32; 4], vec![0.02f32; 4]);
+        let _ = cache.get_or_encode_tensor(0, 0, &t1, || enc(1.0));
+        let hit = cache.get_or_encode_tensor(0, 0, &t1, || unreachable!("must hit"));
+        assert_eq!(hit.data(), enc(1.0).data());
+        let other = cache.get_or_encode_tensor(0, 0, &t2, || enc(2.0));
+        assert_eq!(other.data(), enc(2.0).data());
+        assert_eq!(
+            cache.counts(),
+            CacheCounts {
+                hits: 1,
+                misses: 2,
+                invalidations: 1
+            }
+        );
+        // Bits, not values: -0.0 is another tensor than 0.0.
+        let _ = cache.get_or_encode_tensor(0, 0, &[0.0], || enc(3.0));
+        let neg = cache.get_or_encode_tensor(0, 0, &[-0.0], || enc(4.0));
+        assert_eq!(neg.data(), enc(4.0).data());
+        assert_eq!(cache.counts().invalidations, 3);
     }
 
     #[test]

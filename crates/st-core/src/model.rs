@@ -166,35 +166,26 @@ impl DeepSt {
         init::randn(&[n, self.cfg.c_dim], 1.0, rng)
     }
 
-    /// Segment-embedding memory accounting (DESIGN.md §16), for the scale
-    /// benchmark and CI budget asserts.
+    /// Segment-embedding gradient residency (DESIGN.md §16): how many of
+    /// the table's row blocks training has materialized a gradient for.
     pub fn emb_memory(&self) -> EmbMemory {
-        let emb = &self.rnn.emb;
-        let table = emb.table();
         EmbMemory {
-            table_bytes: emb.table_bytes(),
-            resident_grad_bytes: emb.resident_grad_bytes(),
-            resident_blocks: table.resident_blocks(),
-            num_blocks: table.num_blocks(),
+            resident_blocks: self.rnn.emb.resident_blocks(),
         }
     }
 }
 
-/// Memory accounting for the (possibly sharded) segment-embedding table.
+/// Gradient residency of the (possibly sharded) segment-embedding table.
 ///
-/// `table_bytes` is what a dense layout pays for its gradient the moment any
-/// row is touched; `resident_grad_bytes` is what the blocked layout actually
-/// allocated — the gap is the scale-out win measured by `bench_scale`.
+/// A dense table materializes its whole gradient the moment any row is
+/// touched; a blocked one only the blocks a minibatch touched, so on a
+/// large graph `resident_blocks` stays far below the block count. The
+/// repository benchmark reports it as `train.grad_blocks` and
+/// `train.mega.grad_blocks`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EmbMemory {
-    /// Bytes of the full value table (identical in both layouts).
-    pub table_bytes: usize,
-    /// Bytes of gradient storage currently materialized.
-    pub resident_grad_bytes: usize,
     /// Row blocks whose gradient is materialized.
     pub resident_blocks: usize,
-    /// Total row blocks in the table.
-    pub num_blocks: usize,
 }
 
 impl Module for DeepSt {

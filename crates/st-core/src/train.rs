@@ -347,18 +347,12 @@ pub struct TrainConfig {
     /// of noisier per-shard batch-norm statistics (each shard normalizes
     /// with its own batch moments).
     pub shard_size: usize,
-    /// Where [`Trainer::fit`] writes training checkpoints. `None` (the
-    /// default) disables checkpointing.
+    /// Where [`Trainer::fit`] writes a training checkpoint after every
+    /// completed epoch. `None` (the default) disables checkpointing.
     pub checkpoint_path: Option<PathBuf>,
-    /// Write a checkpoint every this many completed epochs (and always at
-    /// the final/early-stopped epoch). Values < 1 are treated as 1.
-    pub checkpoint_every: usize,
     /// Resume [`Trainer::fit`] from this checkpoint if the file exists;
     /// a missing file starts fresh, a corrupt one is an error.
     pub resume_from: Option<PathBuf>,
-    /// Maximum divergence rollbacks across the whole run before
-    /// [`Trainer::fit`] gives up with [`TrainError::RollbackLimit`].
-    pub max_rollbacks: u32,
 }
 
 impl Default for TrainConfig {
@@ -372,13 +366,14 @@ impl Default for TrainConfig {
             num_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             shard_size: 64,
             checkpoint_path: None,
-            checkpoint_every: 1,
             resume_from: None,
-            max_rollbacks: 3,
         }
     }
 }
 
+/// Divergence rollbacks [`Trainer::fit`] performs across a whole run before
+/// it gives up with [`TrainError::RollbackLimit`].
+const MAX_ROLLBACKS: u32 = 3;
 /// Stepped batch losses in the divergence detector's rolling window.
 const DIVERGENCE_WINDOW: usize = 8;
 /// A batch loss above this multiple of the rolling-window median counts as
@@ -549,7 +544,7 @@ fn obs_epoch_stats(epoch: usize, train_loss: f32, val_loss: Option<f32>, seconds
 pub enum TrainError {
     /// Checkpoint save/load failed.
     Checkpoint(CheckpointError),
-    /// Divergence persisted through [`TrainConfig::max_rollbacks`] retries.
+    /// Divergence persisted through the 3 rollbacks a run may take.
     RollbackLimit {
         /// Epoch where the limit was hit.
         epoch: usize,
@@ -797,16 +792,15 @@ impl<M: TrainModel> Trainer<M> {
     /// - before epoch 0 the graph analyzer runs on the source's lint sample
     ///   ([`Trainer::lint_report`], [`TrainEvent::LintWarning`]);
     /// - with [`TrainConfig::checkpoint_path`] a complete training checkpoint
-    ///   is written atomically every [`TrainConfig::checkpoint_every`]
-    ///   epochs, and [`TrainConfig::resume_from`] continues from one
+    ///   is written atomically after every epoch, and
+    ///   [`TrainConfig::resume_from`] continues from one
     ///   **bit-identically**: N epochs equal k epochs, a resume and N−k
     ///   more, parameter for parameter;
     /// - a non-finite batch loss or gradient norm, a loss above 10 × the
     ///   median of the last 8 stepped batch losses, or an unrecoverable
     ///   worker failure aborts the epoch before its step; the trainer
     ///   restores the state of the last epoch boundary, halves the
-    ///   learning rate and retries, at most [`TrainConfig::max_rollbacks`]
-    ///   times per run;
+    ///   learning rate and retries, at most 3 times per run;
     /// - a panicked shard worker is retried serially with the shard's own
     ///   seed (bit-identical on success).
     ///
@@ -866,7 +860,7 @@ impl<M: TrainModel> Trainer<M> {
                     };
                     push_event(&mut history.events, ev);
                     progress.rollbacks += 1;
-                    if progress.rollbacks > self.cfg.max_rollbacks {
+                    if progress.rollbacks > MAX_ROLLBACKS {
                         return Err(TrainError::RollbackLimit {
                             epoch,
                             rollbacks: progress.rollbacks,
@@ -911,9 +905,7 @@ impl<M: TrainModel> Trainer<M> {
             }
             progress.epoch += 1;
             good = self.snapshot_state(rng);
-            let every = self.cfg.checkpoint_every.max(1);
-            let due = progress.epoch.is_multiple_of(every) || progress.epoch == self.cfg.epochs;
-            if let Some(path) = self.cfg.checkpoint_path.clone().filter(|_| due || stop) {
+            if let Some(path) = self.cfg.checkpoint_path.clone() {
                 progress.step = self.opt.steps();
                 checkpoint::save_training(&path, &self.model, &self.opt, rng, &progress)?;
                 let ev = TrainEvent::Checkpointed {

@@ -140,7 +140,6 @@ fn resume_after_injected_crash_is_bit_identical() {
     // Victim: same seed, checkpoint every epoch, killed in epoch 1 batch 1.
     let cfg = TrainConfig {
         checkpoint_path: Some(path.clone()),
-        checkpoint_every: 1,
         ..base_config()
     };
     let injector = Arc::new(FaultInjector::new(FaultPlan {
@@ -236,36 +235,40 @@ fn nan_divergence_rolls_back_and_recovers_from(streamed: bool) {
     assert!(injector.fired().len() == 1 && injector.pending() == 0);
 }
 
-/// Divergence on every retry (fresh fault per attempt) exhausts
-/// `max_rollbacks` and aborts with a structured error instead of looping.
+/// Divergence on every retry (fresh fault per attempt) exhausts the run's
+/// 3 rollbacks and aborts with a structured error instead of looping; one
+/// divergence fewer is recovered.
 #[test]
 fn rollback_limit_aborts_with_error() {
-    let (net, examples) = toy_examples(40);
-    // 40 examples / batch 16 → 3 batches; one fresh NaN per attempt.
-    let injector = Arc::new(FaultInjector::new(FaultPlan {
-        nan_loss_at: vec![(0, 0), (0, 1), (0, 2)],
-        ..FaultPlan::default()
-    }));
-    let cfg = TrainConfig {
-        max_rollbacks: 2,
-        ..base_config()
+    let (net, examples) = toy_examples(64);
+    // 64 examples / batch 16 → 4 batches; one fresh NaN per attempt.
+    let fit_with_nans = |batches: usize| {
+        let injector = Arc::new(FaultInjector::new(FaultPlan {
+            nan_loss_at: (0..batches).map(|b| (0, b)).collect(),
+            ..FaultPlan::default()
+        }));
+        let mut trainer = Trainer::new(toy_model(&net, 3), base_config());
+        trainer.inject_faults(injector);
+        trainer.fit(&examples[..], None, &mut init::rng(5))
     };
-    let mut trainer = Trainer::new(toy_model(&net, 3), cfg);
-    trainer.inject_faults(injector);
-    let mut rng = init::rng(5);
-    let err = trainer
-        .fit(&examples[..], None, &mut rng)
-        .expect_err("persistent divergence should abort");
+    let err = fit_with_nans(4).expect_err("persistent divergence should abort");
     assert!(
         matches!(
             err,
             TrainError::RollbackLimit {
                 epoch: 0,
-                rollbacks: 3
+                rollbacks: 4
             }
         ),
         "unexpected error: {err}"
     );
+    let hist = fit_with_nans(3).expect("3 rollbacks are within the limit");
+    let rollbacks = hist
+        .events
+        .iter()
+        .filter(|e| matches!(e, TrainEvent::RolledBack { .. }))
+        .count();
+    assert_eq!(rollbacks, 3);
 }
 
 /// A panicking shard worker is contained, retried serially with its own

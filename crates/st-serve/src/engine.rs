@@ -112,8 +112,9 @@ pub(crate) struct Engine<'m> {
     active: Vec<Active>,
     /// Model slot width (`cfg.max_neighbors`): log-prob row stride.
     width: usize,
-    /// Encoded traffic latents keyed by `(slot id, live version)` — exact
-    /// LRU with targeted invalidation on live-feed updates.
+    /// Encoded traffic latents keyed by `(slot id, live version)` and the
+    /// encoded tensor — exact LRU with targeted invalidation on live-feed
+    /// updates and on a request carrying another tensor.
     traffic_cache: TrafficCache,
     /// Latencies (ms) of responses completed since the worker last drained
     /// them into the shared p99 window.
@@ -187,12 +188,12 @@ impl<'m> Engine<'m> {
         // The live tensor of the slot replaces the request's own once the
         // feed has revised the slot; a slot the feed never touched is at
         // version 0 and encodes the request's tensor, as a server without a
-        // feed would.
+        // feed would. The cache hits only on the tensor it encoded.
         let traffic_version = live.slot_version(req.slot_id);
         let c = req.traffic.as_deref().map(|snapshot| {
             let tensor = live.tensor(req.slot_id).unwrap_or(snapshot);
             self.traffic_cache
-                .get_or_encode(req.slot_id, traffic_version, || {
+                .get_or_encode_tensor(req.slot_id, traffic_version, tensor, || {
                     self.model.encode_traffic(tensor)
                 })
         });

@@ -29,8 +29,10 @@ pub struct RouteRequest {
     /// Observed traffic tensor (`grid_h × grid_w`, row-major); required iff
     /// the served model uses the traffic pathway.
     pub traffic: Option<Vec<f32>>,
-    /// Time-slot id of `traffic`, used as the encode-cache key. Requests in
-    /// the same slot share one CNN encode per worker.
+    /// Time-slot id of `traffic`: the live-feed slot whose revisions replace
+    /// `traffic`, and, with `traffic` itself, the encode-cache key. Requests
+    /// in the same slot carrying the same tensor share one CNN encode per
+    /// worker.
     pub slot_id: usize,
     /// Per-request deadline measured from enqueue; `None` uses the server
     /// default. Expiry anywhere — queue or mid-decode — yields

@@ -1,18 +1,21 @@
-//! Live-feed ingest at the serving layer: an ingested traffic event must
-//! reach predictions at the next scheduler tick and leave other slots'
-//! predictions alone, an ingested closure must detour the routes served
-//! after it, batched serving must stay bit-identical to serial decoding
-//! across the invalidation, and faulty deliveries — malformed tensors
-//! included — must be rejected idempotently.
+//! Live-feed ingest at the serving layer: a generated dataset's whole feed
+//! must apply, an ingested traffic event must reach predictions at the
+//! next scheduler tick and leave other slots' predictions alone, an
+//! ingested closure must detour the routes served after it, batched serving
+//! must stay bit-identical to serial decoding across the invalidation, and
+//! faulty deliveries — malformed tensors included — must be rejected
+//! idempotently.
 
 mod common;
 
+use std::sync::Arc;
 use std::time::Duration;
 
-use st_core::livetraffic::{ApplyOutcome, TrafficEvent, TrafficEventKind};
-use st_core::DeepSt;
+use st_core::livetraffic::{ApplyOutcome, TrafficEvent, TrafficEventKind, VersionedTraffic};
+use st_core::{DeepSt, DeepStConfig};
 use st_roadnet::RoadNetwork;
 use st_serve::{RouteRequest, RouteResponse, ServeConfig, Server};
+use st_sim::{CityPreset, Dataset, TrafficFeed};
 
 fn no_degradation_cfg(workers: usize) -> ServeConfig {
     ServeConfig {
@@ -68,6 +71,54 @@ fn serve_each(server: &Server, requests: &[RouteRequest]) -> Vec<RouteResponse> 
         .iter()
         .map(|r| server.predict(r.clone()).expect("no faults"))
         .collect()
+}
+
+/// Every event of a generated dataset's feed — observation sweeps,
+/// incidents and closures — applies at a server whose model reads the
+/// dataset's grid, and leaves each slot at the version a bare
+/// `VersionedTraffic` reaches on the same events.
+#[test]
+fn a_datasets_whole_feed_applies_at_the_server() {
+    let ds = Dataset::generate(&CityPreset::tiny_test(), 30, 7);
+    let feed = TrafficFeed::from_dataset(&ds);
+    let kinds = |pick: fn(&TrafficEventKind) -> bool| {
+        feed.events().iter().filter(|e| pick(&e.kind)).count()
+    };
+    assert!(kinds(|k| *k == TrafficEventKind::Incident) > 0);
+    assert!(kinds(|k| matches!(k, TrafficEventKind::Closure { .. })) > 0);
+
+    let cfg = DeepStConfig::new(
+        ds.net.num_segments(),
+        ds.net.max_out_degree(),
+        ds.grid.height,
+        ds.grid.width,
+    );
+    let server = Server::new(
+        Arc::new(DeepSt::new(cfg, 5)),
+        Arc::new(ds.net.clone()),
+        ServeConfig {
+            traffic_slots: Some(ds.num_slots()),
+            ..no_degradation_cfg(1)
+        },
+    );
+    let mut reference = VersionedTraffic::with_horizon(ds.num_slots());
+    for ev in feed.events() {
+        let outcome = server.ingest_traffic(ev);
+        assert!(
+            outcome.is_applied(),
+            "event {} rejected at the server: {outcome:?}",
+            ev.seq
+        );
+        assert_eq!(outcome, reference.apply(ev), "event {}", ev.seq);
+    }
+    for slot in 0..ds.num_slots() {
+        assert_eq!(
+            server.traffic_version(slot),
+            reference.slot_version(slot),
+            "slot {slot}"
+        );
+    }
+    server.shutdown();
 }
 
 #[test]
@@ -149,6 +200,33 @@ fn events_for_other_slots_leave_a_slots_routes_alone() {
     assert!(
         before.iter().zip(&revised).any(|(b, r)| b.route != r.route),
         "no route in slot {slot} reacted to its own gridlock"
+    );
+}
+
+/// At feed version 0 a request is decoded under its own tensor, even when
+/// the worker has just encoded another tensor for the same slot: the encode
+/// cache hits only on the tensor it encoded.
+#[test]
+fn a_request_is_decoded_under_its_own_tensor_at_version_0() {
+    let (net, model) = common::city_and_model(41);
+    let cells = model.cfg.grid_h * model.cfg.grid_w;
+    let server = Server::new(model.clone(), net.clone(), no_degradation_cfg(1));
+    let req = common::request_between(&net, &model, 10, 20, None);
+    let first = server.predict(req.clone()).expect("no faults");
+    let gridlocked = with_live_tensor(&req, &gridlock(1, req.slot_id, cells));
+    let second = server.predict(gridlocked.clone()).expect("no faults");
+    server.shutdown();
+
+    assert_eq!((first.traffic_version, second.traffic_version), (0, 0));
+    assert_eq!(
+        first.route,
+        common::serial_oracle(&net, &model, &req, first.beam_width)
+    );
+    let own = common::serial_oracle(&net, &model, &gridlocked, second.beam_width);
+    assert_ne!(own, first.route, "the two tensors decode alike");
+    assert_eq!(
+        second.route, own,
+        "served under the slot's previously encoded tensor"
     );
 }
 

@@ -6,9 +6,10 @@
 //! derives that stream from an existing [`Dataset`]: one
 //! [`TrafficEventKind::Observation`] per slot (the fleet's sensed tensor),
 //! plus [`TrafficEventKind::Incident`] / [`TrafficEventKind::Closure`]
-//! events for every street-level incident in the ground-truth
+//! events for the street-level incidents in the ground-truth
 //! [`TrafficModel`](crate::TrafficModel), each carrying the slot tensor
-//! perturbed at the affected cell.
+//! perturbed at the affected cell. An incident it cannot replay as it is
+//! is counted under `sim.feed.*` (see [`TrafficFeed::from_dataset`]).
 //!
 //! Events are emitted with strictly increasing `seq` in time order, so the
 //! clean stream applies without rejections; delivery faults are layered on
@@ -28,17 +29,28 @@ const CLOSURE_SEVERITY: f64 = 0.92;
 #[derive(Debug, Clone)]
 pub struct TrafficFeed {
     events: Vec<TrafficEvent>,
-    horizon_slots: usize,
+}
+
+/// Count, under `name`, an incident [`TrafficFeed::from_dataset`] does not
+/// replay as it is, and warn the first time.
+fn count(name: &str, what: &str) {
+    st_obs::counter(name).inc();
+    st_obs::warn_once(name, what);
 }
 
 impl TrafficFeed {
     /// Build the feed for a dataset: per-slot observation sweeps plus the
     /// ground-truth street-level incidents (closures from severity
     /// `CLOSURE_SEVERITY` up), time-sorted with dense `seq` numbering.
+    ///
+    /// Every incident is an event or is counted once: one starting past
+    /// the tensor horizon under `sim.feed.dropped.past_horizon`, one centred
+    /// off the observation grid under `sim.feed.dropped.off_grid`, and a
+    /// closure with no segment near its centre, replayed as an incident,
+    /// under `sim.feed.demoted.no_segment`.
     pub fn from_dataset(ds: &Dataset) -> Self {
-        let horizon_slots = ds.num_slots();
         let mut raw: Vec<TrafficEvent> = Vec::new();
-        for slot in 0..horizon_slots {
+        for slot in 0..ds.num_slots() {
             raw.push(TrafficEvent {
                 seq: 0,
                 time: slot as f64 * SLOT_SECS,
@@ -50,15 +62,29 @@ impl TrafficFeed {
         let index = SegmentIndex::build(&ds.net, 200.0);
         for inc in ds.traffic.incidents() {
             let Some(slot) = ds.try_slot_of(inc.t_start) else {
-                continue; // incident starts past the tensor horizon
+                count(
+                    "sim.feed.dropped.past_horizon",
+                    "feed: an incident starts past the tensor horizon; dropped",
+                );
+                continue;
             };
             let Some(tensor) = perturbed_tensor(ds, slot, &inc.center, inc.severity) else {
-                continue; // center fell outside the observation grid
+                count(
+                    "sim.feed.dropped.off_grid",
+                    "feed: an incident centre is off the observation grid; dropped",
+                );
+                continue;
             };
             let kind = if inc.severity >= CLOSURE_SEVERITY {
                 match index.nearest(&ds.net, &inc.center) {
                     Some(seg) => TrafficEventKind::Closure { segment: seg },
-                    None => TrafficEventKind::Incident,
+                    None => {
+                        count(
+                            "sim.feed.demoted.no_segment",
+                            "feed: no segment near a closure; replayed as an incident",
+                        );
+                        TrafficEventKind::Incident
+                    }
                 }
             } else {
                 TrafficEventKind::Incident
@@ -79,56 +105,13 @@ impl TrafficFeed {
         for (i, ev) in raw.iter_mut().enumerate() {
             ev.seq = i as u64;
         }
-        Self {
-            events: raw,
-            horizon_slots,
-        }
+        Self { events: raw }
     }
 
     /// The events, time-ordered with strictly increasing `seq`.
     pub fn events(&self) -> &[TrafficEvent] {
         &self.events
     }
-
-    /// Number of traffic slots the feed covers.
-    pub fn horizon_slots(&self) -> usize {
-        self.horizon_slots
-    }
-
-    /// Number of events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the feed is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-/// Build a single injected-incident event for time `time` at `center`:
-/// the slot's observed tensor with the affected cell overwritten by a
-/// crawl-speed reading. Returns `None` if `time` is outside the dataset
-/// horizon or `center` is outside the observation grid.
-///
-/// This is the test/bench hook for decode-under-change: inject one incident,
-/// then assert the prediction reacts within a slot.
-pub fn incident_event(
-    ds: &Dataset,
-    seq: u64,
-    time: f64,
-    center: &Point,
-    severity: f64,
-) -> Option<TrafficEvent> {
-    let slot = ds.try_slot_of(time)?;
-    let tensor = perturbed_tensor(ds, slot, center, severity)?;
-    Some(TrafficEvent {
-        seq,
-        time,
-        slot,
-        kind: TrafficEventKind::Incident,
-        tensor,
-    })
 }
 
 /// The slot tensor with the cell containing `center` overwritten by the
@@ -159,10 +142,10 @@ mod tests {
     fn feed_is_time_ordered_with_dense_seqs() {
         let ds = dataset();
         let feed = TrafficFeed::from_dataset(&ds);
-        assert!(feed.len() >= ds.num_slots());
+        assert!(feed.events().len() >= ds.num_slots());
         for (i, ev) in feed.events().iter().enumerate() {
             assert_eq!(ev.seq, i as u64);
-            assert!(ev.slot < feed.horizon_slots());
+            assert!(ev.slot < ds.num_slots());
             if i > 0 {
                 assert!(ev.time >= feed.events()[i - 1].time);
             }
@@ -194,13 +177,13 @@ mod tests {
     fn clean_feed_applies_without_rejections() {
         let ds = dataset();
         let feed = TrafficFeed::from_dataset(&ds);
-        let mut state = VersionedTraffic::with_horizon(feed.horizon_slots());
+        let mut state = VersionedTraffic::with_horizon(ds.num_slots());
         for ev in feed.events() {
             assert!(state.apply(ev).is_applied(), "clean event rejected: {ev:?}");
         }
-        assert_eq!(state.version(), feed.len() as u64);
+        assert_eq!(state.version(), feed.events().len() as u64);
         // the last event applied to each slot is what the state holds
-        for slot in 0..feed.horizon_slots() {
+        for slot in 0..ds.num_slots() {
             let last = feed.events().iter().rev().find(|e| e.slot == slot);
             if let Some(ev) = last {
                 assert_eq!(state.tensor(slot), Some(ev.tensor.as_slice()));
@@ -216,11 +199,12 @@ mod tests {
             .expect("the dataset has such a cell")
     }
 
-    /// In range, the event is the slot tensor with exactly the centre's cell
-    /// rewritten to `max(prior·(1 − severity), 0.01)`, where an unobserved
-    /// cell's prior is 0.5, and it applies to a fresh state.
+    /// The perturbed tensor is the slot tensor with exactly the centre's
+    /// cell rewritten to `max(prior·(1 − severity), 0.01)`, where an
+    /// unobserved cell's prior is 0.5, and as an incident it applies to a
+    /// fresh state.
     #[test]
-    fn incident_event_changes_the_affected_cell() {
+    fn perturbed_tensor_changes_the_affected_cell() {
         let ds = dataset();
         let observed = find_cell(&ds, |v| v > 0.0);
         let unobserved = find_cell(&ds, |v| v == 0.0);
@@ -228,18 +212,21 @@ mod tests {
             let base = ds.traffic_tensor(slot);
             let prior = if base[c] > 0.0 { base[c] } else { 0.5 };
             let center = ds.grid.cell_center(c).expect("cell in range");
-            let time = (slot as f64 + 0.5) * SLOT_SECS;
             for severity in [0.3, 0.95, 0.999] {
-                let ev = incident_event(&ds, 99, time, &center, severity).expect("in range");
-                assert_eq!((ev.seq, ev.time, ev.slot), (99, time, slot));
-                assert_eq!(ev.kind, TrafficEventKind::Incident);
-                assert_eq!(ev.tensor.len(), base.len());
-                let changed: Vec<usize> = (0..base.len())
-                    .filter(|&k| ev.tensor[k] != base[k])
-                    .collect();
+                let tensor = perturbed_tensor(&ds, slot, &center, severity).expect("on the grid");
+                assert_eq!(tensor.len(), base.len());
+                let changed: Vec<usize> =
+                    (0..base.len()).filter(|&k| tensor[k] != base[k]).collect();
                 assert_eq!(changed, vec![c], "slot {slot} severity {severity}");
-                assert_eq!(ev.tensor[c], (prior * (1.0 - severity) as f32).max(0.01));
+                assert_eq!(tensor[c], (prior * (1.0 - severity) as f32).max(0.01));
 
+                let ev = TrafficEvent {
+                    seq: 99,
+                    time: (slot as f64 + 0.5) * SLOT_SECS,
+                    slot,
+                    kind: TrafficEventKind::Incident,
+                    tensor,
+                };
                 let mut state = VersionedTraffic::with_horizon(ds.num_slots());
                 assert_eq!(state.apply(&ev), ApplyOutcome::Applied { slot, version: 1 });
                 assert_eq!(state.tensor(slot), Some(ev.tensor.as_slice()));
@@ -247,18 +234,15 @@ mod tests {
         }
     }
 
-    /// Out-of-horizon times and centres off the observation grid are
-    /// rejected, not clamped.
+    /// A centre off the observation grid has no cell to perturb: `None`,
+    /// not a clamped cell.
     #[test]
-    fn incident_event_is_none_past_the_horizon_or_off_the_grid() {
+    fn perturbed_tensor_is_none_off_the_grid() {
         let ds = dataset();
         let center = ds.net.midpoint(0);
-        assert!(incident_event(&ds, 99, 1500.0, &center, 0.95).is_some());
-        let past = ds.num_slots() as f64 * SLOT_SECS;
-        assert!(incident_event(&ds, 99, past, &center, 0.95).is_none());
-        assert!(incident_event(&ds, 99, 1e12, &center, 0.95).is_none());
+        assert!(perturbed_tensor(&ds, 1, &center, 0.95).is_some());
         let off_grid = Point::new(-1e6, -1e6);
         assert!(ds.grid.cell_of(&off_grid).is_none());
-        assert!(incident_event(&ds, 99, 1500.0, &off_grid, 0.95).is_none());
+        assert!(perturbed_tensor(&ds, 1, &off_grid, 0.95).is_none());
     }
 }

@@ -45,7 +45,7 @@ pub mod world;
 pub use arrivals::rush_hour_rate;
 pub use dataset::{CityPreset, Dataset, Split, TripStats, SLOT_SECS, WINDOW_SECS};
 pub use driver::{simulate_route, Attractiveness, DriverConfig};
-pub use feed::{incident_event, TrafficFeed};
+pub use feed::TrafficFeed;
 pub use megacity::{Megacity, MegacityConfig, StreamSummary};
 pub use store::{TripStore, TripStoreError, TripStoreWriter};
 pub use traffic::{CongestionEvent, TrafficConfig, TrafficGrid, TrafficModel, DAY_SECS};

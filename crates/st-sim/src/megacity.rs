@@ -105,7 +105,7 @@ impl MegacityConfig {
     }
 
     /// Total district count.
-    pub fn num_districts(&self) -> usize {
+    pub(crate) fn num_districts(&self) -> usize {
         self.districts_x * self.districts_y
     }
 }

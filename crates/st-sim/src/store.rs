@@ -365,11 +365,6 @@ impl TripStore {
         self.total == 0
     }
 
-    /// Number of shard files.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Stream every trip in shard order. Each item is a `Result`: a corrupt
     /// record yields one typed error and the iterator stops (a half-read
     /// corpus must not masquerade as a full epoch).
@@ -556,7 +551,7 @@ mod tests {
         write_store(&dir, 10, 4);
         let store = TripStore::open(&dir).unwrap();
         assert_eq!(store.len(), 10);
-        assert_eq!(store.num_shards(), 3); // 4 + 4 + 2
+        assert_eq!(store.shards.len(), 3); // 4 + 4 + 2
         let trips: Vec<Trip> = store.iter().map(|r| r.unwrap()).collect();
         assert_eq!(trips.len(), 10);
         for (i, t) in trips.iter().enumerate() {

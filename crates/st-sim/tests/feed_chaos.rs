@@ -10,24 +10,26 @@ use st_core::faultinject::FeedFaultPlan;
 use st_core::livetraffic::{ApplyOutcome, VersionedTraffic};
 use st_sim::{CityPreset, Dataset, TrafficFeed};
 
-fn feed() -> TrafficFeed {
+/// The feed of a small dataset and its horizon in slots.
+fn feed() -> (TrafficFeed, usize) {
     let ds = Dataset::generate(&CityPreset::tiny_test(), 40, 11);
-    TrafficFeed::from_dataset(&ds)
+    (TrafficFeed::from_dataset(&ds), ds.num_slots())
 }
 
 #[test]
 fn mangled_dataset_feed_converges_to_clean_state() {
-    let feed = feed();
-    let plan = FeedFaultPlan::random(23, feed.len(), 0.1, 0.15, 0.05);
-    let mangled = plan.mangle(feed.events(), feed.horizon_slots());
-    assert!(mangled.len() > feed.len(), "plan injected no faults");
+    let (feed, horizon) = feed();
+    let n = feed.events().len();
+    let plan = FeedFaultPlan::random(23, n, 0.1, 0.15, 0.05);
+    let mangled = plan.mangle(feed.events(), horizon);
+    assert!(mangled.len() > n, "plan injected no faults");
 
-    let mut clean = VersionedTraffic::with_horizon(feed.horizon_slots());
+    let mut clean = VersionedTraffic::with_horizon(horizon);
     for ev in feed.events() {
         assert!(clean.apply(ev).is_applied());
     }
 
-    let mut faulty = VersionedTraffic::with_horizon(feed.horizon_slots());
+    let mut faulty = VersionedTraffic::with_horizon(horizon);
     let (mut dup, mut ooo, mut past) = (0usize, 0usize, 0usize);
     for ev in &mangled {
         match faulty.apply(ev) {
@@ -45,7 +47,7 @@ fn mangled_dataset_feed_converges_to_clean_state() {
     // Convergence: every slot's tensor and high-water seq match the clean
     // replay exactly.
     assert_eq!(clean.touched_slots(), faulty.touched_slots());
-    for slot in 0..feed.horizon_slots() {
+    for slot in 0..horizon {
         assert_eq!(clean.tensor(slot), faulty.tensor(slot), "slot {slot}");
         assert_eq!(clean.last_seq(slot), faulty.last_seq(slot), "slot {slot}");
     }
@@ -54,8 +56,8 @@ fn mangled_dataset_feed_converges_to_clean_state() {
 
 #[test]
 fn replaying_the_whole_feed_twice_is_idempotent() {
-    let feed = feed();
-    let mut state = VersionedTraffic::with_horizon(feed.horizon_slots());
+    let (feed, horizon) = feed();
+    let mut state = VersionedTraffic::with_horizon(horizon);
     for ev in feed.events() {
         assert!(state.apply(ev).is_applied());
     }

@@ -161,20 +161,6 @@ impl BlockedParam {
         out
     }
 
-    /// Bytes held by block values (always resident in this layout).
-    pub fn value_bytes(&self) -> usize {
-        self.rows * self.cols * std::mem::size_of::<f32>()
-    }
-
-    /// Bytes held by *materialized* gradient buffers — the resident set.
-    /// Cold blocks contribute zero.
-    pub fn resident_grad_bytes(&self) -> usize {
-        self.blocks
-            .iter()
-            .map(|p| p.grad().len() * std::mem::size_of::<f32>())
-            .sum()
-    }
-
     /// Number of blocks whose gradient has ever been touched.
     pub fn resident_blocks(&self) -> usize {
         self.blocks.iter().filter(|p| p.grad_allocated()).count()
@@ -230,17 +216,24 @@ mod tests {
         assert_eq!(multi.block(2).name(), "emb.table.b2");
     }
 
+    /// Gradient elements materialized across all blocks.
+    fn resident_grad_len(bp: &BlockedParam) -> usize {
+        bp.blocks().iter().map(|p| p.grad().len()).sum()
+    }
+
+    /// Only a touched block materializes its gradient, so a blocked table
+    /// holds less gradient than the dense layout's whole-table one.
     #[test]
     fn residency_tracks_touched_blocks_only() {
         let bp = BlockedParam::from_rows("t", 8, 2, 2, |_, buf| buf.fill(1.0));
         assert_eq!(bp.resident_blocks(), 0);
-        assert_eq!(bp.resident_grad_bytes(), 0);
+        assert_eq!(resident_grad_len(&bp), 0);
         bp.block(1)
             .accumulate_grad(&Array::from_vec(&[2, 2], vec![1.0; 4]));
         assert_eq!(bp.resident_blocks(), 1);
-        assert_eq!(bp.resident_grad_bytes(), 4 * 4);
+        assert_eq!(resident_grad_len(&bp), 4);
+        assert!(resident_grad_len(&bp) < bp.rows() * bp.cols());
         bp.block(1).zero_grad(); // stays resident
         assert_eq!(bp.resident_blocks(), 1);
-        assert_eq!(bp.value_bytes(), 8 * 2 * 4);
     }
 }

@@ -24,7 +24,7 @@ pub(crate) enum Kernel {
     GemmBt,
     /// Fused `Aᵀ·B` (`gemm_at`).
     GemmAt,
-    /// Direct convolution forward (`conv2d`).
+    /// Convolution forward (`conv2d`: im2col, then the packed GEMM).
     Conv2d,
     /// Reverse sweep over the tape (`Tape::backward`).
     Backward,
