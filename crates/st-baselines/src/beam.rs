@@ -192,15 +192,24 @@ impl std::fmt::Display for DecodeCancelled {
 
 impl std::error::Error for DecodeCancelled {}
 
-/// One scored successor of a live prefix, carried as `(parent, next)`
-/// instead of a materialized route: routes are cloned only for the
-/// `<= beam_width` survivors (plus at most one completion per depth), not
-/// for every scored successor.
+/// One scored successor of a live prefix: the segment it appends, its
+/// score, the stepped row it came from and the route-tree node it extends.
 struct Expansion {
     next: SegmentId,
     logp: f64,
     parent_row: usize,
-    parent_live: usize,
+    parent: usize,
+}
+
+/// The parent of a route tree's root node.
+const ROOT: usize = usize::MAX;
+
+/// One node of a search's route tree: a segment and the node of the
+/// segment before it ([`ROOT`] for the first segment of the prefix).
+#[derive(Clone, Copy)]
+struct Node {
+    seg: SegmentId,
+    parent: usize,
 }
 
 /// The beam search itself, factored out of [`beam_decode`] as a *resumable*
@@ -212,15 +221,26 @@ struct Expansion {
 /// does) reproduces the original monolithic loop exactly — same expansions,
 /// same tie-breaks, same counters — so one search implementation serves
 /// both the offline decoder and the serving scheduler.
+///
+/// Routes are never copied while the search runs. They share their common
+/// prefixes in a parent-pointer tree: each survivor and each new best
+/// completion is one `(segment, parent)` node, and a route is built once,
+/// by [`BeamSearch::into_route`]. [`BeamSearch::new`] reserves the tree's
+/// worst case and every per-step buffer, so no step allocates.
 pub struct BeamSearch {
     beam_width: usize,
     /// Slot log-probs per row emitted by the model ([`StepDecoder::width`]).
     width: usize,
     dest: Point,
-    /// `live[i]` is `(route, logp)`; its recurrent state is whatever row
-    /// the caller's state holds for it (row `i` after a survivor gather).
-    live: Vec<(Route, f64)>,
-    best_complete: Option<(Route, f64)>,
+    /// The route tree: the initial prefix's segments, then one node per
+    /// survivor and per new best completion, in the order they were made.
+    nodes: Vec<Node>,
+    /// `live[i]` is `(node, logp)`, the route ending at `nodes[node]`; its
+    /// recurrent state is whatever row the caller's state holds for it
+    /// (row `i` after a survivor gather).
+    live: Vec<(usize, f64)>,
+    /// The best complete route's node and score.
+    best_complete: Option<(usize, f64)>,
     /// Memo of `(ln f_s, ln (1 − f_s))` per segment — the destination is
     /// fixed for the whole decode, so `p_stop` depends only on the segment,
     /// and segments recur across depths and beam rows. NaN = not yet
@@ -238,6 +258,7 @@ pub struct BeamSearch {
     tokens: Vec<SegmentId>,
     steppable: Vec<usize>,
     survivors: Vec<usize>,
+    expansions: Vec<Expansion>,
 }
 
 fn p_stop_logs(
@@ -273,19 +294,32 @@ impl BeamSearch {
         assert!(beam_width >= 1);
         assert!(!initial.is_empty(), "initial route must not be empty");
         let remaining = max_len.saturating_sub(initial.len());
+        // Each step adds at most `beam_width` survivors and one completion.
+        let worst = initial
+            .len()
+            .saturating_add(remaining.saturating_mul(beam_width.saturating_add(1)));
+        let mut nodes = Vec::with_capacity(worst);
+        nodes.extend(initial.iter().enumerate().map(|(i, &seg)| Node {
+            seg,
+            parent: if i == 0 { ROOT } else { i - 1 },
+        }));
+        let mut live = Vec::with_capacity(beam_width);
+        live.push((initial.len() - 1, 0.0));
         Self {
             beam_width,
             width,
             dest,
-            live: vec![(initial, 0.0)],
+            nodes,
+            live,
             best_complete: None,
             ps_memo: vec![(f64::NAN, f64::NAN); net.num_segments()],
             remaining,
             finished: false,
             closed: Vec::new(),
-            tokens: Vec::new(),
-            steppable: Vec::new(),
-            survivors: Vec::new(),
+            tokens: Vec::with_capacity(beam_width),
+            steppable: Vec::with_capacity(beam_width),
+            survivors: Vec::with_capacity(beam_width),
+            expansions: Vec::with_capacity(beam_width.saturating_mul(width)),
         }
     }
 
@@ -323,8 +357,8 @@ impl BeamSearch {
         self.remaining -= 1;
         self.tokens.clear();
         self.steppable.clear();
-        for (i, (route, _)) in self.live.iter().enumerate() {
-            let Some(&cur) = route.last() else { continue };
+        for (i, &(node, _)) in self.live.iter().enumerate() {
+            let cur = self.nodes[node].seg;
             if !net.next_segments(cur).is_empty() {
                 self.tokens.push(cur);
                 self.steppable.push(i);
@@ -345,21 +379,17 @@ impl BeamSearch {
     /// this depth: no expansion scores above the best complete route.
     pub fn apply_step(&mut self, net: &RoadNetwork, logp: &[f64]) -> Option<&[usize]> {
         let width = self.width;
-        let mut expansions: Vec<Expansion> = Vec::new();
-        // Best completion found at this depth, by parent + next segment;
-        // materialized once after the scan. Seeding the running score from
-        // the stored best keeps the "first strict improvement wins"
-        // tie-break identical to scoring completions eagerly.
+        self.expansions.clear();
+        // Best completion found at this depth, by parent node + next
+        // segment; added to the tree once after the scan. Seeding the
+        // running score from the stored best keeps the "first strict
+        // improvement wins" tie-break identical to scoring completions
+        // eagerly.
         let mut pending_complete: Option<(usize, SegmentId)> = None;
-        let mut best_score = self
-            .best_complete
-            .as_ref()
-            .map(|(_, s)| *s)
-            .unwrap_or(f64::NEG_INFINITY);
+        let mut best_score = self.best_complete.map_or(f64::NEG_INFINITY, |(_, s)| s);
         for (row, &i) in self.steppable.iter().enumerate() {
-            let (route, item_logp) = &self.live[i];
-            let Some(&cur) = route.last() else { continue };
-            let nexts = net.next_segments(cur);
+            let (node, item_logp) = self.live[i];
+            let nexts = net.next_segments(self.nodes[node].seg);
             if nexts.len() > width {
                 note_truncation(nexts.len(), width);
             }
@@ -406,25 +436,24 @@ impl BeamSearch {
                 let complete_score = item_logp + lp_trans + ln_ps;
                 if complete_score > best_score {
                     best_score = complete_score;
-                    pending_complete = Some((i, next));
+                    pending_complete = Some((node, next));
                 }
-                expansions.push(Expansion {
+                self.expansions.push(Expansion {
                     next,
                     logp: item_logp + lp_trans + ln_go,
                     parent_row: row,
-                    parent_live: i,
+                    parent: node,
                 });
             }
         }
-        if let Some((i, next)) = pending_complete {
-            let mut route = self.live[i].0.clone();
-            route.push(next);
-            self.best_complete = Some((route, best_score));
+        if let Some((parent, seg)) = pending_complete {
+            self.nodes.push(Node { seg, parent });
+            self.best_complete = Some((self.nodes.len() - 1, best_score));
         }
         // keep the best `beam_width` live prefixes (stable sort: ties keep
         // expansion order, matching the clone-and-step decoder)
-        expansions.sort_by(|a, b| b.logp.total_cmp(&a.logp));
-        expansions.truncate(self.beam_width);
+        self.expansions.sort_by(|a, b| b.logp.total_cmp(&a.logp));
+        self.expansions.truncate(self.beam_width);
         // Exact bound: every score increment is ≤ 0 (`lp_trans ≤ 0`,
         // `ln f_s ≤ ln 0.95`, `ln (1 − f_s) < 0`) and f64 rounding is
         // monotone, so a prefix at or below the best complete score can
@@ -432,26 +461,25 @@ impl BeamSearch {
         // the truncate leaves the surviving live prefixes, their order and
         // `best_complete` exactly as if it had been kept; only the model
         // steps it would have taken go. NaN rows stay, as before.
-        if let Some((_, best)) = &self.best_complete {
-            expansions.retain(|e| e.logp > *best || e.logp.is_nan());
+        if let Some((_, best)) = self.best_complete {
+            self.expansions.retain(|e| e.logp > best || e.logp.is_nan());
         }
-        if expansions.is_empty() {
+        if self.expansions.is_empty() {
             self.finished = true;
             return None;
         }
-        // survivors: the caller gathers their parents' post-step state rows;
-        // we materialize only the surviving routes.
+        // survivors: the caller gathers their parents' post-step state
+        // rows; each surviving route is one new tree node.
         self.survivors.clear();
-        self.survivors
-            .extend(expansions.iter().map(|e| e.parent_row));
-        self.live = expansions
-            .iter()
-            .map(|e| {
-                let mut route = self.live[e.parent_live].0.clone();
-                route.push(e.next);
-                (route, e.logp)
-            })
-            .collect();
+        self.live.clear();
+        for e in &self.expansions {
+            self.survivors.push(e.parent_row);
+            self.nodes.push(Node {
+                seg: e.next,
+                parent: e.parent,
+            });
+            self.live.push((self.nodes.len() - 1, e.logp));
+        }
         Some(&self.survivors)
     }
 
@@ -459,20 +487,34 @@ impl BeamSearch {
     /// to the best live prefix when no completion was ever scored (dead-end
     /// start or `max_len == 1`). Bumps `decode.beam.{complete,fallback}`.
     pub fn into_route(self) -> Route {
-        match self.best_complete {
-            Some((route, _)) => {
+        let end = match self.best_complete {
+            Some((node, _)) => {
                 st_obs::counter("decode.beam.complete").inc();
-                route
+                Some(node)
             }
             None => {
                 st_obs::counter("decode.beam.fallback").inc();
-                self.live
-                    .into_iter()
-                    .next()
-                    .map(|(route, _)| route)
-                    .unwrap_or_default()
+                self.live.first().map(|&(node, _)| node)
             }
+        };
+        end.map(|node| self.route_to(node)).unwrap_or_default()
+    }
+
+    /// The route from the tree's root to `node`.
+    fn route_to(&self, node: usize) -> Route {
+        let mut len = 0;
+        let mut at = node;
+        while at != ROOT {
+            len += 1;
+            at = self.nodes[at].parent;
         }
+        let mut route = vec![0; len];
+        let mut at = node;
+        for seg in route.iter_mut().rev() {
+            *seg = self.nodes[at].seg;
+            at = self.nodes[at].parent;
+        }
+        route
     }
 }
 

@@ -9,55 +9,13 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 
-use st_baselines::{beam_decode, beam_decode_closed, StepDecoder};
+#[path = "common/scorers.rs"]
+mod scorers;
+
+use scorers::ToyScorer;
+use st_baselines::{beam_decode, beam_decode_closed};
 use st_core::CancelToken;
 use st_roadnet::{grid_city, GridConfig, Point, RoadNetwork, Route, SegmentId};
-
-/// A deterministic toy scorer whose slot log-probs depend on the current
-/// segment id (stateless, so exhaustive search is cheap).
-struct ToyScorer {
-    salt: u64,
-    width: usize,
-}
-
-impl ToyScorer {
-    /// Pseudo-random but deterministic log-prob for (salt, seg, slot).
-    fn lp(&self, seg: SegmentId, j: usize) -> f64 {
-        let h = seg
-            .wrapping_mul(0x9E37_79B9)
-            .wrapping_add(j * 0x85EB_CA6B)
-            .wrapping_add(self.salt as usize);
-        -((h % 97) as f64) / 23.0
-    }
-}
-
-impl StepDecoder for ToyScorer {
-    type State = ();
-    fn width(&self) -> usize {
-        self.width
-    }
-    fn init_state(&mut self, _n: usize) {}
-    fn step(
-        &mut self,
-        net: &RoadNetwork,
-        tokens: &[SegmentId],
-        _state: &mut (),
-        logp: &mut Vec<f64>,
-    ) {
-        logp.clear();
-        for &seg in tokens {
-            let deg = net.next_segments(seg).len();
-            for j in 0..self.width {
-                logp.push(if j < deg {
-                    self.lp(seg, j)
-                } else {
-                    f64::NEG_INFINITY
-                });
-            }
-        }
-    }
-    fn gather(&mut self, _state: &(), _rows: &[usize]) {}
-}
 
 /// Gaussian termination identical to the decoder's.
 fn p_stop(net: &RoadNetwork, seg: SegmentId, dest: &Point) -> f64 {

@@ -6,16 +6,19 @@
 //! log-prob buffer, spare state vectors), then asserts that
 //! [`ITERATIONS`] further iterations allocate nothing: single-trip
 //! `DeepStDecoder::step`, interleaved multi-trip `InferSession::step_into`,
-//! the vanilla RNN's, CSSRNN's and MMI's decoder steps, and the survivor
+//! the vanilla RNN's, CSSRNN's and MMI's decoder steps, the survivor
 //! gather plus recycle cycle of beam decoding (DeepST and RNN) and of the
-//! serving engine's tick.
+//! serving engine's tick, and whole beam-search steps: `plan_step`, the
+//! gather, the decoder's step, `apply_step` and the survivor gather.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use st_baselines::{DeepStDecoder, Mmi, MmiDecoder, RnnBaseline, RnnConfig, StepDecoder};
+use st_baselines::{
+    BeamSearch, DeepStDecoder, Mmi, MmiDecoder, RnnBaseline, RnnConfig, StepDecoder,
+};
 use st_core::{DeepSt, DeepStConfig, TripContext};
-use st_roadnet::{grid_city, GridConfig, RoadNetwork, SegmentId};
+use st_roadnet::{grid_city, GridConfig, Point, RoadNetwork, SegmentId};
 use st_tensor::Array;
 
 /// Measured iterations per scenario, after warm-up.
@@ -327,5 +330,83 @@ fn warmed_rnn_gather_and_recycle_allocate_nothing() {
     assert_eq!(
         allocs, 0,
         "{ITERATIONS} warmed RNN gather/recycle cycles allocated {allocs} times"
+    );
+}
+
+/// One beam-search step as `beam_decode_closed` runs it: plan, gather the
+/// planned rows, step them, apply, gather the survivors. `false` once the
+/// search is over.
+fn search_step<D: StepDecoder<State = Vec<Array>>>(
+    net: &RoadNetwork,
+    dec: &mut D,
+    bs: &mut BeamSearch,
+    state: &mut Vec<Array>,
+    logp: &mut Vec<f64>,
+) -> bool {
+    let Some((tokens, rows)) = bs.plan_step(net) else {
+        return false;
+    };
+    let packed = dec.gather(state, rows);
+    dec.recycle(std::mem::replace(state, packed));
+    dec.step(net, tokens, state, logp);
+    let Some(survivors) = bs.apply_step(net, logp) else {
+        return false;
+    };
+    let kept = dec.gather(state, survivors);
+    dec.recycle(std::mem::replace(state, kept));
+    true
+}
+
+/// Each step's allocations over one beam-8 search from every segment. The
+/// destination lies off the grid, where `f_s` is at its floor, so no early
+/// completion ends a search and each runs many steps. Opening a search and
+/// concluding it fall outside the counts.
+fn search_round<D: StepDecoder<State = Vec<Array>>>(
+    net: &RoadNetwork,
+    dec: &mut D,
+    state: &mut Vec<Array>,
+    logp: &mut Vec<f64>,
+) -> Vec<u64> {
+    let dest = Point::new(1e6, 1e6);
+    let mut steps = Vec::new();
+    for start in 0..net.num_segments() {
+        let mut bs = BeamSearch::new(net, vec![start], dest, 8, dec.width(), 60);
+        let fresh = dec.init_state(1);
+        dec.recycle(std::mem::replace(state, fresh));
+        let mut more = true;
+        while more {
+            steps.push(allocations_in(|| {
+                more = search_step(net, dec, &mut bs, state, logp);
+            }));
+        }
+        assert!(net.is_valid_route(&bs.into_route()));
+    }
+    steps
+}
+
+/// A warmed beam search step allocates nothing: the search reuses its
+/// buffers and extends a route tree reserved at `BeamSearch::new`, and the
+/// decoder reuses its arena.
+#[test]
+fn warmed_beam_search_step_allocates_nothing() {
+    let (net, model) = world();
+    let ctx = context(&model, 0.3, [0.9, 0.9]);
+    let mut dec = DeepStDecoder::new(&model, &ctx);
+    let mut state = dec.init_state(1);
+    let mut logp = Vec::new();
+    search_round(&net, &mut dec, &mut state, &mut logp);
+    let steps = search_round(&net, &mut dec, &mut state, &mut logp);
+    assert!(
+        steps.len() >= ITERATIONS,
+        "only {} search steps measured",
+        steps.len()
+    );
+    let allocating = steps.iter().filter(|&&a| a > 0).count();
+    assert_eq!(
+        allocating,
+        0,
+        "{allocating} of {} warmed beam-search steps allocated ({} times)",
+        steps.len(),
+        steps.iter().sum::<u64>()
     );
 }

@@ -185,6 +185,11 @@ pub struct InferSession<'m> {
     /// Registered trips' slot-bias rows (`[1, width]` each, in the order a
     /// step adds them); `None` slots are free.
     trips: Vec<Option<Vec<Array>>>,
+    /// The pool the bias rows come from and return to, apart from `arena`:
+    /// a trip holds its rows for its whole life, and `arena` hands out the
+    /// most recently recycled array that fits, so a row taken from it could
+    /// pin a step-sized array and make a later step allocate.
+    trip_arena: ScratchArena,
     free: Vec<usize>,
     /// Emptied per-layer vectors of recycled states, refilled by the next
     /// gather or zero state so a warmed loop allocates none.
@@ -206,6 +211,7 @@ impl RouteRnn {
             gx0_slot: vec![usize::MAX; self.emb.vocab()],
             gx0_cache: Vec::new(),
             trips: Vec::new(),
+            trip_arena: ScratchArena::new(),
             free: Vec::new(),
             spare: Vec::new(),
         }
@@ -230,7 +236,7 @@ impl InferSession<'_> {
     ) -> usize {
         let _scope = TapeFreeScope::enter();
         let width = self.width();
-        let arena = &mut self.arena;
+        let arena = &mut self.trip_arena;
         let bias = terms
             .into_iter()
             .map(|(x, w)| {
@@ -258,7 +264,7 @@ impl InferSession<'_> {
         let bias = self.trips[trip].take();
         assert!(bias.is_some(), "trip {trip} is not registered");
         for row in bias.into_iter().flatten() {
-            self.arena.recycle(row);
+            self.trip_arena.recycle(row);
         }
         self.free.push(trip);
     }

@@ -1,7 +1,8 @@
 //! Process-global metric registry: named counters, gauges and histograms.
 //!
 //! Registration ([`counter`] / [`gauge`] / [`histogram`]) takes a mutex
-//! once per lookup; hot paths should resolve a handle once and reuse it.
+//! once per lookup and allocates only when it registers a new name; hot
+//! paths should still resolve a handle once and reuse it.
 //! Updates through a handle are lock-free atomics and are always live —
 //! unlike spans, metrics do not check the recording flag, because an atomic
 //! add costs less than the branch would save and keeping them hot means a
@@ -142,6 +143,7 @@ impl Histogram {
     }
 }
 
+#[derive(Clone)]
 enum Metric {
     Counter(Counter),
     Gauge(Gauge),
@@ -171,17 +173,24 @@ fn fresh_histogram() -> Histogram {
     }))
 }
 
+/// The metric registered as `name`, after registering `fresh()` under it
+/// on a miss. Only a miss allocates (the owned key); a hit is a lookup by
+/// `&str` and an `Arc` clone.
+fn registered(name: &str, fresh: impl FnOnce() -> Metric) -> Metric {
+    let mut reg = registry().lock().unwrap_or_else(|e| e.into_inner());
+    match reg.get(name) {
+        Some(m) => m.clone(),
+        None => reg.entry(name.to_string()).or_insert_with(fresh).clone(),
+    }
+}
+
 /// Get or register the counter named `name`. If `name` is already
 /// registered as a different metric kind, a detached (unexported) counter
 /// is returned rather than panicking — the mismatch is a caller bug, but
 /// observability must never take the process down.
 pub fn counter(name: &str) -> Counter {
-    let mut reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-    match reg
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Counter(fresh_counter()))
-    {
-        Metric::Counter(c) => c.clone(),
+    match registered(name, || Metric::Counter(fresh_counter())) {
+        Metric::Counter(c) => c,
         _ => fresh_counter(),
     }
 }
@@ -190,12 +199,8 @@ pub fn counter(name: &str) -> Counter {
 /// [`counter`]). A gauge reads `-inf` until first set, and `snapshot`
 /// skips never-set gauges.
 pub fn gauge(name: &str) -> Gauge {
-    let mut reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-    match reg
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Gauge(fresh_gauge()))
-    {
-        Metric::Gauge(g) => g.clone(),
+    match registered(name, || Metric::Gauge(fresh_gauge())) {
+        Metric::Gauge(g) => g,
         _ => fresh_gauge(),
     }
 }
@@ -203,12 +208,8 @@ pub fn gauge(name: &str) -> Gauge {
 /// Get or register the histogram named `name` (same mismatch policy as
 /// [`counter`]).
 pub fn histogram(name: &str) -> Histogram {
-    let mut reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-    match reg
-        .entry(name.to_string())
-        .or_insert_with(|| Metric::Histogram(fresh_histogram()))
-    {
-        Metric::Histogram(h) => h.clone(),
+    match registered(name, || Metric::Histogram(fresh_histogram())) {
+        Metric::Histogram(h) => h,
         _ => fresh_histogram(),
     }
 }

@@ -77,7 +77,8 @@ struct Active {
     warmup: Vec<SegmentId>,
     warm_pos: usize,
     /// Current global state-row index of each live beam row (`None` = fresh
-    /// row, zero-filled at the next gather).
+    /// row, zero-filled at the next gather). Sized for `beam_width` rows
+    /// at admission and rebuilt in place each tick.
     rows: Vec<Option<usize>>,
     degradation: Degradation,
     beam_width: usize,
@@ -125,6 +126,10 @@ pub(crate) struct Engine<'m> {
     plan_trips: Vec<usize>,
     plan_spec: Vec<Option<usize>>,
     planned: Vec<(usize, PlanKind)>,
+    /// `serve.batch_rows` and `serve.active_requests`, resolved once so a
+    /// tick looks up no metric by name.
+    batch_rows: st_obs::Gauge,
+    active_requests: st_obs::Gauge,
 }
 
 impl<'m> Engine<'m> {
@@ -144,6 +149,8 @@ impl<'m> Engine<'m> {
             plan_trips: Vec::new(),
             plan_spec: Vec::new(),
             planned: Vec::new(),
+            batch_rows: st_obs::gauge("serve.batch_rows"),
+            active_requests: st_obs::gauge("serve.active_requests"),
         }
     }
 
@@ -217,6 +224,8 @@ impl<'m> Engine<'m> {
         // All but the last prefix segment warm the recurrent state; the
         // last is the search's first step token.
         let warmup = req.prefix[..req.prefix.len() - 1].to_vec();
+        let mut rows = Vec::with_capacity(beam_width);
+        rows.push(None);
         responder.admitted();
         self.active.push(Active {
             req,
@@ -229,12 +238,12 @@ impl<'m> Engine<'m> {
             beam,
             warmup,
             warm_pos: 0,
-            rows: vec![None],
+            rows,
             degradation,
             beam_width,
             done: false,
         });
-        st_obs::gauge("serve.active_requests").set(self.active.len() as f64);
+        self.active_requests.set(self.active.len() as f64);
     }
 
     /// Tear down all active jobs (after a contained fault) and hand them
@@ -278,7 +287,7 @@ impl<'m> Engine<'m> {
             }
         }
         if self.active.is_empty() {
-            st_obs::gauge("serve.active_requests").set(0.0);
+            self.active_requests.set(0.0);
             return Ok(());
         }
 
@@ -329,7 +338,7 @@ impl<'m> Engine<'m> {
             self.sweep_done();
             return Ok(());
         }
-        st_obs::gauge("serve.batch_rows").set(self.plan_tokens.len() as f64);
+        self.batch_rows.set(self.plan_tokens.len() as f64);
 
         // 4) One packed step for every job's rows.
         let gathered = self.sess.gather_state_or_zero(&self.state, &self.plan_spec);
@@ -373,9 +382,8 @@ impl<'m> Engine<'m> {
                     let slice = &self.logp[offset * width..(offset + count) * width];
                     match a.beam.apply_step(net, slice) {
                         Some(survivors) => {
-                            let mapped: Vec<Option<usize>> =
-                                survivors.iter().map(|&r| Some(offset + r)).collect();
-                            a.rows = mapped;
+                            a.rows.clear();
+                            a.rows.extend(survivors.iter().map(|&r| Some(offset + r)));
                         }
                         None => a.done = true,
                     }
@@ -412,7 +420,7 @@ impl<'m> Engine<'m> {
                 traffic_version: a.traffic_version,
             }));
         }
-        st_obs::gauge("serve.active_requests").set(self.active.len() as f64);
+        self.active_requests.set(self.active.len() as f64);
     }
 }
 
@@ -469,5 +477,190 @@ pub(crate) fn check_traffic_tensor(model: &DeepSt, tensor: &[f32]) -> Result<(),
     match tensor.iter().position(|v| !v.is_finite()) {
         Some(i) => Err(format!("traffic tensor cell {i} is not finite")),
         None => Ok(()),
+    }
+}
+
+#[cfg(test)]
+mod tick_allocations {
+    //! A warmed serving tick allocates nothing.
+    //!
+    //! The unit-test binary installs a counting global allocator whose counter
+    //! is thread-local, so each test counts only its own thread's allocations.
+    //! [`Engine`] is private to the crate, so the check lives here rather than
+    //! in an integration test. An engine first decodes a set of requests whose
+    //! destination lies off the grid, so that every search runs many ticks and
+    //! the session's gate memo, arena and the engine's plan buffers reach their
+    //! working size. It then decodes the same set again, and every tick in
+    //! which no job finishes must allocate nothing: planning, the packed
+    //! gather and step, every search's apply and the survivor remap. A tick in
+    //! which a job finishes allocates by design (its route and its reply).
+
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+    use std::time::{Duration, Instant};
+
+    use st_core::config::DeepStConfig;
+    use st_core::livetraffic::VersionedTraffic;
+    use st_roadnet::{grid_city, GridConfig, Point, Route};
+
+    use super::{Engine, QueuedJob};
+    use crate::error::Degradation;
+    use crate::request::{response_channel, RouteRequest};
+
+    thread_local! {
+        static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The system allocator, counting allocations and reallocations made on
+    /// the current thread.
+    struct Counting;
+
+    fn count() {
+        // `try_with`: the slot is gone while a thread tears down its locals.
+        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    }
+
+    // SAFETY: every method forwards to `System` with the caller's arguments
+    // unchanged; counting touches only a const-initialized thread-local `Cell`,
+    // which never allocates.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count();
+            // SAFETY: forwarded verbatim; the caller upholds `alloc`'s contract.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            count();
+            // SAFETY: forwarded verbatim; the caller upholds the contract.
+            unsafe { System.alloc_zeroed(layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count();
+            // SAFETY: forwarded verbatim; `ptr` came from this allocator, which
+            // is `System`.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: forwarded verbatim; `ptr` came from `System`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: Counting = Counting;
+
+    /// Allocations `f` makes on this thread.
+    fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = ALLOCATIONS.with(Cell::get);
+        let out = f();
+        (out, ALLOCATIONS.with(Cell::get) - before)
+    }
+
+    /// One tick's allocations, and whether a job finished in it.
+    struct Tick {
+        allocations: u64,
+        finished: bool,
+    }
+
+    /// Admit every request at beam `width` (`Degradation::None`), tick until
+    /// the engine is idle, and return each tick's record and the routes.
+    fn decode_all(
+        engine: &mut Engine<'_>,
+        reqs: &[(RouteRequest, usize)],
+        live: &VersionedTraffic,
+    ) -> (Vec<Tick>, Vec<Route>) {
+        let now = Instant::now();
+        let deadline_at = now + Duration::from_secs(3600);
+        let pending: Vec<_> = reqs
+            .iter()
+            .map(|(req, width)| {
+                let (responder, pending) = response_channel();
+                let job = QueuedJob {
+                    req: req.clone(),
+                    responder,
+                    enqueued: now,
+                    deadline_at,
+                    attempts: 0,
+                    not_before: now,
+                };
+                engine.admit(job, Degradation::None, *width, live);
+                pending
+            })
+            .collect();
+        let mut ticks = Vec::new();
+        for tick_no in 0.. {
+            if engine.is_idle() {
+                break;
+            }
+            let before = engine.active.len();
+            let (outcome, allocations) =
+                allocations_in(|| engine.tick(Instant::now(), tick_no, None));
+            assert_eq!(outcome, Ok(()), "tick {tick_no} faulted");
+            ticks.push(Tick {
+                allocations,
+                finished: engine.active.len() < before,
+            });
+        }
+        let routes = pending
+            .into_iter()
+            .map(|p| p.wait().expect("every request decodes").route)
+            .collect();
+        (ticks, routes)
+    }
+
+    #[test]
+    fn warmed_engine_tick_allocates_nothing() {
+        let net = grid_city(&GridConfig::small_test(), 3);
+        let cfg = DeepStConfig::new(net.num_segments(), net.max_out_degree(), 8, 8);
+        let model = st_core::model::DeepSt::new(cfg, 4);
+        // Off the grid, `f_s` is its floor everywhere, so no completion ends a
+        // search early and every search runs many ticks.
+        let dest = Point::new(1e6, 1e6);
+        let traffic = vec![0.2f32; model.cfg.grid_h * model.cfg.grid_w];
+        let request = |prefix: Vec<usize>| RouteRequest {
+            prefix,
+            dest_coord: dest,
+            dest_norm: [0.9, 0.9],
+            traffic: Some(traffic.clone()),
+            slot_id: 0,
+            deadline: None,
+        };
+        // Fresh queries at beams 8, 3 and 1, and continuations whose prefixes
+        // warm up in-band with the other jobs' search rows.
+        let mut reqs = Vec::new();
+        for (k, start) in [0usize, 5, 11, 17, 23].into_iter().enumerate() {
+            reqs.push((request(vec![start]), [8, 3, 1][k % 3]));
+            let mut prefix = vec![start];
+            for _ in 0..3 {
+                prefix.push(net.next_segments(*prefix.last().unwrap())[0]);
+            }
+            reqs.push((request(prefix), 8));
+        }
+        let live = VersionedTraffic::new();
+        let mut engine = Engine::new(&model, &net, 0);
+        let (_, warm_routes) = decode_all(&mut engine, &reqs, &live);
+        let (ticks, routes) = decode_all(&mut engine, &reqs, &live);
+        assert_eq!(routes, warm_routes, "the same requests decoded differently");
+        let steady: Vec<u64> = ticks
+            .iter()
+            .filter(|t| !t.finished)
+            .map(|t| t.allocations)
+            .collect();
+        assert!(
+            steady.len() >= 20,
+            "only {} ticks without a finished job",
+            steady.len()
+        );
+        let allocating = steady.iter().filter(|&&a| a > 0).count();
+        assert_eq!(
+            allocating,
+            0,
+            "{allocating} of {} warmed ticks without a finished job allocated ({} times)",
+            steady.len(),
+            steady.iter().sum::<u64>()
+        );
     }
 }
